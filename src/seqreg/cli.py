@@ -6,8 +6,8 @@ one document per input file) or as CSV plot data; diagnostics go to
 stderr.  Exit codes: 0 success, 1 parse failure, 2 regime or precondition
 failure, 3 verify-mode deviation beyond the tolerance.
 
-Multiple input files are processed concurrently; output order always
-matches input order.
+Multiple input files are processed one after another; outputs appear in
+input order and the exit code is the worst over all files.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -120,7 +119,7 @@ def _load_spec(path: str) -> SequenceSpec:
 
 
 def _run_files(files, worker: Callable[[str], tuple[str, int, list[str]]]) -> None:
-    """Run worker per file concurrently, emit outputs in input order."""
+    """Run worker per file, emit outputs in input order."""
 
     def guarded(path: str) -> tuple[str, int, list[str]]:
         try:
@@ -130,12 +129,7 @@ def _run_files(files, worker: Callable[[str], tuple[str, int, list[str]]]) -> No
         except SeqRegError as exc:
             return "", EXIT_PRECONDITION, [f"{path}: {exc}"]
 
-    if len(files) == 1:
-        results = [guarded(files[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=min(8, len(files))) as pool:
-            results = list(pool.map(guarded, files))
-
+    results = [guarded(p) for p in files]
     code = EXIT_OK
     out = click.get_text_stream("stdout")
     for text, status, diagnostics in results:

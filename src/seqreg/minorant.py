@@ -1,21 +1,26 @@
 """Convex minorants of log-scale sequences and their traces.
 
-The construction walks supporting lines of minimal slope: starting from the
-anchor (0, a_0), each step finds the smallest chord slope to a later point
-(ties resolved to the smallest index, so collinear points all become
-principal).  Values between principal indices are the line values; points at
-+inf project down onto the hull.  Everything is exact when the inputs are
-rational.
+The minorant is the lower boundary of the convex hull of the points
+(p, a_p).  The lower hull of the finite window points is computed once
+(Andrew's monotone chain, turns decided by exact cross-multiplication, a
+float taken at its exact binary value) and keeps collinear points, so every
+point on a hull edge is principal.  One walk then follows the hull from the
+anchor (0, a_0), accepting edges of slope below a cap; at each vertex a
+closed-form tail may offer a strictly smaller chord past the window, which
+ends the walk.  Values between principal indices are the line values;
+points at +inf project down onto the hull.  Everything is exact when the
+inputs are rational.
 
 Three regimes:
 
-  standard   slopes grow without bound; the walk covers the whole window.
+  standard   no cap (+inf): the walk covers the whole window, and a
+             factorial tail may carry the last edge past it.
   case1      some entry is -inf (or liminf a_p/p = -inf): every supporting
              line can be pushed down forever, so the minorant collapses to
              (a_0, -inf, -inf, ...) and the trace degenerates.
-  case2      slopes are capped at the limit slope a_iota: the walk accepts
-             chords of slope < a_iota only and finishes with a segment of
-             slope exactly a_iota through the last principal point.
+  case2      the cap is the limit slope a_iota: the same hull, cut off where
+             its slopes reach a_iota, closed by the line of slope exactly
+             a_iota through the last principal point.
 
 The trace k -> sup_p (p*k - a_p) is assembled from the accepted edges; its
 conjugate reproduces the minorant values (round trip exact on rationals).
@@ -24,6 +29,9 @@ conjugate reproduces the minorant values (round trip exact on rationals).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from .errors import InfinityAtZero, RegimeMismatch, UnknownAIota
@@ -33,7 +41,6 @@ from .piecewise import (
     EMPTY_INTERVAL,
     Interval,
     PiecewiseLinearFn,
-    REAL_LINE,
 )
 from .sequences import (
     CASE1,
@@ -122,34 +129,6 @@ def support_line(a: SequenceSpec, k, window: Optional[int] = None) -> SupportLin
     return SupportLine(k, best, touching)
 
 
-def _touching_indices(vals: list[ExtReal], slope: ExtReal, intercept: ExtReal) -> tuple[int, ...]:
-    out = []
-    for p, v in enumerate(vals):
-        if not v.is_finite:
-            continue
-        lv = slope * p + intercept
-        if v == lv:
-            out.append(p)
-        elif not (v.is_exact and lv.is_exact):
-            fv, fl = float(v), float(lv)
-            if abs(fv - fl) <= 1e-12 * max(1.0, abs(fv), abs(fl)):
-                out.append(p)
-    return tuple(out)
-
-
-def _min_window_chord(vals: list[ExtReal], P: int, w: int) -> Optional[tuple[ExtReal, int]]:
-    aP = vals[P]
-    best: Optional[tuple[ExtReal, int]] = None
-    for q in range(P + 1, w):
-        v = vals[q]
-        if v.is_pos_inf:
-            continue
-        s = (v - aP) / (q - P)
-        if best is None or s < best[0]:
-            best = (s, q)
-    return best
-
-
 def _tail_chord(seq: SequenceSpec, P: int, aP: ExtReal, w: int):
     """Best chord from (P, aP) into the closed-form tail beyond the window.
 
@@ -184,49 +163,125 @@ def _tail_chord(seq: SequenceSpec, P: int, aP: ExtReal, w: int):
     return None
 
 
-def _trace_from_edges(a0: ExtReal, edge_data: list[tuple[ExtReal, int, ExtReal, int]],
-                      domain: Interval) -> PiecewiseLinearFn:
-    """edge_data: (slope, anchor index, anchor value, target index), slopes non-decreasing."""
-    if not edge_data:
-        return PiecewiseLinearFn(
-            breakpoints=(),
-            domain=domain,
-            slope_left=ZERO,
-            value_at_minus_inf=ZERO - a0,
-            constant=ZERO - a0,
-        )
-    bps: list[Breakpoint] = []
-    for slope, anchor, a_anchor, target in edge_data:
-        value = slope * anchor - a_anchor
-        if bps and bps[-1].x == slope:
-            # collinear continuation: same breakpoint, steeper outgoing slope
-            prev = bps[-1]
-            bps[-1] = Breakpoint(prev.x, prev.left_value, prev.right_value, ext(target))
+def _lower_hull(vals: list[ExtReal]) -> list[int]:
+    """Indices of the finite points on the lower hull, collinear points kept.
+
+    Andrew's monotone chain on the raw values: a vertex is dropped only when
+    it lies strictly above the chord joining its neighbours, decided by exact
+    cross-multiplication, so the hull slopes never decrease.
+    """
+    hull: list[tuple[int, Fraction]] = []
+    for q, v in enumerate(vals):
+        if v.is_pos_inf:
+            continue
+        y = Fraction(v.raw)
+        while len(hull) >= 2:
+            (i, a_i), (j, a_j) = hull[-2], hull[-1]
+            if (a_j - a_i) * (q - j) <= (y - a_j) * (j - i):
+                break
+            hull.pop()
+        hull.append((q, y))
+    return [q for q, _ in hull]
+
+
+def _hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, extends: bool):
+    """Walk the lower hull from the anchor, accepting edges of slope < cap.
+
+    When ``extends`` is set, the closed-form tail is asked at every vertex
+    for a strictly smaller chord past the window; taking one ends the walk.
+    When no admissible edge is left, the walk stops and closes with the line
+    of slope cap through the last principal point.  Returns the regularized
+    values, the principal indices, the edges, the trace on (-inf, cap) and
+    whether the walk stopped at the cap.
+    """
+    hull = _lower_hull(vals)
+    out = list(vals)
+    edge_data: list[tuple[ExtReal, int, ExtReal, int]] = []
+    stopped = False
+    for i, P in enumerate(hull):
+        if P == w - 1:
+            break  # the window is covered; the tail is not asked from its last point
+        aP = vals[P]
+        best: Optional[tuple[ExtReal, int]] = None
+        if i + 1 < len(hull):
+            q = hull[i + 1]
+            slope = (vals[q] - aP) / (q - P)
+            if slope < cap:
+                best = (slope, q)
+        tail = _tail_chord(seq, P, aP, w) if extends else None
+        if tail is not None and tail[0] == "event" and tail[1] < cap:
+            if best is None or tail[1] < best[0]:
+                best = (tail[1], tail[2])
+        if best is None:
+            stopped = True
+            slope, q = cap, w
         else:
-            bps.append(Breakpoint(slope, value, value, ext(target)))
-    return PiecewiseLinearFn(
+            slope, q = best
+            if edge_data and slope < edge_data[-1][0]:
+                # only float rounding gets here: the exact hull slopes never decrease
+                slope = edge_data[-1][0]
+            edge_data.append((slope, P, aP, q))
+        for p in range(P + 1, min(q, w)):
+            out[p] = aP + slope * (p - P)
+        if q >= w:
+            break
+
+    # a collinear run of edges is one breakpoint of the trace, and each of its
+    # edges touches every principal point of the run
+    edges: list[SupportLine] = []
+    bps: list[Breakpoint] = []
+    for slope, run in groupby(edge_data, key=itemgetter(0)):
+        run = list(run)
+        touching = tuple(P for _, P, _, _ in run)
+        last = run[-1][3]
+        if last < w:
+            touching += (last,)
+        edges += [SupportLine(s, aP - s * P, touching) for s, P, aP, _ in run]
+        _, first, a_first, _ = run[0]
+        value = slope * first - a_first
+        bps.append(Breakpoint(slope, value, value, ext(last)))
+    principal = [0] + [q for *_, q in edge_data if q < w]
+    trace = PiecewiseLinearFn(
         breakpoints=tuple(bps),
-        domain=domain,
+        domain=Interval(NEG_INF, cap),
         slope_left=ZERO,
-        value_at_minus_inf=ZERO - a0,
+        value_at_minus_inf=ZERO - vals[0],
+        constant=None if bps else ZERO - vals[0],
     )
+    return out, principal, edges, trace, stopped
 
 
-def _stability(principal: list[int], w: int, proven: bool) -> tuple[int, int]:
-    if proven:
-        return w - 1, w
-    if len(principal) >= 2:
-        stable = principal[-2]
-    else:
-        stable = principal[-1]
-    return stable, stable + 1
-
-
-def _check_anchor(vals: list[ExtReal]) -> None:
+def _window_values(seq: SequenceSpec, window: Optional[int]) -> tuple[int, list[ExtReal]]:
+    w = resolve_window(seq, window)
+    vals = seq.values(w)
     if not vals:
         raise InfinityAtZero("empty window")
     if not vals[0].is_finite:
         raise InfinityAtZero(f"index 0 must be finite, got {vals[0]}")
+    return w, vals
+
+
+def _result(regime: RegimeClassification, w: int, out: list[ExtReal], principal: list[int],
+            edges: list[SupportLine], trace: PiecewiseLinearFn, proven: bool,
+            finite_principal: Optional[bool] = None) -> MinorantResult:
+    # a proven end pins the whole window; otherwise trust up to the penultimate principal
+    if proven:
+        stable = w - 1
+    else:
+        stable = principal[-2] if len(principal) >= 2 else principal[-1]
+    return MinorantResult(
+        regularized=SequenceSpec(kind=LOG, prefix=tuple(out), tail=ExplicitOnly(),
+                                 declared_regime=regime),
+        principal_indices=tuple(principal),
+        edges=tuple(edges),
+        trace=trace,
+        regime=regime,
+        stable_prefix=stable,
+        provisional_from=stable + 1,
+        window=w,
+        scale=LOG,
+        finite_principal=finite_principal,
+    )
 
 
 # -- the three regime constructions ------------------------------------------------
@@ -241,63 +296,11 @@ def convex_minorant(a: SequenceSpec, window: Optional[int] = None,
         raise RegimeMismatch(
             f"{regime.describe()}: convex minorant needs the standard regime "
             f"(use the dedicated case operations)", regime.regime)
-    w = resolve_window(seq, window)
-    vals = seq.values(w)
-    _check_anchor(vals)
-
-    out = list(vals)
-    principal = [0]
-    edge_data: list[tuple[ExtReal, int, ExtReal, int]] = []
-    edges: list[SupportLine] = []
-    can_extend = isinstance(seq.tail, FactorialPower)
-    proven = can_extend  # falsified below if the tail never got to prove the last edge
-    P = 0
-
-    while P < w - 1:
-        window_best = _min_window_chord(vals, P, w)
-        tail_best = _tail_chord(seq, P, vals[P], w) if can_extend else None
-        use_tail = False
-        if tail_best is not None and tail_best[0] == "event":
-            if window_best is None or tail_best[1] < window_best[0]:
-                use_tail = True
-        if window_best is None and not use_tail:
-            break  # only +inf entries remain and nothing proves the tail edge
-        if use_tail:
-            slope, q = tail_best[1], tail_best[2]
-        else:
-            slope, q = window_best
-        aP = vals[P]
-        edge_data.append((slope, P, aP, q))
-        intercept = aP - slope * P
-        edges.append(SupportLine(slope, intercept, _touching_indices(vals, slope, intercept)))
-        for p in range(P + 1, min(q, w)):
-            out[p] = aP + slope * (p - P)
-        if q < w:
-            principal.append(q)
-            P = q
-        else:
-            P = w  # the edge provably runs past the window: done
-            break
-    if not can_extend:
-        proven = False
-    elif P < w - 1:
-        proven = False
-
-    stable, provisional = _stability(principal, w, proven and P >= w - 1)
-    regularized = SequenceSpec(kind=LOG, prefix=tuple(out), tail=ExplicitOnly(),
-                               declared_regime=regime)
-    trace = _trace_from_edges(vals[0], edge_data, REAL_LINE)
-    return MinorantResult(
-        regularized=regularized,
-        principal_indices=tuple(principal),
-        edges=tuple(edges),
-        trace=trace,
-        regime=regime,
-        stable_prefix=stable,
-        provisional_from=provisional,
-        window=w,
-        scale=LOG,
-    )
+    w, vals = _window_values(seq, window)
+    extends = isinstance(seq.tail, FactorialPower)
+    out, principal, edges, trace, stopped = _hull_walk(seq, vals, w, POS_INF, extends)
+    # the walk is proven once a factorial tail has vetted it to the window end
+    return _result(regime, w, out, principal, edges, trace, extends and not stopped)
 
 
 def case1_regularize(a: SequenceSpec, window: Optional[int] = None,
@@ -308,9 +311,7 @@ def case1_regularize(a: SequenceSpec, window: Optional[int] = None,
     if regime.regime != CASE1:
         raise RegimeMismatch(
             f"{regime.describe()}: this operation is only for Case 1", regime.regime)
-    w = resolve_window(seq, window)
-    vals = seq.values(w)
-    _check_anchor(vals)
+    w, vals = _window_values(seq, window)
     out = [vals[0]] + [NEG_INF] * (w - 1)
     trace = PiecewiseLinearFn(
         breakpoints=(),
@@ -318,30 +319,17 @@ def case1_regularize(a: SequenceSpec, window: Optional[int] = None,
         slope_left=ZERO,
         value_at_minus_inf=ZERO - vals[0],
     )
-    regularized = SequenceSpec(kind=LOG, prefix=tuple(out), tail=ExplicitOnly(),
-                               declared_regime=regime)
-    return MinorantResult(
-        regularized=regularized,
-        principal_indices=(0,),
-        edges=(),
-        trace=trace,
-        regime=regime,
-        stable_prefix=w - 1,
-        provisional_from=w,
-        window=w,
-        scale=LOG,
-        finite_principal=True,
-    )
+    return _result(regime, w, out, [0], [], trace, True, finite_principal=True)
 
 
 def case2_regularize(a: SequenceSpec, window: Optional[int] = None,
                      a_iota=None, tol: float = 1e-9) -> MinorantResult:
     """Slope-capped minorant for sequences with finite limit slope a_iota.
 
-    Chords of slope < a_iota are accepted exactly as in the standard walk;
-    once no remaining point offers one, the construction closes with the
-    segment of slope a_iota through the last principal point (the lowest
-    admissible supporting line in the limit).
+    Hull edges of slope < a_iota are accepted exactly as in the standard
+    walk; once none is left, the construction closes with the segment of
+    slope a_iota through the last principal point (the lowest admissible
+    supporting line in the limit).
     """
     seq = to_log_scale(a)
     regime = classify_regime(seq, window, tol)
@@ -360,73 +348,12 @@ def case2_regularize(a: SequenceSpec, window: Optional[int] = None,
     if regime.regime == INDETERMINATE:
         regime = RegimeClassification(CASE2, cap, regime.evidence_window, "declared")
 
-    w = resolve_window(seq, window)
-    vals = seq.values(w)
-    _check_anchor(vals)
-
-    out = list(vals)
-    principal = [0]
-    edge_data: list[tuple[ExtReal, int, ExtReal, int]] = []
-    edges: list[SupportLine] = []
-    closed_form_tail = isinstance(seq.tail, (AffineLog, Geometric))
-    P = 0
-    stopped_by_cap = False
-    proven_stop = False
-
-    while P < w - 1:
-        window_best = _min_window_chord(vals, P, w)
-        tail_best = _tail_chord(seq, P, vals[P], w) if closed_form_tail else None
-        best: Optional[tuple[ExtReal, int]] = None
-        if window_best is not None and window_best[0] < cap:
-            best = window_best
-        if tail_best is not None and tail_best[0] == "event" and tail_best[1] < cap:
-            if best is None or tail_best[1] < best[0]:
-                best = (tail_best[1], tail_best[2])
-        if best is None:
-            stopped_by_cap = True
-            if closed_form_tail:
-                # the tail chords never dip below the cap: the stop is final
-                proven_stop = tail_best is None or tail_best[0] == "floor" or not tail_best[1] < cap
-            break
-        slope, q = best
-        aP = vals[P]
-        edge_data.append((slope, P, aP, q))
-        intercept = aP - slope * P
-        edges.append(SupportLine(slope, intercept, _touching_indices(vals, slope, intercept)))
-        for p in range(P + 1, min(q, w)):
-            out[p] = aP + slope * (p - P)
-        if q < w:
-            principal.append(q)
-            P = q
-        else:
-            P = w
-            break
-
-    if stopped_by_cap:
-        anchor = principal[-1]
-        aP = vals[anchor]
-        for p in range(anchor + 1, w):
-            out[p] = aP + cap * (p - anchor)
-
-    # stability: a proven cap stop pins everything; otherwise window evidence
-    proven = stopped_by_cap and proven_stop
-    stable, provisional = _stability(principal, w, proven)
-    domain = Interval(NEG_INF, cap, False, False)
-    trace = _trace_from_edges(vals[0], edge_data, domain)
-    regularized = SequenceSpec(kind=LOG, prefix=tuple(out), tail=ExplicitOnly(),
-                               declared_regime=regime)
-    return MinorantResult(
-        regularized=regularized,
-        principal_indices=tuple(principal),
-        edges=tuple(edges),
-        trace=trace,
-        regime=regime,
-        stable_prefix=stable,
-        provisional_from=provisional,
-        window=w,
-        scale=LOG,
-        finite_principal=stopped_by_cap,
-    )
+    w, vals = _window_values(seq, window)
+    extends = isinstance(seq.tail, (AffineLog, Geometric))
+    out, principal, edges, trace, stopped = _hull_walk(seq, vals, w, cap, extends)
+    # a closed-form tail whose chords never dip below the cap makes the stop final
+    return _result(regime, w, out, principal, edges, trace, extends and stopped,
+                   finite_principal=stopped)
 
 
 # -- trace API ----------------------------------------------------------------------

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .extreal import ExtReal, ZERO, ext
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "OracleReport",
@@ -187,11 +188,11 @@ def brute_minorant(a: Sequence, slope_cap=None) -> list[ExtReal]:
     if cap is not None:
         slopes = {k for k in slopes if k <= cap}
         slopes.add(cap)
+    traces = {k: max(q * k - vq for q, vq in finite) for k in slopes}
     route_two = []
     for p in range(n):
         best = None
-        for k in slopes:
-            trace = max(q * k - vq for q, vq in finite)
+        for k, trace in traces.items():
             cand = k * p - trace
             if best is None or cand > best:
                 best = cand
@@ -282,6 +283,7 @@ def brute_phi_sweep(
     recovered by maximizing p t - A(t) over the admissible part of the
     grid.  Everything is float; accuracy is bounded by the grid step.
     """
+    import numpy as np  # only this oracle needs it; importing it costs the CLI start-up
 
     if slope_grid_step <= 0:
         raise ValueError("slope_grid_step must be positive")

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -148,6 +151,35 @@ def test_minorant_multi_file_order(runner, rough_file, factorial_file):
     second = parse_line(res.stdout, 1)
     assert first["scale"] == "log"
     assert second["scale"] == "weight"
+
+
+@pytest.mark.parametrize("command", ["minorant", "trace"])
+def test_geometric_tail_case2_exits_zero(runner, tmp_path, command):
+    # the tail values p log(3/2) are floats: collinear over the reals, not in
+    # binary; comparing their chord slopes after rounding used to crash here
+    path = tmp_path / "geometric.json"
+    path.write_text(json.dumps({
+        "kind": "log", "prefix": [0], "tail": {"type": "geometric", "d": "3/2"},
+    }))
+    res = runner.invoke(main, [command, str(path), "--window", "256"])
+    assert res.exception is None
+    assert res.exit_code == 0
+    doc = parse_line(res.stdout)
+    bps = doc["trace"]["breakpoints"] if command == "trace" else doc["trace_breakpoints"]
+    xs = [float(bp["x"]) for bp in bps]
+    assert xs
+    assert all(x < y for x, y in zip(xs, xs[1:]))
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves only the sweep oracle; the CLI must not pay for it at start-up
+    code = "import sys, seqreg.cli; print('numpy' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 # -- exit codes ---------------------------------------------------------------------

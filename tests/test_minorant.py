@@ -384,6 +384,81 @@ def test_case2_nonequivalence_witness():
     assert report.witness_index is not None
 
 
+@pytest.mark.parametrize("d", [Fraction(3, 2), Fraction(2), Fraction(5, 4), Fraction(7, 3)])
+@pytest.mark.parametrize("window", [16, 64, 256, 512])
+def test_case2_geometric_tail(d, window):
+    # a_p = p log d in floats: collinear over the reals, not in binary
+    a = log_seq([0], tail=Geometric(d=d))
+    r = case2_regularize(a, window=window)
+    xs = [bp.x for bp in r.trace.breakpoints]
+    assert all(x < y for x, y in zip(xs, xs[1:]))
+    vals = a.values(window)
+    out = r.regularized.prefix
+    for o, v in zip(out, vals):
+        # float entries may sit an ulp above after the line is re-evaluated
+        assert o <= v or float(o) - float(v) <= 1e-12 * max(1.0, abs(float(v)))
+    for p in r.principal_indices:
+        assert out[p] == vals[p]
+
+
+# -- touching sets ------------------------------------------------------------------
+
+
+def touching_reference(vals, edge):
+    """Every finite window point on the edge's line, as the full-window scan defines it."""
+    return tuple(p for p, v in enumerate(vals)
+                 if v.is_finite and v == edge.slope * p + edge.intercept)
+
+
+@given(st.lists(st.tuples(st.sampled_from([0, 0, 0, 1, 2]),
+                          st.sampled_from([0, 0, 0, Fraction(1, 2), 1, 5])),
+                min_size=2, max_size=24),
+       st.lists(st.integers(0, 5), min_size=24, max_size=24),
+       st.sampled_from(["standard", "case2", "affine"]))
+@settings(max_examples=200, deadline=None)
+def test_touching_matches_full_window_scan(draws, holes, regime):
+    # a convex polyline with few integer slopes, so that collinear runs of
+    # principal points are common, with bumps on top
+    vals, slope, level = [], Fraction(-3), Fraction(0)
+    for bend, bump in draws:
+        vals.append(level + bump)
+        slope += bend
+        level += slope
+    # +inf entries anywhere but the anchor
+    vals = [float("inf") if p and not holes[p] else v for p, v in enumerate(vals)]
+    n = len(vals)
+    if regime == "standard":
+        spec, window = log_seq(vals, declared=declared_standard(n)), n
+        r = convex_minorant(spec, window=window)
+    elif regime == "case2":
+        declared = RegimeClassification(regime=CASE2, a_iota=ext(1),
+                                        evidence_window=(0, n), source="declared")
+        spec, window = log_seq(vals, declared=declared), n
+        r = case2_regularize(spec, window=window)
+    else:
+        # exact tail a_p = p right past the window; its chords may leave it
+        spec, window = log_seq(vals, tail=AffineLog(c=1)), n
+        r = case2_regularize(spec, window=window)
+    window_vals = spec.values(window)
+    for edge in r.edges:
+        assert edge.touching == touching_reference(window_vals, edge)
+
+
+def test_touching_on_factorial_tail_edge_leaving_window():
+    # a flat run, then a wall the factorial tail undercuts
+    spec = SequenceSpec(kind="log", prefix=(0, 0, 0, 0, 50, 50, 50, 50),
+                        tail=FactorialPower(s=1, c=1))
+    r = convex_minorant(spec, window=8)
+    assert r.principal_indices == (0, 1, 2, 3)
+    last = r.edges[-1]
+    assert last.slope > ext(0)
+    vals = spec.values(8)
+    for edge in r.edges:
+        assert edge.touching == touching_reference(vals, edge)
+    assert last.touching == (3,)
+    assert r.edges[0].touching == (0, 1, 2, 3)
+
+
 # -- komatsu-style identity is covered in test_weights (underline_sequence) ----
 
 
