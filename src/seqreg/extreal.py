@@ -67,17 +67,20 @@ class ExtReal:
     def raw(self) -> RawNumber:
         return self._v
 
+    # only a float payload can be infinite; testing the type first keeps a
+    # Fraction from being compared with float('inf') through Fraction.__eq__
+
     @property
     def is_pos_inf(self) -> bool:
-        return self._v == _POS
+        return isinstance(self._v, float) and self._v == _POS
 
     @property
     def is_neg_inf(self) -> bool:
-        return self._v == _NEG
+        return isinstance(self._v, float) and self._v == _NEG
 
     @property
     def is_finite(self) -> bool:
-        return not (self._v == _POS or self._v == _NEG)
+        return not isinstance(self._v, float) or math.isfinite(self._v)
 
     @property
     def is_exact(self) -> bool:
@@ -271,6 +274,10 @@ def _parse_number(text: str) -> RawNumber:
 
 
 def _inf_sign(v: RawNumber) -> int:
+    # isinstance, not a type() test: numpy.float64 payloads (the sweep
+    # oracle's grid) are float subclasses and may be infinite
+    if not isinstance(v, float):
+        return 0
     if v == _POS:
         return 1
     if v == _NEG:

@@ -34,7 +34,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Optional
 
-from .errors import InfinityAtZero, RegimeMismatch, UnknownAIota
+from .errors import InconsistentDeclaration, InfinityAtZero, RegimeMismatch, UnknownAIota
 from .extreal import ExtReal, NEG_INF, POS_INF, ZERO, ext
 from .piecewise import (
     Breakpoint,
@@ -174,6 +174,11 @@ def _lower_hull(vals: list[ExtReal]) -> list[int]:
     for q, v in enumerate(vals):
         if v.is_pos_inf:
             continue
+        if v.is_neg_inf:
+            # only a declaration or a closed-form tail gets a -inf entry past case 1
+            raise InconsistentDeclaration(
+                f"a_{q} = -inf collapses the sequence (case 1), "
+                "which contradicts the declared or tail regime")
         y = Fraction(v.raw)
         while len(hull) >= 2:
             (i, a_i), (j, a_j) = hull[-2], hull[-1]

@@ -17,6 +17,14 @@ principal / discontinuity classification) is exact rational arithmetic when
 the inputs are.  Thresholds are rationalized once per (phi, p) so the engine
 and the recovery conjugate use identical cutoffs.
 
+Each call reads the window once into raw payloads (Fraction or float) and
+computes the threshold vector threshold(0..w-1) once.  An event is then one
+pass over the later points that computes e_q, applies the cap and collects
+the earliest time together with every point tied at it; intercepts are
+computed for those tied points only.  On finite payloads ExtReal arithmetic
+is exactly the raw operation, so the loop runs on raw numbers and wraps a
+value in ExtReal only when it enters the record.
+
 Events where the entering point sits strictly below the old line are the
 indices of discontinuity: visibility arrived later than tangency, so the trace
 jumps up.  At a batch event (several points tied at the minimum intercept)
@@ -39,12 +47,13 @@ from typing import Callable, Optional
 
 from .errors import (
     AxiomViolation,
+    InconsistentDeclaration,
     InfiniteEntryUnsupported,
     InfinityAtZero,
     NotComparable,
     ParseError,
 )
-from .extreal import ExtReal, NEG_INF, ONE, POS_INF, ZERO, ext
+from .extreal import ExtReal, NEG_INF, ONE, POS_INF, RawNumber, ZERO, ext
 from .piecewise import (
     Breakpoint,
     EMPTY_INTERVAL,
@@ -361,67 +370,73 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
             return _case1_result(vals, w, phi)
         if regime.regime == CASE2:
             cap = regime.a_iota
-    else:
-        for p in range(1, w):
-            if vals[p].is_neg_inf:
-                raise InfiniteEntryUnsupported(
-                    f"a_{p} = -inf: only the ungated phi handles collapsing sequences")
-        if phi.blowup_T is None:
-            last_finite = max((p for p in range(w) if vals[p].is_finite), default=0)
-            if last_finite < w - 1:
-                raise InfiniteEntryUnsupported(
-                    "window ends in +inf entries; without a blowup point the "
-                    "regularization of a cofinitely-infinite sequence is undefined")
+
+    # the raw window and threshold vector; +inf points never take over
+    pts: list[tuple[int, RawNumber, RawNumber]] = []  # (q, a_q, threshold(q))
+    for q, v in enumerate(vals):
+        if v.is_pos_inf:
+            continue
+        if v.is_neg_inf:
+            if phi.infinite:
+                raise InconsistentDeclaration(
+                    f"a_{q} = -inf collapses the sequence (case 1), "
+                    f"but the {regime.source} regime is {regime.regime}")
+            raise InfiniteEntryUnsupported(
+                f"a_{q} = -inf: only the ungated phi handles collapsing sequences")
+        pts.append((q, v.raw, phi.threshold(q).raw))
+    if phi.blowup_T is None and not phi.infinite and pts[-1][0] < w - 1:
+        raise InfiniteEntryUnsupported(
+            "window ends in +inf entries; without a blowup point the "
+            "regularization of a cofinitely-infinite sequence is undefined")
+    cap_raw = None if cap is None else cap.raw
 
     # sweep state: per principal index (index, entry time); batch members
     # share the entry time and all but the last get degenerate intervals
     principal: list[tuple[int, ExtReal]] = [(0, NEG_INF)]
     disc: list[int] = []
     events: list[tuple[ExtReal, ExtReal, ExtReal, int]] = []  # (time, left_A, right_A, top)
-    P = 0
+    k = 0  # position of the current principal point P in pts
     stopped_by_cap = False
 
     while True:
-        best: Optional[ExtReal] = None
+        # one pass: the takeover time e_q of every later point, keeping the
+        # earliest and every point tied with it
+        P, aP, _ = pts[k]
+        tau = None
+        cands: list[int] = []
         blocked = False
-        for q in range(P + 1, w):
-            v = vals[q]
-            if v.is_pos_inf:
-                continue
-            slope = (v - vals[P]) / (q - P)
-            e_q = slope if slope >= phi.threshold(q) else phi.threshold(q)
-            if cap is not None and not e_q < cap:
+        for j in range(k + 1, len(pts)):
+            q, v, thr = pts[j]
+            e_q = (v - aP) / (q - P)
+            if e_q < thr:
+                e_q = thr
+            if cap_raw is not None and not e_q < cap_raw:
                 blocked = True
-                continue
-            if best is None or e_q < best:
-                best = e_q
-        if best is None:
+            elif tau is None or e_q < tau:
+                tau = e_q
+                cands = [j]
+            elif e_q == tau:
+                cands.append(j)
+        if tau is None:
             stopped_by_cap = blocked
             break
-        tau = best
-        cands = []
-        for q in range(P + 1, w):
-            v = vals[q]
-            if v.is_pos_inf:
-                continue
-            slope = (v - vals[P]) / (q - P)
-            e_q = slope if slope >= phi.threshold(q) else phi.threshold(q)
-            if e_q == tau:
-                assert tau >= phi.threshold(q)  # visibility always precedes takeover
-                cands.append(q)
-        c_P = vals[P] - ext(P) * tau
-        c_min = c_P
-        for q in cands:
-            c_q = vals[q] - ext(q) * tau
-            if c_q < c_min:
-                c_min = c_q
-        batch = sorted(q for q in cands if vals[q] - ext(q) * tau == c_min)
+        for j in cands:
+            assert tau >= pts[j][2]  # visibility always precedes takeover
+        c_P = aP - P * tau
+        icpt = [pts[j][1] - pts[j][0] * tau for j in cands]
+        c_min = min(icpt)  # not started from c_P: float rounding may put every c_q above it
+        batch = [j for j, c in zip(cands, icpt) if c == c_min]
+        # written 0 - c, not -c: the trace value of c = 0.0 is 0.0, never -0.0
+        left = right = 0 - c_P
         if c_min < c_P:
-            disc.append(batch[0])
-        events.append((tau, ZERO - c_P, ZERO - c_min, batch[-1]))
-        for q in batch:
-            principal.append((q, tau))
-        P = batch[-1]
+            disc.append(pts[batch[0]][0])
+            right = 0 - c_min
+        top = pts[batch[-1]][0]
+        tau_x = ExtReal(tau)
+        events.append((tau_x, ExtReal(left), ExtReal(right), top))
+        for j in batch:
+            principal.append((pts[j][0], tau_x))
+        k = batch[-1]
 
     indices = [p for p, _ in principal]
     J_right = cap if cap is not None else POS_INF

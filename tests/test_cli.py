@@ -171,6 +171,20 @@ def test_geometric_tail_case2_exits_zero(runner, tmp_path, command):
     assert all(x < y for x, y in zip(xs, xs[1:]))
 
 
+@pytest.mark.parametrize("args", [["minorant"], ["trace"], ["phireg", "--phi", "infinite"]])
+def test_declared_regime_with_neg_inf_entry_exits_two(runner, tmp_path, args):
+    # a -inf entry collapses the sequence (case 1), whatever the declaration says
+    path = tmp_path / "declared.json"
+    path.write_text(json.dumps({
+        "kind": "log", "prefix": [0, 1, "-inf", 3, 9],
+        "declared_regime": {"regime": "standard", "source": "declared",
+                            "evidence_window": [0, 5]},
+    }))
+    res = runner.invoke(main, args + [str(path)])
+    assert res.exit_code == 2
+    assert "a_2 = -inf" in res.stderr
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # numpy serves only the sweep oracle; the CLI must not pay for it at start-up
     code = "import sys, seqreg.cli; print('numpy' in sys.modules)"
@@ -349,6 +363,22 @@ def test_phireg_piecewise_file(runner, jumpy_file, tmp_path):
     assert res.exit_code == 0
     doc = parse_line(res.stdout)
     assert doc["phi"].startswith("piecewise:")
+
+
+def test_phireg_infinite_float_tie_exits_zero(runner, tmp_path):
+    # -1.5 - 1 * (-1.8) rounds to 0.30000000000000004 > a_0 = 0.3: the only
+    # entering intercept lies above the old one by rounding alone
+    path = tmp_path / "rounded.json"
+    path.write_text(json.dumps({
+        "kind": "log", "prefix": [0.3, -1.5], "tail": {"type": "explicit_only"},
+    }))
+    res = runner.invoke(main, ["phireg", str(path), "--phi", "infinite"])
+    assert res.exit_code == 0
+    doc = parse_line(res.stdout)
+    assert doc["principal_indices"] == [0, 1]
+    assert doc["discontinuity_indices"] == []
+    (bp,) = doc["trace"]["breakpoints"]
+    assert bp["left_value"] == bp["right_value"] == -0.3
 
 
 def test_phireg_bad_phi_descriptor(runner, jumpy_file):

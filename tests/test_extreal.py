@@ -27,6 +27,22 @@ def test_positive_times_neg_inf():
         assert ext(-p) * NEG_INF == POS_INF
 
 
+def test_numpy_float_infinity_stays_infinite():
+    # numpy.float64 is a float subclass; the sweep oracle's grid passes it in
+    numpy = pytest.importorskip("numpy")
+    inf = ExtReal(numpy.float64("inf"))
+    assert inf.is_pos_inf and not inf.is_finite
+    assert (inf + ext(1)).is_pos_inf
+    assert (ext(Fraction(1, 3)) + inf).is_pos_inf
+    assert (inf * ext(2)).is_pos_inf
+    assert (inf * ext(-2)).is_neg_inf
+    assert (inf / ext(3)).is_pos_inf
+    assert ext(3) / inf == ZERO
+    assert ExtReal(-numpy.float64("inf")).is_neg_inf
+    with pytest.raises(ArithmeticError):
+        inf + NEG_INF
+
+
 def test_one_over_infinity_is_zero():
     assert ONE / POS_INF == ZERO
     assert ext(5) / NEG_INF == ZERO

@@ -4,17 +4,21 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqreg import (
     AxiomViolation,
     ExplicitOnly,
     Expression,
+    InconsistentDeclaration,
     InfiniteEntryUnsupported,
     InfinityAtZero,
     NEG_INF,
     NotComparable,
     OutOfDomain,
     ParseError,
+    RegimeClassification,
+    SeqRegError,
     SequenceSpec,
     ZERO,
     case1_regularize,
@@ -226,6 +230,87 @@ def test_idempotence():
     assert [b.x for b in r1.trace.breakpoints] == [b.x for b in r2.trace.breakpoints]
 
 
+# -- the raw kernel's output bytes ---------------------------------------------------
+
+
+def test_float_trace_value_is_positive_zero():
+    # A(t) = -(a_0 - 0 t) at the first event: 0.0 on float input, never -0.0
+    r = regularize_with_phi(log_seq([0.0, 1.5, 2.0, 4.5, 9.0]), make_phi("exp"))
+    first = r.trace.breakpoints[0]
+    assert first.left_value.raw == 0.0
+    assert math.copysign(1.0, first.left_value.raw) == 1.0
+    assert first.right_value.to_json() == 0.0
+    assert math.copysign(1.0, first.right_value.raw) == 1.0
+
+
+@pytest.mark.parametrize("descriptor", ["exp", "infinite"])
+def test_collinear_batch_event(descriptor):
+    # indices 1, 2, 3 lie on one line of slope 5 from the anchor and enter together
+    r = regularize_with_phi(log_seq([0, 5, 10, 15, 40]), make_phi(descriptor))
+    assert r.principal_indices == (0, 1, 2, 3, 4)
+    assert r.discontinuity_indices == ()
+    five = ext(5)
+    assert [(iv.start, iv.end) for iv in r.intervals] == [
+        (NEG_INF, five), (five, five), (five, five), (five, ext(25)), (ext(25), r.J_right)]
+    bps = r.trace.breakpoints
+    assert [(b.x, b.left_value, b.right_value, b.slope_right) for b in bps] == [
+        (five, ZERO, ZERO, ext(3)), (ext(25), ext(60), ext(60), ext(4))]
+    assert r.counting.jumps == ((five, 3), (ext(25), 4))
+
+
+def test_blowup_sweep_skips_infinite_entries():
+    inf = float("inf")
+    r = regularize_with_phi(log_seq([0, 4, inf, 3, inf, inf]), make_phi("blowup:2"))
+    # a_1 = 4 would take over only at slope 4, past T = 2; index 3 becomes
+    # visible at 5/3, strictly below the old line
+    assert r.principal_indices == (0, 3)
+    assert r.discontinuity_indices == (3,)
+    assert [v.to_json() for v in r.regularized.prefix] == [0, "5/3", "10/3", 3, "inf", "inf"]
+    assert r.J_right == ext(2)
+    assert not r.finite_principal
+    (bp,) = r.trace.breakpoints
+    assert (bp.x, bp.left_value, bp.right_value) == (ext(Fraction(5, 3)), ZERO, ext(2))
+
+
+exact_entries = st.one_of(
+    st.fractions(min_value=Fraction(-30), max_value=Fraction(30), max_denominator=6),
+    st.integers(-10, 10).map(lambda k: Fraction(k, 2)),  # repeated values force ties
+    st.just(float("inf")),
+)
+
+
+@given(st.fractions(min_value=Fraction(-30), max_value=Fraction(30), max_denominator=6),
+       st.lists(exact_entries, min_size=1, max_size=24))
+@settings(max_examples=150, deadline=None)
+def test_infinite_phi_sweep_matches_minorant(a0, rest):
+    a = log_seq([a0] + rest)
+    r = regularize_with_phi(a, make_phi("infinite"))
+    m = convex_minorant(a)
+    assert r.regularized.prefix == m.regularized.prefix
+    assert r.principal_indices == m.principal_indices
+
+
+float_entries = st.one_of(
+    st.floats(min_value=-30, max_value=30, allow_nan=False),
+    st.integers(-40, 40).map(lambda k: k / 10),  # decimal steps: ties up to rounding
+    st.just(float("inf")),
+)
+
+
+@given(st.floats(min_value=-30, max_value=30, allow_nan=False),
+       st.lists(float_entries, min_size=1, max_size=24),
+       st.sampled_from(["exp", "expaffine:1/2,1", "blowup:3", "infinite",
+                        "piecewise:[[-2,0],[0,1],[1,5]]"]))
+@settings(max_examples=300, deadline=None)
+def test_sweep_on_floats_raises_only_package_errors(a0, rest, descriptor):
+    try:
+        r = regularize_with_phi(log_seq([a0] + rest), make_phi(descriptor))
+    except SeqRegError:
+        return
+    for out, orig in zip(r.regularized.prefix, [a0] + rest):  # at or below the input
+        assert out <= ext(orig) or float(out) - orig <= 1e-9 * max(1.0, abs(orig))
+
+
 # -- recovery -------------------------------------------------------------------
 
 
@@ -336,6 +421,13 @@ def test_anchor_must_be_finite():
 def test_neg_inf_entries_need_ungated_phi():
     with pytest.raises(InfiniteEntryUnsupported):
         regularize_with_phi(log_seq([0, float("-inf"), 2]), make_phi("exp"))
+
+
+def test_declared_regime_with_neg_inf_entry_rejected():
+    declared = RegimeClassification("standard", None, (0, 5), "declared")
+    a = log_seq([0, 1, float("-inf"), 3, 9], declared=declared)
+    with pytest.raises(InconsistentDeclaration, match="a_2 = -inf"):
+        regularize_with_phi(a, make_phi("infinite"))
 
 
 def test_cofinally_infinite_window_needs_blowup():
