@@ -54,13 +54,7 @@ from .sequences import (
     to_log_scale,
     to_weight_scale,
 )
-from .weights import (
-    omega_direct,
-    omega_double_tilde,
-    omega_integral,
-    omega_piecewise,
-    omega_tilde,
-)
+from .weights import OmegaTable
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -311,26 +305,18 @@ _ASSOC_COLUMNS = (
 )
 
 
-def _assoc_row(seq: SequenceSpec, t, window: int, tol: float) -> list[Optional[ExtReal]]:
+def _assoc_row(table: OmegaTable, t) -> list[Optional[ExtReal]]:
     te = ext(t)
     row: list[Optional[ExtReal]] = [te]
     try:
-        row.append(omega_direct(seq, te, window=window).value)
+        row.append(table.direct(te).value)
     except SeqRegError:
         row.append(None)
-    for fn in (omega_piecewise, omega_integral):
+    for route in (table.piecewise, table.integral, table.tilde, table.double_tilde):
         try:
-            row.append(fn(seq, te, window=window, tol=tol))
+            row.append(route(te))
         except SeqRegError:
             row.append(None)
-    try:
-        row.append(omega_tilde(seq, te, window=window))
-    except SeqRegError:
-        row.append(None)
-    try:
-        row.append(omega_double_tilde(seq, te, window=window))
-    except SeqRegError:
-        row.append(None)
     return row
 
 
@@ -353,7 +339,8 @@ def assoc(files, window, tol, grid_spec, loggrid_spec, emit, verify):
 
     def worker(path: str):
         seq = _load_spec(path)
-        rows = [_assoc_row(seq, t, window, tol) for t in ts]
+        table = OmegaTable(seq, window, tol)
+        rows = [_assoc_row(table, t) for t in ts]
         status = EXIT_OK
         diagnostics: list[str] = []
         reports: list[OracleReport] = []

@@ -282,6 +282,13 @@ def brute_phi_sweep(
     trace samples are the negated minima, and the regularized sequence is
     recovered by maximizing p t - A(t) over the admissible part of the
     grid.  Everything is float; accuracy is bounded by the grid step.
+
+    Precondition: phi is non-decreasing along the grid (axiom I of a
+    regularizing function).  Then the grid slopes with phi(t) >= p form a
+    suffix of the grid, and the start of each of the n suffixes is found by
+    bisection over the grid instead of evaluating phi at every grid slope.
+    The mask is the same as the per-slope one whenever the precondition
+    holds.
     """
     import numpy as np  # only this oracle needs it; importing it costs the CLI start-up
 
@@ -318,12 +325,12 @@ def brute_phi_sweep(
         )
     ts = t_min + slope_grid_step * np.arange(count)
 
-    phi_vals = np.array([_phi_float(phi, t) for t in ts])
+    starts = _stripe_starts(phi, ts, n)
     arr = np.array(vals)
     idx = np.arange(n)
     # matrix of a_p - p t, masked where p exceeds the stripe width
     mat = arr[:, None] - idx[:, None] * ts[None, :]
-    mat = np.where(idx[:, None] <= phi_vals[None, :], mat, np.inf)
+    mat = np.where(np.arange(count)[None, :] >= starts[:, None], mat, np.inf)
 
     d = mat.min(axis=0)
     As = -d
@@ -345,11 +352,10 @@ def brute_phi_sweep(
 
     regularized: list[ExtReal] = []
     for p in range(n):
-        mask = phi_vals >= p
-        if not mask.any():
+        if starts[p] == count:
             regularized.append(ext(vals[p]))
             continue
-        proj = (p * ts - As)[mask].max()
+        proj = (p * ts - As)[starts[p]:].max()
         regularized.append(ext(min(float(proj), vals[p])))
 
     return SweepResult(
@@ -364,6 +370,36 @@ def brute_phi_sweep(
         ms=ms,
         As=As,
     )
+
+
+def _stripe_starts(phi: Callable, ts: np.ndarray, n: int) -> np.ndarray:
+    """For p = 0..n-1 the first grid position j with phi(ts[j]) >= p, or
+    len(ts) when there is none; phi must be non-decreasing on the grid.
+
+    The starts do not decrease in p, so each bisection begins at the
+    previous start; phi is evaluated at most once per grid position.
+    """
+    import numpy as np
+
+    seen: dict[int, float] = {}
+
+    def at(j: int) -> float:
+        if j not in seen:
+            seen[j] = _phi_float(phi, ts[j])
+        return seen[j]
+
+    starts = []
+    lo = 0
+    for p in range(n):
+        hi = len(ts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if at(mid) >= p:
+                hi = mid
+            else:
+                lo = mid + 1
+        starts.append(lo)
+    return np.array(starts)
 
 
 def _phi_float(phi: Callable, t: float) -> float:

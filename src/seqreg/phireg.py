@@ -21,14 +21,18 @@ Each call reads the window once into raw payloads (Fraction or float) and
 computes the threshold vector threshold(0..w-1) once.  An event is then one
 pass over the later points that computes e_q, applies the cap and collects
 the earliest time together with every point tied at it; intercepts are
-computed for those tied points only.  On finite payloads ExtReal arithmetic
-is exactly the raw operation, so the loop runs on raw numbers and wraps a
-value in ExtReal only when it enters the record.
+computed only for tied points that sit below the old line.  On finite
+payloads ExtReal arithmetic is exactly the raw operation, so the loop runs
+on raw numbers and wraps a value in ExtReal only when it enters the record.
 
 Events where the entering point sits strictly below the old line are the
 indices of discontinuity: visibility arrived later than tangency, so the trace
-jumps up.  At a batch event (several points tied at the minimum intercept)
-all tied points become principal and their intervals degenerate to a point.
+jumps up.  A tied point is below the line exactly when its threshold exceeds
+its slope from the current principal point, and the sweep decides it that
+way, so float rounding in the intercepts cannot fake a jump.  At a batch
+event (several points tied at the minimum intercept, or every tied point
+when none is below the line) all of them become principal and their
+intervals degenerate to a point.
 
 phi identically +inf is the ungated case: the sweep reduces to the plain
 convex minorant walk (standard regime), the slope-capped walk (bounded
@@ -422,15 +426,20 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
             break
         for j in cands:
             assert tau >= pts[j][2]  # visibility always precedes takeover
-        c_P = aP - P * tau
-        icpt = [pts[j][1] - pts[j][0] * tau for j in cands]
-        c_min = min(icpt)  # not started from c_P: float rounding may put every c_q above it
-        batch = [j for j, c in zip(cands, icpt) if c == c_min]
+        # a candidate lies below the old line exactly when its threshold, not
+        # its slope from P, set its time ("binds"); deciding that on the slope
+        # keeps float rounding in the intercepts from posing as a jump
+        binding = [j for j in cands if (pts[j][1] - aP) / (pts[j][0] - P) < pts[j][2]]
         # written 0 - c, not -c: the trace value of c = 0.0 is 0.0, never -0.0
-        left = right = 0 - c_P
-        if c_min < c_P:
+        left = right = 0 - (aP - P * tau)
+        if binding:
+            icpt = [pts[j][1] - pts[j][0] * tau for j in binding]
+            c_min = min(icpt)
+            batch = [j for j, c in zip(binding, icpt) if c == c_min]
             disc.append(pts[batch[0]][0])
             right = 0 - c_min
+        else:
+            batch = cands  # every candidate is on the old line: no jump
         top = pts[batch[-1]][0]
         tau_x = ExtReal(tau)
         events.append((tau_x, ExtReal(left), ExtReal(right), top))

@@ -365,8 +365,8 @@ def _classify_expression(a: SequenceSpec, w: int, evidence) -> RegimeClassificat
         try:
             v = a.value(p)
             ratio = None if v.is_pos_inf else float(v) / p
-        except (OverflowError, ValueError):
-            break
+        except (OverflowError, ValueError, ParseError):
+            break  # ParseError: the formula's value outgrew its bit budget
         if ratio is not None:
             probes.append(ratio)
         p *= 4

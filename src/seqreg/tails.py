@@ -159,11 +159,30 @@ class Expression:
 TailRule = ExplicitOnly | FactorialPower | Geometric | AffineLog | Expression
 
 
+# largest integer, in bits, that ** or factorial may build inside a formula;
+# beyond it one evaluation could take unbounded time and memory
+_FORMULA_BITS = 1 << 20
+
+
+def _bounded_pow(base, exponent):
+    if isinstance(base, int) and isinstance(exponent, int) and exponent > 0 and abs(base) > 1:
+        if (abs(base).bit_length() - 1) * exponent > _FORMULA_BITS:
+            raise ParseError(f"a power in the formula exceeds {_FORMULA_BITS} bits")
+    return base ** exponent
+
+
+def _bounded_factorial(n):
+    if isinstance(n, int) and n > 1:
+        if n.bit_length() > 32 or math.lgamma(n + 1) > _FORMULA_BITS * math.log(2):
+            raise ParseError(f"a factorial in the formula exceeds {_FORMULA_BITS} bits")
+    return math.factorial(n)
+
+
 _ALLOWED_CALLS = {
     "log": math.log,
     "exp": math.exp,
     "sqrt": math.sqrt,
-    "factorial": math.factorial,
+    "factorial": _bounded_factorial,
     "lgamma": lambda x: math.lgamma(x),
 }
 
@@ -185,12 +204,26 @@ _ALLOWED_NODES = (
 )
 
 
+class _PowToCall(ast.NodeTransformer):
+    """a ** b becomes _pow(a, b), which checks the size of the result first."""
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Pow):
+            call = ast.Call(func=ast.Name("_pow", ast.Load()),
+                            args=[node.left, node.right], keywords=[])
+            return ast.copy_location(call, node)
+        return node
+
+
 def compile_formula(formula: str) -> Callable[[int], ExtReal]:
     """Compile a small arithmetic formula in the variable p.
 
     Only +, -, *, /, **, numeric literals, p, inf, and the calls
     log/exp/sqrt/factorial/lgamma are admitted; anything else is a ParseError.
-    Integer-valued subexpressions stay exact.
+    Integer-valued subexpressions stay exact.  An integer ** or factorial
+    whose result would exceed a fixed bit budget raises ParseError when the
+    formula is evaluated, instead of running out of time or memory.
     """
     try:
         tree = ast.parse(formula, mode="eval")
@@ -206,8 +239,9 @@ def compile_formula(formula: str) -> Callable[[int], ExtReal]:
                 raise ParseError(f"disallowed call in formula {formula!r}")
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
             raise ParseError(f"non-numeric literal in formula {formula!r}")
+    tree = ast.fix_missing_locations(_PowToCall().visit(tree))
     code = compile(tree, "<tail formula>", "eval")
-    env = dict(_ALLOWED_CALLS)
+    env = dict(_ALLOWED_CALLS, _pow=_bounded_pow)
     env["inf"] = float("inf")
 
     def fn(p: int) -> ExtReal:

@@ -10,6 +10,14 @@ to one log of an exact rational for exact inputs, so their agreement is exact
 there (they arrange the same ratio differently), while the direct form scans
 terms and cross-checks them.
 
+Everything the routes need from the sequence alone (the two scale views, the
+window values, the quotients, the log-convexity report, the regime and the
+limit root) sits in an OmegaTable, built lazily and at most once per
+(sequence, window, tol).  The public omega_* functions evaluate through a
+fresh table; a caller evaluating a grid of t (the CLI's assoc) builds one
+table and evaluates every t through it, so nothing is rescanned per point.
+Nothing is cached beyond a table's lifetime.
+
 The Young conjugate is computed geometrically: s -> omega(e^s) is piecewise
 linear (the trace of the log sequence shifted by log M_0), so the conjugate
 sup_s {ps - omega(e^s)} is exact over its breakpoints.
@@ -22,10 +30,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import NonFiniteEntry, NotLogConvex, OutOfDomain, Unbounded, WindowTooShort
+from .errors import (
+    NonFiniteEntry,
+    NotLogConvex,
+    OutOfDomain,
+    SeqRegError,
+    Unbounded,
+    WindowTooShort,
+)
 from .extreal import ExtReal, NEG_INF, POS_INF, ZERO, ext
 from .minorant import trace_function
-from .piecewise import Breakpoint, Interval, PiecewiseLinearFn, REAL_LINE, StepFunction
+from .piecewise import Breakpoint, Interval, PiecewiseLinearFn, StepFunction
 from .sequences import (
     CASE1,
     CASE2,
@@ -37,7 +52,7 @@ from .sequences import (
     to_log_scale,
     to_weight_scale,
 )
-from .tails import LOG, WEIGHT, AffineLog, ExplicitOnly, Expression, FactorialPower, Geometric
+from .tails import WEIGHT, AffineLog, ExplicitOnly, FactorialPower, Geometric
 
 _SCAN_CAP = 200_000
 _EXACT_POWER_CAP = 512
@@ -57,123 +72,307 @@ class OmegaValue:
         }
 
 
-def _log_weights(M: SequenceSpec) -> SequenceSpec:
-    return M if M.kind == LOG else to_log_scale(M)
-
-
-def _weights(M: SequenceSpec) -> SequenceSpec:
-    return M if M.kind == WEIGHT else to_weight_scale(M)
-
-
 def _require_nonneg(t: ExtReal) -> None:
     if t < ZERO:
         raise OutOfDomain(f"associated function is defined for t >= 0, got {t}")
 
 
-def _limit_root(seq: SequenceSpec, window: Optional[int]) -> Optional[ExtReal]:
-    """M_iota when it is known exactly: from the tail rule or a declaration."""
-    root = seq.tail.root_limit()
-    if root is not None:
-        return root
-    regime = classify_regime(seq, window)
-    if regime.regime == CASE2 and regime.a_iota is not None:
-        return regime.a_iota.exp()
-    return None
+def _once(build):
+    """A table field: built on first read; later reads return the value, or
+    re-raise the package error the build raised."""
+    name = build.__name__
+
+    def read(self):
+        memo = self._memo
+        if name not in memo:
+            try:
+                memo[name] = (True, build(self))
+            except SeqRegError as exc:
+                memo[name] = (False, exc)
+        ok, got = memo[name]
+        if not ok:
+            raise got.with_traceback(None)
+        return got
+
+    return property(read, doc=build.__doc__)
 
 
-def _sup_scan(M: SequenceSpec, t: ExtReal, window: Optional[int],
-              include_zero: bool, with_coeff: bool) -> OmegaValue:
-    """sup over examined p of log(coeff * t^p / M_p), coeff = M_0 or 1, t > 0.
+class OmegaTable:
+    """What the omega routes read off one (sequence, window, tol), built once.
 
-    Ties go to the larger index, matching the counting-function convention
-    Sigma(t) = #{mu <= t} at the knots.  Closed-form tails extend the scan:
-    geometric-type tails give an analytic +inf above the limit root and a
-    constant-term plateau at it; factorial-type tails are scanned until the
-    quotient passes t (terms fall forever after that).
+    Every field depends on the sequence, never on t: the log- and weight-scale
+    views, the window values, the quotients, the log-convexity report (with
+    tol), and the regime and limit root (with classify_regime's default
+    tolerance).  Each is built on its first read and kept for the table's
+    lifetime.  A field whose build raised raises that error on every read, so
+    a route fails at the same step, with the same error, at every t.  The
+    routes stay separate code paths over the table; the direct route still
+    scans the window at every t.
     """
-    a = _log_weights(M)
-    Mw = _weights(M)
-    w = resolve_window(a, window)
-    if t.is_pos_inf:
-        return OmegaValue(POS_INF, None, False)
-    tail = a.tail
-    closed_form = isinstance(tail, (Geometric, AffineLog, FactorialPower))
-    base_end = max(w, len(a.prefix) + 1) if closed_form else w
-    p_start = 0 if include_zero else 1
 
-    root = _limit_root(Mw, window)
-    if root is not None and root.is_finite:
-        if t > root:
+    def __init__(self, M: SequenceSpec, window: Optional[int] = None, tol: float = 1e-9):
+        self.M = M
+        self.window = window
+        self.tol = tol
+        self._memo: dict = {}
+
+    @_once
+    def log_view(self) -> SequenceSpec:
+        return to_log_scale(self.M)
+
+    @_once
+    def weight_view(self) -> SequenceSpec:
+        return to_weight_scale(self.M)
+
+    @_once
+    def w(self) -> int:
+        return resolve_window(self.log_view, self.window)
+
+    @_once
+    def base_end(self) -> int:
+        """End of the examined range: one index past the prefix for closed-form tails."""
+        closed_form = isinstance(self.M.tail, (Geometric, AffineLog, FactorialPower))
+        return max(self.w, len(self.M.prefix) + 1) if closed_form else self.w
+
+    @_once
+    def avals(self) -> list[ExtReal]:
+        a = self.log_view
+        return [a.value(p) for p in range(self.base_end)]
+
+    @_once
+    def wvals(self) -> list[ExtReal]:
+        Mw = self.weight_view
+        return [Mw.value(p) for p in range(self.base_end)]
+
+    @_once
+    def wvals_exact(self) -> bool:
+        return all(v.is_exact or v.is_pos_inf for v in self.wvals)
+
+    @_once
+    def quotients(self) -> list[ExtReal]:
+        return quotients(self.weight_view, self.base_end)
+
+    @_once
+    def convexity(self):
+        return is_log_convex(self.weight_view, self.window, self.tol)
+
+    @_once
+    def regime(self):
+        return classify_regime(self.weight_view, self.window)
+
+    @_once
+    def limit_root(self) -> Optional[ExtReal]:
+        """M_iota when it is known exactly: from the tail rule or a declaration."""
+        root = self.M.tail.root_limit()
+        if root is not None:
+            return root
+        regime = self.regime
+        if regime.regime == CASE2 and regime.a_iota is not None:
+            return regime.a_iota.exp()
+        return None
+
+    def _weight(self, q: int) -> ExtReal:
+        return self.wvals[q] if q < self.base_end else self.weight_view.value(q)
+
+    # -- direct forms -----------------------------------------------------------
+
+    def _sup_scan(self, t: ExtReal, include_zero: bool, with_coeff: bool) -> OmegaValue:
+        """sup over examined p of log(coeff * t^p / M_p), coeff = M_0 or 1, t > 0.
+
+        Ties go to the larger index, matching the counting-function convention
+        Sigma(t) = #{mu <= t} at the knots.  Closed-form tails extend the scan:
+        geometric-type tails give an analytic +inf above the limit root and a
+        constant-term plateau at it; factorial-type tails are scanned until the
+        quotient passes t (terms fall forever after that).
+        """
+        base_end = self.base_end  # a bad window raises before anything else
+        if t.is_pos_inf:
             return OmegaValue(POS_INF, None, False)
+        tail = self.M.tail
+        p_start = 0 if include_zero else 1
 
-    avals = [a.value(p) for p in range(base_end)]
-    if with_coeff and not avals[0].is_finite:
-        raise NonFiniteEntry("M_0 must be positive and finite for the associated function")
-    # a zero weight divides some term: the sup is +inf at every t > 0
-    zero_from = p_start if not with_coeff else max(1, p_start)
-    for p in range(zero_from, base_end):
-        if avals[p].is_neg_inf:
-            return OmegaValue(POS_INF, p, False)
+        root = self.limit_root
+        if root is not None and root.is_finite:
+            if t > root:
+                return OmegaValue(POS_INF, None, False)
 
-    wvals = [Mw.value(p) for p in range(base_end)]
-    exact_ok = (t.is_exact and base_end <= _EXACT_POWER_CAP
-                and all(v.is_exact or v.is_pos_inf for v in wvals))
-    best_val: Optional[ExtReal] = None
-    best_p: Optional[int] = None
-    if exact_ok:
-        coeff = wvals[0].raw if with_coeff else Fraction(1)
-        power = Fraction(1)
-        best_r: Optional[Fraction] = None
-        for p in range(base_end):
-            if p > 0:
-                power *= t.raw
-            if p < p_start or wvals[p].is_pos_inf:
-                continue
-            r = coeff * power / wvals[p].raw
-            if best_r is None or r >= best_r:
-                best_r, best_p = r, p
-        if best_r is not None:
-            best_val = ext(best_r).log()
-    else:
-        off = float(avals[0]) if with_coeff else 0.0
-        log_t = float(t.log())
-        for p in range(p_start, base_end):
-            if avals[p].is_pos_inf:
-                continue
-            term = off + p * log_t - float(avals[p])
-            if best_val is None or term >= float(best_val):
-                best_val, best_p = ext(term), p
-    if best_val is None:
-        return OmegaValue(NEG_INF, None, False)
+        avals = self.avals
+        if with_coeff and not avals[0].is_finite:
+            raise NonFiniteEntry("M_0 must be positive and finite for the associated function")
+        # a zero weight divides some term: the sup is +inf at every t > 0
+        zero_from = p_start if not with_coeff else max(1, p_start)
+        for p in range(zero_from, base_end):
+            if avals[p].is_neg_inf:
+                return OmegaValue(POS_INF, p, False)
 
-    boundary = False
-    if isinstance(tail, FactorialPower):
-        off = float(avals[0]) if with_coeff else 0.0
-        log_t = float(t.log())
-        prev = float(a.value(base_end - 1))
-        p = base_end
-        scanned = 0
-        while scanned < _SCAN_CAP:
-            cur = float(a.value(p))
-            if cur - prev > log_t:
-                break  # quotient exceeded t: terms decrease from here on
-            term = off + p * log_t - cur
-            if term >= float(best_val):
-                best_val, best_p = ext(term), p
-            prev = cur
-            p += 1
-            scanned += 1
+        wvals = self.wvals
+        exact_ok = t.is_exact and base_end <= _EXACT_POWER_CAP and self.wvals_exact
+        best_val: Optional[ExtReal] = None
+        best_p: Optional[int] = None
+        if exact_ok:
+            coeff = wvals[0].raw if with_coeff else Fraction(1)
+            power = Fraction(1)
+            best_r: Optional[Fraction] = None
+            for p in range(base_end):
+                if p > 0:
+                    power *= t.raw
+                if p < p_start or wvals[p].is_pos_inf:
+                    continue
+                r = coeff * power / wvals[p].raw
+                if best_r is None or r >= best_r:
+                    best_r, best_p = r, p
+            if best_r is not None:
+                best_val = ext(best_r).log()
         else:
-            boundary = True  # scan cap hit while terms could still rise
-    elif isinstance(tail, (Geometric, AffineLog)):
-        if root is not None and t == root:
-            # beyond the prefix the terms are constant: log coeff exactly
-            const = avals[0] if with_coeff else ZERO
-            if const >= best_val:
-                return OmegaValue(const, None, False)
-    else:
-        boundary = best_p == base_end - 1
-    return OmegaValue(best_val, best_p, boundary)
+            off = float(avals[0]) if with_coeff else 0.0
+            log_t = float(t.log())
+            for p in range(p_start, base_end):
+                if avals[p].is_pos_inf:
+                    continue
+                term = off + p * log_t - float(avals[p])
+                if best_val is None or term >= float(best_val):
+                    best_val, best_p = ext(term), p
+        if best_val is None:
+            return OmegaValue(NEG_INF, None, False)
+
+        boundary = False
+        if isinstance(tail, FactorialPower):
+            a = self.log_view
+            off = float(avals[0]) if with_coeff else 0.0
+            log_t = float(t.log())
+            prev = float(a.value(base_end - 1))
+            p = base_end
+            scanned = 0
+            while scanned < _SCAN_CAP:
+                cur = float(a.value(p))
+                if cur - prev > log_t:
+                    break  # quotient exceeded t: terms decrease from here on
+                term = off + p * log_t - cur
+                if term >= float(best_val):
+                    best_val, best_p = ext(term), p
+                prev = cur
+                p += 1
+                scanned += 1
+            else:
+                boundary = True  # scan cap hit while terms could still rise
+        elif isinstance(tail, (Geometric, AffineLog)):
+            if root is not None and t == root:
+                # beyond the prefix the terms are constant: log coeff exactly
+                const = avals[0] if with_coeff else ZERO
+                if const >= best_val:
+                    return OmegaValue(const, None, False)
+        else:
+            boundary = best_p == base_end - 1
+        return OmegaValue(best_val, best_p, boundary)
+
+    def direct(self, t) -> OmegaValue:
+        """omega_direct at t."""
+        t = ext(t)
+        _require_nonneg(t)
+        if t == ZERO:
+            return OmegaValue(ZERO, 0, False)
+        return self._sup_scan(t, include_zero=True, with_coeff=True)
+
+    def tilde(self, t) -> ExtReal:
+        """omega_tilde at t."""
+        t = ext(t)
+        _require_nonneg(t)
+        if t == ZERO:
+            return ZERO - self.log_view.value(0)
+        return self._sup_scan(t, include_zero=True, with_coeff=False).value
+
+    def double_tilde(self, t) -> ExtReal:
+        """omega_double_tilde at t."""
+        t = ext(t)
+        if t <= ZERO:
+            raise OutOfDomain("sup over p >= 1 needs t > 0 (the limit at 0 is -inf)")
+        return self._sup_scan(t, include_zero=False, with_coeff=False).value
+
+    # -- piecewise / integral forms (log-convex inputs) ---------------------------
+
+    def require_log_convex(self) -> None:
+        report = self.convexity
+        if not report.ok:
+            raise NotLogConvex(
+                f"piecewise evaluation needs log-convexity; violated at index "
+                f"{report.violation_index}", report.violation_index)
+
+    def _case2_guard(self, t: ExtReal) -> None:
+        if self.regime.regime != CASE2:
+            return
+        C = self.limit_root
+        if C is not None and t >= C:
+            raise OutOfDomain(
+                f"bounded-quotient sequences admit the closed form on [0, C) only; "
+                f"t = {t} >= C = {C}")
+
+    def _segment_index(self, t: ExtReal) -> int:
+        """Largest p with mu_p <= t over the examined range (0 when mu_1 > t).
+
+        Factorial-type tails are scanned past the window until the quotients
+        outgrow t; other tails rely on the window (geometric-type quotients are
+        constant beyond the prefix, covered by one extra examined index).
+        """
+        base_end = self.base_end
+        mus = self.quotients
+        p = 0
+        for q in range(1, len(mus)):
+            if mus[q] <= t:
+                p = q
+        if isinstance(self.M.tail, FactorialPower) and p == base_end - 1:
+            prev = self._weight(base_end - 1)
+            q = base_end
+            scanned = 0
+            while scanned < _SCAN_CAP:
+                cur = self._weight(q)
+                mu = cur / prev
+                if not mu <= t:
+                    return p
+                p = q
+                prev = cur
+                q += 1
+                scanned += 1
+            raise WindowTooShort(f"quotients stayed below t = {t} for {_SCAN_CAP} extra indices")
+        return p
+
+    def piecewise(self, t) -> ExtReal:
+        """omega_piecewise at t."""
+        t = ext(t)
+        _require_nonneg(t)
+        self.require_log_convex()
+        self._case2_guard(t)
+        if t.is_pos_inf:
+            return POS_INF
+        p = self._segment_index(t)
+        if p == 0:
+            return ZERO
+        M0, Mp = self._weight(0), self._weight(p)
+        if t.is_exact and M0.is_exact and Mp.is_exact:
+            return ext(M0.raw * t.raw ** p / Mp.raw).log()
+        return ext(float(M0.log()) + p * float(t.log()) - float(Mp.log()))
+
+    def integral(self, t) -> ExtReal:
+        """omega_integral at t."""
+        t = ext(t)
+        _require_nonneg(t)
+        self.require_log_convex()
+        self._case2_guard(t)
+        if t.is_pos_inf:
+            return POS_INF
+        p = self._segment_index(t)
+        if p == 0:
+            return ZERO
+        wv = [self._weight(q) for q in range(p + 1)]
+        mus = [None] + [wv[q] / wv[q - 1] for q in range(1, p + 1)]
+        if t.is_exact and all(v.is_exact for v in wv):
+            product = Fraction(1)
+            for q in range(1, p):
+                product *= (mus[q + 1].raw / mus[q].raw) ** q
+            product *= (t.raw / mus[p].raw) ** p
+            return ext(product).log()
+        terms = [q * (float(mus[q + 1].log()) - float(mus[q].log())) for q in range(1, p)]
+        terms.append(p * (float(t.log()) - float(mus[p].log())))
+        return ext(math.fsum(terms))
 
 
 def omega_direct(M: SequenceSpec, t, window: Optional[int] = None) -> OmegaValue:
@@ -183,103 +382,23 @@ def omega_direct(M: SequenceSpec, t, window: Optional[int] = None) -> OmegaValue
     examined range with nothing known beyond it, so the value may be a strict
     underestimate (possibly of +inf).
     """
-    t = ext(t)
-    _require_nonneg(t)
-    if t == ZERO:
-        return OmegaValue(ZERO, 0, False)
-    return _sup_scan(M, t, window, include_zero=True, with_coeff=True)
+    return OmegaTable(M, window).direct(t)
 
 
 def omega_tilde(M: SequenceSpec, t, window: Optional[int] = None) -> ExtReal:
     """sup_p log(t^p / M_p): the associated function without its M_0 factor."""
-    t = ext(t)
-    _require_nonneg(t)
-    a = _log_weights(M)
-    if t == ZERO:
-        return ZERO - a.value(0)
-    return _sup_scan(M, t, window, include_zero=True, with_coeff=False).value
+    return OmegaTable(M, window).tilde(t)
 
 
 def omega_double_tilde(M: SequenceSpec, t, window: Optional[int] = None) -> ExtReal:
     """sup over p >= 1 only; tends to -inf as t -> 0, so t = 0 is rejected."""
-    t = ext(t)
-    if t <= ZERO:
-        raise OutOfDomain("sup over p >= 1 needs t > 0 (the limit at 0 is -inf)")
-    return _sup_scan(M, t, window, include_zero=False, with_coeff=False).value
-
-
-# -- piecewise / integral forms (log-convex inputs) -----------------------------
-
-
-def _require_log_convex(Mw: SequenceSpec, window: Optional[int], tol: float) -> None:
-    report = is_log_convex(Mw, window, tol)
-    if not report.ok:
-        raise NotLogConvex(
-            f"piecewise evaluation needs log-convexity; violated at index "
-            f"{report.violation_index}", report.violation_index)
-
-
-def _case2_guard(Mw: SequenceSpec, t: ExtReal, window: Optional[int]) -> None:
-    regime = classify_regime(Mw, window)
-    if regime.regime != CASE2:
-        return
-    C = _limit_root(Mw, window)
-    if C is not None and t >= C:
-        raise OutOfDomain(
-            f"bounded-quotient sequences admit the closed form on [0, C) only; "
-            f"t = {t} >= C = {C}")
-
-
-def _segment_index(Mw: SequenceSpec, t: ExtReal, window: Optional[int]) -> int:
-    """Largest p with mu_p <= t over the examined range (0 when mu_1 > t).
-
-    Factorial-type tails are scanned past the window until the quotients
-    outgrow t; other tails rely on the window (geometric-type quotients are
-    constant beyond the prefix, covered by one extra examined index).
-    """
-    w = resolve_window(Mw, window)
-    tail = Mw.tail
-    closed_form = isinstance(tail, (Geometric, AffineLog, FactorialPower))
-    base_end = max(w, len(Mw.prefix) + 1) if closed_form else w
-    mus = quotients(Mw, base_end)
-    p = 0
-    for q in range(1, len(mus)):
-        if mus[q] <= t:
-            p = q
-    if isinstance(tail, FactorialPower) and p == base_end - 1:
-        prev = Mw.value(base_end - 1)
-        q = base_end
-        scanned = 0
-        while scanned < _SCAN_CAP:
-            cur = Mw.value(q)
-            mu = cur / prev
-            if not mu <= t:
-                return p
-            p = q
-            prev = cur
-            q += 1
-            scanned += 1
-        raise WindowTooShort(f"quotients stayed below t = {t} for {_SCAN_CAP} extra indices")
-    return p
+    return OmegaTable(M, window).double_tilde(t)
 
 
 def omega_piecewise(M: SequenceSpec, t, window: Optional[int] = None,
                     tol: float = 1e-9) -> ExtReal:
     """Closed form log(M_0 t^p / M_p) on the quotient segment [mu_p, mu_{p+1}]."""
-    t = ext(t)
-    _require_nonneg(t)
-    Mw = _weights(M)
-    _require_log_convex(Mw, window, tol)
-    _case2_guard(Mw, t, window)
-    if t.is_pos_inf:
-        return POS_INF
-    p = _segment_index(Mw, t, window)
-    if p == 0:
-        return ZERO
-    M0, Mp = Mw.value(0), Mw.value(p)
-    if t.is_exact and M0.is_exact and Mp.is_exact:
-        return ext(M0.raw * t.raw ** p / Mp.raw).log()
-    return ext(float(M0.log()) + p * float(t.log()) - float(Mp.log()))
+    return OmegaTable(M, window, tol).piecewise(t)
 
 
 def omega_integral(M: SequenceSpec, t, window: Optional[int] = None,
@@ -291,27 +410,7 @@ def omega_integral(M: SequenceSpec, t, window: Optional[int] = None,
     exact inputs the product of the factors is accumulated as one rational,
     which makes the agreement with the piecewise form exact.
     """
-    t = ext(t)
-    _require_nonneg(t)
-    Mw = _weights(M)
-    _require_log_convex(Mw, window, tol)
-    _case2_guard(Mw, t, window)
-    if t.is_pos_inf:
-        return POS_INF
-    p = _segment_index(Mw, t, window)
-    if p == 0:
-        return ZERO
-    wv = [Mw.value(q) for q in range(p + 1)]
-    mus = [None] + [wv[q] / wv[q - 1] for q in range(1, p + 1)]
-    if t.is_exact and all(v.is_exact for v in wv):
-        product = Fraction(1)
-        for q in range(1, p):
-            product *= (mus[q + 1].raw / mus[q].raw) ** q
-        product *= (t.raw / mus[p].raw) ** p
-        return ext(product).log()
-    terms = [q * (float(mus[q + 1].log()) - float(mus[q].log())) for q in range(1, p)]
-    terms.append(p * (float(t.log()) - float(mus[p].log())))
-    return ext(math.fsum(terms))
+    return OmegaTable(M, window, tol).integral(t)
 
 
 def counting_function(M: SequenceSpec, window: Optional[int] = None,
@@ -322,8 +421,9 @@ def counting_function(M: SequenceSpec, window: Optional[int] = None,
     The domain is [0, +inf) except for bounded quotients, where the integral
     representation only holds on [0, C).
     """
-    Mw = _weights(M)
-    _require_log_convex(Mw, window, tol)
+    table = OmegaTable(M, window, tol)
+    table.require_log_convex()
+    Mw = table.weight_view
     w = resolve_window(Mw, window)
     mus = quotients(Mw, w)
     pairs = sorted((mus[q], q) for q in range(1, w))
@@ -332,10 +432,9 @@ def counting_function(M: SequenceSpec, window: Optional[int] = None,
     for x, q in pairs:
         level = max(level, q)  # convexity makes this the running index already
         jumps.append((x, level))
-    regime = classify_regime(Mw, window)
     hi = POS_INF
-    if regime.regime == CASE2:
-        C = _limit_root(Mw, window)
+    if table.regime.regime == CASE2:
+        C = table.limit_root
         if C is not None:
             hi = C
     domain = Interval(ZERO, hi, True, False)
@@ -352,7 +451,7 @@ def phi_omega(M: SequenceSpec, window: Optional[int] = None) -> PiecewiseLinearF
     (-inf, a_iota); beyond it omega is +inf, available through extended
     evaluation.
     """
-    a = _log_weights(M)
+    a = to_log_scale(M)
     regime = classify_regime(a, window)
     if regime.regime == CASE1:
         raise Unbounded("omega is +inf for every t > 0 when the minorant collapses")
@@ -394,7 +493,7 @@ def underline_sequence(M: SequenceSpec, window: Optional[int] = None) -> Sequenc
     Log-convex, elementwise <= M, fixes M_0, and reproduces M exactly when M
     is already log-convex.
     """
-    Mw = _weights(M)
+    Mw = to_weight_scale(M)
     phi = phi_omega(Mw, window)
     w = resolve_window(Mw, window)
     M0 = Mw.value(0)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -10,7 +11,15 @@ import pytest
 from click.testing import CliRunner
 
 import seqreg.cli as cli_mod
-from seqreg import ext
+from seqreg import (
+    SeqRegError,
+    ext,
+    omega_direct,
+    omega_double_tilde,
+    omega_integral,
+    omega_piecewise,
+    omega_tilde,
+)
 from seqreg.cli import main
 
 
@@ -196,6 +205,29 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.strip() == "False"
 
 
+@pytest.mark.parametrize("command", ["classify", "minorant"])
+def test_exploding_formula_exits_cleanly(tmp_path, command):
+    # 2**(2**p) outgrows any memory within the window; the formula's bit
+    # budget turns it into a parse error instead of a hang
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps({
+        "kind": "log", "prefix": [0],
+        "tail": {"type": "expression", "formula": "2**(2**p)"},
+    }))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+    def cap_memory():  # a hang would otherwise take the machine's memory with it
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    res = subprocess.run([sys.executable, "-m", "seqreg.cli", command, str(path)],
+                         env=env, capture_output=True, text=True, timeout=30,
+                         preexec_fn=cap_memory)
+    assert res.returncode in (0, 1)
+    assert "Traceback" not in res.stderr
+
+
 # -- exit codes ---------------------------------------------------------------------
 
 
@@ -302,6 +334,59 @@ def test_assoc_verify_json_block(runner, factorial_file):
     assert all(entry["max_abs_deviation"] <= 1e-9 for entry in doc["verify"])
 
 
+def _assoc_row_by_public_functions(seq, t, window, tol):
+    te = ext(t)
+    routes = (
+        lambda: omega_direct(seq, te, window=window).value,
+        lambda: omega_piecewise(seq, te, window=window, tol=tol),
+        lambda: omega_integral(seq, te, window=window, tol=tol),
+        lambda: omega_tilde(seq, te, window=window),
+        lambda: omega_double_tilde(seq, te, window=window),
+    )
+    row = [te]
+    for route in routes:
+        try:
+            row.append(route())
+        except SeqRegError:
+            row.append(None)
+    return row
+
+
+@pytest.mark.parametrize("doc, grid, code", [
+    ({"kind": "weight", "prefix": [1, 1, 2, 6, 24, 120, 720, 5040],
+      "tail": {"type": "explicit_only"}}, "0:9:1/2", 0),  # log-convex
+    ({"kind": "weight", "prefix": [1, 3, 2, 8, 9, 30],
+      "tail": {"type": "explicit_only"}}, "0:5:1/2", 0),  # not log-convex: empty cells
+    ({"kind": "weight", "prefix": [1], "tail": {"type": "geometric", "d": 2}},
+     "0:4:1/2", 0),  # t >= C = 2 is outside the closed forms' domain: empty cells
+    # mu_p = p: from t = 15 on the factorial tail is scanned past the window,
+    # where the window-bounded loop oracle cannot follow (exit 3)
+    ({"kind": "weight", "prefix": [1], "tail": {"type": "factorial_power", "s": 1, "c": 2}},
+     "0:40:5/2", 3),
+    ({"kind": "weight", "prefix": [1], "tail": {"type": "geometric", "d": 3},
+      "declared_regime": {"regime": "standard", "source": "declared",
+                          "evidence_window": [0, 8]}}, "0:4:1/2", 0),  # inconsistent
+], ids=["log-convex", "not-log-convex", "geometric", "factorial", "inconsistent"])
+@pytest.mark.parametrize("emit", ["csv", "json"])
+def test_assoc_table_matches_public_functions(runner, tmp_path, doc, grid, code, emit):
+    # one table serves the whole grid; no state may leak between grid points
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(doc))
+    window, tol = 16, 1e-9
+    res = runner.invoke(main, ["assoc", str(path), "--verify", "--emit", emit,
+                               "--grid", grid, "--window", str(window)])
+    assert res.exit_code == code
+    seq = cli_mod._load_spec(str(path))
+    rows = [_assoc_row_by_public_functions(seq, t, window, tol)
+            for t in cli_mod._parse_grid(grid)]
+    if emit == "json":
+        expected = [[None if v is None else v.to_json() for v in row] for row in rows]
+        assert parse_line(res.stdout)["rows"] == expected
+    else:
+        lines = [ln for ln in res.stdout.splitlines() if not ln.startswith("#")]
+        assert lines[1:] == [",".join(cli_mod._csv_cell(v) for v in row) for row in rows]
+
+
 # -- trace -------------------------------------------------------------------------
 
 
@@ -379,6 +464,22 @@ def test_phireg_infinite_float_tie_exits_zero(runner, tmp_path):
     assert doc["discontinuity_indices"] == []
     (bp,) = doc["trace"]["breakpoints"]
     assert bp["left_value"] == bp["right_value"] == -0.3
+
+
+def test_phireg_infinite_float_rounding_is_no_jump(runner, tmp_path):
+    # -3.9 - 1 * (-7.6) rounds to 3.6999999999999997 < a_0 = 3.7: the entering
+    # intercept lies below the old one by rounding alone, and the ungated
+    # sweep is the convex minorant, which cannot jump
+    path = tmp_path / "rounded.json"
+    path.write_text(json.dumps({
+        "kind": "log", "prefix": [3.7, -3.9], "tail": {"type": "explicit_only"},
+    }))
+    res = runner.invoke(main, ["phireg", str(path), "--phi", "infinite"])
+    assert res.exit_code == 0
+    doc = parse_line(res.stdout)
+    assert doc["discontinuity_indices"] == []
+    (bp,) = doc["trace"]["breakpoints"]
+    assert bp["left_value"] == bp["right_value"] == -3.7
 
 
 def test_phireg_bad_phi_descriptor(runner, jumpy_file):

@@ -3,8 +3,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import seqreg.oracles as oracles
 from seqreg import (
     ZERO,
     brute_minorant,
@@ -150,6 +152,51 @@ def test_sweep_explicit_range():
     assert res.grid_start == pytest.approx(-2.0)
     assert res.grid_stop <= 6.0 + 1e-9
     assert res.principal_indices == [0, 1, 2]
+
+
+# -- stripe edges by bisection ------------------------------------------------------
+
+
+@pytest.mark.parametrize("phi", [
+    make_phi("exp"),
+    make_phi("expaffine:2,-1"),
+    make_phi("blowup:1"),  # the grid crosses T = 1
+    make_phi("piecewise:[[-2,0],[-1,2],[0,2],[1,5]]"),  # flat at 2 on [-1, 0]
+    make_phi("infinite"),
+    lambda t: 3,  # constant: a stripe starts at the first grid slope or never
+], ids=["exp", "expaffine", "blowup", "piecewise-flat", "infinite", "constant"])
+def test_bisected_stripes_match_per_slope_mask(phi, monkeypatch):
+    vals = [0, 3, 1, 4, 9, 2, 7, 12]
+    n = len(vals)
+    fast = brute_phi_sweep(vals, phi, 1e-3, t_min=-3.0, t_max=3.0)
+    ts = fast.ts
+
+    # the reference: phi at every grid slope, p visible where phi(t) >= p
+    phi_vals = np.array([oracles._phi_float(phi, t) for t in ts])
+    mask = np.arange(n)[:, None] <= phi_vals[None, :]
+    starts = oracles._stripe_starts(phi, ts, n)
+    assert (mask == (np.arange(len(ts))[None, :] >= starts[:, None])).all()
+
+    # and the oracle built on that mask gives the same sweep
+    reference = np.array([int(np.argmax(row)) if row.any() else len(ts) for row in mask])
+    monkeypatch.setattr(oracles, "_stripe_starts", lambda phi, ts, n: reference)
+    slow = brute_phi_sweep(vals, phi, 1e-3, t_min=-3.0, t_max=3.0)
+    assert fast.to_json() == slow.to_json()
+    assert (fast.ms == slow.ms).all() and (fast.As == slow.As).all()
+
+
+def test_bisected_stripes_evaluate_phi_sparsely():
+    calls = []
+
+    def phi(t):
+        calls.append(t)
+        return t.exp()
+
+    res = brute_phi_sweep([0, 3, 1, 4, 9, 2, 7, 12], phi, 1e-3, t_min=-3.0, t_max=3.0)
+    grid = set(res.ts.tolist())
+    on_grid = [t for t in calls if float(t) in grid]
+    assert len(grid) == 6001
+    assert len(on_grid) <= 8 * 13  # at most one bisection of the grid per index
 
 
 # -- compare_values ----------------------------------------------------------------

@@ -311,6 +311,18 @@ def test_sweep_on_floats_raises_only_package_errors(a0, rest, descriptor):
         assert out <= ext(orig) or float(out) - orig <= 1e-9 * max(1.0, abs(orig))
 
 
+@given(st.floats(min_value=-30, max_value=30, allow_nan=False),
+       st.lists(float_entries, min_size=1, max_size=24))
+@settings(max_examples=300, deadline=None)
+def test_infinite_phi_float_sweep_never_jumps(a0, rest):
+    # the ungated sweep is the convex minorant: float rounding in the
+    # intercepts must not show up as a discontinuity
+    r = regularize_with_phi(log_seq([a0] + rest), make_phi("infinite"))
+    assert r.discontinuity_indices == ()
+    for bp in r.trace.breakpoints:
+        assert bp.left_value == bp.right_value
+
+
 # -- recovery -------------------------------------------------------------------
 
 

@@ -18,9 +18,11 @@ from seqreg import (
     InconsistentDeclaration,
     NonFiniteEntry,
     NotLogConvex,
+    ParseError,
     RegimeClassification,
     SequenceSpec,
     classify_regime,
+    compile_formula,
     ext,
     growth_indicators,
     is_log_convex,
@@ -28,6 +30,7 @@ from seqreg import (
     normalize_sequence,
     quotients,
     resolve_window,
+    tail_from_json,
     to_log_scale,
     to_weight_scale,
 )
@@ -62,6 +65,26 @@ def test_expression_tail():
                      tail=Expression(fn=lambda p: ext(p * p), native="log",
                                      formula="p*p"))
     assert e.value(7) == ext(49)
+
+
+def test_formula_powers_and_factorials_within_budget_stay_exact():
+    assert compile_formula("2**(p*p)")(63) == ext(2 ** 3969)
+    assert compile_formula("-2**p")(3) == ext(-8)
+    assert compile_formula("factorial(p)**2")(20) == ext(math.factorial(20) ** 2)
+    assert compile_formula("2**-p")(2) == ext(0.25)
+
+
+@pytest.mark.parametrize("formula", ["2**(2**p)", "factorial(2**p)", "p**p**p"])
+def test_formula_beyond_bit_budget_is_parse_error(formula):
+    with pytest.raises(ParseError, match="bits"):
+        compile_formula(formula)(40)
+
+
+def test_classify_stops_probing_at_the_formula_budget():
+    # the window values fit; the probes at p = 7, 28, ... would not
+    a = SequenceSpec(kind="log", prefix=(0,),
+                     tail=tail_from_json({"type": "expression", "formula": "2**(2**p)"}))
+    assert classify_regime(a, window=8).regime == INDETERMINATE
 
 
 def test_scale_conversion_round_trip():
