@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -93,7 +94,12 @@ def _common(fn):
 
 
 def _canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    except ValueError as exc:  # an exact integer too long to print
+        raise ParseError(f"an exact value in the output has more than "
+                         f"{sys.get_int_max_str_digits()} digits, Python's limit "
+                         f"for printing an integer") from exc
 
 
 def _load_spec(path: str) -> SequenceSpec:

@@ -55,8 +55,6 @@ from .sequences import (
 )
 from .tails import LOG, AffineLog, ExplicitOnly, FactorialPower, Geometric
 
-_TAIL_SCAN_CAP = 200_000
-
 
 @dataclass(frozen=True)
 class SupportLine:
@@ -132,9 +130,9 @@ def support_line(a: SequenceSpec, k, window: Optional[int] = None) -> SupportLin
 def _tail_chord(seq: SequenceSpec, P: int, aP: ExtReal, w: int):
     """Best chord from (P, aP) into the closed-form tail beyond the window.
 
-    Returns ("event", slope, q) for an attained minimal chord, ("floor", c)
-    when tail chords only approach c from above (never attained), or None when
-    the tail admits no closed-form reasoning.
+    Returns ("event", slope, q) for an attained minimal chord (the first q of
+    the lowest), ("floor", c) when tail chords only approach c from above
+    (never attained), or None when the tail admits no closed-form reasoning.
     """
     tail = seq.tail
     start = max(P + 1, w, len(seq.prefix))
@@ -146,20 +144,14 @@ def _tail_chord(seq: SequenceSpec, P: int, aP: ExtReal, w: int):
         s = (tail.value(start, LOG) - aP) / (start - P)
         return ("event", s, start)
     if isinstance(tail, FactorialPower):
-        prev: Optional[ExtReal] = None
-        best: Optional[tuple[ExtReal, int]] = None
-        q = start
-        for _ in range(_TAIL_SCAN_CAP):
-            s = (tail.value(q, LOG) - aP) / (q - P)
-            if best is None or s < best[0]:
-                best = (s, q)
-            if prev is not None and s > prev:
-                break
-            prev = s
-            q += 1
-        if best is None:
-            return None
-        return ("event", best[0], best[1])
+        # the tail is convex, so the first chord no higher than the next is the lowest
+        chords: dict[int, ExtReal] = {}
+        def chord(q: int) -> ExtReal:
+            if q not in chords:
+                chords[q] = (tail.value(q, LOG) - aP) / (q - P)
+            return chords[q]
+        q = tail.search(lambda q: not chord(q + 1) < chord(q), start)
+        return ("event", chord(q), q)
     return None
 
 

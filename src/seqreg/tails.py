@@ -16,15 +16,19 @@ from __future__ import annotations
 
 import ast
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import ParseError, TruncatedTail
-from .extreal import ExtReal, POS_INF, ext, log_of_fraction
+from .errors import ParseError, TruncatedTail, WindowTooShort
+from .extreal import ExtReal, POS_INF, ZERO, ext, log_of_fraction
 
 LOG = "log"
 WEIGHT = "weight"
+
+# how many indices past its start a search over a factorial tail may test
+TAIL_SEARCH_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -59,11 +63,35 @@ class FactorialPower:
         if kind == WEIGHT:
             if self.s.denominator == 1:
                 return ext(self.c * Fraction(math.factorial(p)) ** int(self.s))
-            return ext(math.exp(self._log_at(p)))
+            return ext(self._log_at(p)).exp()  # +inf once the float overflows
         return ext(self._log_at(p))
 
     def _log_at(self, p: int) -> float:
         return log_of_fraction(self.c) + float(self.s) * math.lgamma(p + 1)
+
+    def quotient(self, q: int) -> ExtReal:
+        """mu_q = M_q / M_{q-1} = q^s: exact for integer s, without building q!;
+        otherwise the ratio of float weights, as a window's quotients are taken."""
+        if self.s.denominator == 1:
+            return ext(Fraction(q) ** int(self.s))
+        hi = self.value(q, WEIGHT)
+        if hi.is_pos_inf:  # the weights overflowed: exp of the log increment
+            return ext(self._log_at(q) - self._log_at(q - 1)).exp()
+        return hi / self.value(q - 1, WEIGHT)
+
+    def search(self, test: Callable[[int], bool], start: int) -> int:
+        """First q >= start with test(q), for a test that stays true once true,
+        as the growing increments a_q - a_{q-1} = s log q make the minorant's
+        and the omega routes' tests.  Gallops, then bisects; raises
+        WindowTooShort when test is false on TAIL_SEARCH_CAP indices from start."""
+        last = start + TAIL_SEARCH_CAP - 1
+        lo, hi, step = start, start, 1  # test is false below lo
+        while not test(hi):
+            if hi == last:
+                raise WindowTooShort(f"the factorial tail was searched {TAIL_SEARCH_CAP} "
+                                     f"indices past index {start} without an answer")
+            lo, hi, step = hi + 1, min(hi + step, last), 2 * step
+        return lo + bisect_left(range(lo, hi), True, key=test)
 
     def slope_limit(self) -> Optional[ExtReal]:
         return POS_INF
@@ -140,6 +168,8 @@ class Expression:
 
     def value(self, p: int, kind: str) -> ExtReal:
         v = ext(self.fn(p))
+        if self.native == WEIGHT and v < ZERO:
+            raise ParseError(f"the weight-scale tail gives M_{p} = {v} < 0")
         if kind == self.native:
             return v
         return v.exp() if self.native == LOG else v.log()
@@ -223,7 +253,8 @@ def compile_formula(formula: str) -> Callable[[int], ExtReal]:
     log/exp/sqrt/factorial/lgamma are admitted; anything else is a ParseError.
     Integer-valued subexpressions stay exact.  An integer ** or factorial
     whose result would exceed a fixed bit budget raises ParseError when the
-    formula is evaluated, instead of running out of time or memory.
+    formula is evaluated, instead of running out of time or memory, and so
+    does a float result that overflows.
     """
     try:
         tree = ast.parse(formula, mode="eval")
@@ -245,7 +276,10 @@ def compile_formula(formula: str) -> Callable[[int], ExtReal]:
     env["inf"] = float("inf")
 
     def fn(p: int) -> ExtReal:
-        value = eval(code, {"__builtins__": {}}, {**env, "p": p})
+        try:
+            value = eval(code, {"__builtins__": {}}, {**env, "p": p})
+        except OverflowError as exc:
+            raise ParseError(f"formula {formula!r} overflows a float at p = {p}") from exc
         if isinstance(value, float) and value.is_integer() and abs(value) < 2**53:
             # keep integers exact when the formula happens to produce them
             return ext(int(value))

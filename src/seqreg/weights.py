@@ -52,9 +52,8 @@ from .sequences import (
     to_log_scale,
     to_weight_scale,
 )
-from .tails import WEIGHT, AffineLog, ExplicitOnly, FactorialPower, Geometric
+from .tails import TAIL_SEARCH_CAP, WEIGHT, AffineLog, ExplicitOnly, FactorialPower, Geometric
 
-_SCAN_CAP = 200_000
 _EXACT_POWER_CAP = 512
 
 
@@ -172,7 +171,10 @@ class OmegaTable:
         return None
 
     def _weight(self, q: int) -> ExtReal:
-        return self.wvals[q] if q < self.base_end else self.weight_view.value(q)
+        v = self.wvals[q] if q < self.base_end else self.weight_view.value(q)
+        if v.is_pos_inf and q >= len(self.M.prefix):
+            raise NonFiniteEntry(f"the tail weight M_{q} overflows a float")
+        return v
 
     # -- direct forms -----------------------------------------------------------
 
@@ -182,8 +184,8 @@ class OmegaTable:
         Ties go to the larger index, matching the counting-function convention
         Sigma(t) = #{mu <= t} at the knots.  Closed-form tails extend the scan:
         geometric-type tails give an analytic +inf above the limit root and a
-        constant-term plateau at it; factorial-type tails are scanned until the
-        quotient passes t (terms fall forever after that).
+        constant-term plateau at it; factorial-type tails are searched for the
+        index where the quotient passes t (terms fall forever after that).
         """
         base_end = self.base_end  # a bad window raises before anything else
         if t.is_pos_inf:
@@ -206,6 +208,8 @@ class OmegaTable:
                 return OmegaValue(POS_INF, p, False)
 
         wvals = self.wvals
+        off = float(avals[0]) if with_coeff else 0.0
+        log_t = float(t.log())
         exact_ok = t.is_exact and base_end <= _EXACT_POWER_CAP and self.wvals_exact
         best_val: Optional[ExtReal] = None
         best_p: Optional[int] = None
@@ -224,8 +228,6 @@ class OmegaTable:
             if best_r is not None:
                 best_val = ext(best_r).log()
         else:
-            off = float(avals[0]) if with_coeff else 0.0
-            log_t = float(t.log())
             for p in range(p_start, base_end):
                 if avals[p].is_pos_inf:
                     continue
@@ -237,24 +239,17 @@ class OmegaTable:
 
         boundary = False
         if isinstance(tail, FactorialPower):
+            # terms rise until a_p - a_{p-1} > log t; all but the last two rise by
+            # about s/p a step, far beyond rounding, so only those two can tie
             a = self.log_view
-            off = float(avals[0]) if with_coeff else 0.0
-            log_t = float(t.log())
-            prev = float(a.value(base_end - 1))
-            p = base_end
-            scanned = 0
-            while scanned < _SCAN_CAP:
-                cur = float(a.value(p))
-                if cur - prev > log_t:
-                    break  # quotient exceeded t: terms decrease from here on
-                term = off + p * log_t - cur
+            try:
+                end = tail.search(lambda p: float(a.value(p) - a.value(p - 1)) > log_t, base_end)
+            except WindowTooShort:
+                end, boundary = base_end + TAIL_SEARCH_CAP, True  # terms could still rise
+            for p in range(max(base_end, end - 2), end):
+                term = off + p * log_t - float(a.value(p))
                 if term >= float(best_val):
                     best_val, best_p = ext(term), p
-                prev = cur
-                p += 1
-                scanned += 1
-            else:
-                boundary = True  # scan cap hit while terms could still rise
         elif isinstance(tail, (Geometric, AffineLog)):
             if root is not None and t == root:
                 # beyond the prefix the terms are constant: log coeff exactly
@@ -309,9 +304,9 @@ class OmegaTable:
     def _segment_index(self, t: ExtReal) -> int:
         """Largest p with mu_p <= t over the examined range (0 when mu_1 > t).
 
-        Factorial-type tails are scanned past the window until the quotients
-        outgrow t; other tails rely on the window (geometric-type quotients are
-        constant beyond the prefix, covered by one extra examined index).
+        Factorial-type tails are searched past the window for the first
+        quotient above t; other tails rely on the window (geometric-type quotients
+        are constant beyond the prefix, covered by one extra examined index).
         """
         base_end = self.base_end
         mus = self.quotients
@@ -320,19 +315,7 @@ class OmegaTable:
             if mus[q] <= t:
                 p = q
         if isinstance(self.M.tail, FactorialPower) and p == base_end - 1:
-            prev = self._weight(base_end - 1)
-            q = base_end
-            scanned = 0
-            while scanned < _SCAN_CAP:
-                cur = self._weight(q)
-                mu = cur / prev
-                if not mu <= t:
-                    return p
-                p = q
-                prev = cur
-                q += 1
-                scanned += 1
-            raise WindowTooShort(f"quotients stayed below t = {t} for {_SCAN_CAP} extra indices")
+            return self.M.tail.search(lambda q: not self.M.tail.quotient(q) <= t, base_end) - 1
         return p
 
     def piecewise(self, t) -> ExtReal:

@@ -205,15 +205,10 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.strip() == "False"
 
 
-@pytest.mark.parametrize("command", ["classify", "minorant"])
-def test_exploding_formula_exits_cleanly(tmp_path, command):
-    # 2**(2**p) outgrows any memory within the window; the formula's bit
-    # budget turns it into a parse error instead of a hang
-    path = tmp_path / "tower.json"
-    path.write_text(json.dumps({
-        "kind": "log", "prefix": [0],
-        "tail": {"type": "expression", "formula": "2**(2**p)"},
-    }))
+def run_cli(tmp_path, doc, *args, timeout=30):
+    """Run the CLI in a fresh interpreter on one input document, memory capped."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -221,10 +216,86 @@ def test_exploding_formula_exits_cleanly(tmp_path, command):
     def cap_memory():  # a hang would otherwise take the machine's memory with it
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    res = subprocess.run([sys.executable, "-m", "seqreg.cli", command, str(path)],
-                         env=env, capture_output=True, text=True, timeout=30,
-                         preexec_fn=cap_memory)
+    return subprocess.run([sys.executable, "-m", "seqreg.cli", *args, str(path)],
+                          env=env, capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=cap_memory)
+
+
+@pytest.mark.parametrize("command", ["classify", "minorant"])
+def test_exploding_formula_exits_cleanly(tmp_path, command):
+    # 2**(2**p) outgrows any memory within the window; the formula's bit
+    # budget turns it into a parse error instead of a hang
+    res = run_cli(tmp_path, {"kind": "log", "prefix": [0],
+                             "tail": {"type": "expression", "formula": "2**(2**p)"}}, command)
     assert res.returncode in (0, 1)
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["classify", "minorant"])
+@pytest.mark.parametrize("doc", [
+    {"kind": "log", "prefix": [0], "tail": {"type": "expression", "formula": "exp(p*p)"}},
+    {"kind": "log", "prefix": [0], "tail": {"type": "expression", "formula": "2.0**(2**p)"}},
+    {"kind": "weight", "prefix": [1],
+     "tail": {"type": "expression", "formula": "-p*p", "native": "weight"}},
+])
+def test_formula_out_of_range_is_a_parse_error(tmp_path, command, doc):
+    # a float overflow, or a negative weight, is bad input rather than a crash
+    res = run_cli(tmp_path, doc, command)
+    assert res.returncode == 1
+    assert "parse error" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_integer_too_long_to_print_is_a_parse_error(tmp_path):
+    doc = {"kind": "log", "prefix": [0], "tail": {"type": "expression", "formula": "2**(p*p)"}}
+    res = run_cli(tmp_path, doc, "minorant", "--window", "200")
+    assert res.returncode == 1
+    assert f"{sys.get_int_max_str_digits()} digits" in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+
+
+HALF_FACTORIAL = {"kind": "weight", "prefix": [1],
+                  "tail": {"type": "factorial_power", "s": "1/2", "c": 1}}
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--window", "400"],
+    ["minorant", "--window", "400"],
+    ["assoc", "--window", "400", "--grid", "0:2:1"],
+    ["assoc", "--grid", "0:24:12"],
+])
+def test_factorial_weights_past_the_float_range(tmp_path, args):
+    # (p!)^(1/2) overflows a float near p = 300: the weight reads +inf, and the
+    # closed-form omega cells that would need it come out empty
+    res = run_cli(tmp_path, HALF_FACTORIAL, *args)
+    assert res.returncode == 0, res.stderr
+    assert "-inf" not in res.stdout
+    if args[0] == "assoc":
+        rows = [line.split(",") for line in res.stdout.splitlines()[1:]]
+        assert all(row[1] for row in rows)  # the direct route needs no weight
+        assert rows[-1][2] == rows[-1][3] == ""
+
+
+def test_deep_dip_over_factorial_tail_is_fast(tmp_path):
+    # every hull vertex asks the tail for its lowest chord, which lies some
+    # 10^4 indices out; a linear scan took about half a minute on a 2-vCPU machine
+    prefix = [0] + [-150000 + p * p / 1000 for p in range(1, 20)]
+    doc = {"kind": "log", "prefix": prefix,
+           "tail": {"type": "factorial_power", "s": 1, "c": 1}}
+    res = run_cli(tmp_path, doc, "minorant", "--window", "20", timeout=20)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["principal_indices"] == list(range(20))
+    assert out["stable_prefix"] == 19
+
+
+def test_factorial_search_past_its_cap_exits_two(tmp_path):
+    # the lowest chord from the dip lies near q = 10^7, past the search cap
+    doc = {"kind": "log", "prefix": [0, 0, 0, -10000000],
+           "tail": {"type": "factorial_power", "s": 1, "c": 1}}
+    res = run_cli(tmp_path, doc, "minorant", "--window", "5", timeout=20)
+    assert res.returncode == 2
+    assert "200000 indices" in res.stderr
     assert "Traceback" not in res.stderr
 
 
