@@ -263,7 +263,9 @@ def _verify_minorant(seq: SequenceSpec, result: MinorantResult,
     original = log_in.values(w)
     engine = to_log_scale(result.regularized).prefix
     cap = result.regime.a_iota if result.regime.regime == CASE2 else None
-    oracle = brute_minorant(list(original), slope_cap=cap)
+    # a walk may end on an edge into the tail: the oracle needs its far end too
+    beyond = [] if result.tail_end is None else [(result.tail_end, log_in.value(result.tail_end))]
+    oracle = brute_minorant(list(original), slope_cap=cap, beyond=beyond)
     stable = min(len(engine), result.stable_prefix + 1)
     report = compare_values(
         "minorant stable prefix vs pairwise-line oracle",

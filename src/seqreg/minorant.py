@@ -87,6 +87,8 @@ class MinorantResult:
     window: int
     scale: str
     finite_principal: Optional[bool] = None
+    # the tail index where the last edge ends, when the walk took one past the window
+    tail_end: Optional[int] = None
 
     def to_json(self) -> dict:
         return {
@@ -188,8 +190,9 @@ def _hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, ext
     for a strictly smaller chord past the window; taking one ends the walk.
     When no admissible edge is left, the walk stops and closes with the line
     of slope cap through the last principal point.  Returns the regularized
-    values, the principal indices, the edges, the trace on (-inf, cap) and
-    whether the walk stopped at the cap.
+    values, the principal indices, the edges, the trace on (-inf, cap),
+    whether the walk stopped at the cap, and the tail index that the last
+    edge reaches when it leaves the window (None when it does not).
     """
     hull = _lower_hull(vals)
     out = list(vals)
@@ -238,6 +241,7 @@ def _hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, ext
         value = slope * first - a_first
         bps.append(Breakpoint(slope, value, value, ext(last)))
     principal = [0] + [q for *_, q in edge_data if q < w]
+    tail_end = edge_data[-1][3] if edge_data and edge_data[-1][3] >= w else None
     trace = PiecewiseLinearFn(
         breakpoints=tuple(bps),
         domain=Interval(NEG_INF, cap),
@@ -245,7 +249,7 @@ def _hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, ext
         value_at_minus_inf=ZERO - vals[0],
         constant=None if bps else ZERO - vals[0],
     )
-    return out, principal, edges, trace, stopped
+    return out, principal, edges, trace, stopped, tail_end
 
 
 def _window_values(seq: SequenceSpec, window: Optional[int]) -> tuple[int, list[ExtReal]]:
@@ -260,7 +264,8 @@ def _window_values(seq: SequenceSpec, window: Optional[int]) -> tuple[int, list[
 
 def _result(regime: RegimeClassification, w: int, out: list[ExtReal], principal: list[int],
             edges: list[SupportLine], trace: PiecewiseLinearFn, proven: bool,
-            finite_principal: Optional[bool] = None) -> MinorantResult:
+            finite_principal: Optional[bool] = None,
+            tail_end: Optional[int] = None) -> MinorantResult:
     # a proven end pins the whole window; otherwise trust up to the penultimate principal
     if proven:
         stable = w - 1
@@ -278,6 +283,7 @@ def _result(regime: RegimeClassification, w: int, out: list[ExtReal], principal:
         window=w,
         scale=LOG,
         finite_principal=finite_principal,
+        tail_end=tail_end,
     )
 
 
@@ -295,9 +301,10 @@ def convex_minorant(a: SequenceSpec, window: Optional[int] = None,
             f"(use the dedicated case operations)", regime.regime)
     w, vals = _window_values(seq, window)
     extends = isinstance(seq.tail, FactorialPower)
-    out, principal, edges, trace, stopped = _hull_walk(seq, vals, w, POS_INF, extends)
+    out, principal, edges, trace, stopped, tail_end = _hull_walk(seq, vals, w, POS_INF, extends)
     # the walk is proven once a factorial tail has vetted it to the window end
-    return _result(regime, w, out, principal, edges, trace, extends and not stopped)
+    return _result(regime, w, out, principal, edges, trace, extends and not stopped,
+                   tail_end=tail_end)
 
 
 def case1_regularize(a: SequenceSpec, window: Optional[int] = None,
@@ -347,10 +354,10 @@ def case2_regularize(a: SequenceSpec, window: Optional[int] = None,
 
     w, vals = _window_values(seq, window)
     extends = isinstance(seq.tail, (AffineLog, Geometric))
-    out, principal, edges, trace, stopped = _hull_walk(seq, vals, w, cap, extends)
+    out, principal, edges, trace, stopped, tail_end = _hull_walk(seq, vals, w, cap, extends)
     # a closed-form tail whose chords never dip below the cap makes the stop final
     return _result(regime, w, out, principal, edges, trace, extends and stopped,
-                   finite_principal=stopped)
+                   finite_principal=stopped, tail_end=tail_end)
 
 
 # -- trace API ----------------------------------------------------------------------
@@ -423,6 +430,7 @@ def log_convex_minorant(M: SequenceSpec, window: Optional[int] = None,
         window=w,
         scale="weight",
         finite_principal=base.finite_principal,
+        tail_end=base.tail_end,
     )
 
 

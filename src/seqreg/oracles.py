@@ -132,7 +132,7 @@ def _rationalize_allow_pos_inf(values: Sequence, what: str) -> list[Fraction | N
     return out
 
 
-def brute_minorant(a: Sequence, slope_cap=None) -> list[ExtReal]:
+def brute_minorant(a: Sequence, slope_cap=None, beyond: Sequence = ()) -> list[ExtReal]:
     """Largest convex sequence below a, computed two independent ways.
 
     Route one enumerates every line through a pair of points, plus the
@@ -143,7 +143,10 @@ def brute_minorant(a: Sequence, slope_cap=None) -> list[ExtReal]:
     arithmetic and must agree before anything is returned.
 
     +inf entries impose no constraint and anchor no line; they are
-    projected down onto the hull like everything else.
+    projected down onto the hull like everything else.  ``beyond`` holds
+    (index, value) points past the end of a, such as a far tail point:
+    they constrain and anchor lines like the others, but the result covers
+    a's indices only.
     """
 
     vals = _rationalize_allow_pos_inf(a, "oracle input")
@@ -160,6 +163,8 @@ def brute_minorant(a: Sequence, slope_cap=None) -> list[ExtReal]:
             cap = raw if isinstance(raw, Fraction) else Fraction(raw)
         # an infinite cap is no cap at all
     finite = [(p, v) for p, v in enumerate(vals) if v is not None]
+    far = _rationalize_allow_pos_inf([v for _, v in beyond], "oracle input")
+    finite += [(q, v) for (q, _), v in zip(beyond, far) if v is not None]
     if len(finite) == 1:
         return [ext(v) if v is not None else ext(vals[0]) for v in vals]
 

@@ -18,12 +18,17 @@ the inputs are.  Thresholds are rationalized once per (phi, p) so the engine
 and the recovery conjugate use identical cutoffs.
 
 Each call reads the window once into raw payloads (Fraction or float) and
-computes the threshold vector threshold(0..w-1) once.  An event is then one
-pass over the later points that computes e_q, applies the cap and collects
-the earliest time together with every point tied at it; intercepts are
-computed only for tied points that sit below the old line.  On finite
-payloads ExtReal arithmetic is exactly the raw operation, so the loop runs
-on raw numbers and wraps a value in ExtReal only when it enters the record.
+computes the threshold vector threshold(0..w-1) once.  phi is non-decreasing
+(axiom I), so the thresholds are too, and the points visible at slope t form
+a growing prefix of the window.  The whole sweep is therefore one pass from
+left to right: Andrew's monotone chain over the visible prefix from P,
+merged with the thresholds.  A point is admitted while its threshold is at
+most the earliest takeover time found so far, max(first-edge slope of the
+chain, threshold); when the next point's threshold is later, that time is
+the next event.  Each point is pushed and popped at most once, so
+the sweep is linear in the window.  On finite payloads ExtReal arithmetic is
+exactly the raw operation, so the sweep runs on raw numbers and wraps a
+value in ExtReal only when it enters the record.
 
 Events where the entering point sits strictly below the old line are the
 indices of discontinuity: visibility arrived later than tangency, so the trace
@@ -352,13 +357,96 @@ def _case1_result(vals: list[ExtReal], w: int, phi: RegularizingFunction) -> Phi
     )
 
 
+def _sweep(pts: list[tuple[int, RawNumber, RawNumber]], cap: Optional[RawNumber]):
+    """The event sweep over pts = [(q, a_q, threshold(q))], thresholds non-decreasing.
+
+    ``hull[lo:]`` is the lower hull, collinear points kept, of the points
+    admitted from the current principal point P = pts[hull[lo]] on.  At an
+    event, a first edge of slope tau makes its collinear run the batch;
+    a first edge below slope tau is a jump, and the batch is the run of hull
+    points on the lowest line of slope tau.  The hull is then cut at the
+    batch's last point, the new P.  Returns the principal points with their
+    entry times, the discontinuities, the events (time, left_A, right_A,
+    top) and whether the cap stopped the sweep.
+    """
+    principal: list[tuple[int, ExtReal]] = [(0, NEG_INF)]
+    disc: list[int] = []
+    events: list[tuple[ExtReal, ExtReal, ExtReal, int]] = []
+    hull = [0]  # positions in pts
+    lo = 0
+    m = 1  # the next point to admit
+    floor: RawNumber = -math.inf  # the last event time
+
+    while True:
+        P, aP, _ = pts[hull[lo]]
+
+        def slope(j: int) -> RawNumber:
+            # exactly, a point visible at the last event lies above that event's
+            # line through P, and a point below it was not visible then, so its
+            # later threshold sets its time: the floor changes nothing, except
+            # that float rounding cannot take the events back in time
+            s = (pts[j][1] - aP) / (pts[j][0] - P)
+            return s if s >= floor else floor
+
+        # in exact arithmetic every point past P kept from earlier events
+        # lies above the last event's line, so its term is the first-edge slope
+        best = max(slope(hull[lo + 1]), pts[m - 1][2]) if len(hull) > lo + 1 else None
+        # best, the earliest takeover time, is the minimum over the admitted m
+        # of max(first-edge slope, threshold(m)); no later threshold can beat it
+        while m < len(pts) and (best is None or pts[m][2] <= best):
+            q, v, thr = pts[m]
+            while len(hull) > lo + 1:
+                i, a_i, _ = pts[hull[-2]]
+                j, a_j, _ = pts[hull[-1]]
+                if (a_j - a_i) / (j - i) <= (v - a_i) / (q - i):
+                    break
+                hull.pop()
+            hull.append(m)
+            e = slope(hull[lo + 1])
+            if e < thr:
+                e = thr
+            if best is None or e < best:
+                best = e
+            m += 1
+        if best is None or (cap is not None and not best < cap):
+            return principal, disc, events, best is not None
+        tau = best
+
+        # written 0 - c, not -c: the trace value of c = 0.0 is 0.0, never -0.0
+        left = right = 0 - (aP - P * tau)
+        first = i = lo + 1
+        if slope(hull[i]) < tau:
+            def icpt(j: int) -> RawNumber:
+                return pts[j][1] - pts[j][0] * tau
+
+            c_min = icpt(hull[i])
+            while i + 1 < len(hull) and icpt(hull[i + 1]) < c_min:
+                i += 1
+                c_min = icpt(hull[i])
+            first = i
+            while i + 1 < len(hull) and icpt(hull[i + 1]) == c_min:
+                i += 1
+            disc.append(pts[hull[first]][0])
+            right = 0 - c_min
+        else:
+            while i + 1 < len(hull) and slope(hull[i + 1]) == tau:
+                i += 1
+        floor = tau
+        tau_x = ExtReal(tau)
+        events.append((tau_x, ExtReal(left), ExtReal(right), pts[hull[i]][0]))
+        for j in hull[first:i + 1]:
+            principal.append((pts[j][0], tau_x))
+        lo = i
+
+
 def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
                         window: Optional[int] = None, tol: float = 1e-9) -> PhiRegResult:
     """Event-driven sweep computing the full regularization record.
 
     Preconditions: a_0 finite; -inf entries only under phi = infinite (where
     they collapse the construction); a window ending in +inf entries needs a
-    blowup phi (the only class where cofinitely-+inf sequences make sense).
+    blowup phi (the only class where cofinitely-+inf sequences make sense);
+    thresholds that never decrease (AxiomViolation "I" otherwise).
     """
     seq = to_log_scale(a)
     w = resolve_window(seq, window)
@@ -387,65 +475,18 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
                     f"but the {regime.source} regime is {regime.regime}")
             raise InfiniteEntryUnsupported(
                 f"a_{q} = -inf: only the ungated phi handles collapsing sequences")
-        pts.append((q, v.raw, phi.threshold(q).raw))
+        thr = phi.threshold(q).raw
+        if pts and thr < pts[-1][2]:
+            # the sweep admits points in index order, so it needs phi non-decreasing
+            raise AxiomViolation(
+                "I", q, f"threshold({q}) = {thr} falls below "
+                f"threshold({pts[-1][0]}) = {pts[-1][2]}: phi must be non-decreasing")
+        pts.append((q, v.raw, thr))
     if phi.blowup_T is None and not phi.infinite and pts[-1][0] < w - 1:
         raise InfiniteEntryUnsupported(
             "window ends in +inf entries; without a blowup point the "
             "regularization of a cofinitely-infinite sequence is undefined")
-    cap_raw = None if cap is None else cap.raw
-
-    # sweep state: per principal index (index, entry time); batch members
-    # share the entry time and all but the last get degenerate intervals
-    principal: list[tuple[int, ExtReal]] = [(0, NEG_INF)]
-    disc: list[int] = []
-    events: list[tuple[ExtReal, ExtReal, ExtReal, int]] = []  # (time, left_A, right_A, top)
-    k = 0  # position of the current principal point P in pts
-    stopped_by_cap = False
-
-    while True:
-        # one pass: the takeover time e_q of every later point, keeping the
-        # earliest and every point tied with it
-        P, aP, _ = pts[k]
-        tau = None
-        cands: list[int] = []
-        blocked = False
-        for j in range(k + 1, len(pts)):
-            q, v, thr = pts[j]
-            e_q = (v - aP) / (q - P)
-            if e_q < thr:
-                e_q = thr
-            if cap_raw is not None and not e_q < cap_raw:
-                blocked = True
-            elif tau is None or e_q < tau:
-                tau = e_q
-                cands = [j]
-            elif e_q == tau:
-                cands.append(j)
-        if tau is None:
-            stopped_by_cap = blocked
-            break
-        for j in cands:
-            assert tau >= pts[j][2]  # visibility always precedes takeover
-        # a candidate lies below the old line exactly when its threshold, not
-        # its slope from P, set its time ("binds"); deciding that on the slope
-        # keeps float rounding in the intercepts from posing as a jump
-        binding = [j for j in cands if (pts[j][1] - aP) / (pts[j][0] - P) < pts[j][2]]
-        # written 0 - c, not -c: the trace value of c = 0.0 is 0.0, never -0.0
-        left = right = 0 - (aP - P * tau)
-        if binding:
-            icpt = [pts[j][1] - pts[j][0] * tau for j in binding]
-            c_min = min(icpt)
-            batch = [j for j, c in zip(binding, icpt) if c == c_min]
-            disc.append(pts[batch[0]][0])
-            right = 0 - c_min
-        else:
-            batch = cands  # every candidate is on the old line: no jump
-        top = pts[batch[-1]][0]
-        tau_x = ExtReal(tau)
-        events.append((tau_x, ExtReal(left), ExtReal(right), top))
-        for j in batch:
-            principal.append((pts[j][0], tau_x))
-        k = batch[-1]
+    principal, disc, events, stopped_by_cap = _sweep(pts, None if cap is None else cap.raw)
 
     indices = [p for p, _ in principal]
     J_right = cap if cap is not None else POS_INF

@@ -254,7 +254,7 @@ def compile_formula(formula: str) -> Callable[[int], ExtReal]:
     Integer-valued subexpressions stay exact.  An integer ** or factorial
     whose result would exceed a fixed bit budget raises ParseError when the
     formula is evaluated, instead of running out of time or memory, and so
-    does a float result that overflows.
+    does a float result that overflows or is nan.
     """
     try:
         tree = ast.parse(formula, mode="eval")
@@ -280,6 +280,8 @@ def compile_formula(formula: str) -> Callable[[int], ExtReal]:
             value = eval(code, {"__builtins__": {}}, {**env, "p": p})
         except OverflowError as exc:
             raise ParseError(f"formula {formula!r} overflows a float at p = {p}") from exc
+        if isinstance(value, float) and math.isnan(value):
+            raise ParseError(f"formula {formula!r} is not a number at p = {p}")
         if isinstance(value, float) and value.is_integer() and abs(value) < 2**53:
             # keep integers exact when the formula happens to produce them
             return ext(int(value))

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, verification."""
 
+import dataclasses
 import json
 import math
 import os
@@ -237,13 +238,15 @@ def test_exploding_formula_exits_cleanly(tmp_path, command):
     {"kind": "log", "prefix": [0], "tail": {"type": "expression", "formula": "2.0**(2**p)"}},
     {"kind": "weight", "prefix": [1],
      "tail": {"type": "expression", "formula": "-p*p", "native": "weight"}},
+    {"kind": "log", "prefix": [0], "tail": {"type": "expression", "formula": "inf-inf"}},
 ])
 def test_formula_out_of_range_is_a_parse_error(tmp_path, command, doc):
-    # a float overflow, or a negative weight, is bad input rather than a crash
+    # a float overflow, a negative weight, or nan is bad input rather than a crash
     res = run_cli(tmp_path, doc, command)
     assert res.returncode == 1
     assert "parse error" in res.stderr
     assert "Traceback" not in res.stderr
+    assert len(res.stderr.splitlines()) == 1
 
 
 def test_integer_too_long_to_print_is_a_parse_error(tmp_path):
@@ -287,6 +290,38 @@ def test_deep_dip_over_factorial_tail_is_fast(tmp_path):
     out = json.loads(res.stdout)
     assert out["principal_indices"] == list(range(20))
     assert out["stable_prefix"] == 19
+
+
+# the lowest line from a_0 = -2040 runs past a 6-point window to a_q = 2 log q!
+FACTORIAL_DIP = {"kind": "log", "prefix": [-2040],
+                 "tail": {"type": "factorial_power", "s": 2, "c": 1}}
+
+
+def test_minorant_verify_sees_the_tail_end(tmp_path):
+    # an oracle that saw the window alone would put its hull through the
+    # window's points, above that line, and reject the engine's result
+    res = run_cli(tmp_path, FACTORIAL_DIP, "minorant", "--verify", "--window", "6")
+    assert res.returncode == 0, res.stderr
+    (report,) = json.loads(res.stdout)["verify"]
+    assert report["max_abs_deviation"] <= 1e-9
+
+
+def test_minorant_verify_still_rejects_a_wrong_value(tmp_path, runner, monkeypatch):
+    dispatch = cli_mod._dispatch_minorant
+
+    def perturbed(seq, window, tol):
+        result = dispatch(seq, window, tol)
+        prefix = list(result.regularized.prefix)
+        prefix[3] = prefix[3] - ext(1e-3)
+        return dataclasses.replace(
+            result, regularized=dataclasses.replace(result.regularized, prefix=tuple(prefix)))
+
+    monkeypatch.setattr(cli_mod, "_dispatch_minorant", perturbed)
+    path = tmp_path / "dip.json"
+    path.write_text(json.dumps(FACTORIAL_DIP))
+    res = runner.invoke(main, ["minorant", "--verify", "--window", "6", str(path)])
+    assert res.exit_code == 3
+    assert "verify deviation" in res.stderr
 
 
 def test_factorial_search_past_its_cap_exits_two(tmp_path):

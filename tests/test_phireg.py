@@ -18,6 +18,7 @@ from seqreg import (
     OutOfDomain,
     ParseError,
     RegimeClassification,
+    RegularizingFunction,
     SeqRegError,
     SequenceSpec,
     ZERO,
@@ -129,6 +130,16 @@ def test_piecewise_axiom_violations(knots, axiom):
     with pytest.raises(AxiomViolation) as err:
         make_phi(f"piecewise:{knots}")
     assert err.value.axiom == axiom
+
+
+def test_falling_threshold_is_an_axiom_violation():
+    # a hand-built phi whose thresholds fall from p = 2 on; the sweep admits
+    # points in index order, so it must refuse such a phi, not answer wrongly
+    phi = RegularizingFunction("falling", lambda t: ZERO, lambda p: ext(-p))
+    with pytest.raises(AxiomViolation) as info:
+        regularize_with_phi(log_seq([0, 1, 3, 6]), phi)
+    assert info.value.axiom == "I"
+    assert info.value.witness == 2
 
 
 def test_unknown_descriptor():
