@@ -23,14 +23,7 @@ import click
 
 from .errors import ParseError, SeqRegError
 from .extreal import ExtReal, ext
-from .minorant import (
-    MinorantResult,
-    case1_regularize,
-    case2_regularize,
-    convex_minorant,
-    log_convex_minorant,
-    trace_function,
-)
+from .minorant import MinorantResult, real_trace, regularize
 from .oracles import (
     OracleReport,
     brute_minorant,
@@ -222,17 +215,6 @@ def classify(files, window, tol):
 # minorant
 
 
-def _dispatch_minorant(seq: SequenceSpec, window: int, tol: float) -> MinorantResult:
-    if seq.kind == "weight":
-        return log_convex_minorant(seq, window=window, tol=tol)
-    regime = classify_regime(seq, window=window, tol=tol)
-    if regime.regime == CASE1:
-        return case1_regularize(seq, window=window, tol=tol)
-    if regime.regime == CASE2:
-        return case2_regularize(seq, window=window, tol=tol)
-    return convex_minorant(seq, window=window, tol=tol)
-
-
 def _minorant_payload(result: MinorantResult) -> dict:
     full = result.to_json()
     payload = {
@@ -250,17 +232,15 @@ def _minorant_payload(result: MinorantResult) -> dict:
 
 
 def _verify_minorant(seq: SequenceSpec, result: MinorantResult,
-                     window: int, tol: float) -> tuple[OracleReport, bool]:
+                     tol: float) -> tuple[OracleReport, bool]:
+    log_in = to_log_scale(seq)
     if result.regime.regime == CASE1:
         # degenerate output; only the anchor is comparable
         report = compare_values(
             "minorant anchor vs input",
-            [(to_log_scale(result.regularized).prefix[0], to_log_scale(seq).values(1)[0])],
-        )
+            [(to_log_scale(result.regularized).prefix[0], log_in.value(0))])
         return report, report.within(tol)
-    log_in = to_log_scale(seq)
-    w = resolve_window(log_in, window)
-    original = log_in.values(w)
+    original = log_in.values(result.window)
     engine = to_log_scale(result.regularized).prefix
     cap = result.regime.a_iota if result.regime.regime == CASE2 else None
     # a walk may end on an edge into the tail: the oracle needs its far end too
@@ -282,12 +262,12 @@ def minorant(files, window, tol, verify):
 
     def worker(path: str):
         seq = _load_spec(path)
-        result = _dispatch_minorant(seq, window, tol)
+        result = regularize(seq, window=window, tol=tol)
         payload = _minorant_payload(result)
         status = EXIT_OK
         diagnostics: list[str] = []
         if verify:
-            report, ok = _verify_minorant(seq, result, window, tol)
+            report, ok = _verify_minorant(seq, result, tol)
             payload["verify"] = [report.to_json()]
             if not ok:
                 status = EXIT_VERIFY
@@ -416,23 +396,18 @@ def trace(files, window, tol, verify, extended):
     """Trace function A(k) = sup_p (p k - a_p) as breakpoint JSON."""
 
     def worker(path: str):
-        seq = _load_spec(path)
-        fn = trace_function(seq, window=window, tol=tol)
-        regime = classify_regime(seq, window=window, tol=tol)
-        payload = {"trace": fn.to_json(), "regime": regime.to_json()}
+        log_seq = to_log_scale(_load_spec(path))
+        result = regularize(log_seq, window=window, tol=tol)
+        fn = real_trace(result)
+        payload = {"trace": fn.to_json(), "regime": result.regime.to_json()}
         status = EXIT_OK
         diagnostics: list[str] = []
         if verify:
-            log_seq = to_log_scale(seq)
-            w = resolve_window(log_seq, window)
-            vals = log_seq.values(w)
-            ks = _trace_sample_slopes(fn)
+            vals = log_seq.values(result.window)
             pairs = []
             witnesses = []
-            for k in ks:
-                direct = max(
-                    (ext(p) * k - vals[p] for p in range(w) if vals[p].is_finite),
-                )
+            for k in _trace_sample_slopes(fn):
+                direct = max(ext(p) * k - v for p, v in enumerate(vals) if v.is_finite)
                 try:
                     engine = fn.evaluate(k, extended=extended)
                 except SeqRegError:
@@ -566,7 +541,12 @@ def _verify_phireg(seq: SequenceSpec, phi, result, window: int, tol: float):
         # slope-capped and collapsing runs have no uncapped sweep analogue
         report = compare_values("phireg vs sweep oracle (skipped: capped regime)", [])
         return report, True
-    sweep = brute_phi_sweep([v for v in vals], phi, _SWEEP_STEP)
+    # at slopes t >= T a blow-up phi admits every point, which J = (-inf, T) never does
+    t_max = None if phi.blowup_T is None else float(phi.blowup_T) - _SWEEP_STEP / 2
+    try:
+        sweep = brute_phi_sweep(vals, phi, _SWEEP_STEP, t_max=t_max)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an entry past the float range
+        raise SeqRegError(f"phireg --verify: the sweep oracle refused the input: {exc}") from exc
     pairs = list(zip(result.regularized.prefix, sweep.regularized))
     report = compare_values("phireg regularized vs sweep oracle", pairs)
     # the sweep is exact only up to its grid resolution

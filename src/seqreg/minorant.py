@@ -22,13 +22,17 @@ Three regimes:
              its slopes reach a_iota, closed by the line of slope exactly
              a_iota through the last principal point.
 
+regularize() is the one place that maps a regime to its construction: it
+classifies once and calls that regime's builder.  The per-regime entry points
+check their regime first and then call the same builders.
+
 The trace k -> sup_p (p*k - a_p) is assembled from the accepted edges; its
 conjugate reproduces the minorant values (round trip exact on rationals).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
@@ -53,7 +57,7 @@ from .sequences import (
     resolve_window,
     to_log_scale,
 )
-from .tails import LOG, AffineLog, ExplicitOnly, FactorialPower, Geometric
+from .tails import LOG, WEIGHT, AffineLog, ExplicitOnly, FactorialPower, Geometric
 
 
 @dataclass(frozen=True)
@@ -290,6 +294,65 @@ def _result(regime: RegimeClassification, w: int, out: list[ExtReal], principal:
 # -- the three regime constructions ------------------------------------------------
 
 
+def _standard(seq: SequenceSpec, window: Optional[int],
+              regime: RegimeClassification) -> MinorantResult:
+    w, vals = _window_values(seq, window)
+    extends = isinstance(seq.tail, FactorialPower)
+    out, principal, edges, trace, stopped, tail_end = _hull_walk(seq, vals, w, POS_INF, extends)
+    # the walk is proven once a factorial tail has vetted it to the window end
+    return _result(regime, w, out, principal, edges, trace, extends and not stopped,
+                   tail_end=tail_end)
+
+
+def _case1(seq: SequenceSpec, window: Optional[int],
+           regime: RegimeClassification) -> MinorantResult:
+    w, vals = _window_values(seq, window)
+    out = [vals[0]] + [NEG_INF] * (w - 1)
+    trace = PiecewiseLinearFn(
+        breakpoints=(),
+        domain=EMPTY_INTERVAL,
+        slope_left=ZERO,
+        value_at_minus_inf=ZERO - vals[0],
+    )
+    return _result(regime, w, out, [0], [], trace, True, finite_principal=True)
+
+
+def _case2(seq: SequenceSpec, window: Optional[int], regime: RegimeClassification,
+           cap: ExtReal) -> MinorantResult:
+    w, vals = _window_values(seq, window)
+    extends = isinstance(seq.tail, (AffineLog, Geometric))
+    out, principal, edges, trace, stopped, tail_end = _hull_walk(seq, vals, w, cap, extends)
+    # a closed-form tail whose chords never dip below the cap makes the stop final
+    return _result(regime, w, out, principal, edges, trace, extends and stopped,
+                   finite_principal=stopped, tail_end=tail_end)
+
+
+def regularize(a: SequenceSpec, window: Optional[int] = None,
+               tol: float = 1e-9) -> MinorantResult:
+    """The (log-)convex minorant in whichever regime the sequence is in.
+
+    Log-scale input gets the convex minorant.  Weight-scale input gets the
+    log-convex minorant: the log-scale result exponentiated, with the original
+    entries copied at principal indices (where equality is exact).
+    """
+    seq = to_log_scale(a)
+    regime = classify_regime(seq, window, tol)
+    if regime.regime == CASE1:
+        base = _case1(seq, window, regime)
+    elif regime.regime == CASE2:
+        base = _case2(seq, window, regime, regime.a_iota)
+    else:
+        base = _standard(seq, window, regime)
+    if a.kind == LOG:
+        return base
+    weights = [v.exp() for v in base.regularized.prefix]
+    for p in base.principal_indices:
+        weights[p] = a.value(p)
+    regularized = SequenceSpec(kind=WEIGHT, prefix=tuple(weights), tail=ExplicitOnly(),
+                               declared_regime=base.regime)
+    return replace(base, regularized=regularized, scale=WEIGHT)
+
+
 def convex_minorant(a: SequenceSpec, window: Optional[int] = None,
                     tol: float = 1e-9) -> MinorantResult:
     """Greatest convex minorant of a log-scale sequence (standard regime)."""
@@ -299,12 +362,7 @@ def convex_minorant(a: SequenceSpec, window: Optional[int] = None,
         raise RegimeMismatch(
             f"{regime.describe()}: convex minorant needs the standard regime "
             f"(use the dedicated case operations)", regime.regime)
-    w, vals = _window_values(seq, window)
-    extends = isinstance(seq.tail, FactorialPower)
-    out, principal, edges, trace, stopped, tail_end = _hull_walk(seq, vals, w, POS_INF, extends)
-    # the walk is proven once a factorial tail has vetted it to the window end
-    return _result(regime, w, out, principal, edges, trace, extends and not stopped,
-                   tail_end=tail_end)
+    return _standard(seq, window, regime)
 
 
 def case1_regularize(a: SequenceSpec, window: Optional[int] = None,
@@ -315,15 +373,7 @@ def case1_regularize(a: SequenceSpec, window: Optional[int] = None,
     if regime.regime != CASE1:
         raise RegimeMismatch(
             f"{regime.describe()}: this operation is only for Case 1", regime.regime)
-    w, vals = _window_values(seq, window)
-    out = [vals[0]] + [NEG_INF] * (w - 1)
-    trace = PiecewiseLinearFn(
-        breakpoints=(),
-        domain=EMPTY_INTERVAL,
-        slope_left=ZERO,
-        value_at_minus_inf=ZERO - vals[0],
-    )
-    return _result(regime, w, out, [0], [], trace, True, finite_principal=True)
+    return _case1(seq, window, regime)
 
 
 def case2_regularize(a: SequenceSpec, window: Optional[int] = None,
@@ -351,16 +401,19 @@ def case2_regularize(a: SequenceSpec, window: Optional[int] = None,
                 f"a_iota = {cap} contradicts the classified limit slope {regime.a_iota}")
     if regime.regime == INDETERMINATE:
         regime = RegimeClassification(CASE2, cap, regime.evidence_window, "declared")
-
-    w, vals = _window_values(seq, window)
-    extends = isinstance(seq.tail, (AffineLog, Geometric))
-    out, principal, edges, trace, stopped, tail_end = _hull_walk(seq, vals, w, cap, extends)
-    # a closed-form tail whose chords never dip below the cap makes the stop final
-    return _result(regime, w, out, principal, edges, trace, extends and stopped,
-                   finite_principal=stopped, tail_end=tail_end)
+    return _case2(seq, window, regime, cap)
 
 
 # -- trace API ----------------------------------------------------------------------
+
+
+def real_trace(result: MinorantResult) -> PiecewiseLinearFn:
+    """The trace of a minorant result, refused in Case 1, where it is +inf on R."""
+    if result.regime.regime == CASE1:
+        raise RegimeMismatch(
+            f"{result.regime.describe()}: the trace is +inf at every real slope; "
+            "only the value at -inf survives", CASE1)
+    return result.trace
 
 
 def trace_function(a: SequenceSpec, window: Optional[int] = None,
@@ -372,15 +425,7 @@ def trace_function(a: SequenceSpec, window: Optional[int] = None,
     conventional extension lives on the degenerate record of
     :func:`case1_regularize`.
     """
-    seq = to_log_scale(a)
-    regime = classify_regime(seq, window, tol)
-    if regime.regime == CASE1:
-        raise RegimeMismatch(
-            f"{regime.describe()}: the trace is +inf at every real slope; "
-            "only the value at -inf survives", regime.regime)
-    if regime.regime == CASE2:
-        return case2_regularize(a, window, tol=tol).trace
-    return convex_minorant(a, window, tol).trace
+    return real_trace(regularize(to_log_scale(a), window, tol))
 
 
 def reconstruct_from_trace(trace: PiecewiseLinearFn, p: int) -> ExtReal:
@@ -397,41 +442,10 @@ def reconstruct_from_trace(trace: PiecewiseLinearFn, p: int) -> ExtReal:
 
 def log_convex_minorant(M: SequenceSpec, window: Optional[int] = None,
                         tol: float = 1e-9) -> MinorantResult:
-    """Largest log-convex minorant on the weight scale, any regime.
-
-    Dispatches on the regime, exponentiates the log-scale result, and copies
-    the original entries at principal indices (where equality is exact).
-    """
-    if M.kind != "weight":
+    """Largest log-convex minorant on the weight scale, any regime (see regularize)."""
+    if M.kind != WEIGHT:
         raise ValueError("log-convex minorant expects a weight-scale sequence")
-    a = to_log_scale(M)
-    regime = classify_regime(a, window, tol)
-    if regime.regime == CASE1:
-        base = case1_regularize(a, window, tol)
-    elif regime.regime == CASE2:
-        base = case2_regularize(a, window, tol=tol)
-    else:
-        base = convex_minorant(a, window, tol)
-    w = base.window
-    weights = [v.exp() for v in base.regularized.prefix]
-    originals = M.values(w)
-    for p in base.principal_indices:
-        weights[p] = originals[p]
-    regularized = SequenceSpec(kind="weight", prefix=tuple(weights), tail=ExplicitOnly(),
-                               declared_regime=base.regime)
-    return MinorantResult(
-        regularized=regularized,
-        principal_indices=base.principal_indices,
-        edges=base.edges,
-        trace=base.trace,
-        regime=base.regime,
-        stable_prefix=base.stable_prefix,
-        provisional_from=base.provisional_from,
-        window=w,
-        scale="weight",
-        finite_principal=base.finite_principal,
-        tail_end=base.tail_end,
-    )
+    return regularize(M, window, tol)
 
 
 @dataclass(frozen=True)

@@ -322,12 +322,14 @@ def brute_phi_sweep(
         t_min = min(min(diffs), last_threshold) - 1.0
     if t_max is None:
         t_max = max(max(diffs), last_threshold) + 1.0
-    count = int(math.floor((t_max - t_min) / slope_grid_step)) + 1
-    if count > _MAX_GRID:
+    span = (t_max - t_min) / slope_grid_step
+    if not span < _MAX_GRID:  # a non-finite span is refused too
+        size = f"{math.floor(span) + 1} points" if math.isfinite(span) else "unbounded size"
         raise ValueError(
-            f"grid of {count} points exceeds the oracle budget; "
+            f"grid of {size} exceeds the oracle budget of {_MAX_GRID} points; "
             "pass explicit t_min/t_max or a coarser step"
         )
+    count = math.floor(span) + 1
     ts = t_min + slope_grid_step * np.arange(count)
 
     starts = _stripe_starts(phi, ts, n)

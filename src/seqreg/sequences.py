@@ -289,14 +289,6 @@ def is_log_convex(seq: SequenceSpec, window: Optional[int] = None,
 # -- regime classification -------------------------------------------------------
 
 
-def _window_slopes(a: SequenceSpec, w: int) -> list[tuple[int, ExtReal]]:
-    out = []
-    for p in range(1, w):
-        v = a.value(p)
-        out.append((p, v / p))
-    return out
-
-
 def classify_regime(seq: SequenceSpec, window: Optional[int] = None,
                     tol: float = 1e-9) -> RegimeClassification:
     """Decide standard / case1 / case2 / indeterminate for the sequence.
@@ -336,15 +328,20 @@ def classify_regime(seq: SequenceSpec, window: Optional[int] = None,
             return RegimeClassification(STANDARD, None, evidence, "tail")
         return RegimeClassification(CASE2, tail_slope, evidence, "tail")
 
-    # -inf entries collapse the construction exactly like case1 does
+    # one read of indices 1..w-1 (index 0 stays unread): -inf entries collapse
+    # the construction exactly like case1 does, finite ones give slopes
+    finite = []
     for p in range(1, w):
-        if a.value(p).is_neg_inf:
+        v = a.value(p)
+        if v.is_neg_inf:
             return RegimeClassification(CASE1, None, evidence, "window")
+        if v.is_finite:
+            finite.append((p, v))
 
     if isinstance(a.tail, Expression):
         return _classify_expression(a, w, evidence)
 
-    slopes = [float(s) for _, s in _window_slopes(a, w) if s.is_finite]
+    slopes = [float(v / p) for p, v in finite]
     if len(slopes) >= 4:
         q = max(2, len(slopes) // 4)
         tail_part = slopes[-q:]

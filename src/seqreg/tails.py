@@ -254,7 +254,8 @@ def compile_formula(formula: str) -> Callable[[int], ExtReal]:
     Integer-valued subexpressions stay exact.  An integer ** or factorial
     whose result would exceed a fixed bit budget raises ParseError when the
     formula is evaluated, instead of running out of time or memory, and so
-    does a float result that overflows or is nan.
+    does a value that overflows a float, lies outside a function's domain
+    (log(0), p/0, factorial(1/2)) or is not a real number (nan, (-1)**0.5).
     """
     try:
         tree = ast.parse(formula, mode="eval")
@@ -280,6 +281,10 @@ def compile_formula(formula: str) -> Callable[[int], ExtReal]:
             value = eval(code, {"__builtins__": {}}, {**env, "p": p})
         except OverflowError as exc:
             raise ParseError(f"formula {formula!r} overflows a float at p = {p}") from exc
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise ParseError(f"formula {formula!r} is undefined at p = {p}: {exc}") from exc
+        if isinstance(value, complex):
+            raise ParseError(f"formula {formula!r} is not a real number at p = {p}")
         if isinstance(value, float) and math.isnan(value):
             raise ParseError(f"formula {formula!r} is not a number at p = {p}")
         if isinstance(value, float) and value.is_integer() and abs(value) < 2**53:

@@ -39,7 +39,7 @@ from .errors import (
     WindowTooShort,
 )
 from .extreal import ExtReal, NEG_INF, POS_INF, ZERO, ext
-from .minorant import trace_function
+from .minorant import regularize
 from .piecewise import Breakpoint, Interval, PiecewiseLinearFn, StepFunction
 from .sequences import (
     CASE1,
@@ -435,10 +435,10 @@ def phi_omega(M: SequenceSpec, window: Optional[int] = None) -> PiecewiseLinearF
     evaluation.
     """
     a = to_log_scale(M)
-    regime = classify_regime(a, window)
-    if regime.regime == CASE1:
+    result = regularize(a, window)
+    if result.regime.regime == CASE1:
         raise Unbounded("omega is +inf for every t > 0 when the minorant collapses")
-    tr = trace_function(a, window)
+    tr = result.trace
     a0 = a.value(0)
     bps = tuple(
         Breakpoint(b.x, b.left_value + a0, b.right_value + a0, b.slope_right)

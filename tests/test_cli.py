@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import seqreg.cli as cli_mod
+import seqreg.sequences as sequences_mod
 from seqreg import (
     SeqRegError,
     ext,
@@ -239,9 +240,14 @@ def test_exploding_formula_exits_cleanly(tmp_path, command):
     {"kind": "weight", "prefix": [1],
      "tail": {"type": "expression", "formula": "-p*p", "native": "weight"}},
     {"kind": "log", "prefix": [0], "tail": {"type": "expression", "formula": "inf-inf"}},
+] + [
+    {"kind": "log", "prefix": [0], "tail": {"type": "expression", "formula": formula}}
+    for formula in ("log(0-p)", "sqrt(0-p)", "lgamma(0-p)", "p/0", "0**(0-p)",
+                    "factorial(p/2)", "(0-p)**0.5")
 ])
 def test_formula_out_of_range_is_a_parse_error(tmp_path, command, doc):
-    # a float overflow, a negative weight, or nan is bad input rather than a crash
+    # a float overflow, a negative weight, nan, a domain error or a complex
+    # value is bad input rather than a crash
     res = run_cli(tmp_path, doc, command)
     assert res.returncode == 1
     assert "parse error" in res.stderr
@@ -307,7 +313,7 @@ def test_minorant_verify_sees_the_tail_end(tmp_path):
 
 
 def test_minorant_verify_still_rejects_a_wrong_value(tmp_path, runner, monkeypatch):
-    dispatch = cli_mod._dispatch_minorant
+    dispatch = cli_mod.regularize
 
     def perturbed(seq, window, tol):
         result = dispatch(seq, window, tol)
@@ -316,12 +322,89 @@ def test_minorant_verify_still_rejects_a_wrong_value(tmp_path, runner, monkeypat
         return dataclasses.replace(
             result, regularized=dataclasses.replace(result.regularized, prefix=tuple(prefix)))
 
-    monkeypatch.setattr(cli_mod, "_dispatch_minorant", perturbed)
+    monkeypatch.setattr(cli_mod, "regularize", perturbed)
     path = tmp_path / "dip.json"
     path.write_text(json.dumps(FACTORIAL_DIP))
     res = runner.invoke(main, ["minorant", "--verify", "--window", "6", str(path)])
     assert res.exit_code == 3
     assert "verify deviation" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["minorant", "trace"])
+@pytest.mark.parametrize("doc", [
+    {"kind": "log", "prefix": [0, 5, 1, 3, 9, 20], "tail": {"type": "explicit_only"}},
+    {"kind": "log", "prefix": [0, -1], "tail": {"type": "affine_log", "c": 2}},
+    {"kind": "weight", "prefix": [1], "tail": {"type": "factorial_power", "s": 1, "c": 1}},
+    {"kind": "weight", "prefix": [1, 3, 2, 9], "tail": {"type": "explicit_only"}},
+])
+def test_regime_is_classified_once_per_invocation(tmp_path, runner, monkeypatch,
+                                                  command, doc):
+    original = sequences_mod.classify_regime
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "seqreg" and getattr(module, "classify_regime", None) is original:
+            monkeypatch.setattr(module, "classify_regime", counted)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, [command, "--window", "8", str(path)])
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 1
+
+
+# under blowup:20 the engine gives a_10 = 99/4 = lim_{t -> 20} (t + 19/4), a
+# value reached only as the slopes approach the blow-up point T = 20
+BLOWUP_PREFIX = {"kind": "log", "prefix": [-1, -3, 8, "-9/2", 6, "1/2", -11, "21/4", 36,
+                                           "19/4", 31],
+                 "tail": {"type": "explicit_only"}}
+
+
+def test_phireg_verify_under_blowup_stops_short_of_T(tmp_path):
+    # slopes t >= T admit every point; a grid that reaches them recovers a_10 = 31
+    res = run_cli(tmp_path, BLOWUP_PREFIX, "phireg", "--verify", "--phi", "blowup:20")
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["regularized"][10] == "99/4"
+    (report,) = out["verify"]
+    assert report["max_abs_deviation"] <= 2e-3
+
+
+def test_phireg_verify_under_blowup_still_rejects_a_wrong_value(tmp_path, runner, monkeypatch):
+    engine = cli_mod.regularize_with_phi
+
+    def perturbed(*args, **kwargs):
+        result = engine(*args, **kwargs)
+        prefix = list(result.regularized.prefix)
+        prefix[8] = prefix[8] - ext(1)
+        return dataclasses.replace(
+            result, regularized=dataclasses.replace(result.regularized, prefix=tuple(prefix)))
+
+    monkeypatch.setattr(cli_mod, "regularize_with_phi", perturbed)
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(BLOWUP_PREFIX))
+    res = runner.invoke(main, ["phireg", "--verify", "--phi", "blowup:20", str(path)])
+    assert res.exit_code == 3
+    assert "verify deviation" in res.stderr
+
+
+@pytest.mark.parametrize("prefix, reason", [
+    ([0, 1, 3, 10000, 40000], "grid of 30001001 points"),
+    ([0, 1e308, -1e308, 1e308], "grid of unbounded size"),
+    ([0, 1, 3, 10**400], "too large for a float"),
+])
+def test_phireg_verify_reports_an_input_the_oracle_refuses(tmp_path, prefix, reason):
+    # the float oracle cannot take the input; the check says so instead of
+    # passing or crashing
+    doc = {"kind": "log", "prefix": prefix, "tail": {"type": "explicit_only"}}
+    res = run_cli(tmp_path, doc, "phireg", "--verify")
+    assert res.returncode == 2
+    assert reason in res.stderr
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.splitlines()) == 1
 
 
 def test_factorial_search_past_its_cap_exits_two(tmp_path):

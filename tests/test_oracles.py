@@ -146,6 +146,12 @@ def test_sweep_budget_and_validation():
         brute_phi_sweep([0, 100], make_phi("exp"), slope_grid_step=1e-9)
 
 
+def test_sweep_refuses_a_non_finite_span():
+    # differences near 2e308 overflow the slope span to inf
+    with pytest.raises(ValueError, match="unbounded size exceeds the oracle budget"):
+        brute_phi_sweep([0, 1e308, -1e308, 1e308], make_phi("exp"), slope_grid_step=1e-3)
+
+
 def test_sweep_explicit_range():
     res = brute_phi_sweep([0, 1, 4], lambda t: 10**9, slope_grid_step=1e-3,
                           t_min=-2.0, t_max=6.0)
