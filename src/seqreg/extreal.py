@@ -5,7 +5,10 @@ The conventions, fixed once here so every module agrees:
     0^0 = 1        1/(+inf) = 0        0 * (+-inf) = 0        p * (-inf) = -inf  (p >= 1)
 
 Finite values constructed from int/Fraction/str are kept as exact ``Fraction``
-objects; floats stay floats (and degrade mixed arithmetic to float).  The two
+objects; floats stay floats and degrade mixed arithmetic to float, except
+where the Fraction lies past the float range: there the float is taken at its
+exact value and the result stays exact.  A float power that overflows is the
+infinity of its sign, as a float product is.  The two
 infinities are ordinary ``float('inf')`` payloads, so comparisons against exact
 rationals remain exact.  ``nan`` is rejected everywhere.
 """
@@ -20,6 +23,7 @@ RawNumber = Union[int, float, Fraction]
 
 _POS = float("inf")
 _NEG = float("-inf")
+_ZERO = Fraction(0)
 
 
 def log_of_fraction(fr: Fraction) -> float:
@@ -50,11 +54,11 @@ class ExtReal:
             raise TypeError("bool is not a number here")
         elif isinstance(value, int):
             self._v = Fraction(value)
-        elif isinstance(value, Fraction):
-            self._v = value
-        elif isinstance(value, float):
+        elif isinstance(value, float):  # before Fraction, whose ABC isinstance is slow
             if math.isnan(value):
                 raise ValueError("nan is not an extended real")
+            self._v = value
+        elif isinstance(value, Fraction):
             self._v = value
         elif isinstance(value, str):
             self._v = _parse_number(value)
@@ -89,21 +93,11 @@ class ExtReal:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "ExtReal":
-        a, b = self._v, _coerce(other)
-        ainf, binf = _inf_sign(a), _inf_sign(b)
-        if ainf or binf:
-            if ainf and binf and ainf != binf:
-                raise ArithmeticError("inf + (-inf) is indeterminate")
-            return POS_INF if (ainf or binf) > 0 else NEG_INF
-        return ExtReal(a + b)
+        return ExtReal(raw_add(self._v, _coerce(other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExtReal":
-        if self.is_pos_inf:
-            return NEG_INF
-        if self.is_neg_inf:
-            return POS_INF
         return ExtReal(-self._v)
 
     def __sub__(self, other) -> "ExtReal":
@@ -113,31 +107,12 @@ class ExtReal:
         return _as_ext(other) + (-self)
 
     def __mul__(self, other) -> "ExtReal":
-        a, b = self._v, _coerce(other)
-        ainf, binf = _inf_sign(a), _inf_sign(b)
-        if ainf or binf:
-            # the stated convention: anything times zero is zero
-            if a == 0 or b == 0:
-                return ZERO
-            sign = (ainf or (1 if a > 0 else -1)) * (binf or (1 if b > 0 else -1))
-            return POS_INF if sign > 0 else NEG_INF
-        return ExtReal(a * b)
+        return ExtReal(raw_mul(self._v, _coerce(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ExtReal":
-        a, b = self._v, _coerce(other)
-        ainf, binf = _inf_sign(a), _inf_sign(b)
-        if binf:
-            if ainf:
-                raise ArithmeticError("inf / inf is indeterminate")
-            return ZERO  # the 1/inf = 0 convention, any finite numerator
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        if ainf:
-            sign = ainf * (1 if b > 0 else -1)
-            return POS_INF if sign > 0 else NEG_INF
-        return ExtReal(a / b)
+        return ExtReal(raw_div(self._v, _coerce(other)))
 
     def __rtruediv__(self, other) -> "ExtReal":
         return _as_ext(other) / self
@@ -151,7 +126,10 @@ class ExtReal:
             return POS_INF
         if self.is_neg_inf:
             return POS_INF if exponent % 2 == 0 else NEG_INF
-        return ExtReal(self._v**exponent)
+        try:
+            return ExtReal(self._v**exponent)
+        except OverflowError:  # only a float power overflows
+            return POS_INF if self._v > 0 or exponent % 2 == 0 else NEG_INF
 
     # -- transcendental maps -------------------------------------------------
 
@@ -161,7 +139,7 @@ class ExtReal:
         if self.is_pos_inf:
             return POS_INF
         try:
-            return ExtReal(math.exp(float(self._v)))
+            return ExtReal(math.exp(_to_float(self._v)))
         except OverflowError:
             return POS_INF
 
@@ -216,10 +194,7 @@ class ExtReal:
         return hash(self._v)
 
     def __float__(self) -> float:
-        try:
-            return float(self._v)
-        except OverflowError:
-            return _POS if self._v > 0 else _NEG
+        return _to_float(self._v)
 
     def __repr__(self) -> str:
         if self.is_pos_inf:
@@ -271,6 +246,67 @@ def _parse_number(text: str) -> RawNumber:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad number literal {text!r}") from exc
+
+
+# -- the arithmetic on raw payloads ---------------------------------------------------
+#
+# ExtReal's operators wrap these, and code that runs on raw payloads (the hull
+# walk) calls them directly, so both follow one set of conventions.  Negation
+# is the raw unary minus, and x - y is x + (-y): for floats that differs from
+# the raw x - y, since -0.0 - Fraction(0) is -0.0 but -0.0 + Fraction(0) is 0.0.
+
+
+def raw_add(a: RawNumber, b: RawNumber) -> RawNumber:
+    """a + b: an infinite term decides the sum, opposite infinities raise."""
+    ainf, binf = _inf_sign(a), _inf_sign(b)
+    if ainf or binf:
+        if ainf and binf and ainf != binf:
+            raise ArithmeticError("inf + (-inf) is indeterminate")
+        return _POS if (ainf or binf) > 0 else _NEG
+    try:
+        return a + b
+    except OverflowError:  # a Fraction past the float range met a float
+        return Fraction(a) + Fraction(b)
+
+
+def raw_mul(a: RawNumber, b: RawNumber) -> RawNumber:
+    """a * b, with 0 * (+-inf) the exact zero."""
+    ainf, binf = _inf_sign(a), _inf_sign(b)
+    if ainf or binf:
+        if a == 0 or b == 0:
+            return _ZERO
+        sign = (ainf or (1 if a > 0 else -1)) * (binf or (1 if b > 0 else -1))
+        return _POS if sign > 0 else _NEG
+    try:
+        return a * b
+    except OverflowError:
+        return Fraction(a) * Fraction(b)
+
+
+def raw_div(a: RawNumber, b: RawNumber) -> RawNumber:
+    """a / b, with finite / (+-inf) the exact zero; inf / inf and x / 0 raise."""
+    ainf, binf = _inf_sign(a), _inf_sign(b)
+    if binf:
+        if ainf:
+            raise ArithmeticError("inf / inf is indeterminate")
+        return _ZERO  # the 1/inf = 0 convention, any finite numerator
+    if b == 0:
+        raise ZeroDivisionError("division by zero")
+    if ainf:
+        sign = ainf * (1 if b > 0 else -1)
+        return _POS if sign > 0 else _NEG
+    try:
+        return a / b
+    except OverflowError:
+        return Fraction(a) / Fraction(b)
+
+
+def _to_float(v: RawNumber) -> float:
+    """float(v), or the infinity of its sign for a Fraction past the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return _POS if v > 0 else _NEG
 
 
 def _inf_sign(v: RawNumber) -> int:

@@ -2,14 +2,20 @@
 
 The minorant is the lower boundary of the convex hull of the points
 (p, a_p).  The lower hull of the finite window points is computed once
-(Andrew's monotone chain, turns decided by exact cross-multiplication, a
-float taken at its exact binary value) and keeps collinear points, so every
-point on a hull edge is principal.  One walk then follows the hull from the
-anchor (0, a_0), accepting edges of slope below a cap; at each vertex a
-closed-form tail may offer a strictly smaller chord past the window, which
-ends the walk.  Values between principal indices are the line values;
-points at +inf project down onto the hull.  Everything is exact when the
-inputs are rational.
+(Andrew's monotone chain) and keeps collinear points, so every point on a
+hull edge is principal.  Each value enters the chain once as an integer
+ratio n/d (a float at its exact binary value), and every turn is decided by
+one comparison of integer products, with no Fraction built.  One walk then
+follows the hull from the anchor (0, a_0), accepting edges of slope below a
+cap; at each vertex a closed-form tail may offer a strictly smaller chord
+past the window, which ends the walk.  Values between principal indices are
+the line values; points at +inf project down onto the hull.
+
+The walk computes on raw payloads (Fraction or float) by ExtReal's rules
+(extreal.raw_add and its siblings): between exact values a slope or a line
+value is one Fraction built from integers, floats keep float arithmetic,
+and each output becomes an ExtReal once.  A walk reads each tail value once.
+Everything is exact when the inputs are rational.
 
 Three regimes:
 
@@ -39,7 +45,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import InconsistentDeclaration, InfinityAtZero, RegimeMismatch, UnknownAIota
-from .extreal import ExtReal, NEG_INF, POS_INF, ZERO, ext
+from .extreal import ExtReal, NEG_INF, POS_INF, ZERO, RawNumber, ext, raw_add, raw_div, raw_mul
 from .piecewise import (
     Breakpoint,
     EMPTY_INTERVAL,
@@ -133,6 +139,41 @@ def support_line(a: SequenceSpec, k, window: Optional[int] = None) -> SupportLin
     return SupportLine(k, best, touching)
 
 
+def _tail_chords(seq: SequenceSpec, w: int):
+    """The tail chords of one walk: chord(P, aP) is _tail_chord on a raw aP,
+    with raw results, and each tail value is read once however many vertices
+    ask for it."""
+    tail = seq.tail
+    values: dict[int, RawNumber] = {}
+
+    def value(q: int) -> RawNumber:
+        if q not in values:
+            values[q] = tail.value(q, LOG).raw
+        return values[q]
+
+    def chord(P: int, aP: RawNumber):
+        start = max(P + 1, w, len(seq.prefix))
+        if isinstance(tail, (AffineLog, Geometric)):
+            c = tail.slope_limit().raw
+            if raw_add(raw_mul(c, P), -aP) >= 0:
+                return ("floor", c)
+            return ("event", raw_div(raw_add(value(start), -aP), start - P), start)
+        if isinstance(tail, FactorialPower):
+            # the tail is convex, so the first chord no higher than the next is the lowest
+            chords: dict[int, RawNumber] = {}
+
+            def at(q: int) -> RawNumber:
+                if q not in chords:
+                    chords[q] = raw_div(raw_add(value(q), -aP), q - P)
+                return chords[q]
+
+            q = tail.search(lambda q: not at(q + 1) < at(q), start)
+            return ("event", at(q), q)
+        return None
+
+    return chord
+
+
 def _tail_chord(seq: SequenceSpec, P: int, aP: ExtReal, w: int):
     """Best chord from (P, aP) into the closed-form tail beyond the window.
 
@@ -140,35 +181,26 @@ def _tail_chord(seq: SequenceSpec, P: int, aP: ExtReal, w: int):
     the lowest), ("floor", c) when tail chords only approach c from above
     (never attained), or None when the tail admits no closed-form reasoning.
     """
-    tail = seq.tail
-    start = max(P + 1, w, len(seq.prefix))
-    if isinstance(tail, (AffineLog, Geometric)):
-        c = tail.slope_limit()
-        diff = c * P - aP
-        if diff >= ZERO:
-            return ("floor", c)
-        s = (tail.value(start, LOG) - aP) / (start - P)
-        return ("event", s, start)
-    if isinstance(tail, FactorialPower):
-        # the tail is convex, so the first chord no higher than the next is the lowest
-        chords: dict[int, ExtReal] = {}
-        def chord(q: int) -> ExtReal:
-            if q not in chords:
-                chords[q] = (tail.value(q, LOG) - aP) / (q - P)
-            return chords[q]
-        q = tail.search(lambda q: not chord(q + 1) < chord(q), start)
-        return ("event", chord(q), q)
-    return None
+    found = _tail_chords(seq, w)(P, aP.raw)
+    if found is None:
+        return None
+    return (found[0], ExtReal(found[1])) + found[2:]
 
 
-def _lower_hull(vals: list[ExtReal]) -> list[int]:
-    """Indices of the finite points on the lower hull, collinear points kept.
+def _lower_hull(vals: list[ExtReal]) -> list[tuple[int, int, int]]:
+    """The finite points on the lower hull, collinear points kept, as
+    (index, n, d) with value n/d.
 
-    Andrew's monotone chain on the raw values: a vertex is dropped only when
-    it lies strictly above the chord joining its neighbours, decided by exact
-    cross-multiplication, so the hull slopes never decrease.
+    Andrew's monotone chain on integers: each value is read once as
+    raw.as_integer_ratio() (a float at its exact binary value), and the middle
+    point j of i < j < q is dropped only when it lies strictly above the
+    chord from i to q, that is when
+
+        (nj*di - ni*dj) * dy * (q-j) > (ny*dj - nj*dy) * di * (j-i),
+
+    so the hull slopes never decrease and no turn test builds a Fraction.
     """
-    hull: list[tuple[int, Fraction]] = []
+    hull: list[tuple[int, int, int]] = []
     for q, v in enumerate(vals):
         if v.is_pos_inf:
             continue
@@ -177,14 +209,14 @@ def _lower_hull(vals: list[ExtReal]) -> list[int]:
             raise InconsistentDeclaration(
                 f"a_{q} = -inf collapses the sequence (case 1), "
                 "which contradicts the declared or tail regime")
-        y = Fraction(v.raw)
+        ny, dy = v.raw.as_integer_ratio()
         while len(hull) >= 2:
-            (i, a_i), (j, a_j) = hull[-2], hull[-1]
-            if (a_j - a_i) * (q - j) <= (y - a_j) * (j - i):
+            (i, ni, di), (j, nj, dj) = hull[-2], hull[-1]
+            if (nj * di - ni * dj) * dy * (q - j) <= (ny * dj - nj * dy) * di * (j - i):
                 break
             hull.pop()
-        hull.append((q, y))
-    return [q for q, _ in hull]
+        hull.append((q, ny, dy))
+    return hull
 
 
 def _hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, extends: bool):
@@ -197,36 +229,53 @@ def _hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, ext
     values, the principal indices, the edges, the trace on (-inf, cap),
     whether the walk stopped at the cap, and the tail index that the last
     edge reaches when it leaves the window (None when it does not).
+
+    The walk runs on raw payloads with ExtReal's conventions (raw_add and
+    friends), and each output becomes an ExtReal once.  Between two exact
+    values a slope or a line value is one Fraction built from integers (the
+    type tests skip isinstance, which is slow on Fraction's ABC metaclass).
     """
     hull = _lower_hull(vals)
+    raws = [v.raw for v in vals]
+    cap_raw = cap.raw
+    chord = _tail_chords(seq, w) if extends else None
     out = list(vals)
-    edge_data: list[tuple[ExtReal, int, ExtReal, int]] = []
+    edge_data: list[tuple[RawNumber, int, RawNumber, int]] = []  # (slope, P, a_P, q)
     stopped = False
-    for i, P in enumerate(hull):
+    for i, (P, nP, dP) in enumerate(hull):
         if P == w - 1:
             break  # the window is covered; the tail is not asked from its last point
-        aP = vals[P]
-        best: Optional[tuple[ExtReal, int]] = None
+        aP = raws[P]
+        best: Optional[tuple[RawNumber, int]] = None
         if i + 1 < len(hull):
-            q = hull[i + 1]
-            slope = (vals[q] - aP) / (q - P)
-            if slope < cap:
+            q, nq, dq = hull[i + 1]
+            if type(aP) is Fraction and type(raws[q]) is Fraction:
+                slope = Fraction(nq * dP - nP * dq, dq * dP * (q - P))
+            else:
+                slope = raw_div(raw_add(raws[q], -aP), q - P)
+            if slope < cap_raw:
                 best = (slope, q)
-        tail = _tail_chord(seq, P, aP, w) if extends else None
-        if tail is not None and tail[0] == "event" and tail[1] < cap:
+        tail = chord(P, aP) if chord else None
+        if tail is not None and tail[0] == "event" and tail[1] < cap_raw:
             if best is None or tail[1] < best[0]:
                 best = (tail[1], tail[2])
         if best is None:
             stopped = True
-            slope, q = cap, w
+            slope, q = cap_raw, w
         else:
             slope, q = best
             if edge_data and slope < edge_data[-1][0]:
                 # only float rounding gets here: the exact hull slopes never decrease
                 slope = edge_data[-1][0]
             edge_data.append((slope, P, aP, q))
-        for p in range(P + 1, min(q, w)):
-            out[p] = aP + slope * (p - P)
+        if type(aP) is Fraction and type(slope) is Fraction:
+            base, step = aP.numerator * slope.denominator, slope.numerator * aP.denominator
+            den = aP.denominator * slope.denominator
+            for p in range(P + 1, min(q, w)):
+                out[p] = ExtReal(Fraction(base + step * (p - P), den))
+        else:
+            for p in range(P + 1, min(q, w)):
+                out[p] = ExtReal(raw_add(aP, raw_mul(slope, p - P)))
         if q >= w:
             break
 
@@ -240,10 +289,11 @@ def _hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, ext
         last = run[-1][3]
         if last < w:
             touching += (last,)
-        edges += [SupportLine(s, aP - s * P, touching) for s, P, aP, _ in run]
+        edges += [SupportLine(ExtReal(s), ExtReal(raw_add(aP, -raw_mul(s, P))), touching)
+                  for s, P, aP, _ in run]
         _, first, a_first, _ = run[0]
-        value = slope * first - a_first
-        bps.append(Breakpoint(slope, value, value, ext(last)))
+        value = ExtReal(raw_add(raw_mul(slope, first), -a_first))
+        bps.append(Breakpoint(ExtReal(slope), value, value, ext(last)))
     principal = [0] + [q for *_, q in edge_data if q < w]
     tail_end = edge_data[-1][3] if edge_data and edge_data[-1][3] >= w else None
     trace = PiecewiseLinearFn(

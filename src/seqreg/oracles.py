@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .extreal import ExtReal, ZERO, ext
+from .extreal import ExtReal, POS_INF, ZERO, ext
 
 if TYPE_CHECKING:
     import numpy as np
@@ -165,8 +165,12 @@ def brute_minorant(a: Sequence, slope_cap=None, beyond: Sequence = ()) -> list[E
     finite = [(p, v) for p, v in enumerate(vals) if v is not None]
     far = _rationalize_allow_pos_inf([v for _, v in beyond], "oracle input")
     finite += [(q, v) for (q, _), v in zip(beyond, far) if v is not None]
-    if len(finite) == 1:
-        return [ext(v) if v is not None else ext(vals[0]) for v in vals]
+    # without a cap, past the last finite point every slope is admissible and
+    # no line bounds the sup: the minorant is +inf there
+    reach = n if cap is not None else min(n, finite[-1][0] + 1)
+    if len(finite) == 1:  # a_0 alone: the lines through it of slope up to the cap
+        line = [vals[0]] + [vals[0] + cap * p for p in range(1, reach)]
+        return [ext(v) for v in line] + [POS_INF] * (n - reach)
 
     # route one: explicit supporting lines
     lines: list[tuple[Fraction, Fraction]] = []
@@ -182,7 +186,7 @@ def brute_minorant(a: Sequence, slope_cap=None, beyond: Sequence = ()) -> list[E
     admissible = [
         (k, d) for (k, d) in lines if all(k * q + d <= vq for q, vq in finite)
     ]
-    route_one = [max(k * p + d for (k, d) in admissible) for p in range(n)]
+    route_one = [max(k * p + d for (k, d) in admissible) for p in range(reach)]
 
     # route two: double conjugate over the same slope candidates
     slopes = {
@@ -195,7 +199,7 @@ def brute_minorant(a: Sequence, slope_cap=None, beyond: Sequence = ()) -> list[E
         slopes.add(cap)
     traces = {k: max(q * k - vq for q, vq in finite) for k in slopes}
     route_two = []
-    for p in range(n):
+    for p in range(reach):
         best = None
         for k, trace in traces.items():
             cand = k * p - trace
@@ -207,7 +211,7 @@ def brute_minorant(a: Sequence, slope_cap=None, beyond: Sequence = ()) -> list[E
         "brute_minorant self-check failed: line enumeration and double "
         f"conjugate disagree ({route_one} vs {route_two})"
     )
-    return [ext(v) for v in route_one]
+    return [ext(v) for v in route_one] + [POS_INF] * (n - reach)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +238,8 @@ def brute_omega(M: Sequence, t, p_max: int) -> ExtReal:
     best = None
     for p in range(last + 1):
         ratio = weights[0] * te ** p / weights[p]
+        if ratio.is_pos_inf:  # a float term past the float range: no loop value
+            raise ValueError(f"the term of index {p} overflows the float range")
         if best is None or ratio > best:
             best = ratio
     return best.log()

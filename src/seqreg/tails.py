@@ -62,17 +62,26 @@ class FactorialPower:
     def value(self, p: int, kind: str) -> ExtReal:
         if kind == WEIGHT:
             if self.s.denominator == 1:
+                self._check_bits(math.lgamma(p + 1), f"M_{p}")
                 return ext(self.c * Fraction(math.factorial(p)) ** int(self.s))
             return ext(self._log_at(p)).exp()  # +inf once the float overflows
         return ext(self._log_at(p))
 
     def _log_at(self, p: int) -> float:
-        return log_of_fraction(self.c) + float(self.s) * math.lgamma(p + 1)
+        lg = math.lgamma(p + 1)  # 0 at p = 0 and 1, where an s past the float range adds 0
+        return log_of_fraction(self.c) + (float(ext(self.s)) * lg if lg else 0.0)
+
+    def _check_bits(self, log_base: float, what: str) -> None:
+        """Refuse an exact power base^s of more than _EXACT_BITS bits, which
+        could take unbounded time and memory to build."""
+        if float(ext(self.s)) * log_base > _EXACT_BITS * math.log(2):
+            raise ParseError(f"the factorial tail's {what} exceeds {_EXACT_BITS} bits")
 
     def quotient(self, q: int) -> ExtReal:
         """mu_q = M_q / M_{q-1} = q^s: exact for integer s, without building q!;
         otherwise the ratio of float weights, as a window's quotients are taken."""
         if self.s.denominator == 1:
+            self._check_bits(math.log(q), f"quotient mu_{q}")
             return ext(Fraction(q) ** int(self.s))
         hi = self.value(q, WEIGHT)
         if hi.is_pos_inf:  # the weights overflowed: exp of the log increment
@@ -189,22 +198,23 @@ class Expression:
 TailRule = ExplicitOnly | FactorialPower | Geometric | AffineLog | Expression
 
 
-# largest integer, in bits, that ** or factorial may build inside a formula;
-# beyond it one evaluation could take unbounded time and memory
-_FORMULA_BITS = 1 << 20
+# largest integer, in bits, that ** or factorial may build inside a formula,
+# or a factorial tail as an exact weight; beyond it one evaluation could take
+# unbounded time and memory
+_EXACT_BITS = 1 << 20
 
 
 def _bounded_pow(base, exponent):
     if isinstance(base, int) and isinstance(exponent, int) and exponent > 0 and abs(base) > 1:
-        if (abs(base).bit_length() - 1) * exponent > _FORMULA_BITS:
-            raise ParseError(f"a power in the formula exceeds {_FORMULA_BITS} bits")
+        if (abs(base).bit_length() - 1) * exponent > _EXACT_BITS:
+            raise ParseError(f"a power in the formula exceeds {_EXACT_BITS} bits")
     return base ** exponent
 
 
 def _bounded_factorial(n):
     if isinstance(n, int) and n > 1:
-        if n.bit_length() > 32 or math.lgamma(n + 1) > _FORMULA_BITS * math.log(2):
-            raise ParseError(f"a factorial in the formula exceeds {_FORMULA_BITS} bits")
+        if n.bit_length() > 32 or math.lgamma(n + 1) > _EXACT_BITS * math.log(2):
+            raise ParseError(f"a factorial in the formula exceeds {_EXACT_BITS} bits")
     return math.factorial(n)
 
 

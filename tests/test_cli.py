@@ -285,6 +285,40 @@ def test_factorial_weights_past_the_float_range(tmp_path, args):
         assert rows[-1][2] == rows[-1][3] == ""
 
 
+HUGE_FACTORS = [
+    {"kind": kind, "prefix": [1], "tail": tail}
+    for kind in ("log", "weight")
+    for tail in ({"type": "factorial_power", "s": 1, "c": 1e308},
+                 {"type": "geometric", "d": 1e308})
+]
+
+
+@pytest.mark.parametrize("args", [["assoc"], ["assoc", "--verify", "--loggrid", "0.5:1e300:10"]])
+@pytest.mark.parametrize("doc", HUGE_FACTORS)
+def test_exact_weights_past_the_float_range_meet_floats(tmp_path, doc, args):
+    # M_p = 1e308 p! (or 1e308^p) is exact and past the float range, while
+    # e^1 and the loggrid are floats: the mix stays exact instead of raising
+    # OverflowError, and oracle terms past the float range are not compared
+    res = run_cli(tmp_path, doc, *args)
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    if doc["kind"] == "log" and doc["tail"]["type"] == "factorial_power" and len(args) == 1:
+        # M_1^2 = 1e616 > M_0 M_2 = 2e308 e: not log-convex, so no piecewise cells
+        rows = [line.split(",") for line in res.stdout.splitlines()[1:]]
+        assert rows and all(row[2] == row[3] == "" for row in rows)
+
+
+@pytest.mark.parametrize("command", ["classify", "minorant"])
+def test_factorial_weight_past_the_exact_budget_is_a_parse_error(tmp_path, command):
+    # M_2 = 49 (2!)^(10^308) has 10^308 bits: building it exactly never finished
+    doc = {"kind": "weight", "prefix": [112],
+           "tail": {"type": "factorial_power", "s": 1e308, "c": 49}}
+    res = run_cli(tmp_path, doc, command, "--window", "18", timeout=20)
+    assert res.returncode == 1
+    assert "exceeds 1048576 bits" in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+
+
 def test_deep_dip_over_factorial_tail_is_fast(tmp_path):
     # every hull vertex asks the tail for its lowest chord, which lies some
     # 10^4 indices out; a linear scan took about half a minute on a 2-vCPU machine

@@ -1,0 +1,90 @@
+"""Generated documents through the `minorant` and `trace` front ends.
+
+Each document mixes int, "p/q", decimal and "inf" prefix entries on either
+scale, with a tail of every type and sometimes a declared regime.  Run in
+process through click's test runner, every invocation must end with exit
+code 0, 1, 2 or 3 within its time budget, and raise nothing else.
+"""
+
+import json
+import math
+from datetime import timedelta
+from fractions import Fraction
+
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from seqreg.cli import main
+
+# entries as numbers: ints (some past the float range), rationals, floats
+# (both zeros, the float range's ends) and both infinities
+NUMBERS = st.one_of(
+    st.integers(-1000, 1000), st.integers(-10**400, 10**400),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=1000),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2000, 2000).map(lambda k: k / 10),
+    st.sampled_from([0.0, -0.0, 1.7e308, -1.7e308, 5e-324, math.inf, -math.inf]),
+)
+
+
+def to_json(x):
+    """A number as a document holds it: "p/q" for a rational, "inf" and "-inf" strings."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if isinstance(x, float) and math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
+
+
+ENTRIES = NUMBERS.map(to_json)
+# weights are non-negative; a negative one is a parse error, tested elsewhere
+WEIGHTS = NUMBERS.map(abs).map(to_json)
+# tail parameters, up to values whose exact powers no memory holds
+POSITIVE = st.one_of(st.integers(1, 50),
+                     st.sampled_from(["1/2", "3/2", "2/3", 0.5, 1e-300, 1e308, 10**400]))
+
+FORMULAS = ["p*p", "p*p/4 - 3*p", "log(p+1)", "lgamma(p+1)", "exp(p)", "2**p", "p/3", "0-p",
+            "inf", "sqrt(p)", "factorial(p)", "1e308*p", "0-1e308*p", "p**0.5"]
+
+TAILS = st.one_of(
+    st.just({"type": "explicit_only"}),
+    st.fixed_dictionaries({"type": st.just("factorial_power"), "s": POSITIVE, "c": POSITIVE}),
+    st.fixed_dictionaries({"type": st.just("geometric"), "d": POSITIVE}),
+    st.fixed_dictionaries({"type": st.just("affine_log"), "c": ENTRIES}),
+    st.fixed_dictionaries({"type": st.just("expression"), "formula": st.sampled_from(FORMULAS),
+                           "native": st.sampled_from(["log", "weight"])}),
+)
+
+REGIMES = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({"regime": st.sampled_from(["standard", "case1"])}),
+    st.fixed_dictionaries({"regime": st.just("case2"), "a_iota": ENTRIES}),
+)
+
+
+@st.composite
+def documents(draw):
+    kind = draw(st.sampled_from(["log", "weight"]))
+    doc = {"kind": kind,
+           "prefix": draw(st.lists(ENTRIES if kind == "log" else WEIGHTS, min_size=1, max_size=12)),
+           "tail": draw(TAILS)}
+    regime = draw(REGIMES)
+    if regime is not None:
+        doc["declared_regime"] = dict(regime, source="declared",
+                                      evidence_window=[0, len(doc["prefix"])])
+    return doc
+
+
+@given(documents(), st.sampled_from(["minorant", "trace"]), st.integers(4, 24), st.booleans())
+@settings(max_examples=300, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_front_ends_exit_cleanly(tmp_path, doc, command, window, verify):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    args = [command, "--window", str(window), str(path)]
+    if verify and command == "minorant":
+        args.insert(1, "--verify")
+    res = CliRunner().invoke(main, args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        (doc, args, res.exc_info)
+    assert res.exit_code in (0, 1, 2, 3), (doc, args, res.output)

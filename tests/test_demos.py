@@ -1,12 +1,14 @@
 """Each demo script must run clean and print its headline result."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 CASES = [
     ("hull_basics.py", "brute-force oracle agrees exactly: True"),
@@ -18,7 +20,10 @@ CASES = [
 
 @pytest.mark.parametrize("script,marker", CASES)
 def test_demo_runs(script, marker):
-    proc = subprocess.run([sys.executable, str(DEMOS / script)],
+    # the demo runs in a fresh interpreter, which inherits no sys.path from pytest
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, str(DEMOS / script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert marker in proc.stdout

@@ -148,3 +148,28 @@ def test_neg_involution(x):
 @given(st.integers(min_value=0, max_value=12), rationals)
 def test_power_matches_fraction_power(n, x):
     assert (ext(x) ** n).raw == x**n
+
+
+def test_fraction_past_the_float_range_meets_a_float_exactly():
+    # float(10**400) overflows; the float is taken at its exact value instead
+    big = ext(10**400)
+    assert (big * ext(2.5)).raw == Fraction(5, 2) * 10**400
+    assert (ext(2.5) * big).raw == Fraction(5, 2) * 10**400
+    assert (big + ext(-1.5)).raw == 10**400 - Fraction(3, 2)
+    assert (ext(0.5) / big).raw == Fraction(1, 2 * 10**400)
+    assert (big / ext(0.5)).raw == 2 * 10**400
+    assert big * ext(0.0) == ZERO
+    # within the float range the mix still degrades to float
+    assert (ext(10**300) * ext(2.5)).raw == 2.5e300
+    assert (ext(10**300) * ext(1e10)).is_pos_inf
+
+
+def test_float_power_overflows_to_infinity():
+    assert (ext(1e300) ** 2).is_pos_inf
+    assert (ext(-1e300) ** 2).is_pos_inf
+    assert (ext(-1e300) ** 3).is_neg_inf
+
+
+def test_exp_of_a_fraction_past_the_float_range():
+    assert ext(-10**400).exp() == ZERO
+    assert ext(10**400).exp().is_pos_inf

@@ -8,6 +8,7 @@ import pytest
 
 import seqreg.oracles as oracles
 from seqreg import (
+    POS_INF,
     ZERO,
     brute_minorant,
     brute_omega,
@@ -41,6 +42,18 @@ def test_brute_minorant_exact_rationals():
 def test_brute_minorant_skips_infinite_points():
     got = brute_minorant([0, float("inf"), 2, 6, 12, 20])
     assert got[1] == ext(1)
+
+
+def test_brute_minorant_is_unbounded_past_the_last_finite_point():
+    # every slope is admissible past the last finite point, so no line bounds
+    # index 3; the two routes' finite candidate sets used to disagree there
+    got = brute_minorant([0, 0, -1, float("inf")])
+    assert got == [ext(0), ext(Fraction(-1, 2)), ext(-1), POS_INF]
+    # a cap bounds it: the cap line through the last point
+    assert brute_minorant([0, 0, -1, float("inf")], slope_cap=1)[3] == ext(0)
+    # so with a_0 the only finite point, every later index is +inf or on the cap line
+    assert brute_minorant([2, float("inf"), float("inf")]) == [ext(2), POS_INF, POS_INF]
+    assert brute_minorant([2, float("inf"), float("inf")], slope_cap=-1) == [ext(v) for v in (2, 1, 0)]
 
 
 def test_brute_minorant_slope_cap():
