@@ -551,7 +551,7 @@ def _verify_phireg(seq: SequenceSpec, phi, result, window: int, tol: float):
     report = compare_values("phireg regularized vs sweep oracle", pairs)
     # the sweep is exact only up to its grid resolution
     bound = max(tol, 8.0 * w * _SWEEP_STEP)
-    ok = report.within(bound)
+    ok = report.max_abs_deviation <= bound
     engine_set = set(result.principal_indices)
     if not set(sweep.principal_indices) <= engine_set:
         ok = False

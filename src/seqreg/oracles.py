@@ -42,9 +42,13 @@ class OracleReport:
     max_abs_deviation: float
     max_rel_deviation: float
     witness: object
+    # max over the pairs of |main - oracle| / max(1, |main|, |oracle|); the
+    # printed max_rel_deviation is that ratio for the worst absolute pair only
+    max_scaled_deviation: float = 0.0
 
     def within(self, tol: float) -> bool:
-        return self.max_abs_deviation <= tol
+        """Every pair deviates by at most tol * max(1, |main|, |oracle|)."""
+        return self.max_scaled_deviation <= tol
 
     def to_json(self) -> dict:
         return {
@@ -74,6 +78,16 @@ def _pair_deviation(main, oracle) -> float:
     return abs(float(x) - float(y))
 
 
+def _scaled_deviation(main, oracle) -> float:
+    """|main - oracle| / max(1, |main|, |oracle|), exact on finite values:
+    floats near the float range neither overflow nor lose the ratio."""
+    x, y = ext(main), ext(oracle)
+    if not x.is_finite or not y.is_finite:
+        return 0.0 if x == y else math.inf
+    fx, fy = Fraction(x.raw), Fraction(y.raw)
+    return float(abs(fx - fy) / max(1, abs(fx), abs(fy)))
+
+
 def compare_values(quantity: str, pairs, witnesses=None) -> OracleReport:
     """Build an OracleReport from (main, oracle) pairs.
 
@@ -94,7 +108,8 @@ def compare_values(quantity: str, pairs, witnesses=None) -> OracleReport:
     m, o = pairs[worst]
     scale = max(1.0, _finite_abs(m), _finite_abs(o))
     rel = worst_dev / scale if math.isfinite(worst_dev) else math.inf
-    return OracleReport(quantity, m, o, max(worst_dev, 0.0), rel, witnesses[worst])
+    scaled = max(_scaled_deviation(x, y) for x, y in pairs)
+    return OracleReport(quantity, m, o, max(worst_dev, 0.0), rel, witnesses[worst], scaled)
 
 
 def _finite_abs(v) -> float:

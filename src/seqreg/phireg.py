@@ -26,9 +26,20 @@ merged with the thresholds.  A point is admitted while its threshold is at
 most the earliest takeover time found so far, max(first-edge slope of the
 chain, threshold); when the next point's threshold is later, that time is
 the next event.  Each point is pushed and popped at most once, so
-the sweep is linear in the window.  On finite payloads ExtReal arithmetic is
-exactly the raw operation, so the sweep runs on raw numbers and wraps a
-value in ExtReal only when it enters the record.
+the sweep is linear in the window.
+
+The payload types pick the arithmetic once per call.  On an exact window
+(every value a Fraction, every threshold and the cap a Fraction, -inf or
+absent) each value and threshold is read once as an integer ratio, and every
+decision is one comparison of integer products: the turn test is
+minorant._lower_hull's, and takeover times (slopes, thresholds, the last
+event time, the cap) and jump intercepts are compared as unreduced
+(num, den) pairs by cross-multiplication.  An event builds one Fraction for
+its time and one for each trace value beside it, and each filled value
+between principal indices is one Fraction built from integers.  A window
+with any float runs the same sweep on the raw payloads, with the float tie
+rules described at _sweep_raw; a value wraps into ExtReal only when it
+enters the record.
 
 Events where the entering point sits strictly below the old line are the
 indices of discontinuity: visibility arrived later than tangency, so the trace
@@ -130,10 +141,8 @@ class RegularizingFunction:
         return f"RegularizingFunction({self.descriptor})"
 
 
-def _rational_log(p: int) -> ExtReal:
-    if p == 1:
-        return ZERO
-    return ext(Fraction(math.log(p)))
+def _rational_log(p: int) -> Fraction:
+    return Fraction(0) if p == 1 else Fraction(math.log(p))
 
 
 def _parse_frac(text: str, what: str) -> Fraction:
@@ -143,6 +152,14 @@ def _parse_frac(text: str, what: str) -> Fraction:
         raise ParseError(f"cannot read {what} from {text!r}: {e}") from None
 
 
+def _read_knots(raw) -> list[tuple[Fraction, Fraction]]:
+    if not isinstance(raw, (list, tuple)) or not all(
+            isinstance(k, (list, tuple)) and len(k) == 2 for k in raw):
+        raise ParseError(f"piecewise knots must be [[x,v],...], got {raw!r}")
+    return [(_parse_frac(str(x), "a knot abscissa"), _parse_frac(str(v), "a knot value"))
+            for x, v in raw]
+
+
 def _piecewise_phi(knots: list[tuple[Fraction, Fraction]]) -> RegularizingFunction:
     if len(knots) < 2:
         raise AxiomViolation("III", None, "need at least two knots to grow to +inf")
@@ -150,16 +167,16 @@ def _piecewise_phi(knots: list[tuple[Fraction, Fraction]]) -> RegularizingFuncti
     vs = [k[1] for k in knots]
     for i in range(1, len(xs)):
         if xs[i] <= xs[i - 1]:
-            raise AxiomViolation("IV", float(xs[i]),
+            raise AxiomViolation("IV", float(ext(xs[i])),
                                  "knot abscissae must be strictly increasing")
         if vs[i] < vs[i - 1]:
-            raise AxiomViolation("I", float(xs[i]), "values must be non-decreasing")
+            raise AxiomViolation("I", float(ext(xs[i])), "values must be non-decreasing")
     if vs[0] != 0:
-        raise AxiomViolation("II", float(xs[0]),
+        raise AxiomViolation("II", float(ext(xs[0])),
                              "the first knot value must be 0 (phi -> 0 at -inf)")
     final_slope = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
     if final_slope <= 0:
-        raise AxiomViolation("III", float(xs[-1]),
+        raise AxiomViolation("III", float(ext(xs[-1])),
                              "the last segment must rise (phi -> +inf)")
 
     def eval_fn(t: ExtReal) -> ExtReal:
@@ -203,8 +220,7 @@ def make_phi(descriptor) -> RegularizingFunction:
     if isinstance(descriptor, dict):
         kind = descriptor.get("kind")
         if kind == "piecewise":
-            knots = [(Fraction(str(x)), Fraction(str(v))) for x, v in descriptor["knots"]]
-            return _piecewise_phi(knots)
+            return _piecewise_phi(_read_knots(descriptor.get("knots")))
         arg = descriptor.get("args", "")
         descriptor = f"{kind}:{arg}" if arg else str(kind)
     if not isinstance(descriptor, str):
@@ -214,8 +230,8 @@ def make_phi(descriptor) -> RegularizingFunction:
     head = head.lower()
 
     if head == "exp":
-        return RegularizingFunction("exp", lambda t: t.exp(), _rational_log,
-                                    descriptor="exp")
+        return RegularizingFunction("exp", lambda t: t.exp(),
+                                    lambda p: ExtReal(_rational_log(p)), descriptor="exp")
     if head == "expaffine":
         parts = arg.split(",")
         if len(parts) != 2:
@@ -231,7 +247,7 @@ def make_phi(descriptor) -> RegularizingFunction:
             return (ext(a) * t + ext(b)).exp()
 
         def ea_threshold(p: int, a=alpha, b=beta) -> ExtReal:
-            return (_rational_log(p) - ext(b)) / ext(a)
+            return ExtReal((_rational_log(p) - b) / a)
 
         return RegularizingFunction("expaffine", ea_eval, ea_threshold,
                                     descriptor=f"expaffine:{alpha},{beta}")
@@ -241,8 +257,8 @@ def make_phi(descriptor) -> RegularizingFunction:
         def bu_eval(t: ExtReal, T=T) -> ExtReal:
             return ONE / (T - t) if t < T else POS_INF
 
-        def bu_threshold(p: int, T=T) -> ExtReal:
-            return T - ONE / ext(p)
+        def bu_threshold(p: int, T=T.raw) -> ExtReal:
+            return ExtReal(T - Fraction(1, p))
 
         return RegularizingFunction("blowup", bu_eval, bu_threshold, blowup_T=T,
                                     descriptor=f"blowup:{arg}")
@@ -255,8 +271,7 @@ def make_phi(descriptor) -> RegularizingFunction:
             knots_raw = json.loads(arg)
         except json.JSONDecodeError as e:
             raise ParseError(f"piecewise knots must be JSON [[x,v],...]: {e}") from None
-        knots = [(Fraction(str(x)), Fraction(str(v))) for x, v in knots_raw]
-        return _piecewise_phi(knots)
+        return _piecewise_phi(_read_knots(knots_raw))
     raise ParseError(f"unknown phi descriptor {text!r} "
                      "(use exp | expaffine:a,b | blowup:T | piecewise:... | infinite)")
 
@@ -368,6 +383,134 @@ def _sweep(pts: list[tuple[int, RawNumber, RawNumber]], cap: Optional[RawNumber]
     batch's last point, the new P.  Returns the principal points with their
     entry times, the discontinuities, the events (time, left_A, right_A,
     top) and whether the cap stopped the sweep.
+
+    The payload types decide the arithmetic once per call: when every value
+    is a Fraction, every threshold a Fraction or -inf and the cap a Fraction
+    or absent, the sweep decides on integers (_sweep_exact); otherwise it
+    runs on the raw payloads (_sweep_raw), whose tie rules on floats differ.
+    """
+    if (cap is None or type(cap) is Fraction) and all(
+            type(v) is Fraction and (type(thr) is Fraction or thr == -math.inf)
+            for _, v, thr in pts):
+        return _sweep_exact(pts, cap)
+    return _sweep_raw(pts, cap)
+
+
+def _sweep_exact(pts: list[tuple[int, Fraction, RawNumber]], cap: Optional[Fraction]):
+    """_sweep on exact payloads, every decision a comparison of integer products.
+
+    Each value is read once as (n, d) and each finite threshold as (tn, td);
+    a -inf threshold is tn = None, and so is the floor before the first
+    event.  A time (a slope, threshold, floor, cap or intercept) is an
+    unreduced pair (num, den) with den > 0, and x < y is x_num*y_den <
+    y_num*x_den.  The turn test is minorant._lower_hull's.  Each event builds
+    one Fraction for its time tau and one for each trace value beside it.
+    """
+    ps = [(q, v.numerator, v.denominator) + ((thr.numerator, thr.denominator)
+                                              if type(thr) is Fraction else (None, 1))
+          for q, v, thr in pts]
+    cn, cd = (None, 1) if cap is None else (cap.numerator, cap.denominator)
+    principal: list[tuple[int, ExtReal]] = [(0, NEG_INF)]
+    disc: list[int] = []
+    events: list[tuple[ExtReal, ExtReal, ExtReal, int]] = []
+    hull = [0]  # positions in ps
+    lo = 0
+    m = 1  # the next point to admit
+    fn, fd = None, 1  # the last event time
+
+    while True:
+        P, nP, dP, _, _ = ps[hull[lo]]
+
+        def slope(j: int) -> tuple[int, int]:
+            # the slope from P, held at the floor as in _sweep_raw
+            q, n, d, _, _ = ps[j]
+            sn, sd = n * dP - nP * d, d * dP * (q - P)
+            if fn is not None and sn * fd < fn * sd:
+                return fn, fd
+            return sn, sd
+
+        bn, bd = None, 1  # the earliest takeover time, None while no point is admitted
+        if len(hull) > lo + 1:
+            bn, bd = slope(hull[lo + 1])
+            tn, td = ps[m - 1][3:]
+            if tn is not None and bn * td < tn * bd:
+                bn, bd = tn, td
+        while m < len(ps):
+            q, ny, dy, tn, td = ps[m]
+            if bn is not None and tn is not None and tn * bd > bn * td:
+                break
+            while len(hull) > lo + 1:
+                i, ni, di, _, _ = ps[hull[-2]]
+                j, nj, dj, _, _ = ps[hull[-1]]
+                if (nj * di - ni * dj) * dy * (q - j) <= (ny * dj - nj * dy) * di * (j - i):
+                    break
+                hull.pop()
+            hull.append(m)
+            en, ed = slope(hull[lo + 1])
+            if tn is not None and en * td < tn * ed:
+                en, ed = tn, td
+            if bn is None or en * bd < bn * ed:
+                bn, bd = en, ed
+            m += 1
+        if bn is None or (cn is not None and bn * cd >= cn * bd):
+            return principal, disc, events, bn is not None
+        tau = Fraction(bn, bd)
+        un, ud = tau.numerator, tau.denominator
+
+        # the trace value P*tau - a_P, and at a jump that of the lowest line
+        left = right = ExtReal(Fraction(P * un * dP - nP * ud, ud * dP))
+        first = i = lo + 1
+        sn, sd = slope(hull[i])
+        if sn * ud < un * sd:
+            def icpt(j: int) -> tuple[int, int]:
+                # a_j - j*tau = num / (den * ud)
+                q, n, d, _, _ = ps[j]
+                return n * ud - q * un * d, d
+
+            c_n, c_d = icpt(hull[i])
+            while i + 1 < len(hull):
+                x_n, x_d = icpt(hull[i + 1])
+                if x_n * c_d >= c_n * x_d:
+                    break
+                i += 1
+                c_n, c_d = x_n, x_d
+            first = i
+            while i + 1 < len(hull):
+                x_n, x_d = icpt(hull[i + 1])
+                if x_n * c_d != c_n * x_d:
+                    break
+                i += 1
+            disc.append(ps[hull[first]][0])
+            right = ExtReal(Fraction(-c_n, c_d * ud))
+        else:
+            while i + 1 < len(hull):
+                sn, sd = slope(hull[i + 1])
+                if sn * ud != un * sd:
+                    break
+                i += 1
+        fn, fd = un, ud
+        tau_x = ExtReal(tau)
+        events.append((tau_x, left, right, ps[hull[i]][0]))
+        for j in hull[first:i + 1]:
+            principal.append((ps[j][0], tau_x))
+        lo = i
+
+
+def _minus(a: RawNumber, b: RawNumber) -> RawNumber:
+    """a - b on finite payloads; where a Fraction past the float range meets a
+    float, the float is taken at its exact value, as in extreal.raw_add."""
+    try:
+        return a - b
+    except OverflowError:
+        return Fraction(a) - Fraction(b)
+
+
+def _sweep_raw(pts: list[tuple[int, RawNumber, RawNumber]], cap: Optional[RawNumber]):
+    """_sweep on raw payloads (Fraction or float), for windows with a float.
+
+    Slopes are divided from P and compared as numbers, so on floats that
+    rounding leaves almost collinear, ties fall as the rounded slopes say,
+    and the floor keeps the event times from going back by a rounding error.
     """
     principal: list[tuple[int, ExtReal]] = [(0, NEG_INF)]
     disc: list[int] = []
@@ -385,7 +528,7 @@ def _sweep(pts: list[tuple[int, RawNumber, RawNumber]], cap: Optional[RawNumber]
             # line through P, and a point below it was not visible then, so its
             # later threshold sets its time: the floor changes nothing, except
             # that float rounding cannot take the events back in time
-            s = (pts[j][1] - aP) / (pts[j][0] - P)
+            s = _minus(pts[j][1], aP) / (pts[j][0] - P)
             return s if s >= floor else floor
 
         # in exact arithmetic every point past P kept from earlier events
@@ -398,7 +541,7 @@ def _sweep(pts: list[tuple[int, RawNumber, RawNumber]], cap: Optional[RawNumber]
             while len(hull) > lo + 1:
                 i, a_i, _ = pts[hull[-2]]
                 j, a_j, _ = pts[hull[-1]]
-                if (a_j - a_i) / (j - i) <= (v - a_i) / (q - i):
+                if _minus(a_j, a_i) / (j - i) <= _minus(v, a_i) / (q - i):
                     break
                 hull.pop()
             hull.append(m)
@@ -413,11 +556,11 @@ def _sweep(pts: list[tuple[int, RawNumber, RawNumber]], cap: Optional[RawNumber]
         tau = best
 
         # written 0 - c, not -c: the trace value of c = 0.0 is 0.0, never -0.0
-        left = right = 0 - (aP - P * tau)
+        left = right = 0 - _minus(aP, P * tau)
         first = i = lo + 1
         if slope(hull[i]) < tau:
             def icpt(j: int) -> RawNumber:
-                return pts[j][1] - pts[j][0] * tau
+                return _minus(pts[j][1], pts[j][0] * tau)
 
             c_min = icpt(hull[i])
             while i + 1 < len(hull) and icpt(hull[i + 1]) < c_min:
@@ -502,15 +645,13 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
             p_next, t_next = principal[i + 1]
             intervals.append(PhiInterval(t_i, t_next))
             segments.append(PhiSegment(t_next, p_i, vals[p_i], p_i, p_next))
-            for p in range(p_i + 1, p_next):
-                out[p] = vals[p_i] + t_next * (p - p_i)
+            _fill(out, p_i, vals[p_i], t_next, p_next)
         else:
             intervals.append(PhiInterval(t_i, J_right))
             if stopped_by_cap and cap is not None:
                 # the limiting line of slope cap through the last principal point
                 segments.append(PhiSegment(cap, p_i, vals[p_i], p_i, w))
-                for p in range(p_i + 1, w):
-                    out[p] = vals[p_i] + cap * (p - p_i)
+                _fill(out, p_i, vals[p_i], cap, w)
 
     # trace and counting: one breakpoint per distinct event time
     bps: list[Breakpoint] = []
@@ -547,6 +688,23 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
         provisional_from=provisional_from,
         phi_descriptor=phi.descriptor,
     )
+
+
+def _fill(out: list[ExtReal], P: int, aP: ExtReal, slope: ExtReal, end: int) -> None:
+    """out[p] = aP + slope * (p - P) for P < p < end.
+
+    Between exact values each filled value is one Fraction built from
+    integers; otherwise ExtReal arithmetic.
+    """
+    a, s = aP.raw, slope.raw
+    if type(a) is Fraction and type(s) is Fraction:
+        base, step = a.numerator * s.denominator, s.numerator * a.denominator
+        den = a.denominator * s.denominator
+        for p in range(P + 1, end):
+            out[p] = ExtReal(Fraction(base + step * (p - P), den))
+    else:
+        for p in range(P + 1, end):
+            out[p] = aP + slope * (p - P)
 
 
 def _stable_boundary(phi: RegularizingFunction, principal: list[tuple[int, ExtReal]],
@@ -622,12 +780,26 @@ class ComparisonReport:
         }
 
 
-def _dominates(phi_big: RegularizingFunction, phi_small: RegularizingFunction) -> bool:
+def _larger(phi1: RegularizingFunction, phi2: RegularizingFunction) -> str:
+    """Which phi is at least the other at every probe: "equal", "phi1" or "phi2".
+
+    The probes are _PROBE_GRID and, for each blow-up point T, T and T +- 1/100;
+    each phi is evaluated there once.
+    """
     pts = [ext(x) for x in _PROBE_GRID]
-    for T in (phi_big.blowup_T, phi_small.blowup_T):
+    for T in (phi1.blowup_T, phi2.blowup_T):
         if T is not None:
             pts.extend([T - ext(Fraction(1, 100)), T, T + ext(Fraction(1, 100))])
-    return all(phi_big.eval(t) >= phi_small.eval(t) for t in pts)
+    v1 = [phi1.eval(t) for t in pts]
+    v2 = [phi2.eval(t) for t in pts]
+    two_over_one = all(y >= x for x, y in zip(v1, v2))
+    one_over_two = all(x >= y for x, y in zip(v1, v2))
+    if two_over_one:
+        return "equal" if one_over_two else "phi2"
+    if one_over_two:
+        return "phi1"
+    raise NotComparable("neither regularizing function dominates the other "
+                        "on the probe grid")
 
 
 def _leq(x: ExtReal, y: ExtReal, tol: float) -> bool:
@@ -647,16 +819,8 @@ def compare_regularizations(a: SequenceSpec, phi1: RegularizingFunction,
     Checks a^{larger} <= a^{smaller} <= a elementwise, and that the ungated
     regularization (the convex minorant) floors both.
     """
-    big, small, label = None, None, "equal"
-    if _dominates(phi2, phi1) and _dominates(phi1, phi2):
-        big, small, label = phi2, phi1, "equal"
-    elif _dominates(phi2, phi1):
-        big, small, label = phi2, phi1, "phi2"
-    elif _dominates(phi1, phi2):
-        big, small, label = phi1, phi2, "phi1"
-    else:
-        raise NotComparable("neither regularizing function dominates the other "
-                            "on the probe grid")
+    label = _larger(phi1, phi2)
+    big, small = (phi1, phi2) if label == "phi1" else (phi2, phi1)
     r_big = regularize_with_phi(a, big, window, tol)
     r_small = regularize_with_phi(a, small, window, tol)
     floor = regularize_with_phi(a, make_phi("infinite"), window, tol)

@@ -390,6 +390,46 @@ def test_regime_is_classified_once_per_invocation(tmp_path, runner, monkeypatch,
     assert len(calls) == 1
 
 
+# the minorant runs from 1.7e308 down to -1.7e308: its float values differ from
+# the oracle's in the last bit, which is 2e292 in absolute terms
+FLOAT_RANGE = {"kind": "log",
+               "prefix": [1.7e308, 3, 1.7e308, 3, 0, 0, "inf", 0.0, 4, -0.0, 0, -1.7e308],
+               "tail": {"type": "geometric", "d": 3}}
+
+
+def test_minorant_verify_scales_the_deviation_by_the_values(tmp_path):
+    res = run_cli(tmp_path, FLOAT_RANGE, "minorant", "--verify")
+    assert res.returncode == 0, res.stderr
+    (report,) = json.loads(res.stdout)["verify"]
+    assert report["max_abs_deviation"] > 1e290
+
+
+@pytest.mark.parametrize("prefix, index, error", [
+    ([0, 1e300, 3e300, 6e300], 2, lambda v: v * ext(1e-6)),  # relative 1e-6 at 1e300
+    ([0, "1/2", 1, 2], 2, lambda v: ext(1e-8)),  # 1e-8 at magnitude 1
+])
+def test_minorant_verify_still_rejects_a_small_relative_error(tmp_path, runner, monkeypatch,
+                                                               prefix, index, error):
+    dispatch = cli_mod.regularize
+
+    def perturbed(seq, window, tol):
+        result = dispatch(seq, window, tol)
+        values = list(result.regularized.prefix)
+        values[index] = values[index] + error(values[index])
+        return dataclasses.replace(
+            result, regularized=dataclasses.replace(result.regularized, prefix=tuple(values)))
+
+    path = tmp_path / "convex.json"
+    doc = {"kind": "log", "prefix": prefix, "tail": {"type": "explicit_only"}}
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["minorant", "--verify", str(path)])
+    assert res.exit_code == 0, res.output
+    monkeypatch.setattr(cli_mod, "regularize", perturbed)
+    res = runner.invoke(main, ["minorant", "--verify", str(path)])
+    assert res.exit_code == 3
+    assert "verify deviation" in res.stderr
+
+
 # under blowup:20 the engine gives a_10 = 99/4 = lim_{t -> 20} (t + 19/4), a
 # value reached only as the slopes approach the blow-up point T = 20
 BLOWUP_PREFIX = {"kind": "log", "prefix": [-1, -3, 8, "-9/2", 6, "1/2", -11, "21/4", 36,

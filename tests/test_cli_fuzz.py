@@ -1,9 +1,11 @@
-"""Generated documents through the `minorant` and `trace` front ends.
+"""Generated documents through the `minorant`, `trace`, `phireg` and `compare` front ends.
 
 Each document mixes int, "p/q", decimal and "inf" prefix entries on either
-scale, with a tail of every type and sometimes a declared regime.  Run in
-process through click's test runner, every invocation must end with exit
-code 0, 1, 2 or 3 within its time budget, and raise nothing else.
+scale, with a tail of every type and sometimes a declared regime.  `phireg`
+and `compare` also get every phi descriptor, with parameters from tiny to
+past the float range.  Run in process through click's test runner, every
+invocation must end with exit code 0, 1, 2 or 3 within its time budget, and
+raise nothing else.
 """
 
 import json
@@ -84,6 +86,58 @@ def test_front_ends_exit_cleanly(tmp_path, doc, command, window, verify):
     args = [command, "--window", str(window), str(path)]
     if verify and command == "minorant":
         args.insert(1, "--verify")
+    res = CliRunner().invoke(main, args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        (doc, args, res.exc_info)
+    assert res.exit_code in (0, 1, 2, 3), (doc, args, res.output)
+
+
+# phi parameters: small and non-dyadic rationals, decimals at both ends of the
+# float range, and integers past it
+PHI_NUMBERS = st.one_of(
+    st.integers(-50, 50).map(str),
+    st.sampled_from(["1/3", "-2/7", "0.5", "1e-300", "-1e-300", "1e308", "-1e308",
+                     str(10**400), str(-10**400), "0"]),
+)
+PHI_PARAMS = st.one_of(PHI_NUMBERS, st.just("x"))
+
+
+@st.composite
+def phi_descriptors(draw):
+    head = draw(st.sampled_from(["exp", "infinite", "expaffine", "blowup", "piecewise"]))
+    if head in ("exp", "infinite"):
+        return head
+    if head == "expaffine":
+        return f"expaffine:{draw(PHI_PARAMS)},{draw(PHI_PARAMS)}"
+    if head == "blowup":
+        return f"blowup:{draw(PHI_PARAMS)}"
+    if draw(st.booleans()):  # knots that satisfy the axioms: values rise from 0
+        xs = sorted(set(draw(st.lists(PHI_NUMBERS.map(Fraction), min_size=2, max_size=4))))
+        rises = draw(st.lists(PHI_NUMBERS.map(Fraction).map(abs),
+                              min_size=len(xs) - 1, max_size=len(xs) - 1))
+        vs = [Fraction(0)]
+        for r in rises:
+            vs.append(vs[-1] + r)
+        knots = list(zip(map(str, xs), map(str, vs)))
+    else:
+        knots = draw(st.lists(st.tuples(PHI_PARAMS, PHI_PARAMS), min_size=1, max_size=4))
+    return "piecewise:[" + ",".join(f'["{x}","{v}"]' for x, v in knots) + "]"
+
+
+@given(documents(), phi_descriptors(), phi_descriptors(),
+       st.sampled_from(["json", "csv", "verify", "compare"]), st.integers(4, 24))
+@settings(max_examples=300, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_phi_front_ends_exit_cleanly(tmp_path, doc, phi, phi2, mode, window):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if mode == "compare":
+        args = ["compare", "--phi", phi, "--phi2", phi2]
+    else:
+        args = ["phireg", "--phi", phi, "--emit", "csv" if mode == "csv" else "json"]
+        if mode == "verify":
+            args.append("--verify")
+    args += ["--window", str(window), str(path)]
     res = CliRunner().invoke(main, args)
     assert res.exception is None or isinstance(res.exception, SystemExit), \
         (doc, args, res.exc_info)

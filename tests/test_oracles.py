@@ -237,3 +237,21 @@ def test_compare_values_nonfinite():
     assert ok.max_abs_deviation == 0.0
     bad = compare_values("demo", [(inf, ext(1))])
     assert bad.max_abs_deviation == math.inf
+
+
+def test_compare_values_scales_each_pair_by_its_magnitude():
+    # near the float range a last-bit difference is 2e292 absolute and 1e-16 relative
+    big = compare_values("demo", [(ext(1.7e308), ext(1.7e308 * (1 - 2**-52))), (ext(0), ext(0))])
+    assert big.max_abs_deviation > 1e290
+    assert big.within(1e-9)
+    # the worst absolute pair is not the worst relative one: 1 in 1e10 against 1e-3 in 1
+    mixed = compare_values("demo", [(ext(10**10), ext(10**10 + 1)),
+                                    (ext(0), ext(Fraction(1, 1000)))])
+    assert mixed.witness == 0 and mixed.max_rel_deviation < 1e-9
+    assert not mixed.within(1e-9)
+    assert mixed.within(1e-3)
+    # a relative error of 1e-6 at 1e300, exact values past the float range
+    assert not compare_values("demo", [(ext(1e300), ext(1e300 * (1 + 1e-6)))]).within(1e-9)
+    huge = 10**400
+    assert not compare_values("demo", [(ext(huge), ext(huge + huge // 10**6))]).within(1e-9)
+    assert compare_values("demo", [(ext(huge), ext(huge + 1))]).within(1e-9)

@@ -15,6 +15,7 @@ rounding, and the chain must not fail where the loop did not.
 """
 
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -237,3 +238,105 @@ def test_float_rounding_cannot_take_the_events_back():
     times = [t for t, _ in r.counting.jumps]
     assert times == sorted(times)
     assert r.principal_indices[-1] == 18
+
+
+# -- the integer path -------------------------------------------------------------------
+#
+# On exact windows `_sweep` decides on integer products (`_sweep_exact`); a window
+# with one float keeps the raw body (`_sweep_raw`).  Both must still give the
+# loop's record, value and type alike.
+
+# exp and expaffine with alpha = 1/3 have thresholds with 2^52 denominators and
+# beyond; blowup caps the sweep at T, the ungated phi at a declared Case 2 slope
+EXACT_PHIS = [make_phi(d) for d in ("exp", "expaffine:1/3,1", "expaffine:1/3,-5/7",
+                                    "expaffine:5,1/3", "blowup:0", "blowup:7/3", "blowup:40",
+                                    "infinite", "piecewise:[[-3,0],[0,2],[2,2],[5,30]]")]
+EXACT_PHIS += [stepped_phi(3)]
+
+
+@st.composite
+def exact_windows(draw):
+    """(values, +inf holes, phi, cap) on up to 150 exact points: a convex chain
+    with bumps, scaled by a rational that may have large terms."""
+    den = draw(st.sampled_from([1, 2, 7, 12]))
+    steps = st.integers(-6 * den, 6 * den)
+    n = draw(st.integers(min_value=1, max_value=149))
+    slopes = sorted(draw(st.lists(steps, min_size=n, max_size=n)))
+    values = [draw(steps)]
+    for s in slopes:
+        values.append(values[-1] + s)
+    bumps = draw(st.lists(st.one_of(st.just(0), steps), min_size=n + 1, max_size=n + 1))
+    values = [Fraction(v + b, den) for v, b in zip(values, bumps)]
+    scale = draw(st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(10**30, 7),
+                                  Fraction(1, 2**60)]))
+    values = [v * scale for v in values]
+    holes = set(draw(st.lists(st.integers(1, n), max_size=n // 4)))
+    phi = draw(st.sampled_from(EXACT_PHIS))
+    cap = phi.blowup_T
+    if phi.infinite and draw(st.booleans()):  # a declared Case 2 limit slope
+        cap = ExtReal(Fraction(draw(steps), den) * scale)
+    return values, holes, phi, cap
+
+
+@given(exact_windows())
+@settings(max_examples=300, deadline=None)
+def test_integer_sweep_matches_the_loop_on_exact_windows(case):
+    values, holes, phi, cap = case
+    pts, cap = sweep_points(values, holes, phi), None if cap is None else cap.raw
+    with mock.patch.object(phireg, "_sweep_raw", side_effect=AssertionError("raw path")):
+        got = _sweep(pts, cap)
+    assert key(got) == key(ref_sweep(pts, cap))
+
+
+@given(sequences("exact"), st.integers(0, 40), st.integers(-64, 64))
+@settings(max_examples=200, deadline=None)
+def test_one_float_entry_takes_the_raw_path(case, at, eighths):
+    # a float on the 1/8 grid keeps every sum exact, so the loop's record is exact too
+    values, holes, phi, cap = case
+    values = list(values)
+    at = at % len(values)
+    values[at] = eighths / 8
+    holes.discard(at)
+    pts, cap = sweep_points(values, holes, phi), None if cap is None else cap.raw
+    with mock.patch.object(phireg, "_sweep_exact", side_effect=AssertionError("exact path")):
+        got = _sweep(pts, cap)
+    assert key(got) == key(ref_sweep(pts, cap))
+
+
+def count_fractions(fn, *args):
+    """fn(*args) and the number of Fractions built meanwhile."""
+    new = Fraction.__new__.__code__
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code is new:
+            built += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, built
+
+
+def test_integer_sweep_builds_three_fractions_per_event_at_most():
+    # a rough quadratic with a dip every 8th index, under exp: some events are
+    # jumps, and every slope and threshold has a large denominator
+    values = [Fraction(p * p, 4) + Fraction((p * 7919) % 13, 3) - (40 if p % 8 == 7 else 0)
+              for p in range(200)]
+    for phi in (make_phi("exp"), make_phi("expaffine:1/3,1"), make_phi("blowup:50")):
+        pts = sweep_points(values, set(), phi)
+        cap = None if phi.blowup_T is None else phi.blowup_T.raw
+        (principal, disc, events, _), built = count_fractions(_sweep, pts, cap)
+        assert key((principal, disc, events, _)) == key(ref_sweep(pts, cap))
+        assert len(events) >= 10 and disc
+        assert built <= 3 * len(events)
+
+
+def test_fill_builds_one_fraction_per_value():
+    out = [ExtReal(Fraction(1, 3))] + [POS_INF] * 9
+    _, built = count_fractions(phireg._fill, out, 0, out[0], ExtReal(Fraction(2, 7)), 10)
+    assert built == 9
+    assert out[9] == ExtReal(Fraction(1, 3) + 9 * Fraction(2, 7))
