@@ -29,6 +29,7 @@ from .oracles import (
     brute_minorant,
     brute_omega,
     brute_phi_sweep,
+    brute_trace,
     compare_values,
 )
 from .phireg import (
@@ -165,7 +166,10 @@ def _parse_loggrid(spec: str) -> list[float]:
         raise click.BadParameter(f"bad loggrid numbers in {spec!r}")
     if start <= 0 or stop < start or count < 2:
         raise click.BadParameter("loggrid needs 0 < start <= stop and count >= 2")
-    lo, hi = math.log(float(start)), math.log(float(stop))
+    try:
+        lo, hi = math.log(float(start)), math.log(float(stop))
+    except (OverflowError, ValueError):  # an end past the float range, or rounding to 0.0
+        raise click.BadParameter(f"loggrid ends must be positive floats in {spec!r}")
     return [math.exp(lo + (hi - lo) * i / (count - 1)) for i in range(count)]
 
 
@@ -403,11 +407,10 @@ def trace(files, window, tol, verify, extended):
         status = EXIT_OK
         diagnostics: list[str] = []
         if verify:
-            vals = log_seq.values(result.window)
+            slopes = _trace_sample_slopes(fn)
             pairs = []
             witnesses = []
-            for k in _trace_sample_slopes(fn):
-                direct = max(ext(p) * k - v for p, v in enumerate(vals) if v.is_finite)
+            for k, direct in zip(slopes, brute_trace(log_seq.values(result.window), slopes)):
                 try:
                     engine = fn.evaluate(k, extended=extended)
                 except SeqRegError:

@@ -4,6 +4,11 @@ Everything here is deliberately naive: pairwise line enumeration, plain
 loops, dense slope grids.  None of the engine modules are imported; the
 only shared vocabulary is the extended-real number type.  Quadratic or
 cubic cost in the window length is accepted.
+
+The minorant oracle's two routes and the trace's direct sup stay pairwise
+and cubic, but run on integers: the exact values are scaled once by the lcm
+of their denominators, every comparison is a cross-multiplication, and only
+the outputs are built as Fractions.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ __all__ = [
     "brute_minorant",
     "brute_omega",
     "brute_phi_sweep",
+    "brute_trace",
     "compare_values",
 ]
 
@@ -147,6 +153,14 @@ def _rationalize_allow_pos_inf(values: Sequence, what: str) -> list[Fraction | N
     return out
 
 
+def _common_denominator(points: Sequence[tuple[int, Fraction]], cap: Fraction | None = None):
+    """D, the points (p, v_p D) and the cap times D, where D is the lcm of the
+    denominators of every v_p and of the cap."""
+    D = math.lcm(*(v.denominator for _, v in points), 1 if cap is None else cap.denominator)
+    scaled = [(p, v.numerator * (D // v.denominator)) for p, v in points]
+    return D, scaled, None if cap is None else cap.numerator * (D // cap.denominator)
+
+
 def brute_minorant(a: Sequence, slope_cap=None, beyond: Sequence = ()) -> list[ExtReal]:
     """Largest convex sequence below a, computed two independent ways.
 
@@ -154,8 +168,10 @@ def brute_minorant(a: Sequence, slope_cap=None, beyond: Sequence = ()) -> list[E
     slope-cap line through each point when a cap is given, keeps the
     lines lying below the whole sequence, and takes the pointwise sup.
     Route two evaluates the double conjugate sup_k {kp - sup_q (qk - a_q)}
-    over the same slope candidates.  Both run in exact rational
-    arithmetic and must agree before anything is returned.
+    over the same slope candidates.  Both run on integers: every value and
+    the cap are scaled by the lcm D of their denominators, and each output
+    is one Fraction over D.  The routes must agree before anything is
+    returned.
 
     +inf entries impose no constraint and anchor no line; they are
     projected down onto the hull like everything else.  ``beyond`` holds
@@ -187,46 +203,83 @@ def brute_minorant(a: Sequence, slope_cap=None, beyond: Sequence = ()) -> list[E
         line = [vals[0]] + [vals[0] + cap * p for p in range(1, reach)]
         return [ext(v) for v in line] + [POS_INF] * (n - reach)
 
-    # route one: explicit supporting lines
-    lines: list[tuple[Fraction, Fraction]] = []
-    for i, (p, vp) in enumerate(finite):
-        for q, vq in finite[i + 1:]:
-            k = Fraction(vq - vp, q - p)
-            if cap is not None and k > cap:
-                continue
-            lines.append((k, vp - k * p))
-    if cap is not None:
-        for p, vp in finite:
-            lines.append((cap, vp - cap * p))
-    admissible = [
-        (k, d) for (k, d) in lines if all(k * q + d <= vq for q, vq in finite)
-    ]
-    route_one = [max(k * p + d for (k, d) in admissible) for p in range(reach)]
+    # every value and the cap times the common denominator D, so route one's
+    # lines and route two's slopes are integer pairs (dy, dx) of slope dy / (dx D)
+    D, pts, C = _common_denominator(finite, cap)
 
-    # route two: double conjugate over the same slope candidates
-    slopes = {
-        Fraction(vq - vp, q - p)
-        for i, (p, vp) in enumerate(finite)
-        for q, vq in finite[i + 1:]
-    }
-    if cap is not None:
-        slopes = {k for k in slopes if k <= cap}
-        slopes.add(cap)
-    traces = {k: max(q * k - vq for q, vq in finite) for k in slopes}
+    # route one: explicit supporting lines, kept as (point, dy, dx) with dx > 0
+    lines: list[tuple[int, int, int, int]] = []
+    for i, (p, vp) in enumerate(pts):
+        for q, vq in pts[i + 1:]:
+            dy, dx = vq - vp, q - p
+            if C is not None and dy > C * dx:
+                continue
+            lines.append((p, vp, dy, dx))
+    if C is not None:
+        lines += [(p, vp, C, 1) for p, vp in pts]
+    admissible = [
+        (p, vp, dy, dx) for (p, vp, dy, dx) in lines
+        if all(dy * (r - p) <= (vr - vp) * dx for r, vr in pts)
+    ]
+    route_one = []
+    for x in range(reach):
+        # the line's value at x is (vp dx + dy (x - p)) / (dx D)
+        num, den = None, 1
+        for p, vp, dy, dx in admissible:
+            cand = vp * dx + dy * (x - p)
+            if num is None or cand * den > num * dx:
+                num, den = cand, dx
+        route_one.append(Fraction(num, den * D))
+
+    # route two: double conjugate over the same slope candidates, in lowest
+    # terms (a, b) with b > 0; the trace sup_q (q k - a_q) is T / (b D)
+    slopes = set()
+    for i, (p, vp) in enumerate(pts):
+        for q, vq in pts[i + 1:]:
+            g = math.gcd(vq - vp, q - p)
+            slopes.add(((vq - vp) // g, (q - p) // g))
+    if C is not None:
+        slopes = {(a, b) for a, b in slopes if a <= C * b}
+        slopes.add((C, 1))
+    traces = [(a, b, max(q * a - vq * b for q, vq in pts)) for a, b in slopes]
     route_two = []
-    for p in range(reach):
-        best = None
-        for k, trace in traces.items():
-            cand = k * p - trace
-            if best is None or cand > best:
-                best = cand
-        route_two.append(best)
+    for x in range(reach):
+        # the value at x is (x a - T) / (b D)
+        num, den = None, 1
+        for a, b, trace in traces:
+            cand = x * a - trace
+            if num is None or cand * den > num * b:
+                num, den = cand, b
+        route_two.append(Fraction(num, den * D))
 
     assert route_one == route_two, (
         "brute_minorant self-check failed: line enumeration and double "
         f"conjugate disagree ({route_one} vs {route_two})"
     )
     return [ext(v) for v in route_one] + [POS_INF] * (n - reach)
+
+
+# ---------------------------------------------------------------------------
+# trace function by direct sup
+
+
+def brute_trace(values: Sequence[ExtReal], slopes: Sequence[ExtReal]) -> list[ExtReal]:
+    """A(k) = max_p (p k - a_p) over the finite a_p, at each slope k.
+
+    On exact values and slopes the sup runs on integers over the common
+    denominator D of the values, one Fraction per slope.  Otherwise it is
+    the ExtReal expression, whose float rounding the result then carries.
+    """
+
+    finite = [(p, v) for p, v in enumerate(values) if v.is_finite]
+    if finite and all(v.is_exact for _, v in finite) and all(k.is_exact for k in slopes):
+        D, pts, _ = _common_denominator([(p, v.raw) for p, v in finite])
+        out = []
+        for k in slopes:
+            kn, kd = k.raw.numerator * D, k.raw.denominator
+            out.append(ext(Fraction(max(p * kn - vp * kd for p, vp in pts), kd * D)))
+        return out
+    return [max(ext(p) * k - v for p, v in enumerate(values) if v.is_finite) for k in slopes]
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,8 @@ def is_log_convex(seq: SequenceSpec, window: Optional[int] = None,
     for p in range(1, w - 1):
         lo, mid, hi = vals[p - 1], vals[p], vals[p + 1]
         if log_scale:
-            lhs, rhs = mid + mid, lo + hi
+            # a -inf entry is a zero weight, and 0 * (+inf) = 0 on the weight scale
+            lhs, rhs = mid + mid, NEG_INF if lo.is_neg_inf or hi.is_neg_inf else lo + hi
         else:
             if (lo.is_finite and lo.raw == 0) or (mid.is_finite and mid.raw == 0):
                 raise NonFiniteEntry(f"zero weight at index {p - 1 if lo.raw == 0 else p}")

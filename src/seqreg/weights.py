@@ -199,7 +199,9 @@ class OmegaTable:
                 return OmegaValue(POS_INF, None, False)
 
         avals = self.avals
-        if with_coeff and not avals[0].is_finite:
+        # an exact a_0 past the float range is a weight M_0 of 0 or +inf too:
+        # the float scan below would meet inf - inf
+        if with_coeff and not math.isfinite(float(avals[0])):
             raise NonFiniteEntry("M_0 must be positive and finite for the associated function")
         # a zero weight divides some term: the sup is +inf at every t > 0
         zero_from = p_start if not with_coeff else max(1, p_start)
@@ -210,7 +212,10 @@ class OmegaTable:
         wvals = self.wvals
         off = float(avals[0]) if with_coeff else 0.0
         log_t = float(t.log())
-        exact_ok = t.is_exact and base_end <= _EXACT_POWER_CAP and self.wvals_exact
+        # the exact scan's coefficient M_0 must be exact too: a_0 past about 709.78
+        # gives a finite log coefficient but a weight that overflows to +inf
+        exact_ok = (t.is_exact and base_end <= _EXACT_POWER_CAP and self.wvals_exact
+                    and (not with_coeff or wvals[0].is_exact))
         best_val: Optional[ExtReal] = None
         best_p: Optional[int] = None
         if exact_ok:
@@ -355,6 +360,11 @@ class OmegaTable:
             return ext(product).log()
         terms = [q * (float(mus[q + 1].log()) - float(mus[q].log())) for q in range(1, p)]
         terms.append(p * (float(t.log()) - float(mus[p].log())))
+        if math.inf in terms and -math.inf in terms:
+            # a quotient fell to 0 after a positive one, which float rounding
+            # can hide from the convexity check (M_q^2 underflows to 0)
+            q = terms.index(-math.inf) + 1
+            raise NotLogConvex(f"piecewise evaluation needs log-convexity; violated at index {q}", q)
         return ext(math.fsum(terms))
 
 

@@ -1,9 +1,10 @@
-"""Generated documents through the `minorant`, `trace`, `phireg` and `compare` front ends.
+"""Generated documents through every front end: `classify`, `minorant`, `trace`,
+`assoc`, `phireg` and `compare`.
 
 Each document mixes int, "p/q", decimal and "inf" prefix entries on either
-scale, with a tail of every type and sometimes a declared regime.  `phireg`
-and `compare` also get every phi descriptor, with parameters from tiny to
-past the float range.  Run in process through click's test runner, every
+scale, with a tail of every type and sometimes a declared regime.  `assoc`
+also gets `--grid` and `--loggrid` specs, and `phireg` and `compare` every
+phi descriptor, with parameters from tiny to past the float range.  Run in process through click's test runner, every
 invocation must end with exit code 0, 1, 2 or 3 within its time budget, and
 raise nothing else.
 """
@@ -86,6 +87,54 @@ def test_front_ends_exit_cleanly(tmp_path, doc, command, window, verify):
     args = [command, "--window", str(window), str(path)]
     if verify and command == "minorant":
         args.insert(1, "--verify")
+    res = CliRunner().invoke(main, args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        (doc, args, res.exc_info)
+    assert res.exit_code in (0, 1, 2, 3), (doc, args, res.output)
+
+
+# grid ends and steps: small and non-dyadic rationals, decimals at both ends of
+# the float range, and integers past it
+GRID_NUMBERS = st.one_of(
+    st.integers(-5, 20).map(Fraction),
+    st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(-1, 2),
+                     Fraction("1e-300"), Fraction("1e300"), Fraction(10**400)]),
+)
+GRID_STEPS = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction("0.1"),
+                              Fraction("1e-300"), Fraction("1e300"), Fraction(10**400)])
+BAD_GRIDS = st.sampled_from(["0:10", "1:0:1", "0:1:0", "0:1:-1", "a:b:c", "0:1/0:1",
+                             "0:inf:1", "nan:1:1", "", "::"])
+BAD_LOGGRIDS = st.sampled_from(["0:1:5", "-1:1:5", "2:1:3", "1:2:1", "1:2:0", "1:x:3",
+                                "1:2", "1:2:2.5", "1/0:2:3", "inf:inf:3"])
+
+
+@st.composite
+def grid_options(draw):
+    """--grid or --loggrid, well formed (at most 40 points) or not."""
+    if draw(st.booleans()):
+        if draw(st.integers(0, 4)) == 0:
+            return ["--grid", draw(BAD_GRIDS)]
+        start, step = draw(GRID_NUMBERS), draw(GRID_STEPS)
+        stop = start + step * draw(st.integers(0, 39))
+        return ["--grid", f"{start}:{stop}:{step}"]
+    if draw(st.integers(0, 4)) == 0:
+        return ["--loggrid", draw(BAD_LOGGRIDS)]
+    start = abs(draw(GRID_NUMBERS)) or Fraction(1)
+    stop = start * abs(draw(GRID_NUMBERS)) + start
+    return ["--loggrid", f"{start}:{stop}:{draw(st.integers(2, 40))}"]
+
+
+@given(documents(), st.sampled_from(["classify", "assoc"]), grid_options(),
+       st.sampled_from(["csv", "json"]), st.booleans(), st.integers(4, 24))
+@settings(max_examples=300, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_classify_and_assoc_exit_cleanly(tmp_path, doc, command, grid, emit, verify, window):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    args = [command]
+    if command == "assoc":
+        args += grid + ["--emit", emit] + (["--verify"] if verify else [])
+    args += ["--window", str(window), str(path)]
     res = CliRunner().invoke(main, args)
     assert res.exception is None or isinstance(res.exception, SystemExit), \
         (doc, args, res.exc_info)
