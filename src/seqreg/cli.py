@@ -47,7 +47,6 @@ from .sequences import (
     is_log_convex,
     resolve_window,
     to_log_scale,
-    to_weight_scale,
 )
 from .weights import OmegaTable
 
@@ -247,15 +246,22 @@ def _verify_minorant(seq: SequenceSpec, result: MinorantResult,
     original = log_in.values(result.window)
     engine = to_log_scale(result.regularized).prefix
     cap = result.regime.a_iota if result.regime.regime == CASE2 else None
-    # a walk may end on an edge into the tail: the oracle needs its far end too
-    beyond = [] if result.tail_end is None else [(result.tail_end, log_in.value(result.tail_end))]
-    oracle = brute_minorant(list(original), slope_cap=cap, beyond=beyond)
+    oracle = brute_minorant(list(original), slope_cap=cap, beyond=_tail_point(result, log_in))
     stable = min(len(engine), result.stable_prefix + 1)
     report = compare_values(
         "minorant stable prefix vs pairwise-line oracle",
         list(zip(engine[:stable], oracle[:stable])),
     )
-    return report, report.within(tol)
+    # past the stable prefix no oracle applies, but over the whole window the
+    # result lies at or below the input and meets it at every principal index
+    off = [(x, a) for x, a in zip(engine, original) if x > a]
+    off += [(engine[p], original[p]) for p in result.principal_indices]
+    return report, report.within(tol) and compare_values("", off).within(tol)
+
+
+def _tail_point(result: MinorantResult, log_seq: SequenceSpec) -> list:
+    """The walk's far end past the window, as an oracle's ``beyond`` points."""
+    return [] if result.tail_end is None else [(result.tail_end, log_seq.value(result.tail_end))]
 
 
 @main.command()
@@ -276,8 +282,9 @@ def minorant(files, window, tol, verify):
             if not ok:
                 status = EXIT_VERIFY
                 diagnostics.append(
-                    f"{path}: verify deviation {report.max_abs_deviation} "
-                    f"exceeds tolerance {tol}")
+                    f"{path}: verify deviation {report.max_abs_deviation} exceeds tolerance {tol}"
+                    if not report.within(tol) else f"{path}: the minorant lies above the input, "
+                    "or off it at a principal index")
         return _canonical(payload) + "\n", status, diagnostics
 
     _run_files(files, worker)
@@ -300,11 +307,8 @@ _ASSOC_COLUMNS = (
 def _assoc_row(table: OmegaTable, t) -> list[Optional[ExtReal]]:
     te = ext(t)
     row: list[Optional[ExtReal]] = [te]
-    try:
-        row.append(table.direct(te).value)
-    except SeqRegError:
-        row.append(None)
-    for route in (table.piecewise, table.integral, table.tilde, table.double_tilde):
+    for route in (lambda t: table.direct(t).value, table.piecewise, table.integral,
+                  table.tilde, table.double_tilde):
         try:
             row.append(route(te))
         except SeqRegError:
@@ -337,14 +341,8 @@ def assoc(files, window, tol, grid_spec, loggrid_spec, emit, verify):
         diagnostics: list[str] = []
         reports: list[OracleReport] = []
         if verify:
-            weights = to_weight_scale(seq)
-            w = resolve_window(weights, window)
-            mvals = weights.values(w)
-            finite_end = w
-            for i in range(w):
-                if not mvals[i].is_finite:
-                    finite_end = i
-                    break
+            mvals = table.weight_view.values(table.w)
+            finite_end = next((i for i, m in enumerate(mvals) if not m.is_finite), len(mvals))
             pairs = []
             witnesses = []
             for row in rows:
@@ -410,7 +408,8 @@ def trace(files, window, tol, verify, extended):
             slopes = _trace_sample_slopes(fn)
             pairs = []
             witnesses = []
-            for k, direct in zip(slopes, brute_trace(log_seq.values(result.window), slopes)):
+            beyond = _tail_point(result, log_seq)
+            for k, direct in zip(slopes, brute_trace(log_seq.values(result.window), slopes, beyond)):
                 try:
                     engine = fn.evaluate(k, extended=extended)
                 except SeqRegError:
@@ -431,8 +430,8 @@ def trace(files, window, tol, verify, extended):
 
 def _trace_sample_slopes(fn) -> list[ExtReal]:
     xs = [bp.x for bp in fn.breakpoints if bp.x.is_finite]
-    if not xs:
-        return [ext(Fraction(n, 2)) for n in range(-4, 5)]
+    if not xs:  # around 0, and inside the domain as below
+        return [k for k in (ext(Fraction(n, 2)) for n in range(-4, 5)) if fn.domain.contains(k)]
     lo, hi = xs[0], xs[-1]
     span = hi - lo
     if span == ext(0):

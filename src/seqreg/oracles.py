@@ -263,15 +263,19 @@ def brute_minorant(a: Sequence, slope_cap=None, beyond: Sequence = ()) -> list[E
 # trace function by direct sup
 
 
-def brute_trace(values: Sequence[ExtReal], slopes: Sequence[ExtReal]) -> list[ExtReal]:
+def brute_trace(values: Sequence[ExtReal], slopes: Sequence[ExtReal],
+                beyond: Sequence = ()) -> list[ExtReal]:
     """A(k) = max_p (p k - a_p) over the finite a_p, at each slope k.
 
-    On exact values and slopes the sup runs on integers over the common
-    denominator D of the values, one Fraction per slope.  Otherwise it is
-    the ExtReal expression, whose float rounding the result then carries.
+    ``beyond`` adds (index, value) points past the values, such as a far
+    tail point.  On exact values and slopes the sup runs on integers over
+    the common denominator D of the values, one Fraction per slope.
+    Otherwise it is the ExtReal expression, whose float rounding the result
+    then carries.
     """
 
-    finite = [(p, v) for p, v in enumerate(values) if v.is_finite]
+    points = [*enumerate(values), *((q, ext(v)) for q, v in beyond)]
+    finite = [(p, v) for p, v in points if v.is_finite]
     if finite and all(v.is_exact for _, v in finite) and all(k.is_exact for k in slopes):
         D, pts, _ = _common_denominator([(p, v.raw) for p, v in finite])
         out = []
@@ -279,7 +283,7 @@ def brute_trace(values: Sequence[ExtReal], slopes: Sequence[ExtReal]) -> list[Ex
             kn, kd = k.raw.numerator * D, k.raw.denominator
             out.append(ext(Fraction(max(p * kn - vp * kd for p, vp in pts), kd * D)))
         return out
-    return [max(ext(p) * k - v for p, v in enumerate(values) if v.is_finite) for k in slopes]
+    return [max(ext(p) * k - v for p, v in finite) for k in slopes]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +291,9 @@ def brute_trace(values: Sequence[ExtReal], slopes: Sequence[ExtReal]) -> list[Ex
 
 
 def brute_omega(M: Sequence, t, p_max: int) -> ExtReal:
-    """max over p <= p_max of log(M_0 t^p / M_p), evaluated term by term."""
+    """max over p <= p_max of log(M_0 t^p / M_p), evaluated term by term:
+    on an exact t and weights as integer pairs compared by cross-multiplying,
+    the largest made one Fraction; otherwise as ExtReal expressions."""
 
     te = ext(t)
     if te < ZERO:
@@ -303,6 +309,14 @@ def brute_omega(M: Sequence, t, p_max: int) -> ExtReal:
     last = min(p_max, len(weights) - 1)
     if te == ZERO:
         return ZERO  # the p = 0 term is log 1, every other term is log 0
+    if te.is_exact and all(w.is_exact for w in weights[:last + 1]):
+        (a, b), m0, top = te.raw.as_integer_ratio(), weights[0].raw, None
+        for p, m in enumerate(w.raw for w in weights[:last + 1]):
+            # term p is n_0 a^p d_p / (d_0 b^p n_p) for t = a/b and M_p = n_p/d_p
+            num, den = m0.numerator * a ** p * m.denominator, m0.denominator * b ** p * m.numerator
+            if top is None or num * top[1] > top[0] * den:
+                top = (num, den)
+        return ext(Fraction(*top)).log()
     best = None
     for p in range(last + 1):
         ratio = weights[0] * te ** p / weights[p]

@@ -254,9 +254,10 @@ def is_log_convex(seq: SequenceSpec, window: Optional[int] = None,
     """Check M_p^2 <= M_{p-1} M_{p+1} (equivalently: quotients non-decreasing).
 
     Exact on rational entries.  When floats are involved a relative slack of
-    max(tol, 1e-12) absorbs round-off; entries equal to +inf participate with
-    the usual extended-real order (an interior +inf sandwiched by finite
-    values is a violation).
+    max(tol, 1e-12) absorbs round-off, and finite weights are multiplied at
+    their exact binary values; entries equal to +inf participate with the
+    usual extended-real order (an interior +inf sandwiched by finite values
+    is a violation).
     """
     w = resolve_window(seq, window)
     if w < 3:
@@ -272,16 +273,17 @@ def is_log_convex(seq: SequenceSpec, window: Optional[int] = None,
             if (lo.is_finite and lo.raw == 0) or (mid.is_finite and mid.raw == 0):
                 raise NonFiniteEntry(f"zero weight at index {p - 1 if lo.raw == 0 else p}")
             lhs, rhs = mid * mid, lo * hi
-        exact = lhs.is_exact and rhs.is_exact
-        if exact:
+        slack = max(tol, 1e-12)
+        if lhs.is_exact and rhs.is_exact:
             bad = lhs > rhs
+        elif not log_scale and lo.is_finite and mid.is_finite and hi.is_finite:
+            sq, cross = Fraction(mid.raw) ** 2, Fraction(lo.raw) * Fraction(hi.raw)
+            bad = sq - cross > Fraction(slack) * max(sq, cross)
+        elif lhs.is_finite and rhs.is_finite:
+            lf, rf = float(lhs), float(rhs)
+            bad = lf > rf + slack * max(1.0, abs(lf), abs(rf))
         else:
-            slack = max(tol, 1e-12)
-            if lhs.is_finite and rhs.is_finite:
-                lf, rf = float(lhs), float(rhs)
-                bad = lf > rf + slack * max(1.0, abs(lf), abs(rf))
-            else:
-                bad = lhs > rhs
+            bad = lhs > rhs
         if bad:
             return ConvexityReport(False, p)
     return ConvexityReport(True, None)

@@ -15,8 +15,9 @@ window values, the quotients, the log-convexity report, the regime and the
 limit root) sits in an OmegaTable, built lazily and at most once per
 (sequence, window, tol).  The public omega_* functions evaluate through a
 fresh table; a caller evaluating a grid of t (the CLI's assoc) builds one
-table and evaluates every t through it, so nothing is rescanned per point.
-Nothing is cached beyond a table's lifetime.
+table and evaluates every t through it.  Per t, the three direct forms share
+one argmax, found on integers for exact t, and the integral route extends the
+table's prefix product.  Nothing is cached beyond a table's lifetime.
 
 The Young conjugate is computed geometrically: s -> omega(e^s) is piecewise
 linear (the trace of the log sequence shifted by log M_0), so the conjugate
@@ -26,7 +27,10 @@ sup_s {ps - omega(e^s)} is exact over its breakpoints.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass
+from functools import cmp_to_key
 from fractions import Fraction
 from typing import Optional
 
@@ -105,8 +109,9 @@ class OmegaTable:
     tolerance).  Each is built on its first read and kept for the table's
     lifetime.  A field whose build raised raises that error on every read, so
     a route fails at the same step, with the same error, at every t.  The
-    routes stay separate code paths over the table; the direct route still
-    scans the window at every t.
+    routes stay separate code paths over the table.  Besides, the table keeps
+    the argmax of the last t, which the direct, tilde and double-tilde forms
+    share, and the integral route's partial products.
     """
 
     def __init__(self, M: SequenceSpec, window: Optional[int] = None, tol: float = 1e-9):
@@ -114,6 +119,8 @@ class OmegaTable:
         self.window = window
         self.tol = tol
         self._memo: dict = {}
+        self._t = self._argmax = None  # the last t of the direct forms, and their argmax
+        self._prods = [Fraction(1)]  # _prods[k - 1] = prod_{q<k} (mu_{q+1}/mu_q)^q
 
     @_once
     def log_view(self) -> SequenceSpec:
@@ -176,13 +183,55 @@ class OmegaTable:
             raise NonFiniteEntry(f"the tail weight M_{q} overflows a float")
         return v
 
+    @_once
+    def log_coeff(self) -> Optional[float]:
+        """log M_0 as a float, or None when it is not finite."""
+        a0 = float(self.avals[0])
+        return a0 if math.isfinite(a0) else None
+
+    @_once
+    def zero_weights(self) -> list[int]:
+        """Indices of the zero weights (a_p = -inf) in the examined range."""
+        return [p for p, a in enumerate(self.avals) if a.is_neg_inf]
+
     # -- direct forms -----------------------------------------------------------
+
+    def _exact_argmax(self, t: ExtReal) -> list:
+        """(p, log value) at the last argmax of t^p / M_p for the direct form
+        (times M_0), over p >= 1 and over p >= 0.  With t = a/b and
+        M_p = n_p/d_p, term p is a^p b^(L-p) d_p / n_p over the common b^L:
+        terms compare by cross-multiplying integers, and each value is one
+        Fraction.  +inf weights are skipped."""
+        a, b, L = t.raw.numerator, t.raw.denominator, self.base_end - 1
+        terms = [(p, a ** p * b ** (L - p) * m.raw.denominator, m.raw.numerator)
+                 for p, m in enumerate(self.wvals) if m.is_exact and m.raw]
+        order = cmp_to_key(lambda u, v: u[1] * v[2] - v[1] * u[2] or u[0] - v[0])
+        best = max((u for u in terms if u[0]), key=order, default=None)
+        top = max(terms, key=order, default=None)
+
+        def log_of(u, coeff=Fraction(1)):
+            if u is not None:
+                return u[0], ext(Fraction(coeff.numerator * u[1], coeff.denominator * b ** L * u[2])).log()
+
+        m0 = self.wvals[0]
+        return [log_of(top, m0.raw) if m0.is_exact else None, log_of(best), log_of(top)]
+
+    def _float_argmax(self, t: ExtReal) -> list:
+        """The same three from float terms; the direct form's carry log M_0, so
+        its argmax is taken on them.  A (term, p) pair puts ties on the larger p."""
+        log_t, coeff = float(t.log()), self.log_coeff
+        logs = [(p, float(a)) for p, a in enumerate(self.avals) if not a.is_pos_inf]
+        terms = [(0.0 + p * log_t - a, p) for p, a in logs]
+        best = max((u for u in terms if u[1]), default=None)
+        top = None if coeff is None else max((coeff + p * log_t - a, p) for p, a in logs)
+        return [None if u is None else (u[1], ext(u[0])) for u in (top, best, max(terms, default=None))]
 
     def _sup_scan(self, t: ExtReal, include_zero: bool, with_coeff: bool) -> OmegaValue:
         """sup over examined p of log(coeff * t^p / M_p), coeff = M_0 or 1, t > 0.
 
         Ties go to the larger index, matching the counting-function convention
-        Sigma(t) = #{mu <= t} at the knots.  Closed-form tails extend the scan:
+        Sigma(t) = #{mu <= t} at the knots.  The forms share one argmax per t.
+        Closed-form tails extend the scan:
         geometric-type tails give an analytic +inf above the limit root and a
         constant-term plateau at it; factorial-type tails are searched for the
         index where the quotient passes t (terms fall forever after that).
@@ -191,56 +240,34 @@ class OmegaTable:
         if t.is_pos_inf:
             return OmegaValue(POS_INF, None, False)
         tail = self.M.tail
-        p_start = 0 if include_zero else 1
 
         root = self.limit_root
         if root is not None and root.is_finite:
             if t > root:
                 return OmegaValue(POS_INF, None, False)
 
-        avals = self.avals
-        # an exact a_0 past the float range is a weight M_0 of 0 or +inf too:
-        # the float scan below would meet inf - inf
-        if with_coeff and not math.isfinite(float(avals[0])):
+        off = self.log_coeff if with_coeff else 0.0
+        if off is None:
             raise NonFiniteEntry("M_0 must be positive and finite for the associated function")
         # a zero weight divides some term: the sup is +inf at every t > 0
-        zero_from = p_start if not with_coeff else max(1, p_start)
-        for p in range(zero_from, base_end):
-            if avals[p].is_neg_inf:
-                return OmegaValue(POS_INF, p, False)
+        zero_from = 0 if include_zero and not with_coeff else 1
+        zero = next((p for p in self.zero_weights if p >= zero_from), None)
+        if zero is not None:
+            return OmegaValue(POS_INF, zero, False)
 
-        wvals = self.wvals
-        off = float(avals[0]) if with_coeff else 0.0
+        wvals = self.wvals  # read on either path: a weight that cannot be built raises
         log_t = float(t.log())
         # the exact scan's coefficient M_0 must be exact too: a_0 past about 709.78
         # gives a finite log coefficient but a weight that overflows to +inf
-        exact_ok = (t.is_exact and base_end <= _EXACT_POWER_CAP and self.wvals_exact
-                    and (not with_coeff or wvals[0].is_exact))
-        best_val: Optional[ExtReal] = None
-        best_p: Optional[int] = None
-        if exact_ok:
-            coeff = wvals[0].raw if with_coeff else Fraction(1)
-            power = Fraction(1)
-            best_r: Optional[Fraction] = None
-            for p in range(base_end):
-                if p > 0:
-                    power *= t.raw
-                if p < p_start or wvals[p].is_pos_inf:
-                    continue
-                r = coeff * power / wvals[p].raw
-                if best_r is None or r >= best_r:
-                    best_r, best_p = r, p
-            if best_r is not None:
-                best_val = ext(best_r).log()
-        else:
-            for p in range(p_start, base_end):
-                if avals[p].is_pos_inf:
-                    continue
-                term = off + p * log_t - float(avals[p])
-                if best_val is None or term >= float(best_val):
-                    best_val, best_p = ext(term), p
-        if best_val is None:
+        exact = (t.is_exact and base_end <= _EXACT_POWER_CAP and self.wvals_exact
+                 and (not with_coeff or wvals[0].is_exact))
+        if self._t != (t.raw, t.is_exact, exact):  # the forms at one t share one argmax
+            self._t = (t.raw, t.is_exact, exact)
+            self._argmax = (self._exact_argmax if exact else self._float_argmax)(t)
+        best = self._argmax[0 if with_coeff else 1 + include_zero]
+        if best is None:
             return OmegaValue(NEG_INF, None, False)
+        best_p, best_val = best
 
         boundary = False
         if isinstance(tail, FactorialPower):
@@ -258,7 +285,7 @@ class OmegaTable:
         elif isinstance(tail, (Geometric, AffineLog)):
             if root is not None and t == root:
                 # beyond the prefix the terms are constant: log coeff exactly
-                const = avals[0] if with_coeff else ZERO
+                const = self.avals[0] if with_coeff else ZERO
                 if const >= best_val:
                     return OmegaValue(const, None, False)
         else:
@@ -306,22 +333,41 @@ class OmegaTable:
                 f"bounded-quotient sequences admit the closed form on [0, C) only; "
                 f"t = {t} >= C = {C}")
 
+    @_once
+    def quotient_floor(self) -> list:
+        """min over r >= q of mu_r at each examined q: non-decreasing."""
+        return list(accumulate([mu.raw for mu in reversed(self.quotients)], min))[::-1]
+
     def _segment_index(self, t: ExtReal) -> int:
         """Largest p with mu_p <= t over the examined range (0 when mu_1 > t).
 
-        Factorial-type tails are searched past the window for the first
-        quotient above t; other tails rely on the window (geometric-type quotients
-        are constant beyond the prefix, covered by one extra examined index).
+        Bisects the quotient floor, whose last entry <= t sits where the last
+        quotient <= t does.  Factorial-type tails are searched past the window
+        for the first quotient above t; other tails rely on the window
+        (geometric-type quotients are constant beyond the prefix, covered by
+        one extra examined index).
         """
         base_end = self.base_end
-        mus = self.quotients
-        p = 0
-        for q in range(1, len(mus)):
-            if mus[q] <= t:
-                p = q
+        p = bisect_right(self.quotient_floor, t.raw, 1) - 1
         if isinstance(self.M.tail, FactorialPower) and p == base_end - 1:
             return self.M.tail.search(lambda q: not self.M.tail.quotient(q) <= t, base_end) - 1
         return p
+
+    def _telescoped(self, p: int) -> Fraction:
+        """prod_{q<p} (mu_{q+1}/mu_q)^q on exact weights, its partial products
+        over the examined range kept.  Past it (factorial tails, integer mu)
+        the stretch from k telescopes to mu_p^(p-1) / (mu_k^k prod_{k<j<p} mu_j),
+        and that product is taken by binary splitting."""
+        prods, mus, k = self._prods, self.quotients, min(p, self.base_end - 1)
+        while len(prods) < k:
+            q = len(prods)
+            prods.append(prods[-1] * (mus[q + 1].raw / mus[q].raw) ** q)
+        if p == k:
+            return prods[p - 1]
+        inner = [self.M.tail.quotient(j).raw for j in range(k + 1, p)] or [1]
+        while len(inner) > 1:  # pairwise, so large products meet operands of equal size
+            inner = [math.prod(inner[i:i + 2]) for i in range(0, len(inner), 2)]
+        return prods[k - 1] * self.M.tail.quotient(p).raw ** (p - 1) / (mus[k].raw ** k * inner[0])
 
     def piecewise(self, t) -> ExtReal:
         """omega_piecewise at t."""
@@ -350,14 +396,13 @@ class OmegaTable:
         p = self._segment_index(t)
         if p == 0:
             return ZERO
+        if t.is_exact and all(m.is_exact for m in self.wvals[:p + 1]) and (
+                p < self.base_end or self.M.tail.s.denominator == 1):
+            self._weight(p)  # a tail weight too large to build exactly raises here too
+            mu_p = self.quotients[p] if p < self.base_end else self.M.tail.quotient(p)
+            return ext(self._telescoped(p) * (t.raw / mu_p.raw) ** p).log()
         wv = [self._weight(q) for q in range(p + 1)]
         mus = [None] + [wv[q] / wv[q - 1] for q in range(1, p + 1)]
-        if t.is_exact and all(v.is_exact for v in wv):
-            product = Fraction(1)
-            for q in range(1, p):
-                product *= (mus[q + 1].raw / mus[q].raw) ** q
-            product *= (t.raw / mus[p].raw) ** p
-            return ext(product).log()
         terms = [q * (float(mus[q + 1].log()) - float(mus[q].log())) for q in range(1, p)]
         terms.append(p * (float(t.log()) - float(mus[p].log())))
         if math.inf in terms and -math.inf in terms:

@@ -364,6 +364,58 @@ def test_minorant_verify_still_rejects_a_wrong_value(tmp_path, runner, monkeypat
     assert "verify deviation" in res.stderr
 
 
+@pytest.mark.parametrize("shift", [1, -1])
+def test_minorant_verify_checks_past_the_stable_prefix(tmp_path, runner, monkeypatch, shift):
+    # the oracle sees the stable prefix only; past it, a result above the input
+    # (shift 1) or off it at a principal index (shift -1) must still fail
+    dispatch = cli_mod.regularize
+
+    def raised(seq, window, tol):
+        result = dispatch(seq, window, tol)
+        prefix = list(result.regularized.prefix)
+        prefix[-1] = prefix[-1] + ext(shift)
+        return dataclasses.replace(
+            result, regularized=dataclasses.replace(result.regularized, prefix=tuple(prefix)))
+
+    monkeypatch.setattr(cli_mod, "regularize", raised)
+    path = tmp_path / "rough.json"
+    path.write_text(json.dumps({"kind": "log", "prefix": [0, 5, 1, 3, 9, 20],
+                                "tail": {"type": "explicit_only"}}))
+    res = runner.invoke(main, ["minorant", "--verify", str(path)])
+    out = parse_line(res.stdout)
+    assert out["stable_prefix"] < 5 and 5 in out["principal_indices"]
+    assert res.exit_code == 3
+    assert "above the input" in res.stderr
+
+
+def test_minorant_verify_rejects_a_result_above_the_input(tmp_path):
+    # the slope from a_0 to a_1 overflows a float; the walk then filled +inf
+    # above a_1, and the stable prefix (index 0) could not show it
+    doc = {"kind": "log", "prefix": [-1.7e308, 1.7e308], "tail": {"type": "explicit_only"}}
+    res = run_cli(tmp_path, doc, "minorant", "--verify")
+    out = json.loads(res.stdout)
+    above = out["regularized"][1] == "inf" or out["regularized"][1] > 1.7e308
+    assert res.returncode == (3 if above else 0), res.stderr
+    assert set(out["verify"][0]) == {"quantity", "main_value", "oracle_value", "max_abs_deviation",
+                                     "max_rel_deviation", "witness"}
+
+
+@pytest.mark.parametrize("doc, args", [
+    # the trace's last edge runs to a point past the 4-point window
+    ({"kind": "log", "prefix": [0, "inf", "inf", "inf", "-93/52", 149, -287, "inf", "inf",
+                                "-288/79"],
+      "tail": {"type": "factorial_power", "s": 1, "c": "1/2"}}, ("--window", "4")),
+    # no finite breakpoint, and +inf past a_iota = log 3
+    ({"kind": "log", "prefix": ["-392", "inf", "278/9", "inf"],
+      "tail": {"type": "geometric", "d": 3}}, ("--extended",)),
+])
+def test_trace_verify_accepts_correct_traces(tmp_path, doc, args):
+    res = run_cli(tmp_path, doc, "trace", "--verify", *args)
+    assert res.returncode == 0, res.stderr
+    (report,) = json.loads(res.stdout)["verify"]
+    assert report["max_abs_deviation"] <= 1e-9
+
+
 @pytest.mark.parametrize("command", ["minorant", "trace"])
 @pytest.mark.parametrize("doc", [
     {"kind": "log", "prefix": [0, 5, 1, 3, 9, 20], "tail": {"type": "explicit_only"}},
@@ -579,6 +631,30 @@ def test_assoc_loggrid(runner, factorial_file):
     res = runner.invoke(main, ["assoc", factorial_file, "--loggrid", "1:100:5"])
     lines = [ln for ln in res.stdout.splitlines() if ln and not ln.startswith("#")]
     assert len(lines) == 1 + 5
+
+
+def test_integral_route_at_large_t_is_fast(tmp_path):
+    # the segment index is about 4000, far past the window; multiplying the
+    # telescoped factors one Fraction at a time took about 16 s per run on a
+    # shared 2-vCPU machine
+    doc = {"kind": "weight", "prefix": [1], "tail": {"type": "factorial_power", "s": 1, "c": 1}}
+    res = run_cli(tmp_path, doc, "assoc", "--grid", "3990:4000:10", timeout=10)
+    assert res.returncode == 0, res.stderr
+    rows = [line.split(",") for line in res.stdout.splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(row[3] == row[2] != "" for row in rows)  # integral equals piecewise
+
+
+@pytest.mark.parametrize("prefix", [
+    [1, 1e-10, 1e-30, 1e-60],
+    ["1", "1/10000000000", "1/" + "1" + "0" * 30, "1/" + "1" + "0" * 60],
+])
+def test_small_weights_that_are_not_log_convex(tmp_path, prefix):
+    # floats below 1 get the rationals' answer, not an absolute 1e-12 slack
+    doc = {"kind": "weight", "prefix": prefix, "tail": {"type": "explicit_only"}}
+    res = run_cli(tmp_path, doc, "classify", "--window", "4")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["convexity"] == {"log_convex": False, "violation_index": 1}
 
 
 def test_assoc_verify_appends_comment(runner, factorial_file):

@@ -127,6 +127,17 @@ def test_log_convexity_weight_scale():
     assert not is_log_convex(bumpy).ok
 
 
+def test_float_weights_are_multiplied_exactly():
+    # 5e-324 squared underflows to 0.0, which hid the violation at index 1
+    tiny = SequenceSpec(kind="weight", prefix=(1, 5e-324, 0), tail=ExplicitOnly())
+    assert is_log_convex(tiny) == is_log_convex(
+        SequenceSpec(kind="weight", prefix=(1, Fraction(5e-324), 0), tail=ExplicitOnly()))
+    assert is_log_convex(tiny).violation_index == 1
+    # collinear one-decimal floats stay log-convex within the relative slack
+    tenths = SequenceSpec(kind="weight", prefix=(1, 0.1, 0.01, 0.001), tail=ExplicitOnly())
+    assert is_log_convex(tenths).ok
+
+
 def test_interior_infinity_breaks_convexity():
     a = SequenceSpec(kind="log", prefix=(0, float("inf"), 2, 6), tail=ExplicitOnly())
     assert not is_log_convex(a).ok
