@@ -36,8 +36,6 @@ from .phireg import (
     compare_regularizations,
     make_phi,
     regularize_with_phi,
-    counting_m_phi,
-    trace_A_phi,
 )
 from .sequences import (
     CASE1,
@@ -517,14 +515,9 @@ def phireg(files, window, tol, phi_descriptor, emit, grid_spec, extended, verify
             ts.extend(lo + span * Fraction(i, 16) for i in range(-4, 21))
         ts = sorted(set(ts))
         lines = ["t,m,A"]
-        for t in ts:
-            try:
-                a_val = trace_A_phi(result, t, extended=extended)
-            except SeqRegError:
-                lines.append(f"{_csv_cell(t)},,")
-                continue
-            m_val = counting_m_phi(result, t)
-            lines.append(f"{_csv_cell(t)},{m_val},{_csv_cell(a_val)}")
+        ms, As = result.counting.values_sorted(ts), result.trace.evaluate_sorted(ts, extended)
+        for t, m, a_val in zip(ts, ms, As):
+            lines.append(f"{_csv_cell(t)},{'' if m is None else m},{_csv_cell(a_val)}")
         for r in reports:
             lines.append("# verify: " + _canonical(r.to_json()))
         return "\n".join(lines) + "\n", status, diagnostics

@@ -14,8 +14,8 @@ principal index P, a later index q takes over at
 because q must be both visible and at-or-below the current line.  The next
 event is min_q e_q; everything (event times, intercept comparisons, hence the
 principal / discontinuity classification) is exact rational arithmetic when
-the inputs are.  Thresholds are rationalized once per (phi, p) so the engine
-and the recovery conjugate use identical cutoffs.
+the inputs are.  Each phi's one threshold rule gives threshold(p) as an integer
+ratio, so the engine and the recovery conjugate use identical cutoffs.
 
 Each call reads the window once into raw payloads (Fraction or float) and
 computes the threshold vector threshold(0..w-1) once.  phi is non-decreasing
@@ -29,17 +29,17 @@ the next event.  Each point is pushed and popped at most once, so
 the sweep is linear in the window.
 
 The payload types pick the arithmetic once per call.  On an exact window
-(every value a Fraction, every threshold and the cap a Fraction, -inf or
-absent) each value and threshold is read once as an integer ratio, and every
+(every value a Fraction, every threshold an integer ratio or -inf, the cap a
+Fraction or absent) each value is read once as an integer ratio, and every
 decision is one comparison of integer products: the turn test is
 minorant._lower_hull's, and takeover times (slopes, thresholds, the last
 event time, the cap) and jump intercepts are compared as unreduced
 (num, den) pairs by cross-multiplication.  An event builds one Fraction for
 its time and one for each trace value beside it, and each filled value
 between principal indices is one Fraction built from integers.  A window
-with any float runs the same sweep on the raw payloads, with the float tie
-rules described at _sweep_raw; a value wraps into ExtReal only when it
-enters the record.
+with any float (or a hand-built phi with a float threshold) runs the same
+sweep on the raw payloads, with the float tie rules described at _sweep_raw;
+a value wraps into ExtReal only when it enters the record.
 
 Events where the entering point sits strictly below the old line are the
 indices of discontinuity: visibility arrived later than tangency, so the trace
@@ -59,11 +59,12 @@ implementation from the minorant module and lets the two be cross-checked.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .errors import (
     AxiomViolation,
@@ -95,12 +96,34 @@ from .tails import LOG, ExplicitOnly
 # -- regularizing functions ------------------------------------------------------
 
 
+# threshold(p) as the sweep reads it: (n, d), d > 0, for n/d; None for -inf; or a float
+Threshold = Union[tuple[int, int], None, float]
+
+
+def _ratio(raw: RawNumber) -> Threshold:
+    if type(raw) is Fraction:
+        return raw.numerator, raw.denominator
+    return None if raw == -math.inf else raw
+
+
+def _raw(thr: Threshold) -> RawNumber:
+    return -math.inf if thr is None else Fraction(*thr) if type(thr) is tuple else thr
+
+
+def _below(x: Threshold, y: Threshold) -> bool:  # x < y
+    if type(x) is type(y) is tuple:
+        return x[0] * y[1] < y[0] * x[1]
+    return _raw(x) < _raw(y)
+
+
 class RegularizingFunction:
     """phi: R -> [0, +inf], non-decreasing, 0 at -inf, +inf at blowup_T or +inf.
 
     threshold(p) = inf{t : phi(t) >= p} is the quantity the sweep actually
-    uses; it is computed exactly (rational) per descriptor and cached, so all
-    consumers see one consistent set of cutoffs.
+    uses; each phi defines it once, exactly, by a rule p -> Threshold (p >= 1)
+    that the sweep reads and threshold(p) wraps, so all consumers see one
+    consistent set of cutoffs.  A hand-built threshold_fn is read into it;
+    the built-in phis give their rule directly (_builtin).
     """
 
     def __init__(self, tag: str, eval_fn: Callable[[ExtReal], ExtReal],
@@ -112,8 +135,7 @@ class RegularizingFunction:
         self.infinite = infinite
         self.descriptor = descriptor or tag
         self._eval_fn = eval_fn
-        self._threshold_fn = threshold_fn
-        self._cache: dict[int, ExtReal] = {}
+        self._rule: Callable[[int], Threshold] = lambda p: _ratio(ext(threshold_fn(p)).raw)
 
     def eval(self, t) -> ExtReal:
         t = ext(t)
@@ -126,13 +148,7 @@ class RegularizingFunction:
     def threshold(self, p: int) -> ExtReal:
         if p < 0:
             raise ValueError("threshold index must be >= 0")
-        if p == 0:
-            return NEG_INF  # phi >= 0 everywhere
-        got = self._cache.get(p)
-        if got is None:
-            got = self._threshold_fn(p)
-            self._cache[p] = got
-        return got
+        return ExtReal(_raw(self._rule(p) if p else None))  # phi >= 0: threshold(0) = -inf
 
     def to_json(self) -> dict:
         return {"descriptor": self.descriptor}
@@ -141,8 +157,10 @@ class RegularizingFunction:
         return f"RegularizingFunction({self.descriptor})"
 
 
-def _rational_log(p: int) -> Fraction:
-    return Fraction(0) if p == 1 else Fraction(math.log(p))
+def _builtin(tag: str, eval_fn, rule: Callable[[int], Threshold], **kw) -> RegularizingFunction:
+    phi = RegularizingFunction(tag, eval_fn, lambda p: ExtReal(_raw(rule(p))), **kw)
+    phi._rule = rule
+    return phi
 
 
 def _parse_frac(text: str, what: str) -> Fraction:
@@ -193,21 +211,24 @@ def _piecewise_phi(knots: list[tuple[Fraction, Fraction]]) -> RegularizingFuncti
                 return ext(vs[i - 1] + s * (x - xs[i - 1]))
         raise AssertionError("unreachable")
 
-    def threshold_fn(p: int) -> ExtReal:
-        target = Fraction(p)
-        if target > vs[-1]:
-            return ext(xs[-1] + (target - vs[-1]) / final_slope)
-        for i in range(1, len(xs)):
-            if vs[i] >= target:
-                if vs[i] == vs[i - 1]:
-                    continue  # flat segment never reaches a strictly larger value
-                s = (vs[i] - vs[i - 1]) / (xs[i] - xs[i - 1])
-                x = xs[i - 1] + (target - vs[i - 1]) / s
-                return ext(max(x, xs[i - 1]))
-        return ext(xs[-1] + (target - vs[-1]) / final_slope)
+    # threshold(p) = (A + B p) / C on each rising segment, beside the value it
+    # rises to: p is on the first that reaches it (a flat one reaches no larger
+    # value; before it v_{i-1} < p, so x > x_{i-1}) or on the last, extended.
+    segs: list[tuple[Fraction, int, int, int]] = []
+    for i in range(1, len(xs)):
+        if vs[i] > vs[i - 1]:
+            r = (xs[i] - xs[i - 1]) / (vs[i] - vs[i - 1])
+            c = xs[i - 1] - vs[i - 1] * r  # threshold(p) = c + r p
+            segs.append((vs[i], c.numerator * r.denominator, r.numerator * c.denominator,
+                         c.denominator * r.denominator))
+    tops = [seg[0] for seg in segs]
+
+    def rule(p: int) -> Threshold:
+        _, A, B, C = segs[min(bisect.bisect_left(tops, p), len(segs) - 1)]
+        return A + B * p, C
 
     desc = "piecewise:" + ";".join(f"{x},{v}" for x, v in knots)
-    return RegularizingFunction("piecewise", eval_fn, threshold_fn, descriptor=desc)
+    return _builtin("piecewise", eval_fn, rule, descriptor=desc)
 
 
 def make_phi(descriptor) -> RegularizingFunction:
@@ -230,8 +251,8 @@ def make_phi(descriptor) -> RegularizingFunction:
     head = head.lower()
 
     if head == "exp":
-        return RegularizingFunction("exp", lambda t: t.exp(),
-                                    lambda p: ExtReal(_rational_log(p)), descriptor="exp")
+        return _builtin("exp", lambda t: t.exp(), lambda p: math.log(p).as_integer_ratio(),
+                        descriptor="exp")
     if head == "expaffine":
         parts = arg.split(",")
         if len(parts) != 2:
@@ -246,26 +267,25 @@ def make_phi(descriptor) -> RegularizingFunction:
         def ea_eval(t: ExtReal, a=alpha, b=beta) -> ExtReal:
             return (ext(a) * t + ext(b)).exp()
 
-        def ea_threshold(p: int, a=alpha, b=beta) -> ExtReal:
-            return ExtReal((_rational_log(p) - b) / a)
+        an, ad, bn, bd = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
 
-        return RegularizingFunction("expaffine", ea_eval, ea_threshold,
-                                    descriptor=f"expaffine:{alpha},{beta}")
+        def ea_rule(p: int) -> Threshold:  # (log p - beta) / alpha
+            n, d = math.log(p).as_integer_ratio()
+            return (n * bd - bn * d) * ad, d * bd * an
+
+        return _builtin("expaffine", ea_eval, ea_rule, descriptor=f"expaffine:{alpha},{beta}")
     if head == "blowup":
         T = ext(_parse_frac(arg, "T"))
 
         def bu_eval(t: ExtReal, T=T) -> ExtReal:
             return ONE / (T - t) if t < T else POS_INF
 
-        def bu_threshold(p: int, T=T.raw) -> ExtReal:
-            return ExtReal(T - Fraction(1, p))
-
-        return RegularizingFunction("blowup", bu_eval, bu_threshold, blowup_T=T,
-                                    descriptor=f"blowup:{arg}")
+        Tn, Td = T.raw.numerator, T.raw.denominator
+        return _builtin("blowup", bu_eval, lambda p: (Tn * p - Td, Td * p),  # T - 1/p
+                        blowup_T=T, descriptor=f"blowup:{arg}")
     if head == "infinite":
-        return RegularizingFunction("infinite", lambda t: POS_INF,
-                                    lambda p: NEG_INF, infinite=True,
-                                    descriptor="infinite")
+        return _builtin("infinite", lambda t: POS_INF, lambda p: None, infinite=True,
+                        descriptor="infinite")
     if head == "piecewise":
         try:
             knots_raw = json.loads(arg)
@@ -372,7 +392,7 @@ def _case1_result(vals: list[ExtReal], w: int, phi: RegularizingFunction) -> Phi
     )
 
 
-def _sweep(pts: list[tuple[int, RawNumber, RawNumber]], cap: Optional[RawNumber]):
+def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]):
     """The event sweep over pts = [(q, a_q, threshold(q))], thresholds non-decreasing.
 
     ``hull[lo:]`` is the lower hull, collinear points kept, of the points
@@ -385,31 +405,29 @@ def _sweep(pts: list[tuple[int, RawNumber, RawNumber]], cap: Optional[RawNumber]
     top) and whether the cap stopped the sweep.
 
     The payload types decide the arithmetic once per call: when every value
-    is a Fraction, every threshold a Fraction or -inf and the cap a Fraction
-    or absent, the sweep decides on integers (_sweep_exact); otherwise it
-    runs on the raw payloads (_sweep_raw), whose tie rules on floats differ.
+    is a Fraction, every threshold an integer ratio or -inf and the cap a
+    Fraction or absent, the sweep decides on integers (_sweep_exact);
+    otherwise it runs on the raw payloads (_sweep_raw), whose tie rules on
+    floats differ, with each threshold read back as a raw number.
     """
     if (cap is None or type(cap) is Fraction) and all(
-            type(v) is Fraction and (type(thr) is Fraction or thr == -math.inf)
-            for _, v, thr in pts):
-        return _sweep_exact(pts, cap)
-    return _sweep_raw(pts, cap)
+            type(v) is Fraction and type(thr) is not float for _, v, thr in pts):
+        return _sweep_exact(pts, None if cap is None else _ratio(cap))
+    return _sweep_raw([(q, v, _raw(thr)) for q, v, thr in pts], cap)
 
 
-def _sweep_exact(pts: list[tuple[int, Fraction, RawNumber]], cap: Optional[Fraction]):
+def _sweep_exact(pts: list[tuple[int, Fraction, Threshold]], cap: Optional[tuple[int, int]]):
     """_sweep on exact payloads, every decision a comparison of integer products.
 
-    Each value is read once as (n, d) and each finite threshold as (tn, td);
-    a -inf threshold is tn = None, and so is the floor before the first
+    Each value is read once as (n, d); each threshold, like the cap, comes as
+    (tn, td), and a -inf threshold is tn = None, and so is the floor before the first
     event.  A time (a slope, threshold, floor, cap or intercept) is an
     unreduced pair (num, den) with den > 0, and x < y is x_num*y_den <
     y_num*x_den.  The turn test is minorant._lower_hull's.  Each event builds
     one Fraction for its time tau and one for each trace value beside it.
     """
-    ps = [(q, v.numerator, v.denominator) + ((thr.numerator, thr.denominator)
-                                              if type(thr) is Fraction else (None, 1))
-          for q, v, thr in pts]
-    cn, cd = (None, 1) if cap is None else (cap.numerator, cap.denominator)
+    ps = [(q, v.numerator, v.denominator) + (thr or (None, 1)) for q, v, thr in pts]
+    cn, cd = cap or (None, 1)
     principal: list[tuple[int, ExtReal]] = [(0, NEG_INF)]
     disc: list[int] = []
     events: list[tuple[ExtReal, ExtReal, ExtReal, int]] = []
@@ -606,8 +624,8 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
         if regime.regime == CASE2:
             cap = regime.a_iota
 
-    # the raw window and threshold vector; +inf points never take over
-    pts: list[tuple[int, RawNumber, RawNumber]] = []  # (q, a_q, threshold(q))
+    # the raw window and the threshold rule's vector; +inf points never take over
+    pts: list[tuple[int, RawNumber, Threshold]] = []  # (q, a_q, threshold(q))
     for q, v in enumerate(vals):
         if v.is_pos_inf:
             continue
@@ -618,12 +636,12 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
                     f"but the {regime.source} regime is {regime.regime}")
             raise InfiniteEntryUnsupported(
                 f"a_{q} = -inf: only the ungated phi handles collapsing sequences")
-        thr = phi.threshold(q).raw
-        if pts and thr < pts[-1][2]:
+        thr = phi._rule(q) if q else None
+        if pts and _below(thr, pts[-1][2]):
             # the sweep admits points in index order, so it needs phi non-decreasing
             raise AxiomViolation(
-                "I", q, f"threshold({q}) = {thr} falls below "
-                f"threshold({pts[-1][0]}) = {pts[-1][2]}: phi must be non-decreasing")
+                "I", q, f"threshold({q}) = {_raw(thr)} falls below "
+                f"threshold({pts[-1][0]}) = {_raw(pts[-1][2])}: phi must be non-decreasing")
         pts.append((q, v.raw, thr))
     if phi.blowup_T is None and not phi.infinite and pts[-1][0] < w - 1:
         raise InfiniteEntryUnsupported(

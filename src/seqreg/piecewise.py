@@ -59,6 +59,18 @@ class Interval:
         }
 
 
+def _positions(locs: list[ExtReal], xs, domain: Interval) -> list[Optional[int]]:
+    """bisect_right(locs, x) - 1 at each x of the sorted finite xs, by one
+    pointer over locs; None where x is outside the domain."""
+    out: list[Optional[int]] = []
+    i = -1
+    for x in xs:
+        while i + 1 < len(locs) and locs[i + 1] <= x:
+            i += 1
+        out.append(i if domain.contains(x) else None)
+    return out
+
+
 REAL_LINE = Interval(NEG_INF, POS_INF)
 EMPTY_INTERVAL = Interval(POS_INF, NEG_INF)
 
@@ -140,12 +152,20 @@ class PiecewiseLinearFn:
 
     __call__ = evaluate
 
-    def _raw_value(self, x: ExtReal) -> ExtReal:
+    def evaluate_sorted(self, xs, extended: bool = False) -> list[Optional[ExtReal]]:
+        """evaluate at each x of the sorted finite xs, in one pass; outside the
+        domain +inf when extended, else None."""
+        return [(POS_INF if extended else None) if i is None else self._raw_value(ext(x), i)
+                for x, i in zip(xs, _positions(self._xs, xs, self.domain))]
+
+    def _raw_value(self, x: ExtReal, i: Optional[int] = None) -> ExtReal:
+        """The value at x in the domain; i, if given, is the last breakpoint at or before x."""
         if not self.breakpoints:
             if self.constant is None:
                 raise OutOfDomain("empty function")
             return self.constant
-        i = bisect.bisect_right(self._xs, x) - 1
+        if i is None:
+            i = bisect.bisect_right(self._xs, x) - 1
         if i < 0:
             first = self.breakpoints[0]
             return first.left_value - self.slope_left * (first.x - x)
@@ -289,6 +309,11 @@ class StepFunction:
         return self.initial_level if i < 0 else self.jumps[i][1]
 
     __call__ = value
+
+    def values_sorted(self, ts) -> list[Optional[int]]:
+        """value at each t of the sorted finite ts, in one pass; None outside the domain."""
+        return [None if i is None else self.initial_level if i < 0 else self.jumps[i][1]
+                for i in _positions(self._locs, ts, self.domain)]
 
     def left_limit(self, t) -> int:
         t = ext(t)

@@ -339,12 +339,16 @@ def classify_regime(seq: SequenceSpec, window: Optional[int] = None,
         if v.is_neg_inf:
             return RegimeClassification(CASE1, None, evidence, "window")
         if v.is_finite:
-            finite.append((p, v))
+            finite.append((p, v.raw))
 
     if isinstance(a.tail, Expression):
         return _classify_expression(a, w, evidence)
 
-    slopes = [float(v / p) for p, v in finite]
+    try:  # a_p / p; on n / d, n / (d p) is float(Fraction(n, d p)), correctly rounded
+        slopes = [x.numerator / (x.denominator * p) if type(x) is Fraction else x / p
+                  for p, x in finite]
+    except OverflowError:  # an exact slope past the float range
+        slopes = [float(ext(x) / p) for p, x in finite]
     if len(slopes) >= 4:
         q = max(2, len(slopes) // 4)
         tail_part = slopes[-q:]

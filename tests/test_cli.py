@@ -400,6 +400,25 @@ def test_minorant_verify_rejects_a_result_above_the_input(tmp_path):
                                      "max_rel_deviation", "witness"}
 
 
+# a_1 - a_0 overflows a float: the float kernels take the slope as +inf
+OVERFLOWING_SLOPE = {"kind": "log", "prefix": [-1.7e308, 1.7e308],
+                     "tail": {"type": "explicit_only"}}
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: _sweep_raw forms 0 * inf = nan from the "
+                                       "overflowed slope and raises ValueError")
+def test_phireg_on_an_overflowing_slope_exits_cleanly(tmp_path):
+    res = run_cli(tmp_path, OVERFLOWING_SLOPE, "phireg", "--phi", "exp", "--window", "4")
+    assert res.returncode in (0, 2) and "Traceback" not in res.stderr, res.stderr
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the hull walk stops at the overflowed "
+                                       "slope and fills +inf above a_1")
+def test_minorant_on_an_overflowing_slope_keeps_both_points(tmp_path):
+    res = run_cli(tmp_path, OVERFLOWING_SLOPE, "minorant")
+    assert json.loads(res.stdout)["principal_indices"] == [0, 1]
+
+
 @pytest.mark.parametrize("doc, args", [
     # the trace's last edge runs to a point past the 4-point window
     ({"kind": "log", "prefix": [0, "inf", "inf", "inf", "-93/52", 149, -287, "inf", "inf",
@@ -770,6 +789,32 @@ def test_phireg_csv(runner, jumpy_file):
     lines = res.stdout.splitlines()
     assert lines[0] == "t,m,A"
     assert len(lines) > 3
+
+
+def test_phireg_csv_extended_past_the_blowup_point(runner, tmp_path):
+    # t = 3 and t = 4 lie on and past the blow-up point, outside J = (-inf, 3):
+    # --extended reads A there as +inf, and m stays empty with or without it
+    path = tmp_path / "triangular.json"
+    path.write_text(json.dumps({"kind": "log", "prefix": [0, 1, 3, 6, 10, 15, 21, 28],
+                                "tail": {"type": "explicit_only"}}))
+    args = ["phireg", str(path), "--phi", "blowup:3", "--window", "8", "--emit", "csv",
+            "--grid", "0:4:1"]
+    plain = runner.invoke(main, args)
+    extended = runner.invoke(main, args + ["--extended"])
+    assert plain.exit_code == extended.exit_code == 0
+    assert plain.stdout.splitlines()[-2:] == ["3.0,,", "4.0,,"]
+    assert extended.stdout.splitlines()[-2:] == ["3.0,,inf", "4.0,,inf"]
+    assert extended.stdout.splitlines()[:-2] == plain.stdout.splitlines()[:-2]
+
+
+def test_phireg_csv_grid_on_a_case1_record(runner, collapsing_file):
+    # a collapsing sequence leaves J empty, so every grid slope lies outside it
+    args = ["phireg", collapsing_file, "--phi", "infinite", "--emit", "csv", "--grid", "0:2:1"]
+    plain = runner.invoke(main, args)
+    extended = runner.invoke(main, args + ["--extended"])
+    assert plain.exit_code == extended.exit_code == 0
+    assert plain.stdout.splitlines() == ["t,m,A", "0.0,,", "1.0,,", "2.0,,"]
+    assert extended.stdout.splitlines() == ["t,m,A", "0.0,,inf", "1.0,,inf", "2.0,,inf"]
 
 
 def test_phireg_verify(runner, jumpy_file):

@@ -3,10 +3,11 @@
 
 Each document mixes int, "p/q", decimal and "inf" prefix entries on either
 scale, with a tail of every type and sometimes a declared regime.  `assoc`
-also gets `--grid` and `--loggrid` specs, and `phireg` and `compare` every
-phi descriptor, with parameters from tiny to past the float range.  Run in process through click's test runner, every
-invocation must end with exit code 0, 1, 2 or 3 within its time budget, and
-raise nothing else.
+also gets `--grid` and `--loggrid` specs, `phireg --emit csv` `--grid` and
+`--extended`, and `phireg` and `compare` every phi descriptor, with
+parameters from tiny to past the float range.  Run in process through
+click's test runner, every invocation must end with exit code 0, 1, 2 or 3
+within its time budget, and raise nothing else.
 """
 
 import json
@@ -109,14 +110,20 @@ BAD_LOGGRIDS = st.sampled_from(["0:1:5", "-1:1:5", "2:1:3", "1:2:1", "1:2:0", "1
 
 
 @st.composite
+def grids(draw):
+    """A --grid spec, well formed (at most 40 points) or not."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(BAD_GRIDS)
+    start, step = draw(GRID_NUMBERS), draw(GRID_STEPS)
+    stop = start + step * draw(st.integers(0, 39))
+    return f"{start}:{stop}:{step}"
+
+
+@st.composite
 def grid_options(draw):
     """--grid or --loggrid, well formed (at most 40 points) or not."""
     if draw(st.booleans()):
-        if draw(st.integers(0, 4)) == 0:
-            return ["--grid", draw(BAD_GRIDS)]
-        start, step = draw(GRID_NUMBERS), draw(GRID_STEPS)
-        stop = start + step * draw(st.integers(0, 39))
-        return ["--grid", f"{start}:{stop}:{step}"]
+        return ["--grid", draw(grids())]
     if draw(st.integers(0, 4)) == 0:
         return ["--loggrid", draw(BAD_LOGGRIDS)]
     start = abs(draw(GRID_NUMBERS)) or Fraction(1)
@@ -174,10 +181,11 @@ def phi_descriptors(draw):
 
 
 @given(documents(), phi_descriptors(), phi_descriptors(),
-       st.sampled_from(["json", "csv", "verify", "compare"]), st.integers(4, 24))
+       st.sampled_from(["json", "csv", "verify", "compare"]), st.integers(4, 24),
+       st.one_of(st.none(), grids()), st.booleans())
 @settings(max_examples=300, deadline=timedelta(seconds=10),
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-def test_phi_front_ends_exit_cleanly(tmp_path, doc, phi, phi2, mode, window):
+def test_phi_front_ends_exit_cleanly(tmp_path, doc, phi, phi2, mode, window, grid, extended):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     if mode == "compare":
@@ -186,6 +194,10 @@ def test_phi_front_ends_exit_cleanly(tmp_path, doc, phi, phi2, mode, window):
         args = ["phireg", "--phi", phi, "--emit", "csv" if mode == "csv" else "json"]
         if mode == "verify":
             args.append("--verify")
+        if mode == "csv" and grid is not None:  # the CSV's sample slopes
+            args += ["--grid", grid]
+        if mode == "csv" and extended:  # +inf outside J
+            args.append("--extended")
     args += ["--window", str(window), str(path)]
     res = CliRunner().invoke(main, args)
     assert res.exception is None or isinstance(res.exception, SystemExit), \

@@ -2,9 +2,10 @@
 
 `phireg._sweep` makes one left-to-right pass: a lower-hull stack of the
 points admitted from the current principal point on, merged with the
-non-decreasing thresholds.  `ref_sweep` below is the loop that ran before it,
-kept verbatim as the reference: at every event it computed the takeover time
-of every later point.  On every input the two must give the same principal
+non-decreasing thresholds.  `ref_loop` below is the loop that ran before it,
+kept verbatim as the reference (`ref_sweep` hands it the sweep's input, the
+thresholds read back from integer ratios): at every event it computed the
+takeover time of every later point.  On every input the two must give the same principal
 points with their entry times, discontinuities, events and cap flag, value
 and type alike, on exact entries and on float entries whose arithmetic is
 exact.  Where float rounding makes points almost collinear, the two sweeps
@@ -31,7 +32,7 @@ from seqreg.phireg import _sweep
 # -- the replaced loop, verbatim ----------------------------------------------------
 
 
-def ref_sweep(pts, cap_raw):
+def ref_loop(pts, cap_raw):
     # sweep state: per principal index (index, entry time); batch members
     # share the entry time and all but the last get degenerate intervals
     principal: list[tuple[int, ExtReal]] = [(0, NEG_INF)]
@@ -86,6 +87,11 @@ def ref_sweep(pts, cap_raw):
         k = batch[-1]
 
     return principal, disc, events, stopped_by_cap
+
+
+def ref_sweep(pts, cap_raw):
+    """ref_loop on `_sweep`'s input, whose thresholds are `Threshold`s."""
+    return ref_loop([(q, v, phireg._raw(thr)) for q, v, thr in pts], cap_raw)
 
 
 # -- inputs ---------------------------------------------------------------------------
@@ -154,7 +160,7 @@ def sequences(draw, entries: str):
 
 
 def sweep_points(values, holes, phi):
-    return [(q, ExtReal(v).raw, phi.threshold(q).raw)
+    return [(q, ExtReal(v).raw, phi._rule(q) if q else None)
             for q, v in enumerate(values) if q not in holes]
 
 
@@ -214,7 +220,7 @@ def test_jump_admits_the_run_on_the_lowest_line():
     # 1 and 2 enter on the line of slope 1 at t = 1; 3, 4 and 5 become visible
     # at t = 2, all below the line of slope 2 through 2, and 3 and 4 lie on
     # the lowest one: they enter together, with a jump, and 5 enters at t = 3
-    thresholds = [NEG_INF.raw, 0, 0, 2, 2, 2]
+    thresholds = [None, (0, 1), (0, 1), (2, 1), (2, 1), (2, 1)]
     pts = [(q, Fraction(v), thresholds[q]) for q, v in enumerate([0, 1, 2, 2, 4, 7])]
     got = _sweep(pts, None)
     assert key(got) == key(ref_sweep(pts, None))

@@ -1,0 +1,252 @@
+"""Threshold rules and the merged CSV pass against the expressions they replaced.
+
+Each built-in phi gives threshold(p) as an integer ratio (n, d), d > 0, that
+the sweep reads without building a Fraction.  Below, `frozen_*` are the
+Fraction expressions that computed the thresholds before, kept verbatim: on
+every p up to 4096 and every drawn parameter, the ratio must equal them, and
+so must `threshold(p)`.
+
+`phireg --emit csv` reads m(t) and A(t) at sorted slopes with
+`StepFunction.values_sorted` and `PiecewiseLinearFn.evaluate_sorted`, one pass
+over the jumps and one over the breakpoints; at every sample they must equal
+`counting_m_phi` and `trace_A_phi`, value and type alike, inside J and outside
+it.
+"""
+
+import math
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from seqreg import (CASE2, ExplicitOnly, ExtReal, OutOfDomain, RegimeClassification,
+                    RegularizingFunction, SeqRegError, SequenceSpec, counting_m_phi, ext,
+                    make_phi, regularize_with_phi, trace_A_phi)
+from seqreg import phireg
+from seqreg.extreal import NEG_INF, POS_INF, ZERO
+
+
+# -- the replaced threshold expressions, verbatim ------------------------------------
+
+
+def frozen_log(p):
+    return Fraction(0) if p == 1 else Fraction(math.log(p))
+
+
+def frozen_expaffine(alpha, beta, p):
+    return (frozen_log(p) - beta) / alpha
+
+
+def frozen_blowup(T, p):
+    return T - Fraction(1, p)
+
+
+def frozen_piecewise(knots, p):
+    xs = [k[0] for k in knots]
+    vs = [k[1] for k in knots]
+    final_slope = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
+    target = Fraction(p)
+    if target > vs[-1]:
+        return xs[-1] + (target - vs[-1]) / final_slope
+    for i in range(1, len(xs)):
+        if vs[i] >= target:
+            if vs[i] == vs[i - 1]:
+                continue  # flat segment never reaches a strictly larger value
+            s = (vs[i] - vs[i - 1]) / (xs[i] - xs[i - 1])
+            x = xs[i - 1] + (target - vs[i - 1]) / s
+            return max(x, xs[i - 1])
+    return xs[-1] + (target - vs[-1]) / final_slope
+
+
+def assert_rule(phi, p, expected):
+    n, d = phi._rule(p)
+    assert type(n) is int and type(d) is int and d > 0
+    assert Fraction(n, d) == expected
+    got = phi.threshold(p)
+    assert type(got.raw) is Fraction and got == ext(expected)
+
+
+INDICES = st.integers(1, 4096)
+RATIONALS = st.one_of(
+    st.fractions(min_value=-100, max_value=100, max_denominator=1000),
+    st.sampled_from([Fraction(1, 3), Fraction(-5, 7), Fraction(10**30, 7), Fraction(1, 2**60)]),
+)
+POSITIVE = RATIONALS.map(abs).filter(lambda x: x > 0)
+
+
+def test_exp_rule_on_every_index():
+    phi = make_phi("exp")
+    for p in range(1, 4097):
+        assert_rule(phi, p, frozen_log(p))
+    assert phi.threshold(0) == NEG_INF
+
+
+@given(POSITIVE, RATIONALS, st.lists(INDICES, min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_expaffine_rule(alpha, beta, ps):
+    phi = make_phi(f"expaffine:{alpha},{beta}")
+    for p in ps + [1, 2, 4096]:
+        assert_rule(phi, p, frozen_expaffine(alpha, beta, p))
+
+
+@given(RATIONALS, st.lists(INDICES, min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_blowup_rule(T, ps):
+    phi = make_phi(f"blowup:{T}")
+    for p in ps + [1, 2, 4096]:
+        assert_rule(phi, p, frozen_blowup(T, p))
+
+
+@st.composite
+def knot_lists(draw):
+    """Strictly increasing abscissae, values rising from 0 with flat stretches,
+    the last segment rising."""
+    xs = sorted(set(draw(st.lists(RATIONALS, min_size=2, max_size=7))))
+    if len(xs) < 2:
+        xs.append(xs[0] + 1)
+    rise = st.one_of(st.just(Fraction(0)), st.integers(1, 5).map(Fraction), POSITIVE)
+    rises = draw(st.lists(rise, min_size=len(xs) - 1, max_size=len(xs) - 1))
+    rises[-1] = rises[-1] or Fraction(1)
+    vs = [Fraction(0)]
+    for r in rises:
+        vs.append(vs[-1] + r)
+    return list(zip(xs, vs))
+
+
+@given(knot_lists(), st.lists(INDICES, min_size=1, max_size=40))
+@example([(Fraction(-1), Fraction(0)), (Fraction(1), Fraction(2)), (Fraction(3), Fraction(2)),
+          (Fraction(4), Fraction(6))], [2])  # phi reaches 2 at t = 1 and stays there until 3
+@settings(max_examples=300, deadline=None)
+def test_piecewise_rule(knots, ps):
+    phi = make_phi("piecewise:[" + ",".join(f'["{x}","{v}"]' for x, v in knots) + "]")
+    # every knot value's neighbourhood, where the segment changes
+    near = [p for _, v in knots for p in (math.floor(v), math.floor(v) + 1) if 1 <= p <= 4096]
+    for p in ps + near + [1, 4096]:
+        assert_rule(phi, p, frozen_piecewise(knots, p))
+
+
+def test_infinite_rule():
+    phi = make_phi("infinite")
+    assert phi._rule(5) is None
+    assert phi.threshold(5) == NEG_INF
+
+
+def hand_built(threshold_fn):
+    return RegularizingFunction("hand", lambda t: ZERO, threshold_fn)
+
+
+EXACT_WINDOW = SequenceSpec(kind="log", prefix=tuple(map(ext, [0, 3, 1, 4, 9, 2, 7, 12])),
+                            tail=ExplicitOnly())
+
+
+def test_tied_hand_built_thresholds_are_no_axiom_violation():
+    # thresholds 0, 0, 1, 1, ...: phi never falls, so the exact sweep runs
+    phi = hand_built(lambda p: ext((p - 1) // 2))
+    assert [phi._rule(p) for p in (1, 2, 3)] == [(0, 1), (0, 1), (1, 1)]
+    with mock.patch.object(phireg, "_sweep_raw", side_effect=AssertionError("raw path")):
+        result = regularize_with_phi(EXACT_WINDOW, phi)
+    assert result.principal_indices[0] == 0
+
+
+def test_a_float_threshold_takes_the_raw_path_on_an_exact_window():
+    phi = hand_built(lambda p: ExtReal(p / 4))
+    assert phi._rule(3) == 0.75 and phi.threshold(3) == ExtReal(0.75)
+    with mock.patch.object(phireg, "_sweep_exact", side_effect=AssertionError("exact path")):
+        floats = regularize_with_phi(EXACT_WINDOW, phi)
+    exact = regularize_with_phi(EXACT_WINDOW, hand_built(lambda p: ext(Fraction(p, 4))))
+    # quarters are exact in binary, so both routes find the same record
+    assert floats.principal_indices == exact.principal_indices
+    assert floats.regularized.prefix == exact.regularized.prefix
+
+
+# -- the sorted CSV pass ----------------------------------------------------------------
+
+
+def sample_record(result, ts, extended):
+    """(m, A) at each of the sorted ts, as the CSV reads them: None outside J,
+    and A = +inf there when extended."""
+    return list(zip(result.counting.values_sorted(ts), result.trace.evaluate_sorted(ts, extended)))
+
+
+PHIS = [make_phi(d) for d in ("exp", "expaffine:1/2,1", "blowup:0", "blowup:5/2", "infinite",
+                              "piecewise:[[-1,0],[1,2],[3,2],[4,6]]")]
+
+
+@st.composite
+def records(draw):
+    """A regularization record: exact or one-decimal entries with +inf holes
+    (a lone point leaves no breakpoint), some collapsing to case 1, some
+    capped by a declared case 2 slope."""
+    step = draw(st.sampled_from([Fraction(1, 2), 0.1]))
+    n = draw(st.integers(1, 24))
+    values = [k * step for k in draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))]
+    for q in draw(st.lists(st.integers(1, n), max_size=n)):
+        if q < n:
+            values[q] = math.inf
+    phi = draw(st.sampled_from(PHIS))
+    declared = None
+    if phi.infinite:
+        if draw(st.booleans()) and n > 1:
+            values[draw(st.integers(1, n - 1))] = -math.inf
+        elif draw(st.booleans()):
+            declared = RegimeClassification(CASE2, ExtReal(draw(st.integers(-8, 8)) * step),
+                                            (0, n), "declared")
+    seq = SequenceSpec(kind="log", prefix=tuple(ExtReal(v) for v in values),
+                       tail=ExplicitOnly(), declared_regime=declared)
+    try:
+        return regularize_with_phi(seq, phi)
+    except (SeqRegError, ValueError):
+        return None
+
+
+def samples(result, extra):
+    """Every breakpoint, the midpoints between them, points either side and
+    past J's right end, and the drawn slopes."""
+    xs = [bp.x for bp in result.trace.breakpoints]
+    ts = list(xs) + [ext(t) for t in extra]
+    ts += [a + (b - a) / 2 for a, b in zip(xs, xs[1:])]
+    if xs:
+        ts += [xs[0] - 1, xs[-1] + 1]
+    if result.J_right.is_finite:
+        ts += [result.J_right, result.J_right + 1, result.J_right - Fraction(1, 7)]
+    return sorted(set(ts))
+
+
+def num(x):
+    return None if x is None else (type(x.raw).__name__, repr(x.raw))
+
+
+@given(records(), st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=8),
+                          max_size=12), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_sorted_pass_matches_the_per_sample_functions(result, extra, extended):
+    if result is None:
+        return
+    ts = samples(result, extra)
+    got = sample_record(result, ts, extended)
+    assert len(got) == len(ts)
+    for t, (m, a) in zip(ts, got):
+        try:
+            want_a = trace_A_phi(result, t, extended=extended)
+        except OutOfDomain:
+            want_a = None
+        try:
+            want_m = counting_m_phi(result, t)
+        except OutOfDomain:
+            want_m = None
+        assert (m, num(a)) == (want_m, num(want_a)), t
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_sorted_pass_without_breakpoints(extended):
+    # one finite point before +inf entries under a blow-up phi: no event, and
+    # the trace is the constant -a_0 on J = (-inf, 2)
+    seq = SequenceSpec(kind="log", prefix=tuple(map(ExtReal, [3, math.inf, math.inf, math.inf])),
+                       tail=ExplicitOnly())
+    result = regularize_with_phi(seq, make_phi("blowup:2"))
+    assert result.trace.breakpoints == ()
+    ts = [ext(-1), ext(0), ext(2), ext(5)]
+    outside = POS_INF if extended else None
+    assert sample_record(result, ts, extended) == [(0, ext(-3)), (0, ext(-3)),
+                                                   (None, outside), (None, outside)]
