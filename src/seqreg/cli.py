@@ -217,19 +217,18 @@ def classify(files, window, tol):
 
 
 def _minorant_payload(result: MinorantResult) -> dict:
-    full = result.to_json()
-    payload = {
-        "regularized": full["regularized"],
-        "principal_indices": full["principal_indices"],
-        "slopes": full["slopes"],
-        "trace_breakpoints": full["trace"]["breakpoints"],
-        "regime": full["regime"],
-        "stable_prefix": full["stable_prefix"],
-        "provisional_from": full["provisional_from"],
-        "scale": full["scale"],
-        "window": full["window"],
+    """The printed keys of ``result.to_json()``, built from the result's fields."""
+    return {
+        "regularized": [v.to_json() for v in result.regularized.prefix],
+        "principal_indices": list(result.principal_indices),
+        "slopes": [e.slope.to_json() for e in result.edges],
+        "trace_breakpoints": [bp.to_json() for bp in result.trace.breakpoints],
+        "regime": result.regime.to_json(),
+        "stable_prefix": result.stable_prefix,
+        "provisional_from": result.provisional_from,
+        "scale": result.scale,
+        "window": result.window,
     }
-    return payload
 
 
 def _verify_minorant(seq: SequenceSpec, result: MinorantResult,

@@ -48,22 +48,12 @@ class ExtReal:
     __slots__ = ("_v",)
 
     def __init__(self, value: "RawNumber | str | ExtReal"):
-        if isinstance(value, ExtReal):
-            self._v = value._v
-        elif isinstance(value, bool):
-            raise TypeError("bool is not a number here")
-        elif isinstance(value, int):
-            self._v = Fraction(value)
-        elif isinstance(value, float):  # before Fraction, whose ABC isinstance is slow
-            if math.isnan(value):
-                raise ValueError("nan is not an extended real")
-            self._v = value
-        elif isinstance(value, Fraction):
+        if type(value) is Fraction:  # first: isinstance is slow on Fraction's ABC metaclass
             self._v = value
         elif isinstance(value, str):
             self._v = _parse_number(value)
         else:
-            raise TypeError(f"cannot build ExtReal from {type(value).__name__}")
+            self._v = _coerce(value, "cannot build ExtReal from")
 
     # -- predicates ---------------------------------------------------------
 
@@ -214,27 +204,27 @@ class ExtReal:
 
     def to_json(self):
         """Canonical JSON payload: int, float, or "p/q"/"inf"/"-inf" string."""
-        if self.is_pos_inf:
-            return "inf"
-        if self.is_neg_inf:
-            return "-inf"
         v = self._v
-        if isinstance(v, Fraction):
-            if v.denominator == 1:
-                return int(v)
-            return f"{v.numerator}/{v.denominator}"
-        return v
+        if type(v) is not Fraction and isinstance(v, float):
+            return "inf" if v == _POS else "-inf" if v == _NEG else v
+        return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
     @staticmethod
     def from_json(payload) -> "ExtReal":
+        """A JSON number (an int becomes one Fraction), or a string as _parse_number
+        reads it: "inf", "-inf", "infinity" in any case, or what Fraction(s) reads."""
+        if type(payload) is str:
+            return ExtReal(_parse_number(payload))
         if isinstance(payload, (int, float, Fraction)) and not isinstance(payload, bool):
             return ExtReal(payload)
-        if isinstance(payload, str):
-            return ExtReal(_parse_number(payload))
         raise ValueError(f"cannot parse extended real from {payload!r}")
 
 
 def _parse_number(text: str) -> RawNumber:
+    # ASCII "[-]digits/digits" is read as Fraction(s) reads it, without its regular
+    # expression: Fraction(int(n), int(d)), and d = 0 raises ZeroDivisionError on both
+    n, slash, d = text.partition("/")
+    fast = slash and text.isascii() and d.isdigit() and (n[1:] if n[:1] == "-" else n).isdigit()
     s = text.strip()
     low = s.lower()
     if low in ("inf", "+inf", "infinity"):
@@ -243,7 +233,7 @@ def _parse_number(text: str) -> RawNumber:
         return _NEG
     try:
         # Fraction handles both "p/q" and exact decimal strings like "1.5"
-        return Fraction(s)
+        return Fraction(int(n), int(d)) if fast else Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad number literal {text!r}") from exc
 
@@ -301,6 +291,23 @@ def raw_div(a: RawNumber, b: RawNumber) -> RawNumber:
         return Fraction(a) / Fraction(b)
 
 
+def raw_line(a: RawNumber, slope: RawNumber, P: int):
+    """p -> a + slope * (p - P): one Fraction built from integers between exact
+    values, else raw_add and raw_mul, but for a value that overflows to +-inf
+    from finite a and slope, which is computed exactly."""
+    if type(a) is Fraction and type(slope) is Fraction:
+        base, step = a.numerator * slope.denominator, slope.numerator * a.denominator
+        den = a.denominator * slope.denominator
+        return lambda p: Fraction(base + step * (p - P), den)
+
+    def value(p: int) -> RawNumber:
+        v = raw_add(a, -raw_mul(slope, P - p))
+        if _inf_sign(v) and not (_inf_sign(a) or _inf_sign(slope)):
+            return raw_line(Fraction(a), Fraction(slope), P)(p)
+        return v
+    return value
+
+
 def _to_float(v: RawNumber) -> float:
     """float(v), or the infinity of its sign for a Fraction past the float range."""
     try:
@@ -321,7 +328,7 @@ def _inf_sign(v: RawNumber) -> int:
     return 0
 
 
-def _coerce(other) -> RawNumber:
+def _coerce(other, refusal: str = "cannot mix ExtReal with") -> RawNumber:
     if isinstance(other, ExtReal):
         return other._v
     if isinstance(other, bool):
@@ -332,7 +339,7 @@ def _coerce(other) -> RawNumber:
         if isinstance(other, float) and math.isnan(other):
             raise ValueError("nan is not an extended real")
         return other
-    raise TypeError(f"cannot mix ExtReal with {type(other).__name__}")
+    raise TypeError(f"{refusal} {type(other).__name__}")
 
 
 def _as_ext(v) -> ExtReal:

@@ -12,10 +12,11 @@ past the window, which ends the walk.  Values between principal indices are
 the line values; points at +inf project down onto the hull.
 
 The walk computes on raw payloads (Fraction or float) by ExtReal's rules
-(extreal.raw_add and its siblings): between exact values a slope or a line
-value is one Fraction built from integers, floats keep float arithmetic,
-and each output becomes an ExtReal once.  A walk reads each tail value once.
-Everything is exact when the inputs are rational.
+(extreal.raw_add, raw_line and siblings), and each output becomes an ExtReal
+once: between exact values each slope, line value, intercept and breakpoint
+value is one Fraction built from integers, and a float one that overflows
+from finite operands is computed exactly instead.  A walk reads each tail
+value once.  Everything is exact when the inputs are rational.
 
 Three regimes:
 
@@ -38,6 +39,7 @@ conjugate reproduces the minorant values (round trip exact on rationals).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import groupby
@@ -45,7 +47,8 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import InconsistentDeclaration, InfinityAtZero, RegimeMismatch, UnknownAIota
-from .extreal import ExtReal, NEG_INF, POS_INF, ZERO, RawNumber, ext, raw_add, raw_div, raw_mul
+from .extreal import (ExtReal, NEG_INF, POS_INF, ZERO, RawNumber, ext, raw_add, raw_div,
+                      raw_line, raw_mul)
 from .piecewise import (
     Breakpoint,
     EMPTY_INTERVAL,
@@ -140,9 +143,14 @@ def support_line(a: SequenceSpec, k, window: Optional[int] = None) -> SupportLin
 
 
 def _tail_chords(seq: SequenceSpec, w: int):
-    """The tail chords of one walk: chord(P, aP) is _tail_chord on a raw aP,
-    with raw results, and each tail value is read once however many vertices
-    ask for it."""
+    """The tail chords of one walk, on raw payloads: chord(P, aP) is the best
+    chord from (P, aP) into the closed-form tail beyond the window.
+
+    It returns ("event", slope, q) for an attained minimal chord (the first q
+    of the lowest), ("floor", c) when tail chords only approach c from above
+    (never attained), or None when the tail admits no closed-form reasoning.
+    Each tail value is read once however many vertices ask for it.
+    """
     tail = seq.tail
     values: dict[int, RawNumber] = {}
 
@@ -172,19 +180,6 @@ def _tail_chords(seq: SequenceSpec, w: int):
         return None
 
     return chord
-
-
-def _tail_chord(seq: SequenceSpec, P: int, aP: ExtReal, w: int):
-    """Best chord from (P, aP) into the closed-form tail beyond the window.
-
-    Returns ("event", slope, q) for an attained minimal chord (the first q of
-    the lowest), ("floor", c) when tail chords only approach c from above
-    (never attained), or None when the tail admits no closed-form reasoning.
-    """
-    found = _tail_chords(seq, w)(P, aP.raw)
-    if found is None:
-        return None
-    return (found[0], ExtReal(found[1])) + found[2:]
 
 
 def _lower_hull(vals: list[ExtReal]) -> list[tuple[int, int, int]]:
@@ -230,10 +225,9 @@ def _hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, ext
     whether the walk stopped at the cap, and the tail index that the last
     edge reaches when it leaves the window (None when it does not).
 
-    The walk runs on raw payloads with ExtReal's conventions (raw_add and
-    friends), and each output becomes an ExtReal once.  Between two exact
-    values a slope or a line value is one Fraction built from integers (the
-    type tests skip isinstance, which is slow on Fraction's ABC metaclass).
+    A slope between exact values, or a float slope that overflows, is one
+    Fraction from the hull's integer pairs; line values, intercepts and
+    breakpoint values come from extreal.raw_line.
     """
     hull = _lower_hull(vals)
     raws = [v.raw for v in vals]
@@ -249,10 +243,11 @@ def _hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, ext
         best: Optional[tuple[RawNumber, int]] = None
         if i + 1 < len(hull):
             q, nq, dq = hull[i + 1]
-            if type(aP) is Fraction and type(raws[q]) is Fraction:
-                slope = Fraction(nq * dP - nP * dq, dq * dP * (q - P))
-            else:
+            slope = None
+            if type(aP) is not Fraction or type(raws[q]) is not Fraction:
                 slope = raw_div(raw_add(raws[q], -aP), q - P)
+            if slope is None or type(slope) is float and math.isinf(slope):  # overflowed
+                slope = Fraction(nq * dP - nP * dq, dq * dP * (q - P))
             if slope < cap_raw:
                 best = (slope, q)
         tail = chord(P, aP) if chord else None
@@ -268,14 +263,9 @@ def _hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, ext
                 # only float rounding gets here: the exact hull slopes never decrease
                 slope = edge_data[-1][0]
             edge_data.append((slope, P, aP, q))
-        if type(aP) is Fraction and type(slope) is Fraction:
-            base, step = aP.numerator * slope.denominator, slope.numerator * aP.denominator
-            den = aP.denominator * slope.denominator
-            for p in range(P + 1, min(q, w)):
-                out[p] = ExtReal(Fraction(base + step * (p - P), den))
-        else:
-            for p in range(P + 1, min(q, w)):
-                out[p] = ExtReal(raw_add(aP, raw_mul(slope, p - P)))
+        at = raw_line(aP, slope, P)
+        for p in range(P + 1, min(q, w)):
+            out[p] = ExtReal(at(p))
         if q >= w:
             break
 
@@ -289,11 +279,13 @@ def _hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, ext
         last = run[-1][3]
         if last < w:
             touching += (last,)
-        edges += [SupportLine(ExtReal(s), ExtReal(raw_add(aP, -raw_mul(s, P))), touching)
-                  for s, P, aP, _ in run]
+        cs = [raw_line(aP, s, P)(0) for s, P, aP, _ in run]
+        edges += [SupportLine(ExtReal(s), ExtReal(c), touching) for (s, *_), c in zip(run, cs)]
+        # the value slope * first - a_first is minus the first intercept, but for
+        # the sign of a float zero
         _, first, a_first, _ = run[0]
-        value = ExtReal(raw_add(raw_mul(slope, first), -a_first))
-        bps.append(Breakpoint(ExtReal(slope), value, value, ext(last)))
+        value = ExtReal(-cs[0] if cs[0] else raw_add(raw_mul(slope, first), -a_first))
+        bps.append(Breakpoint(ExtReal(slope), value, value, ExtReal(last)))
     principal = [0] + [q for *_, q in edge_data if q < w]
     tail_end = edge_data[-1][3] if edge_data and edge_data[-1][3] >= w else None
     trace = PiecewiseLinearFn(

@@ -74,7 +74,7 @@ from .errors import (
     NotComparable,
     ParseError,
 )
-from .extreal import ExtReal, NEG_INF, ONE, POS_INF, RawNumber, ZERO, ext
+from .extreal import ExtReal, NEG_INF, ONE, POS_INF, RawNumber, ZERO, ext, raw_line
 from .piecewise import (
     Breakpoint,
     EMPTY_INTERVAL,
@@ -709,20 +709,10 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
 
 
 def _fill(out: list[ExtReal], P: int, aP: ExtReal, slope: ExtReal, end: int) -> None:
-    """out[p] = aP + slope * (p - P) for P < p < end.
-
-    Between exact values each filled value is one Fraction built from
-    integers; otherwise ExtReal arithmetic.
-    """
-    a, s = aP.raw, slope.raw
-    if type(a) is Fraction and type(s) is Fraction:
-        base, step = a.numerator * s.denominator, s.numerator * a.denominator
-        den = a.denominator * s.denominator
-        for p in range(P + 1, end):
-            out[p] = ExtReal(Fraction(base + step * (p - P), den))
-    else:
-        for p in range(P + 1, end):
-            out[p] = aP + slope * (p - P)
+    """out[p] = aP + slope * (p - P) for P < p < end (extreal.raw_line)."""
+    at = raw_line(aP.raw, slope.raw, P)
+    for p in range(P + 1, end):
+        out[p] = ExtReal(at(p))
 
 
 def _stable_boundary(phi: RegularizingFunction, principal: list[tuple[int, ExtReal]],

@@ -84,7 +84,8 @@ class Breakpoint:
 
     def __post_init__(self):
         for name in ("x", "left_value", "right_value", "slope_right"):
-            object.__setattr__(self, name, ext(getattr(self, name)))
+            if type(getattr(self, name)) is not ExtReal:
+                object.__setattr__(self, name, ext(getattr(self, name)))
 
     @property
     def is_jump(self) -> bool:

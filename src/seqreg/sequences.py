@@ -120,7 +120,8 @@ class SequenceSpec:
     def __post_init__(self):
         if self.kind not in (LOG, WEIGHT):
             raise ValueError(f"kind must be {LOG!r} or {WEIGHT!r}")
-        object.__setattr__(self, "prefix", tuple(ext(v) for v in self.prefix))
+        object.__setattr__(self, "prefix", tuple(
+            v if type(v) is ExtReal else ExtReal(v) for v in self.prefix))
         if self.kind == WEIGHT:
             for p, v in enumerate(self.prefix):
                 if v.is_finite and v.raw < 0:
@@ -144,7 +145,8 @@ class SequenceSpec:
     __getitem__ = value
 
     def values(self, window: int) -> list[ExtReal]:
-        return [self.value(p) for p in range(window)]
+        head = list(self.prefix[:max(window, 0)])
+        return head + [self.value(p) for p in range(len(head), window)]
 
     @property
     def known_length(self) -> Optional[int]:

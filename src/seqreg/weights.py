@@ -159,6 +159,11 @@ class OmegaTable:
         return quotients(self.weight_view, self.base_end)
 
     @_once
+    def quotient_logs(self) -> list[float]:
+        """float(log mu_q) over the examined range, for the float integral route."""
+        return [float(mu.log()) for mu in self.quotients]
+
+    @_once
     def convexity(self):
         return is_log_convex(self.weight_view, self.window, self.tol)
 
@@ -401,10 +406,12 @@ class OmegaTable:
             self._weight(p)  # a tail weight too large to build exactly raises here too
             mu_p = self.quotients[p] if p < self.base_end else self.M.tail.quotient(p)
             return ext(self._telescoped(p) * (t.raw / mu_p.raw) ** p).log()
-        wv = [self._weight(q) for q in range(p + 1)]
-        mus = [None] + [wv[q] / wv[q - 1] for q in range(1, p + 1)]
-        terms = [q * (float(mus[q + 1].log()) - float(mus[q].log())) for q in range(1, p)]
-        terms.append(p * (float(t.log()) - float(mus[p].log())))
+        logs, k = self.quotient_logs, self.base_end - 1
+        if p >= k:  # weights from the last examined one on are checked, and read here
+            wv = [self._weight(q) for q in range(k, p + 1)]
+            logs = logs + [float((b / a).log()) for a, b in zip(wv, wv[1:])]
+        terms = [q * (logs[q + 1] - logs[q]) for q in range(1, p)]
+        terms.append(p * (float(t.log()) - logs[p]))
         if math.inf in terms and -math.inf in terms:
             # a quotient fell to 0 after a positive one, which float rounding
             # can hide from the convexity check (M_q^2 underflows to 0)

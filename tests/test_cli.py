@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -412,11 +413,27 @@ def test_phireg_on_an_overflowing_slope_exits_cleanly(tmp_path):
     assert res.returncode in (0, 2) and "Traceback" not in res.stderr, res.stderr
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: the hull walk stops at the overflowed "
-                                       "slope and fills +inf above a_1")
 def test_minorant_on_an_overflowing_slope_keeps_both_points(tmp_path):
     res = run_cli(tmp_path, OVERFLOWING_SLOPE, "minorant")
     assert json.loads(res.stdout)["principal_indices"] == [0, 1]
+
+
+def test_an_overflowing_slope_is_taken_exactly(tmp_path):
+    # the slope (a_2 - a_0) / 2 = 1.7e308 is printed as the exact integer, and
+    # the line value at 1 is 0, not +inf above a_1
+    doc = dict(OVERFLOWING_SLOPE, prefix=[-1.7e308, 1.7e308, 1.7e308])
+    out = json.loads(run_cli(tmp_path, doc, "minorant").stdout)
+    assert out["regularized"] == [-1.7e308, 0, 1.7e308]
+    assert out["principal_indices"] == [0, 2]
+    assert out["slopes"] == [int(Fraction(1.7e308))]
+    trace = json.loads(run_cli(tmp_path, OVERFLOWING_SLOPE, "trace").stdout)["trace"]
+    assert [bp["x"] for bp in trace["breakpoints"]] == [int(Fraction(1.7e308) * 2)]
+
+
+@pytest.mark.parametrize("prefix", [[-1.7e308, 1.7e308], [-1.7e308, 1.7e308, 1.7e308]])
+def test_minorant_verify_passes_on_an_overflowing_slope(tmp_path, prefix):
+    res = run_cli(tmp_path, dict(OVERFLOWING_SLOPE, prefix=prefix), "minorant", "--verify")
+    assert res.returncode == 0, res.stderr
 
 
 @pytest.mark.parametrize("doc, args", [

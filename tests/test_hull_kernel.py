@@ -3,12 +3,14 @@
 `minorant._lower_hull` decides its turns on integer ratios, and
 `minorant._hull_walk` computes slopes, cap tests, line values and breakpoints
 on raw payloads, wrapping each output in ExtReal once.  The functions below
-are the kernel that ran before, kept verbatim as the reference: a chain on
-normalized Fractions and a walk in ExtReal arithmetic.  On every input, exact
-or float, with +inf holes, values at the edge of the float range, declared
-caps and closed-form tails, the two must give the same values, principal
-indices, edges, breakpoints, stop flag and tail end, compared by type and
-repr, or raise the same error.
+are the kernel that ran before, kept as the reference: a chain on normalized
+Fractions and a walk in ExtReal arithmetic.  The one change to the walk is the
+overflow rule: a slope, line value, intercept or breakpoint value that comes
+out +-inf from finite operands is computed again on their exact values.  On
+every input, exact or float, with +inf holes, values at the edge of the float
+range, declared caps and closed-form tails, the two must give the same values,
+principal indices, edges, breakpoints, stop flag and tail end, compared by
+type and repr, or raise the same error.
 """
 
 import json
@@ -64,6 +66,14 @@ def ref_tail_chord(seq: SequenceSpec, P: int, aP: ExtReal, w: int):
     return None
 
 
+def exact_on_overflow(fn, *args: ExtReal) -> ExtReal:
+    """fn(*args), or fn on the args' exact values when that overflowed from finite args."""
+    value = fn(*args)
+    if value.is_finite or not all(a.is_finite for a in args):
+        return value
+    return fn(*(ExtReal(Fraction(a.raw)) for a in args))
+
+
 def ref_lower_hull(vals: list[ExtReal]) -> list[int]:
     """Indices of the finite points on the lower hull, collinear points kept.
 
@@ -112,7 +122,7 @@ def ref_hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, 
         best: Optional[tuple[ExtReal, int]] = None
         if i + 1 < len(hull):
             q = hull[i + 1]
-            slope = (vals[q] - aP) / (q - P)
+            slope = exact_on_overflow(lambda y, x: (y - x) / (q - P), vals[q], aP)
             if slope < cap:
                 best = (slope, q)
         tail = ref_tail_chord(seq, P, aP, w) if extends else None
@@ -129,7 +139,7 @@ def ref_hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, 
                 slope = edge_data[-1][0]
             edge_data.append((slope, P, aP, q))
         for p in range(P + 1, min(q, w)):
-            out[p] = aP + slope * (p - P)
+            out[p] = exact_on_overflow(lambda a, s: a + s * (p - P), aP, slope)
         if q >= w:
             break
 
@@ -143,9 +153,10 @@ def ref_hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, 
         last = run[-1][3]
         if last < w:
             touching += (last,)
-        edges += [SupportLine(s, aP - s * P, touching) for s, P, aP, _ in run]
+        edges += [SupportLine(s, exact_on_overflow(lambda a, s: a - s * P, aP, s), touching)
+                  for s, P, aP, _ in run]
         _, first, a_first, _ = run[0]
-        value = slope * first - a_first
+        value = exact_on_overflow(lambda s, a: s * first - a, slope, a_first)
         bps.append(Breakpoint(slope, value, value, ext(last)))
     principal = [0] + [q for *_, q in edge_data if q < w]
     tail_end = edge_data[-1][3] if edge_data and edge_data[-1][3] >= w else None
@@ -268,11 +279,11 @@ def test_neg_inf_entry_is_still_inconsistent():
 
 
 # the walk mirrors ExtReal where raw float arithmetic would not: -0.0 - 0 is
-# -0.0 in floats but 0.0 as ExtReal's -0.0 + (-0), and 0 * inf is nan in
-# floats but the exact zero as ExtReal
+# -0.0 in floats but 0.0 as ExtReal's -0.0 + (-0); and a slope whose float
+# form overflows is taken exactly, as the reference does
 @pytest.mark.parametrize("prefix", [
     [0, 1.7e308, -1.7e308, 3, 1.7e308],  # signed zero
-    [1.7e308, -1.7e308, 0.0, 5.0],  # 0 * inf
+    [1.7e308, -1.7e308, 0.0, 5.0],  # a_1 - a_0 overflows
 ])
 def test_float_edge_cases_match_the_loop(tmp_path, prefix):
     doc = {"kind": "log", "prefix": prefix, "tail": {"type": "explicit_only"}}

@@ -18,12 +18,18 @@ from hypothesis import given, settings, strategies as st
 from seqreg import ExtReal, SequenceSpec, ext
 from seqreg.errors import NonFiniteEntry, WindowTooShort
 from seqreg.extreal import NEG_INF, POS_INF, ZERO
-from seqreg.minorant import _tail_chord
+from seqreg.minorant import _tail_chords
 from seqreg.tails import LOG, TAIL_SEARCH_CAP, AffineLog, FactorialPower, Geometric
 from seqreg.weights import _EXACT_POWER_CAP, OmegaTable, OmegaValue
 
 _TAIL_SCAN_CAP = 200_000
 _SCAN_CAP = 200_000
+
+
+def _tail_chord(seq: SequenceSpec, P: int, aP: ExtReal, w: int):
+    """The walk's tail chord from (P, aP), its slope as an ExtReal."""
+    found = _tail_chords(seq, w)(P, aP.raw)
+    return None if found is None else (found[0], ExtReal(found[1])) + found[2:]
 
 
 # -- the replaced scans, verbatim ------------------------------------------------
