@@ -48,7 +48,8 @@ class ExtReal:
     __slots__ = ("_v",)
 
     def __init__(self, value: "RawNumber | str | ExtReal"):
-        if type(value) is Fraction:  # first: isinstance is slow on Fraction's ABC metaclass
+        # first: isinstance is slow on Fraction's ABC metaclass; a nan float fails value == value
+        if type(value) is Fraction or type(value) is float and value == value:
             self._v = value
         elif isinstance(value, str):
             self._v = _parse_number(value)
@@ -124,14 +125,7 @@ class ExtReal:
     # -- transcendental maps -------------------------------------------------
 
     def exp(self) -> "ExtReal":
-        if self.is_neg_inf:
-            return ZERO
-        if self.is_pos_inf:
-            return POS_INF
-        try:
-            return ExtReal(math.exp(_to_float(self._v)))
-        except OverflowError:
-            return POS_INF
+        return ExtReal(raw_exp(self._v))
 
     def log(self) -> "ExtReal":
         if self.is_pos_inf:
@@ -306,6 +300,20 @@ def raw_line(a: RawNumber, slope: RawNumber, P: int):
             return raw_line(Fraction(a), Fraction(slope), P)(p)
         return v
     return value
+
+
+def raw_exp(a: RawNumber, d: int = 1) -> RawNumber:
+    """e^(a/d) for a payload a (d = 1) or integers a, d > 0: the exact zero at
+    -inf, else math.exp of a/d rounded once, taken as the infinity of its sign
+    past the float range (as in _to_float), and +inf where the exp overflows."""
+    if type(a) is Fraction:
+        a, d = a.numerator, a.denominator
+    elif a == _NEG:
+        return _ZERO
+    try:
+        return math.exp(a / d)
+    except OverflowError:  # a/d past the float range (its sign decides), or e^(a/d) > 0
+        return 0.0 if a < 0 else _POS
 
 
 def _to_float(v: RawNumber) -> float:

@@ -39,7 +39,9 @@ its time and one for each trace value beside it, and each filled value
 between principal indices is one Fraction built from integers.  A window
 with any float (or a hand-built phi with a float threshold) runs the same
 sweep on the raw payloads, with the float tie rules described at _sweep_raw;
-a value wraps into ExtReal only when it enters the record.
+a value wraps into ExtReal only when it enters the record.  compare runs the
+same core (_core) for both phis and the ungated one on one read of the
+window, and reads the raw windows it fills: it builds no record.
 
 Events where the entering point sits strictly below the old line are the
 indices of discontinuity: visibility arrived later than tangency, so the trace
@@ -74,7 +76,8 @@ from .errors import (
     NotComparable,
     ParseError,
 )
-from .extreal import ExtReal, NEG_INF, ONE, POS_INF, RawNumber, ZERO, ext, raw_line
+from .extreal import (ExtReal, NEG_INF, ONE, POS_INF, RawNumber, ZERO, _inf_sign, _to_float,
+                      ext, raw_add, raw_div, raw_exp, raw_line, raw_mul)
 from .piecewise import (
     Breakpoint,
     EMPTY_INTERVAL,
@@ -122,8 +125,10 @@ class RegularizingFunction:
     threshold(p) = inf{t : phi(t) >= p} is the quantity the sweep actually
     uses; each phi defines it once, exactly, by a rule p -> Threshold (p >= 1)
     that the sweep reads and threshold(p) wraps, so all consumers see one
-    consistent set of cutoffs.  A hand-built threshold_fn is read into it;
-    the built-in phis give their rule directly (_builtin).
+    consistent set of cutoffs.  Its value below blowup_T is one rule on raw
+    payloads, read by compare's probes and wrapped by eval(t).  A hand-built
+    threshold_fn or eval_fn is read into these rules; the built-ins give them
+    directly (_builtin).
     """
 
     def __init__(self, tag: str, eval_fn: Callable[[ExtReal], ExtReal],
@@ -134,16 +139,17 @@ class RegularizingFunction:
         self.blowup_T = blowup_T
         self.infinite = infinite
         self.descriptor = descriptor or tag
-        self._eval_fn = eval_fn
+        self._value: Callable[[RawNumber], RawNumber] = lambda t: ext(eval_fn(ExtReal(t))).raw
         self._rule: Callable[[int], Threshold] = lambda p: _ratio(ext(threshold_fn(p)).raw)
 
     def eval(self, t) -> ExtReal:
-        t = ext(t)
-        if self.blowup_T is not None and t >= self.blowup_T:
-            return POS_INF
-        return self._eval_fn(t)
+        return ExtReal(self._at(ext(t).raw))
 
     __call__ = eval
+
+    def _at(self, t: RawNumber) -> RawNumber:  # phi(t) on a raw payload
+        T = self.blowup_T
+        return math.inf if T is not None and t >= T.raw else self._value(t)
 
     def threshold(self, p: int) -> ExtReal:
         if p < 0:
@@ -157,9 +163,9 @@ class RegularizingFunction:
         return f"RegularizingFunction({self.descriptor})"
 
 
-def _builtin(tag: str, eval_fn, rule: Callable[[int], Threshold], **kw) -> RegularizingFunction:
-    phi = RegularizingFunction(tag, eval_fn, lambda p: ExtReal(_raw(rule(p))), **kw)
-    phi._rule = rule
+def _builtin(tag: str, value, rule: Callable[[int], Threshold], **kw) -> RegularizingFunction:
+    phi = RegularizingFunction(tag, None, None, **kw)  # both rules given directly
+    phi._value, phi._rule = value, rule
     return phi
 
 
@@ -197,18 +203,18 @@ def _piecewise_phi(knots: list[tuple[Fraction, Fraction]]) -> RegularizingFuncti
         raise AxiomViolation("III", float(ext(xs[-1])),
                              "the last segment must rise (phi -> +inf)")
 
-    def eval_fn(t: ExtReal) -> ExtReal:
-        if t.is_neg_inf or (t.is_exact and t.raw <= xs[0]) or (not t.is_exact and float(t) <= xs[0]):
-            return ext(vs[0])
-        if t.is_pos_inf:
-            return POS_INF
-        x = t.raw if t.is_exact else Fraction(float(t))
+    def value(t: RawNumber) -> RawNumber:
+        if t <= xs[0]:
+            return vs[0]
+        if t == math.inf:
+            return t
+        x = t if type(t) is Fraction else Fraction(t)
         if x >= xs[-1]:
-            return ext(vs[-1] + final_slope * (x - xs[-1]))
+            return vs[-1] + final_slope * (x - xs[-1])
         for i in range(1, len(xs)):
             if x <= xs[i]:
                 s = (vs[i] - vs[i - 1]) / (xs[i] - xs[i - 1])
-                return ext(vs[i - 1] + s * (x - xs[i - 1]))
+                return vs[i - 1] + s * (x - xs[i - 1])
         raise AssertionError("unreachable")
 
     # threshold(p) = (A + B p) / C on each rising segment, beside the value it
@@ -228,7 +234,7 @@ def _piecewise_phi(knots: list[tuple[Fraction, Fraction]]) -> RegularizingFuncti
         return A + B * p, C
 
     desc = "piecewise:" + ";".join(f"{x},{v}" for x, v in knots)
-    return _builtin("piecewise", eval_fn, rule, descriptor=desc)
+    return _builtin("piecewise", value, rule, descriptor=desc)
 
 
 def make_phi(descriptor) -> RegularizingFunction:
@@ -251,8 +257,7 @@ def make_phi(descriptor) -> RegularizingFunction:
     head = head.lower()
 
     if head == "exp":
-        return _builtin("exp", lambda t: t.exp(), lambda p: math.log(p).as_integer_ratio(),
-                        descriptor="exp")
+        return _builtin("exp", raw_exp, lambda p: math.log(p).as_integer_ratio(), descriptor="exp")
     if head == "expaffine":
         parts = arg.split(",")
         if len(parts) != 2:
@@ -264,27 +269,31 @@ def make_phi(descriptor) -> RegularizingFunction:
         if alpha == 0:
             raise AxiomViolation("III", None, "alpha = 0 makes phi constant, never +inf")
 
-        def ea_eval(t: ExtReal, a=alpha, b=beta) -> ExtReal:
-            return (ext(a) * t + ext(b)).exp()
-
         an, ad, bn, bd = alpha.numerator, alpha.denominator, beta.numerator, beta.denominator
+
+        def ea_value(t: RawNumber) -> RawNumber:  # e^(alpha t + beta)
+            if type(t) is Fraction:
+                return raw_exp(an * t.numerator * bd + bn * ad * t.denominator, ad * t.denominator * bd)
+            return raw_exp(raw_add(raw_mul(alpha, t), beta))
 
         def ea_rule(p: int) -> Threshold:  # (log p - beta) / alpha
             n, d = math.log(p).as_integer_ratio()
             return (n * bd - bn * d) * ad, d * bd * an
 
-        return _builtin("expaffine", ea_eval, ea_rule, descriptor=f"expaffine:{alpha},{beta}")
+        return _builtin("expaffine", ea_value, ea_rule, descriptor=f"expaffine:{alpha},{beta}")
     if head == "blowup":
-        T = ext(_parse_frac(arg, "T"))
+        T = _parse_frac(arg, "T")
+        Tn, Td = T.numerator, T.denominator
 
-        def bu_eval(t: ExtReal, T=T) -> ExtReal:
-            return ONE / (T - t) if t < T else POS_INF
+        def bu_value(t: RawNumber) -> RawNumber:  # 1 / (T - t), t < T
+            if type(t) is Fraction:
+                return Fraction(Td * t.denominator, Tn * t.denominator - t.numerator * Td)
+            return raw_div(ONE.raw, raw_add(T, -t))
 
-        Tn, Td = T.raw.numerator, T.raw.denominator
-        return _builtin("blowup", bu_eval, lambda p: (Tn * p - Td, Td * p),  # T - 1/p
-                        blowup_T=T, descriptor=f"blowup:{arg}")
+        return _builtin("blowup", bu_value, lambda p: (Tn * p - Td, Td * p),  # T - 1/p
+                        blowup_T=ExtReal(T), descriptor=f"blowup:{arg}")
     if head == "infinite":
-        return _builtin("infinite", lambda t: POS_INF, lambda p: None, infinite=True,
+        return _builtin("infinite", lambda t: math.inf, lambda p: None, infinite=True,
                         descriptor="infinite")
     if head == "piecewise":
         try:
@@ -368,14 +377,13 @@ class PhiRegResult:
 # -- the sweep ----------------------------------------------------------------------
 
 
-def _case1_result(vals: list[ExtReal], w: int, phi: RegularizingFunction) -> PhiRegResult:
+def _case1_result(prefix: tuple[ExtReal, ...], phi: RegularizingFunction) -> PhiRegResult:
     # every real slope is eventually undercut: J is empty, only the -inf
     # conventions survive (m(-inf) = 0, A(-inf) = -a_0)
-    out = [vals[0]] + [NEG_INF] * (w - 1)
     trace = PiecewiseLinearFn(breakpoints=(), domain=EMPTY_INTERVAL,
-                              slope_left=ZERO, value_at_minus_inf=ZERO - vals[0])
+                              slope_left=ZERO, value_at_minus_inf=ZERO - prefix[0])
     counting = StepFunction(jumps=(), initial_level=0, domain=EMPTY_INTERVAL)
-    regularized = SequenceSpec(kind=LOG, prefix=tuple(out), tail=ExplicitOnly())
+    regularized = SequenceSpec(kind=LOG, prefix=prefix, tail=ExplicitOnly())
     return PhiRegResult(
         regularized=regularized,
         principal_indices=(0,),
@@ -386,8 +394,8 @@ def _case1_result(vals: list[ExtReal], w: int, phi: RegularizingFunction) -> Phi
         trace=trace,
         J_right=NEG_INF,
         finite_principal=True,
-        window=w,
-        provisional_from=w,
+        window=len(prefix),
+        provisional_from=len(prefix),
         phi_descriptor=phi.descriptor,
     )
 
@@ -600,27 +608,27 @@ def _sweep_raw(pts: list[tuple[int, RawNumber, RawNumber]], cap: Optional[RawNum
         lo = i
 
 
-def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
-                        window: Optional[int] = None, tol: float = 1e-9) -> PhiRegResult:
-    """Event-driven sweep computing the full regularization record.
-
-    Preconditions: a_0 finite; -inf entries only under phi = infinite (where
-    they collapse the construction); a window ending in +inf entries needs a
-    blowup phi (the only class where cofinitely-+inf sequences make sense);
-    thresholds that never decrease (AxiomViolation "I" otherwise).
-    """
+def _read(a: SequenceSpec, window: Optional[int]):
+    """The log-scale sequence, the window length and the window's values, a_0 finite."""
     seq = to_log_scale(a)
     w = resolve_window(seq, window)
     vals = seq.values(w)
     if not vals[0].is_finite:
         raise InfinityAtZero(f"a_0 must be finite, got {vals[0]}")
+    return seq, w, vals
 
+
+def _core(seq: SequenceSpec, vals: list[ExtReal], phi: RegularizingFunction,
+          window: Optional[int], tol: float):
+    """The sweep under phi on the window vals: (regime, cap, out, principal, disc,
+    events, stopped_by_cap), with out the regularized window as raw payloads.
+    In Case 1, out is [a_0, -inf, ...] and there is no sweep (principal None)."""
     regime = None
     cap: Optional[ExtReal] = phi.blowup_T
     if phi.infinite:
         regime = classify_regime(seq, window, tol)
         if regime.regime == CASE1:
-            return _case1_result(vals, w, phi)
+            return regime, None, [vals[0].raw] + [-math.inf] * (len(vals) - 1), None, (), (), False
         if regime.regime == CASE2:
             cap = regime.a_iota
 
@@ -643,33 +651,57 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
                 "I", q, f"threshold({q}) = {_raw(thr)} falls below "
                 f"threshold({pts[-1][0]}) = {_raw(pts[-1][2])}: phi must be non-decreasing")
         pts.append((q, v.raw, thr))
-    if phi.blowup_T is None and not phi.infinite and pts[-1][0] < w - 1:
+    if phi.blowup_T is None and not phi.infinite and pts[-1][0] < len(vals) - 1:
         raise InfiniteEntryUnsupported(
             "window ends in +inf entries; without a blowup point the "
             "regularization of a cofinitely-infinite sequence is undefined")
     principal, disc, events, stopped_by_cap = _sweep(pts, None if cap is None else cap.raw)
 
+    out = [v.raw for v in vals]
+    for (P, _), (end, t) in zip(principal, principal[1:]):
+        _fill(out, P, t.raw, end)
+    if stopped_by_cap and cap is not None:
+        # the limiting line of slope cap through the last principal point
+        _fill(out, principal[-1][0], cap.raw, len(out))
+    return regime, cap, out, principal, disc, events, stopped_by_cap
+
+
+def _fill(out: list[RawNumber], P: int, slope: RawNumber, end: int) -> None:
+    """out[p] = out[P] + slope * (p - P) for P < p < end (extreal.raw_line)."""
+    at = raw_line(out[P], slope, P)
+    for p in range(P + 1, end):
+        out[p] = at(p)
+
+
+def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
+                        window: Optional[int] = None, tol: float = 1e-9) -> PhiRegResult:
+    """Event-driven sweep computing the full regularization record.
+
+    Preconditions: a_0 finite; -inf entries only under phi = infinite (where
+    they collapse the construction); a window ending in +inf entries needs a
+    blowup phi (the only class where cofinitely-+inf sequences make sense);
+    thresholds that never decrease (AxiomViolation "I" otherwise).
+    """
+    seq, w, vals = _read(a, window)
+    regime, cap, out, principal, disc, events, stopped_by_cap = _core(seq, vals, phi, window, tol)
+    # each value the fill wrote is wrapped once; the others keep the window's ExtReal
+    prefix = tuple(v if v.raw is r else ExtReal(r) for v, r in zip(vals, out))
+    if principal is None:
+        return _case1_result(prefix, phi)
+
     indices = [p for p, _ in principal]
     J_right = cap if cap is not None else POS_INF
-    finite_principal = stopped_by_cap
 
     # intervals and segments
     intervals: list[PhiInterval] = []
     segments: list[PhiSegment] = []
-    out = list(vals)
-    n = len(principal)
-    for i, (p_i, t_i) in enumerate(principal):
-        if i + 1 < n:
-            p_next, t_next = principal[i + 1]
-            intervals.append(PhiInterval(t_i, t_next))
-            segments.append(PhiSegment(t_next, p_i, vals[p_i], p_i, p_next))
-            _fill(out, p_i, vals[p_i], t_next, p_next)
-        else:
-            intervals.append(PhiInterval(t_i, J_right))
-            if stopped_by_cap and cap is not None:
-                # the limiting line of slope cap through the last principal point
-                segments.append(PhiSegment(cap, p_i, vals[p_i], p_i, w))
-                _fill(out, p_i, vals[p_i], cap, w)
+    for (p_i, t_i), (p_next, t_next) in zip(principal, principal[1:]):
+        intervals.append(PhiInterval(t_i, t_next))
+        segments.append(PhiSegment(t_next, p_i, vals[p_i], p_i, p_next))
+    p_last, t_last = principal[-1]
+    intervals.append(PhiInterval(t_last, J_right))
+    if stopped_by_cap and cap is not None:
+        segments.append(PhiSegment(cap, p_last, vals[p_last], p_last, w))
 
     # trace and counting: one breakpoint per distinct event time
     bps: list[Breakpoint] = []
@@ -688,7 +720,7 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
     counting = StepFunction(jumps=tuple(jumps), initial_level=0, domain=domain)
 
     declared = regime if phi.infinite else None
-    regularized = SequenceSpec(kind=LOG, prefix=tuple(out), tail=ExplicitOnly(),
+    regularized = SequenceSpec(kind=LOG, prefix=prefix, tail=ExplicitOnly(),
                                declared_regime=declared)
 
     provisional_from = _stable_boundary(phi, principal, indices, w, stopped_by_cap)
@@ -701,18 +733,11 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
         counting=counting,
         trace=trace,
         J_right=J_right,
-        finite_principal=finite_principal,
+        finite_principal=stopped_by_cap,
         window=w,
         provisional_from=provisional_from,
         phi_descriptor=phi.descriptor,
     )
-
-
-def _fill(out: list[ExtReal], P: int, aP: ExtReal, slope: ExtReal, end: int) -> None:
-    """out[p] = aP + slope * (p - P) for P < p < end (extreal.raw_line)."""
-    at = raw_line(aP.raw, slope.raw, P)
-    for p in range(P + 1, end):
-        out[p] = ExtReal(at(p))
 
 
 def _stable_boundary(phi: RegularizingFunction, principal: list[tuple[int, ExtReal]],
@@ -792,14 +817,15 @@ def _larger(phi1: RegularizingFunction, phi2: RegularizingFunction) -> str:
     """Which phi is at least the other at every probe: "equal", "phi1" or "phi2".
 
     The probes are _PROBE_GRID and, for each blow-up point T, T and T +- 1/100;
-    each phi is evaluated there once.
+    each phi's value rule is read there once, on raw payloads.
     """
-    pts = [ext(x) for x in _PROBE_GRID]
+    pts = list(_PROBE_GRID)
+    h = ext(Fraction(1, 100))
     for T in (phi1.blowup_T, phi2.blowup_T):
         if T is not None:
-            pts.extend([T - ext(Fraction(1, 100)), T, T + ext(Fraction(1, 100))])
-    v1 = [phi1.eval(t) for t in pts]
-    v2 = [phi2.eval(t) for t in pts]
+            pts.extend([(T - h).raw, T.raw, (T + h).raw])
+    v1 = [phi1._at(t) for t in pts]
+    v2 = [phi2._at(t) for t in pts]
     two_over_one = all(y >= x for x, y in zip(v1, v2))
     one_over_two = all(x >= y for x, y in zip(v1, v2))
     if two_over_one:
@@ -810,13 +836,17 @@ def _larger(phi1: RegularizingFunction, phi2: RegularizingFunction) -> str:
                         "on the probe grid")
 
 
-def _leq(x: ExtReal, y: ExtReal, tol: float) -> bool:
-    if x <= y:
+def _leq(x: RawNumber, y: RawNumber, tol: float) -> bool:
+    """x <= y on raw payloads (two Fractions cross-multiplied), or within tol as floats."""
+    if type(x) is type(y) is Fraction:
+        if x.numerator * y.denominator <= y.numerator * x.denominator:
+            return True
+    elif x <= y:
         return True
-    if x.is_finite and y.is_finite:
-        fx, fy = float(x), float(y)
-        return fx <= fy + tol * max(1.0, abs(fx), abs(fy))
-    return False
+    if _inf_sign(x) or _inf_sign(y):
+        return False
+    fx, fy = _to_float(x), _to_float(y)
+    return fx <= fy + tol * max(1.0, abs(fx), abs(fy))
 
 
 def compare_regularizations(a: SequenceSpec, phi1: RegularizingFunction,
@@ -825,27 +855,21 @@ def compare_regularizations(a: SequenceSpec, phi1: RegularizingFunction,
     """Order two regularizations: a larger phi sees more points, so it digs deeper.
 
     Checks a^{larger} <= a^{smaller} <= a elementwise, and that the ungated
-    regularization (the convex minorant) floors both.
+    regularization (the convex minorant) floors both.  The window is read once,
+    and each regularization is the sweep core's raw window, with no record.
     """
     label = _larger(phi1, phi2)
     big, small = (phi1, phi2) if label == "phi1" else (phi2, phi1)
-    r_big = regularize_with_phi(a, big, window, tol)
-    r_small = regularize_with_phi(a, small, window, tol)
-    floor = regularize_with_phi(a, make_phi("infinite"), window, tol)
-    seq = to_log_scale(a)
-    w = min(r_big.window, r_small.window, floor.window)
-    ordered_ok = True
-    convex_floor_ok = True
+    seq, w, vals = _read(a, window)
+    x_big, x_small, x_floor = (_core(seq, vals, phi, window, tol)[2]
+                               for phi in (big, small, make_phi("infinite")))
+    ordered_ok = convex_floor_ok = True
     witness: Optional[int] = None
     for p in range(w):
-        x_big = r_big.regularized.prefix[p]
-        x_small = r_small.regularized.prefix[p]
-        x_orig = seq.value(p)
-        x_floor = floor.regularized.prefix[p]
-        if not (_leq(x_big, x_small, tol) and _leq(x_small, x_orig, tol)):
+        if not (_leq(x_big[p], x_small[p], tol) and _leq(x_small[p], vals[p].raw, tol)):
             ordered_ok = False
             witness = p if witness is None else witness
-        if not (_leq(x_floor, x_big, tol) and _leq(x_big, x_orig, tol)):
+        if not (_leq(x_floor[p], x_big[p], tol) and _leq(x_big[p], vals[p].raw, tol)):
             convex_floor_ok = False
             witness = p if witness is None else witness
     return ComparisonReport(label, ordered_ok, convex_floor_ok, witness)

@@ -13,6 +13,7 @@ limit at an open end, and those are exactly the candidates enumerated.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,14 +61,20 @@ class Interval:
 
 
 def _positions(locs: list[ExtReal], xs, domain: Interval) -> list[Optional[int]]:
-    """bisect_right(locs, x) - 1 at each x of the sorted finite xs, by one
-    pointer over locs; None where x is outside the domain."""
-    out: list[Optional[int]] = []
+    """bisect_right(locs, x) - 1 at each x of the sorted xs, by one pointer over
+    locs; None outside the domain and at +-inf.  The samples inside form one
+    run, whose ends are found once by bisection on raw payloads."""
+    raw, ls = [ext(x).raw for x in xs], [loc.raw for loc in locs]
+    start = max(bisect.bisect_right(raw, -math.inf),
+                (bisect.bisect_left if domain.lo_closed else bisect.bisect_right)(raw, domain.lo.raw))
+    end = min(bisect.bisect_left(raw, math.inf),
+              (bisect.bisect_right if domain.hi_closed else bisect.bisect_left)(raw, domain.hi.raw))
+    out: list[Optional[int]] = [None] * len(raw)
     i = -1
-    for x in xs:
-        while i + 1 < len(locs) and locs[i + 1] <= x:
+    for k in range(start, end):
+        while i + 1 < len(ls) and ls[i + 1] <= raw[k]:
             i += 1
-        out.append(i if domain.contains(x) else None)
+        out[k] = i
     return out
 
 

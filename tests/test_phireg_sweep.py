@@ -342,7 +342,7 @@ def test_integer_sweep_builds_three_fractions_per_event_at_most():
 
 
 def test_fill_builds_one_fraction_per_value():
-    out = [ExtReal(Fraction(1, 3))] + [POS_INF] * 9
-    _, built = count_fractions(phireg._fill, out, 0, out[0], ExtReal(Fraction(2, 7)), 10)
+    out = [Fraction(1, 3)] + [math.inf] * 9
+    _, built = count_fractions(phireg._fill, out, 0, Fraction(2, 7), 10)
     assert built == 9
-    assert out[9] == ExtReal(Fraction(1, 3) + 9 * Fraction(2, 7))
+    assert out[9] == Fraction(1, 3) + 9 * Fraction(2, 7)
