@@ -302,6 +302,19 @@ def raw_line(a: RawNumber, slope: RawNumber, P: int):
     return value
 
 
+def raw_slope(a: RawNumber, b: RawNumber, k: int) -> RawNumber:
+    """(b - a) / k for finite a, b and k > 0: one Fraction between exact values,
+    else raw_add and raw_div, but for a slope that overflows to +-inf, which is
+    computed exactly."""
+    if type(a) is Fraction and type(b) is Fraction:
+        return Fraction(b.numerator * a.denominator - a.numerator * b.denominator,
+                        a.denominator * b.denominator * k)
+    s = raw_div(raw_add(b, -a), k)
+    if _inf_sign(s):
+        return (Fraction(b) - Fraction(a)) / k
+    return s
+
+
 def raw_exp(a: RawNumber, d: int = 1) -> RawNumber:
     """e^(a/d) for a payload a (d = 1) or integers a, d > 0: the exact zero at
     -inf, else math.exp of a/d rounded once, taken as the infinity of its sign

@@ -12,10 +12,10 @@ past the window, which ends the walk.  Values between principal indices are
 the line values; points at +inf project down onto the hull.
 
 The walk computes on raw payloads (Fraction or float) by ExtReal's rules
-(extreal.raw_add, raw_line and siblings), and each output becomes an ExtReal
-once: between exact values each slope, line value, intercept and breakpoint
-value is one Fraction built from integers, and a float one that overflows
-from finite operands is computed exactly instead.  A walk reads each tail
+(extreal.raw_add, raw_slope, raw_line and siblings), and each output becomes
+an ExtReal once: between exact values each slope, line value, intercept and
+breakpoint value is one Fraction built from integers, and a float one that
+overflows from finite operands is computed exactly instead.  A walk reads each tail
 value once.  Everything is exact when the inputs are rational.
 
 Three regimes:
@@ -39,16 +39,14 @@ conjugate reproduces the minorant values (round trip exact on rationals).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 from typing import Optional
 
 from .errors import InconsistentDeclaration, InfinityAtZero, RegimeMismatch, UnknownAIota
 from .extreal import (ExtReal, NEG_INF, POS_INF, ZERO, RawNumber, ext, raw_add, raw_div,
-                      raw_line, raw_mul)
+                      raw_line, raw_mul, raw_slope)
 from .piecewise import (
     Breakpoint,
     EMPTY_INTERVAL,
@@ -225,9 +223,8 @@ def _hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, ext
     whether the walk stopped at the cap, and the tail index that the last
     edge reaches when it leaves the window (None when it does not).
 
-    A slope between exact values, or a float slope that overflows, is one
-    Fraction from the hull's integer pairs; line values, intercepts and
-    breakpoint values come from extreal.raw_line.
+    Slopes come from extreal.raw_slope; line values, intercepts and
+    breakpoint values from extreal.raw_line.
     """
     hull = _lower_hull(vals)
     raws = [v.raw for v in vals]
@@ -236,18 +233,14 @@ def _hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, ext
     out = list(vals)
     edge_data: list[tuple[RawNumber, int, RawNumber, int]] = []  # (slope, P, a_P, q)
     stopped = False
-    for i, (P, nP, dP) in enumerate(hull):
+    for i, (P, _, _) in enumerate(hull):
         if P == w - 1:
             break  # the window is covered; the tail is not asked from its last point
         aP = raws[P]
         best: Optional[tuple[RawNumber, int]] = None
         if i + 1 < len(hull):
-            q, nq, dq = hull[i + 1]
-            slope = None
-            if type(aP) is not Fraction or type(raws[q]) is not Fraction:
-                slope = raw_div(raw_add(raws[q], -aP), q - P)
-            if slope is None or type(slope) is float and math.isinf(slope):  # overflowed
-                slope = Fraction(nq * dP - nP * dq, dq * dP * (q - P))
+            q = hull[i + 1][0]
+            slope = raw_slope(aP, raws[q], q - P)
             if slope < cap_raw:
                 best = (slope, q)
         tail = chord(P, aP) if chord else None

@@ -12,9 +12,9 @@ principal index P, a later index q takes over at
     e_q = max( slope(S_P -> S_q), threshold(q) ),   threshold(q) = inf{t : phi(t) >= q}
 
 because q must be both visible and at-or-below the current line.  The next
-event is min_q e_q; everything (event times, intercept comparisons, hence the
-principal / discontinuity classification) is exact rational arithmetic when
-the inputs are.  Each phi's one threshold rule gives threshold(p) as an integer
+event is min_q e_q; every decision (event times, intercept comparisons, hence
+the principal / discontinuity classification) is exact, a float taken at its
+binary value.  Each phi's one threshold rule gives threshold(p) as an integer
 ratio, so the engine and the recovery conjugate use identical cutoffs.
 
 Each call reads the window once into raw payloads (Fraction or float) and
@@ -28,26 +28,28 @@ chain, threshold); when the next point's threshold is later, that time is
 the next event.  Each point is pushed and popped at most once, so
 the sweep is linear in the window.
 
-The payload types pick the arithmetic once per call.  On an exact window
-(every value a Fraction, every threshold an integer ratio or -inf, the cap a
-Fraction or absent) each value is read once as an integer ratio, and every
+There is one sweep for every window.  Each value, threshold and the cap is
+read once as an integer ratio (a float at its exact binary value), and every
 decision is one comparison of integer products: the turn test is
-minorant._lower_hull's, and takeover times (slopes, thresholds, the last
-event time, the cap) and jump intercepts are compared as unreduced
-(num, den) pairs by cross-multiplication.  An event builds one Fraction for
-its time and one for each trace value beside it, and each filled value
-between principal indices is one Fraction built from integers.  A window
-with any float (or a hand-built phi with a float threshold) runs the same
-sweep on the raw payloads, with the float tie rules described at _sweep_raw;
-a value wraps into ExtReal only when it enters the record.  compare runs the
-same core (_core) for both phis and the ungated one on one read of the
-window, and reads the raw windows it fills: it builds no record.
+minorant._lower_hull's, and takeover times (slopes, thresholds, the cap) and
+jump intercepts are compared as unreduced (num, den) pairs by
+cross-multiplication.  The values an event emits follow the payloads: its
+time is the raw value of the threshold that set it, or the slope from
+extreal.raw_slope (a Fraction between exact values, else the float slope,
+exact where that overflows or rounds up to the cap), held at the last
+event's time against float rounding; its trace values are one Fraction
+between exact values and come from extreal.raw_line otherwise.  So on an
+exact window an event builds one Fraction for its time and one for each
+trace value beside it, and each filled value between principal indices is
+one Fraction built from integers.  A value wraps into ExtReal only when it
+enters the record.  compare runs the same core (_core) for both phis and the
+ungated one on one read of the window, and reads the raw windows it fills:
+it builds no record.
 
 Events where the entering point sits strictly below the old line are the
 indices of discontinuity: visibility arrived later than tangency, so the trace
-jumps up.  A tied point is below the line exactly when its threshold exceeds
-its slope from the current principal point, and the sweep decides it that
-way, so float rounding in the intercepts cannot fake a jump.  At a batch
+jumps up.  The sweep decides that on the exact slopes and intercepts, so
+float rounding cannot fake a jump or hide a point on the hull.  At a batch
 event (several points tied at the minimum intercept, or every tied point
 when none is below the line) all of them become principal and their
 intervals degenerate to a point.
@@ -77,7 +79,7 @@ from .errors import (
     ParseError,
 )
 from .extreal import (ExtReal, NEG_INF, ONE, POS_INF, RawNumber, ZERO, _inf_sign, _to_float,
-                      ext, raw_add, raw_div, raw_exp, raw_line, raw_mul)
+                      ext, raw_add, raw_div, raw_exp, raw_line, raw_mul, raw_slope)
 from .piecewise import (
     Breakpoint,
     EMPTY_INTERVAL,
@@ -400,6 +402,26 @@ def _case1_result(prefix: tuple[ExtReal, ...], phi: RegularizingFunction) -> Phi
     )
 
 
+def _pair(x: Optional[RawNumber]) -> tuple[int, int]:
+    """A float threshold or the cap at its exact value as (n, d), d > 0; -inf
+    (also a None threshold) and +inf as (-1, 0) and (1, 0), which
+    cross-multiplication compares as the infinities against finite pairs."""
+    if x is None:
+        return -1, 0
+    s = _inf_sign(x)
+    return (s, 0) if s else x.as_integer_ratio()
+
+
+def _trace_value(a: RawNumber, tau: RawNumber, q: int) -> RawNumber:
+    """q*tau - a, the trace at tau of the line of slope tau through (q, a): one
+    Fraction between exact values, else 0 - c for its intercept c from
+    extreal.raw_line (0 - c, not -c: the trace of c = 0.0 is 0.0, never -0.0)."""
+    if type(a) is Fraction and type(tau) is Fraction:
+        return Fraction(q * tau.numerator * a.denominator - a.numerator * tau.denominator,
+                        tau.denominator * a.denominator)
+    return 0 - raw_line(a, tau, q)(0)
+
+
 def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]):
     """The event sweep over pts = [(q, a_q, threshold(q))], thresholds non-decreasing.
 
@@ -412,58 +434,45 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
     entry times, the discontinuities, the events (time, left_A, right_A,
     top) and whether the cap stopped the sweep.
 
-    The payload types decide the arithmetic once per call: when every value
-    is a Fraction, every threshold an integer ratio or -inf and the cap a
-    Fraction or absent, the sweep decides on integers (_sweep_exact);
-    otherwise it runs on the raw payloads (_sweep_raw), whose tie rules on
-    floats differ, with each threshold read back as a raw number.
+    Every decision is one comparison of integer products.  Each value,
+    threshold and the cap is read once by _pair, and a time (a slope,
+    threshold, cap or intercept) is an unreduced pair (num, den): x < y is
+    x_num*y_den < y_num*x_den.  The turn test is minorant._lower_hull's.
+    An event emits as its time the raw value of what set it, a threshold or
+    the slope from P (extreal.raw_slope; exact where the float slope rounds
+    up to the cap), held at the last event's time against float rounding,
+    and its trace values by _trace_value; between exact values that is one
+    Fraction for the time and one per trace value.
     """
-    if (cap is None or type(cap) is Fraction) and all(
-            type(v) is Fraction and type(thr) is not float for _, v, thr in pts):
-        return _sweep_exact(pts, None if cap is None else _ratio(cap))
-    return _sweep_raw([(q, v, _raw(thr)) for q, v, thr in pts], cap)
-
-
-def _sweep_exact(pts: list[tuple[int, Fraction, Threshold]], cap: Optional[tuple[int, int]]):
-    """_sweep on exact payloads, every decision a comparison of integer products.
-
-    Each value is read once as (n, d); each threshold, like the cap, comes as
-    (tn, td), and a -inf threshold is tn = None, and so is the floor before the first
-    event.  A time (a slope, threshold, floor, cap or intercept) is an
-    unreduced pair (num, den) with den > 0, and x < y is x_num*y_den <
-    y_num*x_den.  The turn test is minorant._lower_hull's.  Each event builds
-    one Fraction for its time tau and one for each trace value beside it.
-    """
-    ps = [(q, v.numerator, v.denominator) + (thr or (None, 1)) for q, v, thr in pts]
-    cn, cd = cap or (None, 1)
+    ps = [(q, *v.as_integer_ratio(), *(thr if type(thr) is tuple else _pair(thr)))
+          for q, v, thr in pts]
+    cn, cd = (1, 0) if cap is None else _pair(cap)
     principal: list[tuple[int, ExtReal]] = [(0, NEG_INF)]
     disc: list[int] = []
     events: list[tuple[ExtReal, ExtReal, ExtReal, int]] = []
     hull = [0]  # positions in ps
     lo = 0
     m = 1  # the next point to admit
-    fn, fd = None, 1  # the last event time
+    last: RawNumber = -math.inf  # the last event's time as emitted
 
     while True:
         P, nP, dP, _, _ = ps[hull[lo]]
 
         def slope(j: int) -> tuple[int, int]:
-            # the slope from P, held at the floor as in _sweep_raw
             q, n, d, _, _ = ps[j]
-            sn, sd = n * dP - nP * d, d * dP * (q - P)
-            if fn is not None and sn * fd < fn * sd:
-                return fn, fd
-            return sn, sd
+            return n * dP - nP * d, d * dP * (q - P)
 
-        bn, bd = None, 1  # the earliest takeover time, None while no point is admitted
+        # (bn, bd) is the earliest takeover time, +inf while no point is
+        # admitted, and src what set it: the slope from P to position src >= 0,
+        # or the threshold of position ~src.  The points kept past P lie above
+        # the last event's line, so the first edge sets it at first.
+        bn, bd, src = 1, 0, 0
         if len(hull) > lo + 1:
-            bn, bd = slope(hull[lo + 1])
-            tn, td = ps[m - 1][3:]
-            if tn is not None and bn * td < tn * bd:
-                bn, bd = tn, td
+            src = hull[lo + 1]
+            bn, bd = slope(src)
         while m < len(ps):
             q, ny, dy, tn, td = ps[m]
-            if bn is not None and tn is not None and tn * bd > bn * td:
+            if tn * bd > bn * td:
                 break
             while len(hull) > lo + 1:
                 i, ni, di, _, _ = ps[hull[-2]]
@@ -472,26 +481,34 @@ def _sweep_exact(pts: list[tuple[int, Fraction, Threshold]], cap: Optional[tuple
                     break
                 hull.pop()
             hull.append(m)
-            en, ed = slope(hull[lo + 1])
-            if tn is not None and en * td < tn * ed:
-                en, ed = tn, td
-            if bn is None or en * bd < bn * ed:
-                bn, bd = en, ed
+            j = hull[lo + 1]
+            en, ed = slope(j)
+            if en * td < tn * ed:
+                en, ed, j = tn, td, ~m
+            if en * bd < bn * ed:
+                bn, bd, src = en, ed, j
             m += 1
-        if bn is None or (cn is not None and bn * cd >= cn * bd):
-            return principal, disc, events, bn is not None
-        tau = Fraction(bn, bd)
-        un, ud = tau.numerator, tau.denominator
+        if bd == 0 or bn * cd >= cn * bd:
+            return principal, disc, events, bd != 0
+        aP = pts[hull[lo]][1]
+        tau = raw_slope(aP, pts[src][1], ps[src][0] - P) if src >= 0 else _raw(pts[~src][2])
+        if type(tau) is float and cap is not None and not tau < cap:
+            tau = Fraction(bn, bd)  # a float slope that rounds up to the cap is taken exactly
+        if type(tau) is Fraction:
+            bn, bd = tau.numerator, tau.denominator  # the same time, reduced
+        if not (type(tau) is type(last) is Fraction) and tau < last:
+            tau = last  # float rounding cannot take the events back in time
+        last = tau
 
         # the trace value P*tau - a_P, and at a jump that of the lowest line
-        left = right = ExtReal(Fraction(P * un * dP - nP * ud, ud * dP))
+        left = right = ExtReal(_trace_value(aP, tau, P))
         first = i = lo + 1
         sn, sd = slope(hull[i])
-        if sn * ud < un * sd:
+        if sn * bd < bn * sd:
             def icpt(j: int) -> tuple[int, int]:
-                # a_j - j*tau = num / (den * ud)
+                # a_j - j*tau = num / (den * bd)
                 q, n, d, _, _ = ps[j]
-                return n * ud - q * un * d, d
+                return n * bd - q * bn * d, d
 
             c_n, c_d = icpt(hull[i])
             while i + 1 < len(hull):
@@ -506,105 +523,19 @@ def _sweep_exact(pts: list[tuple[int, Fraction, Threshold]], cap: Optional[tuple
                 if x_n * c_d != c_n * x_d:
                     break
                 i += 1
-            disc.append(ps[hull[first]][0])
-            right = ExtReal(Fraction(-c_n, c_d * ud))
+            q = ps[hull[first]][0]
+            disc.append(q)
+            right = ExtReal(_trace_value(pts[hull[first]][1], tau, q))
         else:
             while i + 1 < len(hull):
                 sn, sd = slope(hull[i + 1])
-                if sn * ud != un * sd:
+                if sn * bd != bn * sd:
                     break
                 i += 1
-        fn, fd = un, ud
         tau_x = ExtReal(tau)
         events.append((tau_x, left, right, ps[hull[i]][0]))
         for j in hull[first:i + 1]:
             principal.append((ps[j][0], tau_x))
-        lo = i
-
-
-def _minus(a: RawNumber, b: RawNumber) -> RawNumber:
-    """a - b on finite payloads; where a Fraction past the float range meets a
-    float, the float is taken at its exact value, as in extreal.raw_add."""
-    try:
-        return a - b
-    except OverflowError:
-        return Fraction(a) - Fraction(b)
-
-
-def _sweep_raw(pts: list[tuple[int, RawNumber, RawNumber]], cap: Optional[RawNumber]):
-    """_sweep on raw payloads (Fraction or float), for windows with a float.
-
-    Slopes are divided from P and compared as numbers, so on floats that
-    rounding leaves almost collinear, ties fall as the rounded slopes say,
-    and the floor keeps the event times from going back by a rounding error.
-    """
-    principal: list[tuple[int, ExtReal]] = [(0, NEG_INF)]
-    disc: list[int] = []
-    events: list[tuple[ExtReal, ExtReal, ExtReal, int]] = []
-    hull = [0]  # positions in pts
-    lo = 0
-    m = 1  # the next point to admit
-    floor: RawNumber = -math.inf  # the last event time
-
-    while True:
-        P, aP, _ = pts[hull[lo]]
-
-        def slope(j: int) -> RawNumber:
-            # exactly, a point visible at the last event lies above that event's
-            # line through P, and a point below it was not visible then, so its
-            # later threshold sets its time: the floor changes nothing, except
-            # that float rounding cannot take the events back in time
-            s = _minus(pts[j][1], aP) / (pts[j][0] - P)
-            return s if s >= floor else floor
-
-        # in exact arithmetic every point past P kept from earlier events
-        # lies above the last event's line, so its term is the first-edge slope
-        best = max(slope(hull[lo + 1]), pts[m - 1][2]) if len(hull) > lo + 1 else None
-        # best, the earliest takeover time, is the minimum over the admitted m
-        # of max(first-edge slope, threshold(m)); no later threshold can beat it
-        while m < len(pts) and (best is None or pts[m][2] <= best):
-            q, v, thr = pts[m]
-            while len(hull) > lo + 1:
-                i, a_i, _ = pts[hull[-2]]
-                j, a_j, _ = pts[hull[-1]]
-                if _minus(a_j, a_i) / (j - i) <= _minus(v, a_i) / (q - i):
-                    break
-                hull.pop()
-            hull.append(m)
-            e = slope(hull[lo + 1])
-            if e < thr:
-                e = thr
-            if best is None or e < best:
-                best = e
-            m += 1
-        if best is None or (cap is not None and not best < cap):
-            return principal, disc, events, best is not None
-        tau = best
-
-        # written 0 - c, not -c: the trace value of c = 0.0 is 0.0, never -0.0
-        left = right = 0 - _minus(aP, P * tau)
-        first = i = lo + 1
-        if slope(hull[i]) < tau:
-            def icpt(j: int) -> RawNumber:
-                return _minus(pts[j][1], pts[j][0] * tau)
-
-            c_min = icpt(hull[i])
-            while i + 1 < len(hull) and icpt(hull[i + 1]) < c_min:
-                i += 1
-                c_min = icpt(hull[i])
-            first = i
-            while i + 1 < len(hull) and icpt(hull[i + 1]) == c_min:
-                i += 1
-            disc.append(pts[hull[first]][0])
-            right = 0 - c_min
-        else:
-            while i + 1 < len(hull) and slope(hull[i + 1]) == tau:
-                i += 1
-        floor = tau
-        tau_x = ExtReal(tau)
-        events.append((tau_x, ExtReal(left), ExtReal(right), pts[hull[i]][0]))
-        for j in hull[first:i + 1]:
-            principal.append((pts[j][0], tau_x))
         lo = i
 
 
@@ -645,6 +576,8 @@ def _core(seq: SequenceSpec, vals: list[ExtReal], phi: RegularizingFunction,
             raise InfiniteEntryUnsupported(
                 f"a_{q} = -inf: only the ungated phi handles collapsing sequences")
         thr = phi._rule(q) if q else None
+        if thr == math.inf:
+            raise AxiomViolation("III", q, f"threshold({q}) = inf: phi never reaches {q}")
         if pts and _below(thr, pts[-1][2]):
             # the sweep admits points in index order, so it needs phi non-decreasing
             raise AxiomViolation(

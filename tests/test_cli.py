@@ -406,11 +406,23 @@ OVERFLOWING_SLOPE = {"kind": "log", "prefix": [-1.7e308, 1.7e308],
                      "tail": {"type": "explicit_only"}}
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: _sweep_raw forms 0 * inf = nan from the "
-                                       "overflowed slope and raises ValueError")
-def test_phireg_on_an_overflowing_slope_exits_cleanly(tmp_path):
-    res = run_cli(tmp_path, OVERFLOWING_SLOPE, "phireg", "--phi", "exp", "--window", "4")
-    assert res.returncode in (0, 2) and "Traceback" not in res.stderr, res.stderr
+# the sweep decides the slope on the floats' exact values, so both points are
+# principal; blowup:3 caps the sweep below the slope, and only a_0 is
+@pytest.mark.parametrize("phi, principal", [
+    ("exp", [0, 1]), ("infinite", [0, 1]), ("expaffine:1,1", [0, 1]),
+    ("piecewise:[[0,0],[1,2]]", [0, 1]), ("blowup:3", [0]),
+])
+def test_phireg_on_an_overflowing_slope_exits_cleanly(tmp_path, phi, principal):
+    res = run_cli(tmp_path, OVERFLOWING_SLOPE, "phireg", "--phi", phi, "--window", "4")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["principal_indices"] == principal
+
+
+def test_compare_on_an_overflowing_slope_exits_cleanly(tmp_path):
+    res = run_cli(tmp_path, OVERFLOWING_SLOPE, "compare", "--phi", "exp", "--phi2",
+                  "expaffine:1,1", "--window", "4")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["ordered_ok"] is True
 
 
 def test_minorant_on_an_overflowing_slope_keeps_both_points(tmp_path):

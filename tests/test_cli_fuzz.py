@@ -18,7 +18,7 @@ from datetime import timedelta
 from fractions import Fraction
 
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from seqreg.cli import main
 
@@ -195,9 +195,18 @@ def phi_descriptors(draw):
     return "piecewise:[" + ",".join(f'["{x}","{v}"]' for x, v in knots) + "]"
 
 
+# a_1 - a_0 overflows a float
+OVERFLOWING_SLOPE = {"kind": "log", "prefix": [-1.7e308, 1.7e308],
+                     "tail": {"type": "explicit_only"}}
+
+
 @given(documents(), phi_descriptors(), phi_descriptors(),
        st.sampled_from(["json", "csv", "verify", "compare"]), st.integers(4, 24),
        st.one_of(st.none(), grids()), st.booleans())
+@example(doc=OVERFLOWING_SLOPE, phi="exp", phi2="expaffine:1,1", mode="json", window=4,
+         grid=None, extended=False)
+@example(doc=OVERFLOWING_SLOPE, phi="exp", phi2="expaffine:1,1", mode="compare", window=4,
+         grid=None, extended=False)
 @settings(max_examples=300, deadline=timedelta(seconds=10),
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 def test_phi_front_ends_exit_cleanly(tmp_path, doc, phi, phi2, mode, window, grid, extended):

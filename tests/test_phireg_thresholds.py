@@ -24,7 +24,10 @@ from seqreg import (CASE2, ExplicitOnly, ExtReal, OutOfDomain, RegimeClassificat
                     RegularizingFunction, SeqRegError, SequenceSpec, counting_m_phi, ext,
                     make_phi, regularize_with_phi, trace_A_phi)
 from seqreg import phireg
+from seqreg.errors import AxiomViolation
 from seqreg.extreal import NEG_INF, POS_INF, ZERO
+from seqreg.phireg import _sweep as sweep
+from test_phireg_sweep import key, ref_sweep
 
 
 # -- the replaced threshold expressions, verbatim ------------------------------------
@@ -140,24 +143,43 @@ EXACT_WINDOW = SequenceSpec(kind="log", prefix=tuple(map(ext, [0, 3, 1, 4, 9, 2,
                             tail=ExplicitOnly())
 
 
+def checked_sweep(pts, cap):
+    """phireg._sweep, checked against the replaced event loop by type and repr."""
+    got = sweep(pts, cap)
+    assert key(got) == key(ref_sweep(pts, cap))
+    return got
+
+
 def test_tied_hand_built_thresholds_are_no_axiom_violation():
-    # thresholds 0, 0, 1, 1, ...: phi never falls, so the exact sweep runs
+    # thresholds 0, 0, 1, 1, ...: phi never falls, and the sweep gives the loop's record
     phi = hand_built(lambda p: ext((p - 1) // 2))
     assert [phi._rule(p) for p in (1, 2, 3)] == [(0, 1), (0, 1), (1, 1)]
-    with mock.patch.object(phireg, "_sweep_raw", side_effect=AssertionError("raw path")):
+    with mock.patch.object(phireg, "_sweep", checked_sweep):
         result = regularize_with_phi(EXACT_WINDOW, phi)
     assert result.principal_indices[0] == 0
 
 
-def test_a_float_threshold_takes_the_raw_path_on_an_exact_window():
+def test_a_float_threshold_is_read_at_its_exact_value():
     phi = hand_built(lambda p: ExtReal(p / 4))
     assert phi._rule(3) == 0.75 and phi.threshold(3) == ExtReal(0.75)
-    with mock.patch.object(phireg, "_sweep_exact", side_effect=AssertionError("exact path")):
-        floats = regularize_with_phi(EXACT_WINDOW, phi)
+    floats = regularize_with_phi(EXACT_WINDOW, phi)
     exact = regularize_with_phi(EXACT_WINDOW, hand_built(lambda p: ext(Fraction(p, 4))))
-    # quarters are exact in binary, so both routes find the same record
+    # quarters are exact in binary, so both find the same record; the times
+    # that a threshold sets are its floats
     assert floats.principal_indices == exact.principal_indices
+    assert floats.discontinuity_indices == exact.discontinuity_indices
     assert floats.regularized.prefix == exact.regularized.prefix
+    assert floats.counting.jumps == exact.counting.jumps
+    assert any(type(t.raw) is float for t, _ in floats.counting.jumps)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_an_infinite_threshold_violates_axiom_iii(p):
+    # threshold(p) = +inf: phi never reaches p, so it cannot grow to +inf
+    phi = hand_built(lambda q: POS_INF if q >= p else ext(q - 1))
+    with pytest.raises(AxiomViolation) as exc:
+        regularize_with_phi(EXACT_WINDOW, phi)
+    assert exc.value.axiom == "III" and exc.value.witness == p
 
 
 # -- the sorted CSV pass ----------------------------------------------------------------

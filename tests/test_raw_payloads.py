@@ -19,7 +19,7 @@ from typing import Optional
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqreg import SequenceSpec, minorant
 from seqreg.cli import _minorant_payload
@@ -164,8 +164,11 @@ def outcome(fn, *args):
 
 
 def num(x):
-    """(type, repr) of a payload: 1 == 1.0 and 0.0 == -0.0 are no match."""
+    """(type, repr) of a payload: 1 == 1.0 and 0.0 == -0.0 are no match.  A
+    Fraction is keyed by its two integers, which repr cannot print past 4300 digits."""
     raw = x.raw if isinstance(x, ExtReal) else x
+    if type(raw) is Fraction:
+        return "Fraction", raw.numerator, raw.denominator
     return type(raw).__name__, repr(raw)
 
 
@@ -199,6 +202,7 @@ def test_parse_matches_the_fraction_route(text):
     st.from_regex(r"\s?[-+]?[0-9_٣]{0,4}\s?/\s?[-+]?[0-9_]{0,3}\s?", fullmatch=True),
     st.text(alphabet="0123456789-+/_ .e٣", max_size=10),
     st.integers(-10**30, 10**30), st.fractions(), st.floats(allow_nan=False), st.booleans()))
+@example("1e10000")  # a Fraction of 10,001 digits
 @settings(max_examples=500, deadline=None)
 def test_parse_matches_the_fraction_route_on_drawn_forms(payload):
     assert parse_key(payload) == former_parse_key(payload)
