@@ -221,7 +221,7 @@ def _minorant_payload(result: MinorantResult) -> dict:
     return {
         "regularized": [v.to_json() for v in result.regularized.prefix],
         "principal_indices": list(result.principal_indices),
-        "slopes": [e.slope.to_json() for e in result.edges],
+        "slopes": [s.to_json() for s in result.slopes],
         "trace_breakpoints": [bp.to_json() for bp in result.trace.breakpoints],
         "regime": result.regime.to_json(),
         "stable_prefix": result.stable_prefix,
@@ -249,15 +249,30 @@ def _verify_minorant(seq: SequenceSpec, result: MinorantResult,
         "minorant stable prefix vs pairwise-line oracle",
         list(zip(engine[:stable], oracle[:stable])),
     )
-    # past the stable prefix no oracle applies, but over the whole window the
-    # result lies at or below the input and meets it at every principal index
+    # past the stable prefix the values are provisional, but over the whole
+    # window the result lies at or below the input, meets it at every
+    # principal index, and misses no principal index of the oracle's
     off = [(x, a) for x, a in zip(engine, original) if x > a]
     off += [(engine[p], original[p]) for p in result.principal_indices]
-    return report, report.within(tol) and compare_values("", off).within(tol)
+    return report, (report.within(tol) and compare_values("", off).within(tol)
+                    and not _misses_principal(result.principal_indices, original, oracle, cap))
+
+
+def _misses_principal(principal: tuple[int, ...], original: list[ExtReal],
+                      oracle: list[ExtReal], cap: Optional[ExtReal]) -> bool:
+    """Whether an index where the oracle meets the input exactly is not principal.
+    Such an index is on the hull up to the last principal index, and past it
+    wherever it lies strictly below the line of slope cap through that index."""
+    last = principal[-1]
+    capped = cap is not None and cap.is_finite
+    return any(a.is_finite and o.raw == a.raw and p not in principal and (
+        p < last or not capped
+        or Fraction(o.raw) < Fraction(oracle[last].raw) + Fraction(cap.raw) * (p - last))
+        for p, (o, a) in enumerate(zip(oracle, original)))
 
 
 def _tail_point(result: MinorantResult, log_seq: SequenceSpec) -> list:
-    """The walk's far end past the window, as an oracle's ``beyond`` points."""
+    """The sweep's far end past the window, as an oracle's ``beyond`` points."""
     return [] if result.tail_end is None else [(result.tail_end, log_seq.value(result.tail_end))]
 
 
@@ -281,7 +296,7 @@ def minorant(files, window, tol, verify):
                 diagnostics.append(
                     f"{path}: verify deviation {report.max_abs_deviation} exceeds tolerance {tol}"
                     if not report.within(tol) else f"{path}: the minorant lies above the input, "
-                    "or off it at a principal index")
+                    "off it at a principal index, or on it at an index that is not principal")
         return _canonical(payload) + "\n", status, diagnostics
 
     _run_files(files, worker)

@@ -1,26 +1,28 @@
 """Convex minorants of log-scale sequences and their traces.
 
 The minorant is the lower boundary of the convex hull of the points
-(p, a_p).  The lower hull of the finite window points is computed once
-(Andrew's monotone chain) and keeps collinear points, so every point on a
-hull edge is principal.  Each value enters the chain once as an integer
-ratio n/d (a float at its exact binary value), and every turn is decided by
-one comparison of integer products, with no Fraction built.  One walk then
-follows the hull from the anchor (0, a_0), accepting edges of slope below a
-cap; at each vertex a closed-form tail may offer a strictly smaller chord
-past the window, which ends the walk.  Values between principal indices are
-the line values; points at +inf project down onto the hull.
+(p, a_p), its slopes capped at a_iota in Case 2.  Under phi = +inf it is
+phireg's regularization, and both run the one event sweep held here
+(_sweep): the lower hull of the points admitted so far (Andrew's monotone
+chain, collinear points kept, so every point on a hull edge is principal),
+followed from the anchor (0, a_0) until a slope reaches the cap.  Each value,
+threshold and the cap is read once as an integer ratio (a float at its exact
+binary value), and every decision is one comparison of integer products.
+Slopes, line values and trace values are computed on raw payloads by
+ExtReal's rules (extreal.raw_slope, raw_line): one Fraction between exact
+values, and exact where a float would overflow from finite operands.
 
-The walk computes on raw payloads (Fraction or float) by ExtReal's rules
-(extreal.raw_add, raw_slope, raw_line and siblings), and each output becomes
-an ExtReal once: between exact values each slope, line value, intercept and
-breakpoint value is one Fraction built from integers, and a float one that
-overflows from finite operands is computed exactly instead.  A walk reads each tail
-value once.  Everything is exact when the inputs are rational.
+A closed-form tail is the only thing the minorant adds: at each event it may
+offer a strictly lower chord past the window (_tail_chords), the sweep's
+last event.  _run fills the window between principal indices with the line
+values, and past the last one with the tail chord's line or, when the sweep
+ends before the window does and the cap is finite, the line of slope cap.
++inf points project down onto those lines (and stay +inf past the last
+finite point when there is no cap).
 
 Three regimes:
 
-  standard   no cap (+inf): the walk covers the whole window, and a
+  standard   no cap (+inf): the sweep covers the whole window, and a
              factorial tail may carry the last edge past it.
   case1      some entry is -inf (or liminf a_p/p = -inf): every supporting
              line can be pushed down forever, so the minorant collapses to
@@ -33,20 +35,23 @@ regularize() is the one place that maps a regime to its construction: it
 classifies once and calls that regime's builder.  The per-regime entry points
 check their regime first and then call the same builders.
 
-The trace k -> sup_p (p*k - a_p) is assembled from the accepted edges; its
-conjugate reproduces the minorant values (round trip exact on rationals).
+The trace k -> sup_p (p*k - a_p) has one breakpoint per distinct event time;
+its conjugate reproduces the minorant values (exact on rationals).  A result
+keeps one slope per edge and builds its SupportLines only when asked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from itertools import groupby
-from operator import itemgetter
-from typing import Optional
+from typing import Callable, Optional, Union
 
-from .errors import InconsistentDeclaration, InfinityAtZero, RegimeMismatch, UnknownAIota
-from .extreal import (ExtReal, NEG_INF, POS_INF, ZERO, RawNumber, ext, raw_add, raw_div,
-                      raw_line, raw_mul, raw_slope)
+from .errors import (InconsistentDeclaration, InfiniteEntryUnsupported, InfinityAtZero,
+                     RegimeMismatch, UnknownAIota)
+from .extreal import (ExtReal, NEG_INF, POS_INF, ZERO, RawNumber, _inf_sign, ext, raw_add,
+                      raw_div, raw_line, raw_mul, raw_slope)
 from .piecewise import (
     Breakpoint,
     EMPTY_INTERVAL,
@@ -90,7 +95,8 @@ class SupportLine:
 class MinorantResult:
     regularized: SequenceSpec
     principal_indices: tuple[int, ...]
-    edges: tuple[SupportLine, ...]
+    # one per edge: from each principal index to the next, and past the window to tail_end
+    slopes: tuple[ExtReal, ...]
     trace: PiecewiseLinearFn
     regime: RegimeClassification
     stable_prefix: int
@@ -98,15 +104,33 @@ class MinorantResult:
     window: int
     scale: str
     finite_principal: Optional[bool] = None
-    # the tail index where the last edge ends, when the walk took one past the window
+    # the tail index where the last edge ends, when the sweep took one past the window
     tail_end: Optional[int] = None
+    # the log-scale window values, which the edges pass through
+    _log: tuple[ExtReal, ...] = field(default=(), repr=False)
+
+    @property
+    def edges(self) -> tuple[SupportLine, ...]:
+        """The supporting line of each edge, built on each call; each edge of a
+        collinear run touches every principal point of the run."""
+        starts = self.principal_indices
+        ends = starts[1:] + (() if self.tail_end is None else (self.tail_end,))
+        lines: list[SupportLine] = []
+        for _, run in groupby(zip(self.slopes, starts, ends), key=lambda e: e[0].raw):
+            run = list(run)
+            touching = tuple(P for _, P, _ in run)
+            if run[-1][2] < self.window:
+                touching += (run[-1][2],)
+            lines += [SupportLine(s, ExtReal(raw_line(self._log[P].raw, s.raw, P)(0)), touching)
+                      for s, P, _ in run]
+        return tuple(lines)
 
     def to_json(self) -> dict:
         return {
             "regularized": [v.to_json() for v in self.regularized.prefix],
             "scale": self.scale,
             "principal_indices": list(self.principal_indices),
-            "slopes": [e.slope.to_json() for e in self.edges],
+            "slopes": [s.to_json() for s in self.slopes],
             "edges": [e.to_json() for e in self.edges],
             "trace": self.trace.to_json(),
             "regime": self.regime.to_json(),
@@ -141,13 +165,14 @@ def support_line(a: SequenceSpec, k, window: Optional[int] = None) -> SupportLin
 
 
 def _tail_chords(seq: SequenceSpec, w: int):
-    """The tail chords of one walk, on raw payloads: chord(P, aP) is the best
-    chord from (P, aP) into the closed-form tail beyond the window.
+    """The tail chords of one sweep, on raw payloads: chord(P, aP) is the lowest
+    chord from (P, aP) into the closed-form tail beyond the window, as
+    (slope, q) with q the first tail index of the lowest.
 
-    It returns ("event", slope, q) for an attained minimal chord (the first q
-    of the lowest), ("floor", c) when tail chords only approach c from above
-    (never attained), or None when the tail admits no closed-form reasoning.
-    Each tail value is read once however many vertices ask for it.
+    It is None from the window's last point, which the window covers; when an
+    affine-log or geometric tail's chords only approach their limit slope from
+    above (never attained); and when the tail admits no closed-form reasoning.
+    Each tail value is read once however many events ask for it.
     """
     tail = seq.tail
     values: dict[int, RawNumber] = {}
@@ -157,13 +182,14 @@ def _tail_chords(seq: SequenceSpec, w: int):
             values[q] = tail.value(q, LOG).raw
         return values[q]
 
-    def chord(P: int, aP: RawNumber):
+    def chord(P: int, aP: RawNumber) -> Optional[tuple[RawNumber, int]]:
+        if P == w - 1:
+            return None
         start = max(P + 1, w, len(seq.prefix))
         if isinstance(tail, (AffineLog, Geometric)):
-            c = tail.slope_limit().raw
-            if raw_add(raw_mul(c, P), -aP) >= 0:
-                return ("floor", c)
-            return ("event", raw_div(raw_add(value(start), -aP), start - P), start)
+            if raw_add(raw_mul(tail.slope_limit().raw, P), -aP) >= 0:
+                return None
+            return raw_div(raw_add(value(start), -aP), start - P), start
         if isinstance(tail, FactorialPower):
             # the tail is convex, so the first chord no higher than the next is the lowest
             chords: dict[int, RawNumber] = {}
@@ -174,121 +200,247 @@ def _tail_chords(seq: SequenceSpec, w: int):
                 return chords[q]
 
             q = tail.search(lambda q: not at(q + 1) < at(q), start)
-            return ("event", at(q), q)
+            return at(q), q
         return None
 
     return chord
 
 
-def _lower_hull(vals: list[ExtReal]) -> list[tuple[int, int, int]]:
-    """The finite points on the lower hull, collinear points kept, as
-    (index, n, d) with value n/d.
+# -- the sweep ----------------------------------------------------------------------
 
-    Andrew's monotone chain on integers: each value is read once as
-    raw.as_integer_ratio() (a float at its exact binary value), and the middle
-    point j of i < j < q is dropped only when it lies strictly above the
-    chord from i to q, that is when
 
-        (nj*di - ni*dj) * dy * (q-j) > (ny*dj - nj*dy) * di * (j-i),
+# threshold(p) as the sweep reads it: (n, d), d > 0, for n/d; None for -inf; or a float
+Threshold = Union[tuple[int, int], None, float]
 
-    so the hull slopes never decrease and no turn test builds a Fraction.
+
+def _raw(thr: Threshold) -> RawNumber:
+    return -math.inf if thr is None else Fraction(*thr) if type(thr) is tuple else thr
+
+
+def _pair(x: Optional[RawNumber]) -> tuple[int, int]:
+    """A float threshold, a tail chord or the cap at its exact value as (n, d),
+    d > 0; -inf (also a None threshold) and +inf as (-1, 0) and (1, 0), which
+    cross-multiplication compares as the infinities against finite pairs."""
+    if x is None:
+        return -1, 0
+    s = _inf_sign(x)
+    return (s, 0) if s else x.as_integer_ratio()
+
+
+def _trace_value(a: RawNumber, tau: RawNumber, q: int) -> RawNumber:
+    """q*tau - a, the trace at tau of the line of slope tau through (q, a): one
+    Fraction between exact values, else 0 - c for its intercept c from
+    extreal.raw_line (0 - c, not -c: the trace of c = 0.0 is 0.0, never -0.0)."""
+    if type(a) is Fraction and type(tau) is Fraction:
+        return Fraction(q * tau.numerator * a.denominator - a.numerator * tau.denominator,
+                        tau.denominator * a.denominator)
+    return 0 - raw_line(a, tau, q)(0)
+
+
+def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber],
+           chord: Optional[Callable] = None):
+    """The event sweep over pts = [(q, a_q, threshold(q))], thresholds non-decreasing.
+
+    ``hull[lo:]`` is the lower hull, collinear points kept, of the points
+    admitted from the current principal point P = pts[hull[lo]] on.  At an
+    event, a first edge of slope tau makes its collinear run the batch;
+    a first edge below slope tau is a jump, and the batch is the run of hull
+    points on the lowest line of slope tau.  The hull is then cut at the
+    batch's last point, the new P.  Ungated (every threshold -inf), all points
+    enter at the first event.  ``chord`` (_tail_chords) is asked at each
+    event: a tail chord strictly below the first edge and the cap is the last
+    event, its top the tail index.  Asking at a batch's start is enough: a
+    chord from a later point of the run beats the run exactly when the one
+    from its first point does.  Returns the principal points with their
+    entry times, the discontinuities, the events (time, left_A, right_A, top)
+    and whether the cap stopped the sweep.
+
+    Each value, threshold, chord and the cap is read once by _pair, and a time
+    is an unreduced pair (num, den): x < y is x_num*y_den < y_num*x_den.  The
+    turn test drops the middle point j of i < j < q only when it lies strictly
+    above the chord from i to q.  An event emits the raw value of what set its
+    time (a threshold, a chord, or extreal.raw_slope from P, exact where the
+    float rounds up to the cap), held at the last event's time against float
+    rounding, and its trace values by _trace_value: on exact values, one
+    Fraction for the time and one per trace value.
     """
-    hull: list[tuple[int, int, int]] = []
+    ps = [(q, *v.as_integer_ratio(), *(thr if type(thr) is tuple else _pair(thr)))
+          for q, v, thr in pts]
+    gated = any(thr is not None for *_, thr in pts)
+    cn, cd = (1, 0) if cap is None else _pair(cap)
+    principal: list[tuple[int, ExtReal]] = [(0, NEG_INF)]
+    disc: list[int] = []
+    events: list[tuple[ExtReal, ExtReal, ExtReal, int]] = []
+    hull = [0]  # positions in ps
+    lo = 0
+    m = 1  # the next point to admit
+    last: RawNumber = -math.inf  # the last event's time as emitted
+
+    while True:
+        P, nP, dP, _, _ = ps[hull[lo]]
+
+        def slope(j: int) -> tuple[int, int]:
+            q, n, d, _, _ = ps[j]
+            return n * dP - nP * d, d * dP * (q - P)
+
+        # (bn, bd) is the earliest takeover time, +inf while no point is
+        # admitted, and src what set it: the slope from P to position src >= 0,
+        # or the threshold of position ~src.  The points kept past P lie above
+        # the last event's line, so the first edge sets it at first.
+        bn, bd, src = 1, 0, 0
+        if len(hull) > lo + 1:
+            src = hull[lo + 1]
+            bn, bd = slope(src)
+        while m < len(ps):
+            q, ny, dy, tn, td = ps[m]
+            if tn * bd > bn * td:
+                break
+            while len(hull) > lo + 1:
+                i, ni, di, _, _ = ps[hull[-2]]
+                j, nj, dj, _, _ = ps[hull[-1]]
+                if (nj * di - ni * dj) * dy * (q - j) <= (ny * dj - nj * dy) * di * (j - i):
+                    break
+                hull.pop()
+            hull.append(m)
+            if gated:
+                j = hull[lo + 1]
+                en, ed = slope(j)
+                if en * td < tn * ed:
+                    en, ed, j = tn, td, ~m
+                if en * bd < bn * ed:
+                    bn, bd, src = en, ed, j
+            elif m + 1 == len(ps):
+                # the chain is complete; its first edge's slope only fell as it grew
+                src = hull[lo + 1]
+                bn, bd = slope(src)
+            m += 1
+        aP = pts[hull[lo]][1]
+        tail = chord(P, aP) if chord is not None else None
+        if tail is not None:
+            xn, xd = _pair(tail[0])
+            if not (xn * bd < bn * xd and xn * cd < cn * xd):
+                tail = None  # the first edge is no higher, or the chord reaches the cap
+        if tail is not None:
+            tau = tail[0]
+        else:
+            if bd == 0 or bn * cd >= cn * bd:
+                return principal, disc, events, bd != 0
+            tau = raw_slope(aP, pts[src][1], ps[src][0] - P) if src >= 0 else _raw(pts[~src][2])
+            if type(tau) is float and cap is not None and not tau < cap:
+                tau = Fraction(bn, bd)  # a float slope that rounds up to the cap is taken exactly
+            if type(tau) is Fraction:
+                bn, bd = tau.numerator, tau.denominator  # the same time, reduced
+        if not (type(tau) is type(last) is Fraction) and tau < last:
+            tau = last  # float rounding cannot take the events back in time
+        last = tau
+
+        # the trace value P*tau - a_P, and at a jump that of the lowest line
+        left = right = ExtReal(_trace_value(aP, tau, P))
+        if tail is not None:
+            events.append((ExtReal(tau), left, right, tail[1]))
+            return principal, disc, events, False
+        first = i = lo + 1
+        sn, sd = slope(hull[i])
+        if sn * bd < bn * sd:
+            def icpt(j: int) -> tuple[int, int]:
+                # a_j - j*tau = num / (den * bd)
+                q, n, d, _, _ = ps[j]
+                return n * bd - q * bn * d, d
+
+            c_n, c_d = icpt(hull[i])
+            while i + 1 < len(hull):
+                x_n, x_d = icpt(hull[i + 1])
+                if x_n * c_d >= c_n * x_d:
+                    break
+                i += 1
+                c_n, c_d = x_n, x_d
+            first = i
+            while i + 1 < len(hull):
+                x_n, x_d = icpt(hull[i + 1])
+                if x_n * c_d != c_n * x_d:
+                    break
+                i += 1
+            q = ps[hull[first]][0]
+            disc.append(q)
+            right = ExtReal(_trace_value(pts[hull[first]][1], tau, q))
+        else:
+            while i + 1 < len(hull):
+                sn, sd = slope(hull[i + 1])
+                if sn * bd != bn * sd:
+                    break
+                i += 1
+        tau_x = ExtReal(tau)
+        events.append((tau_x, left, right, ps[hull[i]][0]))
+        for j in hull[first:i + 1]:
+            principal.append((ps[j][0], tau_x))
+        lo = i
+
+
+def _run(vals: list[ExtReal], cap: Optional[RawNumber], regime: Optional[RegimeClassification],
+         threshold: Optional[Callable[[int, list], Threshold]] = None,
+         chord: Optional[Callable] = None):
+    """The sweep over the window vals and the regularized window it gives:
+    (out, principal, disc, events, tail_end), out as raw payloads.
+
+    The window is read once into points; +inf points never take over, and a
+    -inf entry is refused: it contradicts the regime of the ungated sweep
+    (regime given), and a gated sweep (regime None) cannot take it.
+    threshold(q, pts) is threshold(q) of a gated sweep, pts the points read
+    before q; chord is the sweep's tail hook.  out has the line of each
+    principal point's entry time up to it, and past the last principal
+    point the tail chord's line (tail_end its tail index), or, when the
+    sweep ends before the window does and the cap is finite, the line of
+    slope cap: the value the trace's conjugate recovers there.
+    """
+    pts: list[tuple[int, RawNumber, Threshold]] = []  # (q, a_q, threshold(q))
     for q, v in enumerate(vals):
         if v.is_pos_inf:
             continue
         if v.is_neg_inf:
-            # only a declaration or a closed-form tail gets a -inf entry past case 1
+            if regime is None:
+                raise InfiniteEntryUnsupported(
+                    f"a_{q} = -inf: only the ungated phi handles collapsing sequences")
             raise InconsistentDeclaration(
                 f"a_{q} = -inf collapses the sequence (case 1), "
-                "which contradicts the declared or tail regime")
-        ny, dy = v.raw.as_integer_ratio()
-        while len(hull) >= 2:
-            (i, ni, di), (j, nj, dj) = hull[-2], hull[-1]
-            if (nj * di - ni * dj) * dy * (q - j) <= (ny * dj - nj * dy) * di * (j - i):
-                break
-            hull.pop()
-        hull.append((q, ny, dy))
-    return hull
+                f"but the {regime.source} regime is {regime.regime}")
+        pts.append((q, v.raw, threshold(q, pts) if threshold else None))
+    principal, disc, events, _ = _sweep(pts, cap, chord)
+
+    out = [v.raw for v in vals]
+    for (P, _), (end, t) in zip(principal, principal[1:]):
+        _fill(out, P, t.raw, end)
+    P, w = principal[-1][0], len(out)
+    tail_end = events[-1][3] if events and events[-1][3] >= w else None
+    if tail_end is not None:
+        _fill(out, P, events[-1][0].raw, w)
+    elif cap is not None and P < w - 1:
+        _fill(out, P, cap, w)
+    return out, principal, disc, events, tail_end
 
 
-def _hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, extends: bool):
-    """Walk the lower hull from the anchor, accepting edges of slope < cap.
+def _fill(out: list[RawNumber], P: int, slope: RawNumber, end: int) -> None:
+    """out[p] = out[P] + slope * (p - P) for P < p < end (extreal.raw_line)."""
+    at = raw_line(out[P], slope, P)
+    for p in range(P + 1, end):
+        out[p] = at(p)
 
-    When ``extends`` is set, the closed-form tail is asked at every vertex
-    for a strictly smaller chord past the window; taking one ends the walk.
-    When no admissible edge is left, the walk stops and closes with the line
-    of slope cap through the last principal point.  Returns the regularized
-    values, the principal indices, the edges, the trace on (-inf, cap),
-    whether the walk stopped at the cap, and the tail index that the last
-    edge reaches when it leaves the window (None when it does not).
 
-    Slopes come from extreal.raw_slope; line values, intercepts and
-    breakpoint values from extreal.raw_line.
-    """
-    hull = _lower_hull(vals)
-    raws = [v.raw for v in vals]
-    cap_raw = cap.raw
-    chord = _tail_chords(seq, w) if extends else None
-    out = list(vals)
-    edge_data: list[tuple[RawNumber, int, RawNumber, int]] = []  # (slope, P, a_P, q)
-    stopped = False
-    for i, (P, _, _) in enumerate(hull):
-        if P == w - 1:
-            break  # the window is covered; the tail is not asked from its last point
-        aP = raws[P]
-        best: Optional[tuple[RawNumber, int]] = None
-        if i + 1 < len(hull):
-            q = hull[i + 1][0]
-            slope = raw_slope(aP, raws[q], q - P)
-            if slope < cap_raw:
-                best = (slope, q)
-        tail = chord(P, aP) if chord else None
-        if tail is not None and tail[0] == "event" and tail[1] < cap_raw:
-            if best is None or tail[1] < best[0]:
-                best = (tail[1], tail[2])
-        if best is None:
-            stopped = True
-            slope, q = cap_raw, w
-        else:
-            slope, q = best
-            if edge_data and slope < edge_data[-1][0]:
-                # only float rounding gets here: the exact hull slopes never decrease
-                slope = edge_data[-1][0]
-            edge_data.append((slope, P, aP, q))
-        at = raw_line(aP, slope, P)
-        for p in range(P + 1, min(q, w)):
-            out[p] = ExtReal(at(p))
-        if q >= w:
-            break
-
-    # a collinear run of edges is one breakpoint of the trace, and each of its
-    # edges touches every principal point of the run
-    edges: list[SupportLine] = []
+def _trace(events, a0: ExtReal, hi: ExtReal) -> PiecewiseLinearFn:
+    """The trace on (-inf, hi) from the sweep's events: one breakpoint per
+    distinct event time, the value left of it from the first event at that
+    time.  A later event there without a jump keeps the value right of it,
+    which it equals in exact arithmetic, so float rounding cannot fake a jump."""
     bps: list[Breakpoint] = []
-    for slope, run in groupby(edge_data, key=itemgetter(0)):
-        run = list(run)
-        touching = tuple(P for _, P, _, _ in run)
-        last = run[-1][3]
-        if last < w:
-            touching += (last,)
-        cs = [raw_line(aP, s, P)(0) for s, P, aP, _ in run]
-        edges += [SupportLine(ExtReal(s), ExtReal(c), touching) for (s, *_), c in zip(run, cs)]
-        # the value slope * first - a_first is minus the first intercept, but for
-        # the sign of a float zero
-        _, first, a_first, _ = run[0]
-        value = ExtReal(-cs[0] if cs[0] else raw_add(raw_mul(slope, first), -a_first))
-        bps.append(Breakpoint(ExtReal(slope), value, value, ExtReal(last)))
-    principal = [0] + [q for *_, q in edge_data if q < w]
-    tail_end = edge_data[-1][3] if edge_data and edge_data[-1][3] >= w else None
-    trace = PiecewiseLinearFn(
-        breakpoints=tuple(bps),
-        domain=Interval(NEG_INF, cap),
-        slope_left=ZERO,
-        value_at_minus_inf=ZERO - vals[0],
-        constant=None if bps else ZERO - vals[0],
-    )
-    return out, principal, edges, trace, stopped, tail_end
+    for tau, left, right, top in events:
+        if bps and bps[-1].x == tau:
+            prev = bps[-1]
+            bps[-1] = Breakpoint(prev.x, prev.left_value,
+                                 prev.right_value if right == left else right, ext(top))
+        else:
+            bps.append(Breakpoint(tau, left, right, ext(top)))
+    return PiecewiseLinearFn(breakpoints=tuple(bps), domain=Interval(NEG_INF, hi),
+                             slope_left=ZERO, value_at_minus_inf=ZERO - a0,
+                             constant=None if bps else ZERO - a0)
 
 
 def _window_values(seq: SequenceSpec, window: Optional[int]) -> tuple[int, list[ExtReal]]:
@@ -297,24 +449,21 @@ def _window_values(seq: SequenceSpec, window: Optional[int]) -> tuple[int, list[
     if not vals:
         raise InfinityAtZero("empty window")
     if not vals[0].is_finite:
-        raise InfinityAtZero(f"index 0 must be finite, got {vals[0]}")
+        raise InfinityAtZero(f"a_0 must be finite, got {vals[0]}")
     return w, vals
 
 
-def _result(regime: RegimeClassification, w: int, out: list[ExtReal], principal: list[int],
-            edges: list[SupportLine], trace: PiecewiseLinearFn, proven: bool,
-            finite_principal: Optional[bool] = None,
+def _result(regime: RegimeClassification, w: int, prefix: tuple[ExtReal, ...],
+            principal: list[int], slopes: list[ExtReal], trace: PiecewiseLinearFn,
+            proven: bool, finite_principal: Optional[bool] = None,
             tail_end: Optional[int] = None) -> MinorantResult:
     # a proven end pins the whole window; otherwise trust up to the penultimate principal
-    if proven:
-        stable = w - 1
-    else:
-        stable = principal[-2] if len(principal) >= 2 else principal[-1]
+    stable = w - 1 if proven else principal[-2] if len(principal) >= 2 else principal[-1]
     return MinorantResult(
-        regularized=SequenceSpec(kind=LOG, prefix=tuple(out), tail=ExplicitOnly(),
+        regularized=SequenceSpec(kind=LOG, prefix=prefix, tail=ExplicitOnly(),
                                  declared_regime=regime),
         principal_indices=tuple(principal),
-        edges=tuple(edges),
+        slopes=tuple(slopes),
         trace=trace,
         regime=regime,
         stable_prefix=stable,
@@ -323,43 +472,42 @@ def _result(regime: RegimeClassification, w: int, out: list[ExtReal], principal:
         scale=LOG,
         finite_principal=finite_principal,
         tail_end=tail_end,
+        _log=prefix,
     )
 
 
 # -- the three regime constructions ------------------------------------------------
 
 
-def _standard(seq: SequenceSpec, window: Optional[int],
-              regime: RegimeClassification) -> MinorantResult:
+def _hull(seq: SequenceSpec, window: Optional[int], regime: RegimeClassification,
+          cap: Optional[ExtReal]) -> MinorantResult:
+    """The standard minorant (no cap) or the Case 2 one (cap a_iota): the
+    ungated sweep, whose chords past the window come from a factorial tail in
+    the standard regime and from an affine-log or geometric one in Case 2."""
     w, vals = _window_values(seq, window)
-    extends = isinstance(seq.tail, FactorialPower)
-    out, principal, edges, trace, stopped, tail_end = _hull_walk(seq, vals, w, POS_INF, extends)
-    # the walk is proven once a factorial tail has vetted it to the window end
-    return _result(regime, w, out, principal, edges, trace, extends and not stopped,
-                   tail_end=tail_end)
+    extends = isinstance(seq.tail, FactorialPower if cap is None else (AffineLog, Geometric))
+    out, principal, _, events, tail_end = _run(vals, None if cap is None else cap.raw, regime,
+                                               chord=_tail_chords(seq, w) if extends else None)
+    # each value the fill wrote is wrapped once; the others keep the window's ExtReal
+    prefix = tuple(v if v.raw is r else ExtReal(r) for v, r in zip(vals, out))
+    slopes = [t for _, t in principal[1:]] + ([] if tail_end is None else [events[-1][0]])
+    trace = _trace(events, vals[0], POS_INF if cap is None else cap)
+    indices = [p for p, _ in principal]
+    stopped = tail_end is None and indices[-1] < w - 1
+    # the result is proven once a factorial tail has vetted the sweep to the window
+    # end, or when the chords of a Case 2 tail never dip below the cap it stopped at
+    return _result(regime, w, prefix, indices, slopes, trace,
+                   extends and stopped == (cap is not None),
+                   None if cap is None else stopped, tail_end)
 
 
 def _case1(seq: SequenceSpec, window: Optional[int],
            regime: RegimeClassification) -> MinorantResult:
     w, vals = _window_values(seq, window)
-    out = [vals[0]] + [NEG_INF] * (w - 1)
-    trace = PiecewiseLinearFn(
-        breakpoints=(),
-        domain=EMPTY_INTERVAL,
-        slope_left=ZERO,
-        value_at_minus_inf=ZERO - vals[0],
-    )
-    return _result(regime, w, out, [0], [], trace, True, finite_principal=True)
-
-
-def _case2(seq: SequenceSpec, window: Optional[int], regime: RegimeClassification,
-           cap: ExtReal) -> MinorantResult:
-    w, vals = _window_values(seq, window)
-    extends = isinstance(seq.tail, (AffineLog, Geometric))
-    out, principal, edges, trace, stopped, tail_end = _hull_walk(seq, vals, w, cap, extends)
-    # a closed-form tail whose chords never dip below the cap makes the stop final
-    return _result(regime, w, out, principal, edges, trace, extends and stopped,
-                   finite_principal=stopped, tail_end=tail_end)
+    trace = PiecewiseLinearFn(breakpoints=(), domain=EMPTY_INTERVAL, slope_left=ZERO,
+                              value_at_minus_inf=ZERO - vals[0])
+    return _result(regime, w, (vals[0],) + (NEG_INF,) * (w - 1), [0], [], trace, True,
+                   finite_principal=True)
 
 
 def regularize(a: SequenceSpec, window: Optional[int] = None,
@@ -375,9 +523,9 @@ def regularize(a: SequenceSpec, window: Optional[int] = None,
     if regime.regime == CASE1:
         base = _case1(seq, window, regime)
     elif regime.regime == CASE2:
-        base = _case2(seq, window, regime, regime.a_iota)
+        base = _hull(seq, window, regime, regime.a_iota)
     else:
-        base = _standard(seq, window, regime)
+        base = _hull(seq, window, regime, None)
     if a.kind == LOG:
         return base
     weights = [v.exp() for v in base.regularized.prefix]
@@ -397,7 +545,7 @@ def convex_minorant(a: SequenceSpec, window: Optional[int] = None,
         raise RegimeMismatch(
             f"{regime.describe()}: convex minorant needs the standard regime "
             f"(use the dedicated case operations)", regime.regime)
-    return _standard(seq, window, regime)
+    return _hull(seq, window, regime, None)
 
 
 def case1_regularize(a: SequenceSpec, window: Optional[int] = None,
@@ -416,9 +564,9 @@ def case2_regularize(a: SequenceSpec, window: Optional[int] = None,
     """Slope-capped minorant for sequences with finite limit slope a_iota.
 
     Hull edges of slope < a_iota are accepted exactly as in the standard
-    walk; once none is left, the construction closes with the segment of
-    slope a_iota through the last principal point (the lowest admissible
-    supporting line in the limit).
+    sweep; once none is left, or the window ends in +inf entries, the
+    construction closes with the segment of slope a_iota through the last
+    principal point (the lowest admissible supporting line in the limit).
     """
     seq = to_log_scale(a)
     regime = classify_regime(seq, window, tol)
@@ -436,7 +584,7 @@ def case2_regularize(a: SequenceSpec, window: Optional[int] = None,
                 f"a_iota = {cap} contradicts the classified limit slope {regime.a_iota}")
     if regime.regime == INDETERMINATE:
         regime = RegimeClassification(CASE2, cap, regime.evidence_window, "declared")
-    return _case2(seq, window, regime, cap)
+    return _hull(seq, window, regime, cap)
 
 
 # -- trace API ----------------------------------------------------------------------

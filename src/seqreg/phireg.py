@@ -28,20 +28,12 @@ chain, threshold); when the next point's threshold is later, that time is
 the next event.  Each point is pushed and popped at most once, so
 the sweep is linear in the window.
 
-There is one sweep for every window.  Each value, threshold and the cap is
-read once as an integer ratio (a float at its exact binary value), and every
-decision is one comparison of integer products: the turn test is
-minorant._lower_hull's, and takeover times (slopes, thresholds, the cap) and
-jump intercepts are compared as unreduced (num, den) pairs by
-cross-multiplication.  The values an event emits follow the payloads: its
-time is the raw value of the threshold that set it, or the slope from
-extreal.raw_slope (a Fraction between exact values, else the float slope,
-exact where that overflows or rounds up to the cap), held at the last
-event's time against float rounding; its trace values are one Fraction
-between exact values and come from extreal.raw_line otherwise.  So on an
-exact window an event builds one Fraction for its time and one for each
-trace value beside it, and each filled value between principal indices is
-one Fraction built from integers.  A value wraps into ExtReal only when it
+The sweep is minorant._sweep, the one hull kernel, and minorant._run reads
+the window into raw payloads, runs the sweep and fills the regularized
+window.  When the sweep ends before the window does, stopped by the cap or
+at trailing +inf entries, a finite cap (blowup's T, Case 2's a_iota) closes
+the window with its line through the last principal point: the value that
+recover_sequence gives there.  A value wraps into ExtReal only when it
 enters the record.  compare runs the same core (_core) for both phis and the
 ungated one on one read of the window, and reads the raw windows it fills:
 it builds no record.
@@ -55,10 +47,11 @@ when none is below the line) all of them become principal and their
 intervals degenerate to a point.
 
 phi identically +inf is the ungated case: the sweep reduces to the plain
-convex minorant walk (standard regime), the slope-capped walk (bounded
-quotients, cap a_iota), or the degenerate collapse (case 1).  It runs through
-the same sweep code with -inf thresholds, which keeps it an independent
-implementation from the minorant module and lets the two be cross-checked.
+convex minorant (standard regime), the slope-capped one (bounded quotients,
+cap a_iota), or the degenerate collapse (case 1), and its record is
+minorant.regularize's.  The checks that do not share the kernel are the
+oracles (oracles.brute_minorant and brute_trace) and the recovery identity
+recover_sequence(trace, phi, p) = regularized[p].
 """
 
 from __future__ import annotations
@@ -68,31 +61,23 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .errors import (
     AxiomViolation,
-    InconsistentDeclaration,
     InfiniteEntryUnsupported,
-    InfinityAtZero,
     NotComparable,
     ParseError,
 )
 from .extreal import (ExtReal, NEG_INF, ONE, POS_INF, RawNumber, ZERO, _inf_sign, _to_float,
-                      ext, raw_add, raw_div, raw_exp, raw_line, raw_mul, raw_slope)
-from .piecewise import (
-    Breakpoint,
-    EMPTY_INTERVAL,
-    Interval,
-    PiecewiseLinearFn,
-    StepFunction,
-)
+                      ext, raw_add, raw_div, raw_exp, raw_mul)
+from .minorant import Threshold, _raw, _run, _trace, _window_values
+from .piecewise import EMPTY_INTERVAL, PiecewiseLinearFn, StepFunction
 from .sequences import (
     CASE1,
     CASE2,
     SequenceSpec,
     classify_regime,
-    resolve_window,
     to_log_scale,
 )
 from .tails import LOG, ExplicitOnly
@@ -101,18 +86,10 @@ from .tails import LOG, ExplicitOnly
 # -- regularizing functions ------------------------------------------------------
 
 
-# threshold(p) as the sweep reads it: (n, d), d > 0, for n/d; None for -inf; or a float
-Threshold = Union[tuple[int, int], None, float]
-
-
 def _ratio(raw: RawNumber) -> Threshold:
     if type(raw) is Fraction:
         return raw.numerator, raw.denominator
     return None if raw == -math.inf else raw
-
-
-def _raw(thr: Threshold) -> RawNumber:
-    return -math.inf if thr is None else Fraction(*thr) if type(thr) is tuple else thr
 
 
 def _below(x: Threshold, y: Threshold) -> bool:  # x < y
@@ -402,159 +379,14 @@ def _case1_result(prefix: tuple[ExtReal, ...], phi: RegularizingFunction) -> Phi
     )
 
 
-def _pair(x: Optional[RawNumber]) -> tuple[int, int]:
-    """A float threshold or the cap at its exact value as (n, d), d > 0; -inf
-    (also a None threshold) and +inf as (-1, 0) and (1, 0), which
-    cross-multiplication compares as the infinities against finite pairs."""
-    if x is None:
-        return -1, 0
-    s = _inf_sign(x)
-    return (s, 0) if s else x.as_integer_ratio()
-
-
-def _trace_value(a: RawNumber, tau: RawNumber, q: int) -> RawNumber:
-    """q*tau - a, the trace at tau of the line of slope tau through (q, a): one
-    Fraction between exact values, else 0 - c for its intercept c from
-    extreal.raw_line (0 - c, not -c: the trace of c = 0.0 is 0.0, never -0.0)."""
-    if type(a) is Fraction and type(tau) is Fraction:
-        return Fraction(q * tau.numerator * a.denominator - a.numerator * tau.denominator,
-                        tau.denominator * a.denominator)
-    return 0 - raw_line(a, tau, q)(0)
-
-
-def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]):
-    """The event sweep over pts = [(q, a_q, threshold(q))], thresholds non-decreasing.
-
-    ``hull[lo:]`` is the lower hull, collinear points kept, of the points
-    admitted from the current principal point P = pts[hull[lo]] on.  At an
-    event, a first edge of slope tau makes its collinear run the batch;
-    a first edge below slope tau is a jump, and the batch is the run of hull
-    points on the lowest line of slope tau.  The hull is then cut at the
-    batch's last point, the new P.  Returns the principal points with their
-    entry times, the discontinuities, the events (time, left_A, right_A,
-    top) and whether the cap stopped the sweep.
-
-    Every decision is one comparison of integer products.  Each value,
-    threshold and the cap is read once by _pair, and a time (a slope,
-    threshold, cap or intercept) is an unreduced pair (num, den): x < y is
-    x_num*y_den < y_num*x_den.  The turn test is minorant._lower_hull's.
-    An event emits as its time the raw value of what set it, a threshold or
-    the slope from P (extreal.raw_slope; exact where the float slope rounds
-    up to the cap), held at the last event's time against float rounding,
-    and its trace values by _trace_value; between exact values that is one
-    Fraction for the time and one per trace value.
-    """
-    ps = [(q, *v.as_integer_ratio(), *(thr if type(thr) is tuple else _pair(thr)))
-          for q, v, thr in pts]
-    cn, cd = (1, 0) if cap is None else _pair(cap)
-    principal: list[tuple[int, ExtReal]] = [(0, NEG_INF)]
-    disc: list[int] = []
-    events: list[tuple[ExtReal, ExtReal, ExtReal, int]] = []
-    hull = [0]  # positions in ps
-    lo = 0
-    m = 1  # the next point to admit
-    last: RawNumber = -math.inf  # the last event's time as emitted
-
-    while True:
-        P, nP, dP, _, _ = ps[hull[lo]]
-
-        def slope(j: int) -> tuple[int, int]:
-            q, n, d, _, _ = ps[j]
-            return n * dP - nP * d, d * dP * (q - P)
-
-        # (bn, bd) is the earliest takeover time, +inf while no point is
-        # admitted, and src what set it: the slope from P to position src >= 0,
-        # or the threshold of position ~src.  The points kept past P lie above
-        # the last event's line, so the first edge sets it at first.
-        bn, bd, src = 1, 0, 0
-        if len(hull) > lo + 1:
-            src = hull[lo + 1]
-            bn, bd = slope(src)
-        while m < len(ps):
-            q, ny, dy, tn, td = ps[m]
-            if tn * bd > bn * td:
-                break
-            while len(hull) > lo + 1:
-                i, ni, di, _, _ = ps[hull[-2]]
-                j, nj, dj, _, _ = ps[hull[-1]]
-                if (nj * di - ni * dj) * dy * (q - j) <= (ny * dj - nj * dy) * di * (j - i):
-                    break
-                hull.pop()
-            hull.append(m)
-            j = hull[lo + 1]
-            en, ed = slope(j)
-            if en * td < tn * ed:
-                en, ed, j = tn, td, ~m
-            if en * bd < bn * ed:
-                bn, bd, src = en, ed, j
-            m += 1
-        if bd == 0 or bn * cd >= cn * bd:
-            return principal, disc, events, bd != 0
-        aP = pts[hull[lo]][1]
-        tau = raw_slope(aP, pts[src][1], ps[src][0] - P) if src >= 0 else _raw(pts[~src][2])
-        if type(tau) is float and cap is not None and not tau < cap:
-            tau = Fraction(bn, bd)  # a float slope that rounds up to the cap is taken exactly
-        if type(tau) is Fraction:
-            bn, bd = tau.numerator, tau.denominator  # the same time, reduced
-        if not (type(tau) is type(last) is Fraction) and tau < last:
-            tau = last  # float rounding cannot take the events back in time
-        last = tau
-
-        # the trace value P*tau - a_P, and at a jump that of the lowest line
-        left = right = ExtReal(_trace_value(aP, tau, P))
-        first = i = lo + 1
-        sn, sd = slope(hull[i])
-        if sn * bd < bn * sd:
-            def icpt(j: int) -> tuple[int, int]:
-                # a_j - j*tau = num / (den * bd)
-                q, n, d, _, _ = ps[j]
-                return n * bd - q * bn * d, d
-
-            c_n, c_d = icpt(hull[i])
-            while i + 1 < len(hull):
-                x_n, x_d = icpt(hull[i + 1])
-                if x_n * c_d >= c_n * x_d:
-                    break
-                i += 1
-                c_n, c_d = x_n, x_d
-            first = i
-            while i + 1 < len(hull):
-                x_n, x_d = icpt(hull[i + 1])
-                if x_n * c_d != c_n * x_d:
-                    break
-                i += 1
-            q = ps[hull[first]][0]
-            disc.append(q)
-            right = ExtReal(_trace_value(pts[hull[first]][1], tau, q))
-        else:
-            while i + 1 < len(hull):
-                sn, sd = slope(hull[i + 1])
-                if sn * bd != bn * sd:
-                    break
-                i += 1
-        tau_x = ExtReal(tau)
-        events.append((tau_x, left, right, ps[hull[i]][0]))
-        for j in hull[first:i + 1]:
-            principal.append((ps[j][0], tau_x))
-        lo = i
-
-
-def _read(a: SequenceSpec, window: Optional[int]):
-    """The log-scale sequence, the window length and the window's values, a_0 finite."""
-    seq = to_log_scale(a)
-    w = resolve_window(seq, window)
-    vals = seq.values(w)
-    if not vals[0].is_finite:
-        raise InfinityAtZero(f"a_0 must be finite, got {vals[0]}")
-    return seq, w, vals
-
-
 def _core(seq: SequenceSpec, vals: list[ExtReal], phi: RegularizingFunction,
           window: Optional[int], tol: float):
     """The sweep under phi on the window vals: (regime, cap, out, principal, disc,
-    events, stopped_by_cap), with out the regularized window as raw payloads.
-    In Case 1, out is [a_0, -inf, ...] and there is no sweep (principal None)."""
-    regime = None
+    events, closed), with out the regularized window as raw payloads and
+    closed whether the line of slope cap closes it past the last principal
+    point.  In Case 1, out is [a_0, -inf, ...] and there is no sweep
+    (principal None)."""
+    regime = threshold = None
     cap: Optional[ExtReal] = phi.blowup_T
     if phi.infinite:
         regime = classify_regime(seq, window, tol)
@@ -562,48 +394,26 @@ def _core(seq: SequenceSpec, vals: list[ExtReal], phi: RegularizingFunction,
             return regime, None, [vals[0].raw] + [-math.inf] * (len(vals) - 1), None, (), (), False
         if regime.regime == CASE2:
             cap = regime.a_iota
+    else:
+        def threshold(q: int, pts: list) -> Threshold:
+            thr = phi._rule(q) if q else None
+            if thr == math.inf:
+                raise AxiomViolation("III", q, f"threshold({q}) = inf: phi never reaches {q}")
+            if pts and _below(thr, pts[-1][2]):
+                # the sweep admits points in index order, so it needs phi non-decreasing
+                raise AxiomViolation(
+                    "I", q, f"threshold({q}) = {_raw(thr)} falls below "
+                    f"threshold({pts[-1][0]}) = {_raw(pts[-1][2])}: phi must be non-decreasing")
+            return thr
 
-    # the raw window and the threshold rule's vector; +inf points never take over
-    pts: list[tuple[int, RawNumber, Threshold]] = []  # (q, a_q, threshold(q))
-    for q, v in enumerate(vals):
-        if v.is_pos_inf:
-            continue
-        if v.is_neg_inf:
-            if phi.infinite:
-                raise InconsistentDeclaration(
-                    f"a_{q} = -inf collapses the sequence (case 1), "
-                    f"but the {regime.source} regime is {regime.regime}")
-            raise InfiniteEntryUnsupported(
-                f"a_{q} = -inf: only the ungated phi handles collapsing sequences")
-        thr = phi._rule(q) if q else None
-        if thr == math.inf:
-            raise AxiomViolation("III", q, f"threshold({q}) = inf: phi never reaches {q}")
-        if pts and _below(thr, pts[-1][2]):
-            # the sweep admits points in index order, so it needs phi non-decreasing
-            raise AxiomViolation(
-                "I", q, f"threshold({q}) = {_raw(thr)} falls below "
-                f"threshold({pts[-1][0]}) = {_raw(pts[-1][2])}: phi must be non-decreasing")
-        pts.append((q, v.raw, thr))
-    if phi.blowup_T is None and not phi.infinite and pts[-1][0] < len(vals) - 1:
+    out, principal, disc, events, _ = _run(vals, None if cap is None else cap.raw, regime,
+                                           threshold)
+    if cap is None and threshold is not None and vals[-1].is_pos_inf:
         raise InfiniteEntryUnsupported(
             "window ends in +inf entries; without a blowup point the "
             "regularization of a cofinitely-infinite sequence is undefined")
-    principal, disc, events, stopped_by_cap = _sweep(pts, None if cap is None else cap.raw)
-
-    out = [v.raw for v in vals]
-    for (P, _), (end, t) in zip(principal, principal[1:]):
-        _fill(out, P, t.raw, end)
-    if stopped_by_cap and cap is not None:
-        # the limiting line of slope cap through the last principal point
-        _fill(out, principal[-1][0], cap.raw, len(out))
-    return regime, cap, out, principal, disc, events, stopped_by_cap
-
-
-def _fill(out: list[RawNumber], P: int, slope: RawNumber, end: int) -> None:
-    """out[p] = out[P] + slope * (p - P) for P < p < end (extreal.raw_line)."""
-    at = raw_line(out[P], slope, P)
-    for p in range(P + 1, end):
-        out[p] = at(p)
+    closed = cap is not None and principal[-1][0] < len(vals) - 1
+    return regime, cap, out, principal, disc, events, closed
 
 
 def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
@@ -615,8 +425,9 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
     blowup phi (the only class where cofinitely-+inf sequences make sense);
     thresholds that never decrease (AxiomViolation "I" otherwise).
     """
-    seq, w, vals = _read(a, window)
-    regime, cap, out, principal, disc, events, stopped_by_cap = _core(seq, vals, phi, window, tol)
+    seq = to_log_scale(a)
+    w, vals = _window_values(seq, window)
+    regime, cap, out, principal, disc, events, closed = _core(seq, vals, phi, window, tol)
     # each value the fill wrote is wrapped once; the others keep the window's ExtReal
     prefix = tuple(v if v.raw is r else ExtReal(r) for v, r in zip(vals, out))
     if principal is None:
@@ -633,30 +444,19 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
         segments.append(PhiSegment(t_next, p_i, vals[p_i], p_i, p_next))
     p_last, t_last = principal[-1]
     intervals.append(PhiInterval(t_last, J_right))
-    if stopped_by_cap and cap is not None:
+    if closed:
         segments.append(PhiSegment(cap, p_last, vals[p_last], p_last, w))
 
-    # trace and counting: one breakpoint per distinct event time
-    bps: list[Breakpoint] = []
-    jumps: list[tuple[ExtReal, int]] = []
-    for tau, left, right, top in events:
-        if bps and bps[-1].x == tau:
-            prev = bps[-1]
-            bps[-1] = Breakpoint(prev.x, prev.left_value, right, ext(top))
-        else:
-            bps.append(Breakpoint(tau, left, right, ext(top)))
-        jumps.append((tau, top))
-    domain = Interval(NEG_INF, J_right, False, False)
-    trace = PiecewiseLinearFn(breakpoints=tuple(bps), domain=domain,
-                              slope_left=ZERO, value_at_minus_inf=ZERO - vals[0],
-                              constant=None if bps else ZERO - vals[0])
-    counting = StepFunction(jumps=tuple(jumps), initial_level=0, domain=domain)
+    # trace and counting: one breakpoint per distinct event time, one jump per event
+    trace = _trace(events, vals[0], J_right)
+    counting = StepFunction(jumps=tuple((tau, top) for tau, _, _, top in events),
+                            initial_level=0, domain=trace.domain)
 
     declared = regime if phi.infinite else None
     regularized = SequenceSpec(kind=LOG, prefix=prefix, tail=ExplicitOnly(),
                                declared_regime=declared)
 
-    provisional_from = _stable_boundary(phi, principal, indices, w, stopped_by_cap)
+    provisional_from = _stable_boundary(phi, principal, indices, w, closed)
     return PhiRegResult(
         regularized=regularized,
         principal_indices=tuple(indices),
@@ -666,7 +466,7 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
         counting=counting,
         trace=trace,
         J_right=J_right,
-        finite_principal=stopped_by_cap,
+        finite_principal=closed,
         window=w,
         provisional_from=provisional_from,
         phi_descriptor=phi.descriptor,
@@ -674,7 +474,7 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
 
 
 def _stable_boundary(phi: RegularizingFunction, principal: list[tuple[int, ExtReal]],
-                     indices: list[int], w: int, stopped_by_cap: bool) -> int:
+                     indices: list[int], w: int, closed: bool) -> int:
     """First index whose value could change if the sequence were extended.
 
     For gated phi, a point beyond the window only becomes visible at
@@ -793,7 +593,8 @@ def compare_regularizations(a: SequenceSpec, phi1: RegularizingFunction,
     """
     label = _larger(phi1, phi2)
     big, small = (phi1, phi2) if label == "phi1" else (phi2, phi1)
-    seq, w, vals = _read(a, window)
+    seq = to_log_scale(a)
+    w, vals = _window_values(seq, window)
     x_big, x_small, x_floor = (_core(seq, vals, phi, window, tol)[2]
                                for phi in (big, small, make_phi("infinite")))
     ordered_ok = convex_floor_ok = True

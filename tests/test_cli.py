@@ -178,9 +178,13 @@ def test_geometric_tail_case2_exits_zero(runner, tmp_path, command):
     assert res.exit_code == 0
     doc = parse_line(res.stdout)
     bps = doc["trace"]["breakpoints"] if command == "trace" else doc["trace_breakpoints"]
-    xs = [float(bp["x"]) for bp in bps]
+    # a slope whose float rounds up to the cap is taken exactly and prints as "n/d"
+    xs = [Fraction(bp["x"]) for bp in bps]
     assert xs
     assert all(x < y for x, y in zip(xs, xs[1:]))
+    if command == "minorant":
+        # the exact slopes from 170 on are below the cap, which their floats reach
+        assert doc["principal_indices"] == [0, 85, 170, 197, 224]
 
 
 @pytest.mark.parametrize("args", [["minorant"], ["trace"], ["phireg", "--phi", "infinite"]])
@@ -387,6 +391,36 @@ def test_minorant_verify_checks_past_the_stable_prefix(tmp_path, runner, monkeyp
     assert out["stable_prefix"] < 5 and 5 in out["principal_indices"]
     assert res.exit_code == 3
     assert "above the input" in res.stderr
+
+
+# the exact slope from 0 to 5 is below the cap 1, but its float is 1.0
+FLOAT_CAP = {"kind": "log", "prefix": [2.6, "inf", "inf", "inf", "inf", 7.6],
+             "tail": {"type": "explicit_only"},
+             "declared_regime": {"regime": "case2", "source": "declared",
+                                 "evidence_window": [0, 6], "a_iota": 1}}
+
+
+def test_minorant_verify_passes_a_float_slope_below_the_cap(tmp_path):
+    res = run_cli(tmp_path, FLOAT_CAP, "minorant", "--verify")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["principal_indices"] == [0, 5]
+
+
+def test_minorant_verify_rejects_a_missed_principal_index(tmp_path, runner, monkeypatch):
+    # the values are right, but index 5, where the oracle meets the input
+    # below the cap line through 0, is dropped from the principal indices
+    dispatch = cli_mod.regularize
+
+    def dropped(seq, window, tol):
+        result = dispatch(seq, window, tol)
+        return dataclasses.replace(result, principal_indices=(0,), slopes=())
+
+    monkeypatch.setattr(cli_mod, "regularize", dropped)
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(FLOAT_CAP))
+    res = runner.invoke(main, ["minorant", "--verify", str(path)])
+    assert res.exit_code == 3
+    assert "not principal" in res.stderr
 
 
 def test_minorant_verify_rejects_a_result_above_the_input(tmp_path):

@@ -8,7 +8,12 @@ Below, `frozen_*` are the former forms, kept verbatim: `compare` ran the
 whole `regularize_with_phi` three times and compared `ExtReal`s, the record
 filled its values as `ExtReal`s, and each built-in phi evaluated itself
 through `ExtReal` arithmetic and the former `ExtReal.exp`.  `FrozenPhi` puts
-the former `eval` on a phi.  On every drawn document and phi pair the
+the former `eval` on a phi.  Two amendments (see `frozen_regularize_with_phi`):
+the record closes with the line of slope cap whenever the sweep ends before
+the window does and the cap is finite, also at trailing +inf entries, and
+`finite_principal` says so; and of two events at one time, a later one
+without a jump keeps the breakpoint's right value, so float rounding cannot
+fake a jump.  On every drawn document and phi pair the
 reports must be equal, or the errors equal by type and message; each record
 must serialize byte for byte as the former one; and each phi's `eval` must
 equal the former one by type and repr.
@@ -28,8 +33,9 @@ from seqreg import (ExplicitOnly, ExtReal, RegularizingFunction, SeqRegError, Se
 from seqreg.errors import (AxiomViolation, InconsistentDeclaration, InfiniteEntryUnsupported,
                            InfinityAtZero, NotComparable)
 from seqreg.extreal import NEG_INF, ONE, POS_INF, ZERO, RawNumber, _to_float, ext, raw_line
+from seqreg.minorant import _sweep
 from seqreg.phireg import (_PROBE_GRID, ComparisonReport, PhiInterval, PhiRegResult, PhiSegment,
-                           Threshold, _below, _raw, _stable_boundary, _sweep)
+                           Threshold, _below, _raw, _stable_boundary)
 from seqreg.piecewise import (EMPTY_INTERVAL, Breakpoint, Interval, PiecewiseLinearFn,
                               StepFunction)
 from seqreg.sequences import CASE1, CASE2, classify_regime, resolve_window, to_log_scale
@@ -189,7 +195,10 @@ def frozen_regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
 
     indices = [p for p, _ in principal]
     J_right = cap if cap is not None else POS_INF
-    finite_principal = stopped_by_cap
+    # amended: the cap line closes a window that the sweep leaves before its
+    # end, stopped by the cap or at trailing +inf entries
+    closed = cap is not None and indices[-1] < w - 1
+    finite_principal = closed
 
     # intervals and segments
     intervals: list[PhiInterval] = []
@@ -204,7 +213,7 @@ def frozen_regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
             frozen_fill(out, p_i, vals[p_i], t_next, p_next)
         else:
             intervals.append(PhiInterval(t_i, J_right))
-            if stopped_by_cap and cap is not None:
+            if closed:
                 # the limiting line of slope cap through the last principal point
                 segments.append(PhiSegment(cap, p_i, vals[p_i], p_i, w))
                 frozen_fill(out, p_i, vals[p_i], cap, w)
@@ -215,7 +224,9 @@ def frozen_regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
     for tau, left, right, top in events:
         if bps and bps[-1].x == tau:
             prev = bps[-1]
-            bps[-1] = Breakpoint(prev.x, prev.left_value, right, ext(top))
+            # amended: an event without a jump keeps the breakpoint's right value
+            bps[-1] = Breakpoint(prev.x, prev.left_value,
+                                 prev.right_value if right == left else right, ext(top))
         else:
             bps.append(Breakpoint(tau, left, right, ext(top)))
         jumps.append((tau, top))

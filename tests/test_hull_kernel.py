@@ -1,16 +1,28 @@
 """The hull kernel on raw payloads against the ExtReal walk it replaced.
 
-`minorant._lower_hull` decides its turns on integer ratios, and
-`minorant._hull_walk` computes slopes, cap tests, line values and breakpoints
-on raw payloads, wrapping each output in ExtReal once.  The functions below
-are the kernel that ran before, kept as the reference: a chain on normalized
-Fractions and a walk in ExtReal arithmetic.  The one change to the walk is the
-overflow rule: a slope, line value, intercept or breakpoint value that comes
-out +-inf from finite operands is computed again on their exact values.  On
-every input, exact or float, with +inf holes, values at the edge of the float
-range, declared caps and closed-form tails, the two must give the same values,
-principal indices, edges, breakpoints, stop flag and tail end, compared by
-type and repr, or raise the same error.
+`minorant.regularize` runs the minorant as the ungated event sweep
+(`minorant._sweep`): the chain decides its turns on integer ratios, and
+slopes, cap tests, line values and breakpoints are computed on raw payloads,
+each output wrapped in ExtReal once.  The functions below are the kernel that
+ran before, kept as the reference: a chain on normalized Fractions and a walk
+in ExtReal arithmetic.  Four rules differ from the walk as it ran:
+
+- overflow: a slope, line value, intercept or breakpoint value that comes out
+  +-inf from finite operands is computed again on their exact values;
+- decisions on exact values: an edge is below the cap, and a tail chord (at
+  its float value) below an edge, when it is so at the entries' binary
+  values, and a float slope that rounds up to the cap is then taken exactly;
+- a collinear run is one step, as one event of the sweep: each of its edges
+  takes the slope of its first edge, and the tail is asked at its first
+  point only;
+- a zero trace value follows `minorant._trace_value`: a float zero is 0.0,
+  never -0.0.
+
+On every input, exact or float, with +inf holes, values at the edge of the
+float range, declared caps and closed-form tails, `regularize` and the
+reference must give the same values, principal indices, edges, breakpoints,
+stable prefix and finite_principal flag and tail end, compared by type and
+repr, or raise the same error.
 """
 
 import json
@@ -19,18 +31,17 @@ from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 from typing import Optional
-from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from seqreg import SequenceSpec
-from seqreg import minorant
 from seqreg.cli import main
 from seqreg.errors import InconsistentDeclaration, SeqRegError
 from seqreg.extreal import NEG_INF, POS_INF, ZERO, ExtReal, ext
-from seqreg.minorant import SupportLine, _hull_walk, _lower_hull, regularize
+from seqreg.minorant import SupportLine, regularize
+from seqreg.sequences import CASE2, STANDARD, RegimeClassification
 from seqreg.piecewise import Breakpoint, Interval, PiecewiseLinearFn
 from seqreg.tails import LOG, AffineLog, ExplicitOnly, FactorialPower, Geometric
 
@@ -115,20 +126,29 @@ def ref_hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, 
     out = list(vals)
     edge_data: list[tuple[ExtReal, int, ExtReal, int]] = []
     stopped = False
+    run: Optional[Fraction] = None  # the exact slope of the hull edge that ends at P
     for i, P in enumerate(hull):
         if P == w - 1:
             break  # the window is covered; the tail is not asked from its last point
         aP = vals[P]
         best: Optional[tuple[ExtReal, int]] = None
+        exact = None
         if i + 1 < len(hull):
             q = hull[i + 1]
-            slope = exact_on_overflow(lambda y, x: (y - x) / (q - P), vals[q], aP)
-            if slope < cap:
-                best = (slope, q)
-        tail = ref_tail_chord(seq, P, aP, w) if extends else None
+            # decided on exact values: the edge's slope between the binary values
+            exact = (Fraction(vals[q].raw) - Fraction(aP.raw)) / (q - P)
+            if exact == run:
+                best = (edge_data[-1][0], q)  # a collinear run takes its first edge's slope
+            elif ExtReal(exact) < cap:
+                slope = exact_on_overflow(lambda y, x: (y - x) / (q - P), vals[q], aP)
+                best = (slope if slope < cap else ExtReal(exact), q)  # exact where it rounds up
+        # the tail is asked at the first point of a run only
+        in_run = exact is not None and exact == run
+        tail = ref_tail_chord(seq, P, aP, w) if extends and not in_run else None
         if tail is not None and tail[0] == "event" and tail[1] < cap:
-            if best is None or tail[1] < best[0]:
+            if best is None or Fraction(tail[1].raw) < exact:
                 best = (tail[1], tail[2])
+        run = exact if best is not None and best[1] < w else None
         if best is None:
             stopped = True
             slope, q = cap, w
@@ -157,6 +177,8 @@ def ref_hull_walk(seq: SequenceSpec, vals: list[ExtReal], w: int, cap: ExtReal, 
                   for s, P, aP, _ in run]
         _, first, a_first, _ = run[0]
         value = exact_on_overflow(lambda s, a: s * first - a, slope, a_first)
+        if value == ZERO and not value.is_exact:
+            value = ExtReal(0.0)  # a float zero trace value is 0.0, as minorant._trace_value gives
         bps.append(Breakpoint(slope, value, value, ext(last)))
     principal = [0] + [q for *_, q in edge_data if q < w]
     tail_end = edge_data[-1][3] if edge_data and edge_data[-1][3] >= w else None
@@ -199,9 +221,11 @@ TAILS = [
 
 @st.composite
 def walks(draw, entries: str):
-    """Arguments of one walk: a convex chain with bumps (zero bumps keep whole
-    runs collinear), +inf holes, entries at +-1.7e308, a tail past the prefix,
-    a cap (none, the tail's limit slope or a declared one) and the extends flag."""
+    """A sequence and a window for one walk, and its cap: a convex chain with
+    bumps (zero bumps keep whole runs collinear), +inf holes, entries at
+    +-1.7e308 and a tail past the prefix.  An explicit window declares the
+    standard regime or Case 2 with a drawn cap; a factorial tail is standard,
+    and an affine-log or geometric one is Case 2 at its limit slope."""
     steps = STEPS[entries]
     n = draw(st.integers(min_value=1, max_value=30))
     slopes = sorted(draw(st.lists(steps, min_size=n, max_size=n)))
@@ -215,13 +239,34 @@ def walks(draw, entries: str):
         values[q] = math.inf
     tail = draw(st.sampled_from(TAILS))
     extra = 0 if isinstance(tail, ExplicitOnly) else draw(st.integers(0, 4))
-    seq = SequenceSpec(kind=LOG, prefix=tuple(ExtReal(v) for v in values), tail=tail)
     w = len(values) + extra
-    caps = [POS_INF, ExtReal(draw(steps)), ExtReal(draw(st.sampled_from([HUGE, -HUGE])))]
-    limit = tail.slope_limit()
-    if limit is not None and limit.is_finite:
-        caps.append(limit)
-    return seq, seq.values(w), w, draw(st.sampled_from(caps)), draw(st.booleans())
+    declared = None
+    cap = POS_INF if isinstance(tail, FactorialPower) else tail.slope_limit()
+    if isinstance(tail, ExplicitOnly):
+        cap = draw(st.sampled_from(
+            [POS_INF, ExtReal(draw(steps)), ExtReal(draw(st.sampled_from([HUGE, -HUGE])))]))
+        declared = (RegimeClassification(STANDARD, None, (0, w), "declared") if cap.is_pos_inf
+                    else RegimeClassification(CASE2, cap, (0, w), "declared"))
+    seq = SequenceSpec(kind=LOG, prefix=tuple(ExtReal(v) for v in values), tail=tail,
+                       declared_regime=declared)
+    return seq, w, cap
+
+
+def reference(seq: SequenceSpec, w: int, cap: ExtReal):
+    """ref_hull_walk's output as regularize's fields: the values, principal
+    indices, edges, trace, (stable prefix, finite_principal) and tail end."""
+    extends = isinstance(seq.tail, FactorialPower if cap.is_pos_inf else (AffineLog, Geometric))
+    out, principal, edges, trace, stopped, tail_end = ref_hull_walk(seq, seq.values(w), w, cap,
+                                                                     extends)
+    proven = extends and (not stopped if cap.is_pos_inf else stopped)
+    stable = w - 1 if proven else principal[-2] if len(principal) >= 2 else principal[-1]
+    return (out, principal, edges, trace, (stable, None if cap.is_pos_inf else stopped),
+            tail_end)
+
+
+def fields(r):
+    return (list(r.regularized.prefix), r.principal_indices, r.edges, r.trace,
+            (r.stable_prefix, r.finite_principal), r.tail_end)
 
 
 def num(x: ExtReal):
@@ -254,31 +299,30 @@ def outcome(fn, *args):
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_the_reference(entries, data):
-    args = data.draw(walks(entries))
-    hull = outcome(_lower_hull, args[1])
-    if isinstance(hull, list):
-        hull = [q for q, _, _ in hull]
-    assert hull == outcome(ref_lower_hull, args[1])
-    got, want = outcome(_hull_walk, *args), outcome(ref_hull_walk, *args)
-    if isinstance(want, tuple) and isinstance(want[0], str):
+    seq, w, cap = data.draw(walks(entries))
+    got, want = outcome(regularize, seq, w), outcome(reference, seq, w, cap)
+    if isinstance(want[0], str):
         assert got == want
     else:
-        assert key(got) == key(want)
+        assert key(fields(got)) == key(want)
 
 
 def test_collinear_points_stay_on_the_hull():
     # 1 and 2 lie on the edge from 0 to 3 and stay; 4 lies above the edge from 3 to 5
     vals = [ext(v) for v in (0, -1, -2, -3, 0, -1, 4)]
-    assert [q for q, _, _ in _lower_hull(vals)] == ref_lower_hull(vals) == [0, 1, 2, 3, 5, 6]
+    seq = SequenceSpec(kind=LOG, prefix=tuple(vals), tail=ExplicitOnly())
+    assert list(regularize(seq).principal_indices) == ref_lower_hull(vals) == [0, 1, 2, 3, 5, 6]
 
 
 def test_neg_inf_entry_is_still_inconsistent():
-    vals = [ext(0), ext(1), NEG_INF, ext(5)]
+    declared = RegimeClassification(STANDARD, None, (0, 4), "declared")
+    seq = SequenceSpec(kind=LOG, prefix=(ext(0), ext(1), NEG_INF, ext(5)), tail=ExplicitOnly(),
+                       declared_regime=declared)
     with pytest.raises(InconsistentDeclaration, match="a_2 = -inf"):
-        _lower_hull(vals)
+        regularize(seq)
 
 
-# the walk mirrors ExtReal where raw float arithmetic would not: -0.0 - 0 is
+# the sweep mirrors ExtReal where raw float arithmetic would not: -0.0 - 0 is
 # -0.0 in floats but 0.0 as ExtReal's -0.0 + (-0); and a slope whose float
 # form overflows is taken exactly, as the reference does
 @pytest.mark.parametrize("prefix", [
@@ -290,29 +334,28 @@ def test_float_edge_cases_match_the_loop(tmp_path, prefix):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     seq = SequenceSpec.from_json(doc)
-    runner = CliRunner()
-    new = regularize(seq)
-    new_cli = runner.invoke(main, ["minorant", "--window", "4", str(path)])
-    with mock.patch.object(minorant, "_hull_walk", ref_hull_walk):
-        old = regularize(seq)
-        old_cli = runner.invoke(main, ["minorant", "--window", "4", str(path)])
-    walk = lambda r: (list(r.regularized.prefix), r.principal_indices, r.edges, r.trace, None, r.tail_end)
-    assert key(walk(new)) == key(walk(old))
-    assert new_cli.exit_code == old_cli.exit_code == 0
-    assert new_cli.output == old_cli.output
+    new = regularize(seq, 4)
+    want = reference(seq, 4, POS_INF)
+    assert key(fields(new))[:4] == key(want)[:4]
+    res = CliRunner().invoke(main, ["minorant", "--window", "4", str(path)])
+    assert res.exit_code == 0
+    printed = json.loads(res.output)
+    out, principal, edges, trace, _, _ = want
+    assert printed["regularized"] == [v.to_json() for v in out]
+    assert printed["principal_indices"] == principal
+    assert printed["slopes"] == [e.slope.to_json() for e in edges]
+    assert printed["trace_breakpoints"] == [b.to_json() for b in trace.breakpoints]
 
 
 def test_tail_values_are_read_once_per_walk(monkeypatch):
-    # on a convex prefix every index is principal, and every vertex asks the
+    # on a convex prefix every index is principal, and every event asks the
     # factorial tail for its lowest chord from the window end on
     tail = FactorialPower(s=Fraction(1), c=Fraction(1))
     seq = SequenceSpec(kind=LOG, prefix=(0,), tail=tail)
     w = 40
-    vals = seq.values(w)
     reads: list[int] = []
     real = FactorialPower.value
     monkeypatch.setattr(FactorialPower, "value",
                         lambda self, p, kind: reads.append(p) or real(self, p, kind))
-    _, principal, *_ = _hull_walk(seq, vals, w, POS_INF, True)
-    assert principal == list(range(w))
+    assert regularize(seq, w).principal_indices == tuple(range(w))
     assert reads and len(reads) == len(set(reads))

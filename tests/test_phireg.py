@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqreg import (
     AxiomViolation,
@@ -34,6 +34,7 @@ from seqreg import (
     trace_A_phi,
     trace_invariance_check,
 )
+from seqreg.minorant import regularize
 
 LOG3 = ext(Fraction(math.log(3)))
 
@@ -276,9 +277,12 @@ def test_blowup_sweep_skips_infinite_entries():
     # visible at 5/3, strictly below the old line
     assert r.principal_indices == (0, 3)
     assert r.discontinuity_indices == (3,)
-    assert [v.to_json() for v in r.regularized.prefix] == [0, "5/3", "10/3", 3, "inf", "inf"]
+    # past the last finite point the line of slope T = 2 closes the window,
+    # which is what the trace recovers there
+    assert [v.to_json() for v in r.regularized.prefix] == [0, "5/3", "10/3", 3, 5, 7]
+    assert [recover_sequence(r.trace, make_phi("blowup:2"), p) for p in (4, 5)] == [5, 7]
     assert r.J_right == ext(2)
-    assert not r.finite_principal
+    assert r.finite_principal
     (bp,) = r.trace.breakpoints
     assert (bp.x, bp.left_value, bp.right_value) == (ext(Fraction(5, 3)), ZERO, ext(2))
 
@@ -290,22 +294,59 @@ exact_entries = st.one_of(
 )
 
 
-@given(st.fractions(min_value=Fraction(-30), max_value=Fraction(30), max_denominator=6),
-       st.lists(exact_entries, min_size=1, max_size=24))
-@settings(max_examples=150, deadline=None)
-def test_infinite_phi_sweep_matches_minorant(a0, rest):
-    a = log_seq([a0] + rest)
-    r = regularize_with_phi(a, make_phi("infinite"))
-    m = convex_minorant(a)
-    assert r.regularized.prefix == m.regularized.prefix
-    assert r.principal_indices == m.principal_indices
-
-
 float_entries = st.one_of(
     st.floats(min_value=-30, max_value=30, allow_nan=False),
     st.integers(-40, 40).map(lambda k: k / 10),  # decimal steps: ties up to rounding
     st.just(float("inf")),
 )
+
+
+def case2(values, a_iota):
+    return log_seq(values, RegimeClassification("case2", ext(a_iota), (0, len(values)),
+                                                "declared"))
+
+
+# the documents on which the minorant and the ungated phireg once disagreed: a
+# float slope that rounds up to the cap, and two windows ending in +inf
+MOTIVATION = [case2([2.6, math.inf, math.inf, math.inf, math.inf, 7.6], 1),
+              case2([1.0, math.inf], Fraction(7, 3)),
+              log_seq([1, math.inf])]
+
+
+@st.composite
+def ungated_windows(draw):
+    """Exact, float or mixed entries with +inf holes; in 40 % of the windows a
+    declared Case 2 cap, exact or one-decimal, and trailing +inf entries."""
+    entries = draw(st.sampled_from([exact_entries, float_entries,
+                                    st.one_of(exact_entries, float_entries)]))
+    a0 = draw(entries.filter(lambda v: v != math.inf))
+    values = [a0] + draw(st.lists(entries, min_size=1, max_size=24))
+    if draw(st.integers(0, 9)) < 6:
+        return log_seq(values)
+    values += [math.inf] * draw(st.integers(0, 3))
+    cap = draw(st.one_of(st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                         st.integers(-50, 50).map(lambda k: k / 10)))
+    return case2(values, cap)
+
+
+@given(ungated_windows())
+@example(MOTIVATION[0])
+@example(MOTIVATION[1])
+@example(MOTIVATION[2])
+@settings(max_examples=300, deadline=None)
+def test_infinite_phi_sweep_matches_minorant(a):
+    # the two commands run one kernel: values and trace breakpoints by type and repr
+    def num(x):
+        return type(x.raw).__name__, repr(x.raw)
+
+    r = regularize_with_phi(a, make_phi("infinite"))
+    m = regularize(a)
+    assert [num(v) for v in r.regularized.prefix] == [num(v) for v in m.regularized.prefix]
+    assert r.principal_indices == m.principal_indices
+    bps = [[(num(b.x), num(b.left_value), num(b.right_value), num(b.slope_right))
+            for b in t.breakpoints] for t in (r.trace, m.trace)]
+    assert bps[0] == bps[1]
+    assert r.trace.domain == m.trace.domain
 
 
 @given(st.floats(min_value=-30, max_value=30, allow_nan=False),
@@ -337,15 +378,21 @@ def test_infinite_phi_float_sweep_never_jumps(a0, rest):
 # -- recovery -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("descriptor", ["exp", "expaffine:2,1", "blowup:0",
+@pytest.mark.parametrize("descriptor", ["exp", "expaffine:2,1", "blowup:0", "blowup:3",
                                         "infinite"])
 def test_recovery_matches_regularized(descriptor):
     phi = make_phi(descriptor)
-    for vals in ([0, 10, 10, 0, 10], [0, 5, 1, 3, 9, 20], [2, 8, 3, 3, 12, 30, 60]):
-        r = regularize_with_phi(log_seq(vals), phi)
+    windows = [log_seq(vals) for vals in
+               ([0, 10, 10, 0, 10], [0, 5, 1, 3, 9, 20], [2, 8, 3, 3, 12, 30, 60])]
+    if phi.blowup_T is not None or phi.infinite:
+        # windows that end in +inf entries: blowup's T or Case 2's a_iota closes them
+        windows += [log_seq([1, math.inf]), log_seq([0, 4, math.inf, 3, math.inf, math.inf]),
+                    MOTIVATION[1]]
+    for a in windows:
+        r = regularize_with_phi(a, phi)
         for p in range(r.window):
             assert recover_sequence(r.trace, phi, p) == r.regularized.prefix[p], \
-                (descriptor, vals, p)
+                (descriptor, a.prefix, p)
 
 
 def test_recovery_index_zero_is_anchor():
@@ -460,4 +507,6 @@ def test_cofinally_infinite_window_needs_blowup():
     r = regularize_with_phi(log_seq(vals), make_phi("blowup:2"))
     assert r.principal_indices == (0, 1)
     assert r.J_right == ext(2)
-    assert r.regularized.prefix[2].is_pos_inf
+    # the line of slope T = 2 through the last principal point, as recovered
+    assert r.regularized.prefix[2:] == (ext(3), ext(5))
+    assert [recover_sequence(r.trace, make_phi("blowup:2"), p) for p in (2, 3)] == [3, 5]

@@ -1,6 +1,6 @@
 """The monotone-chain phi sweep against the event loop it replaced.
 
-`phireg._sweep` makes one left-to-right pass: a lower-hull stack of the
+`minorant._sweep` makes one left-to-right pass: a lower-hull stack of the
 points admitted from the current principal point on, merged with the
 non-decreasing thresholds.  `ref_loop` below is the loop that ran before it,
 kept verbatim as the reference (`ref_sweep` hands it the sweep's input, the
@@ -23,9 +23,9 @@ from hypothesis import given, settings, strategies as st
 
 from seqreg import (CASE2, ExplicitOnly, ExtReal, RegimeClassification, RegularizingFunction,
                     SeqRegError, SequenceSpec, ext, make_phi, regularize_with_phi)
-from seqreg import phireg
+from seqreg import minorant, phireg
 from seqreg.extreal import NEG_INF, POS_INF, ZERO
-from seqreg.phireg import _sweep
+from seqreg.minorant import _sweep
 
 
 # -- the replaced loop, verbatim ----------------------------------------------------
@@ -93,8 +93,9 @@ def ref_sweep(pts, cap_raw):
     return ref_loop([(q, v, phireg._raw(thr)) for q, v, thr in pts], cap_raw)
 
 
-def ref_on_fractions(pts, cap_raw):
-    """ref_sweep on the entries and the cap read as exact Fractions."""
+def ref_on_fractions(pts, cap_raw, chord=None):
+    """ref_sweep on the entries and the cap read as exact Fractions (phireg has no tail chords)."""
+    assert chord is None
     return ref_sweep([(q, Fraction(v), thr) for q, v, thr in pts],
                      None if cap_raw is None else Fraction(cap_raw))
 
@@ -205,7 +206,7 @@ def assert_agrees_with_the_exact_loop(values, phi, declared_cap):
     """The record on float entries against the loop on the same entries read as
     Fractions: the same decisions, and values and entry times up to rounding."""
     new = regularize(values, phi, declared_cap)
-    with mock.patch.object(phireg, "_sweep", ref_on_fractions):
+    with mock.patch.object(minorant, "_sweep", ref_on_fractions):
         old = regularize(values, phi, declared_cap)
     if isinstance(old, type):
         assert new is old
@@ -372,6 +373,6 @@ def test_integer_sweep_builds_three_fractions_per_event_at_most():
 
 def test_fill_builds_one_fraction_per_value():
     out = [Fraction(1, 3)] + [math.inf] * 9
-    _, built = count_fractions(phireg._fill, out, 0, Fraction(2, 7), 10)
+    _, built = count_fractions(minorant._fill, out, 0, Fraction(2, 7), 10)
     assert built == 9
     assert out[9] == Fraction(1, 3) + 9 * Fraction(2, 7)

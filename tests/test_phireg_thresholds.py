@@ -23,10 +23,10 @@ from hypothesis import example, given, settings, strategies as st
 from seqreg import (CASE2, ExplicitOnly, ExtReal, OutOfDomain, RegimeClassification,
                     RegularizingFunction, SeqRegError, SequenceSpec, counting_m_phi, ext,
                     make_phi, regularize_with_phi, trace_A_phi)
-from seqreg import phireg
+from seqreg import minorant
 from seqreg.errors import AxiomViolation
 from seqreg.extreal import NEG_INF, POS_INF, ZERO
-from seqreg.phireg import _sweep as sweep
+from seqreg.minorant import _sweep as sweep
 from test_phireg_sweep import key, ref_sweep
 
 
@@ -143,8 +143,10 @@ EXACT_WINDOW = SequenceSpec(kind="log", prefix=tuple(map(ext, [0, 3, 1, 4, 9, 2,
                             tail=ExplicitOnly())
 
 
-def checked_sweep(pts, cap):
-    """phireg._sweep, checked against the replaced event loop by type and repr."""
+def checked_sweep(pts, cap, chord=None):
+    """minorant._sweep, checked against the replaced event loop by type and repr
+    (phireg has no tail chords)."""
+    assert chord is None
     got = sweep(pts, cap)
     assert key(got) == key(ref_sweep(pts, cap))
     return got
@@ -154,7 +156,7 @@ def test_tied_hand_built_thresholds_are_no_axiom_violation():
     # thresholds 0, 0, 1, 1, ...: phi never falls, and the sweep gives the loop's record
     phi = hand_built(lambda p: ext((p - 1) // 2))
     assert [phi._rule(p) for p in (1, 2, 3)] == [(0, 1), (0, 1), (1, 1)]
-    with mock.patch.object(phireg, "_sweep", checked_sweep):
+    with mock.patch.object(minorant, "_sweep", checked_sweep):
         result = regularize_with_phi(EXACT_WINDOW, phi)
     assert result.principal_indices[0] == 0
 

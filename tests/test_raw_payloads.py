@@ -2,31 +2,43 @@
 
 Three layers read and write raw payloads (Fraction or float) directly:
 `ExtReal.from_json` reads "[-]n/d" strings without Fraction's regular
-expression, `minorant._hull_walk` builds line values, intercepts and
-breakpoint values through one line helper, and `cli._minorant_payload` and
-`ExtReal.to_json` build only what is printed.  The functions below are the
-former forms, kept verbatim as the reference; on inputs whose float
-arithmetic does not overflow, each pair must agree on every value, by type
-and repr, and on every error.
+expression, the hull kernel (`minorant._sweep` and `_run`) builds line
+values, slopes and trace values through one line helper, and
+`cli._minorant_payload` and `ExtReal.to_json` build only what is printed.
+The functions below are the former forms, kept verbatim as the reference,
+with `former_regularize` running the former walk under `regularize`'s
+regime dispatch.  The walk differs from the one that ran in three rules:
+decisions are made on exact values (an edge is below the cap, and a tail
+chord at its float value below an edge, when it is so at the entries'
+binary values, and a float slope that rounds up to the cap is then taken
+exactly); a collinear run is one step, as one event of the sweep (each of
+its edges takes the slope of its first edge, and the tail is asked at its
+first point only); and a zero trace value follows `minorant._trace_value`
+(a float zero is 0.0, never -0.0).  On inputs whose
+float arithmetic does not overflow, each pair must agree on every value, by
+type and repr, and on every error.
 """
 
 import json
 import math
 from fractions import Fraction
+from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import itemgetter
 from typing import Optional
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqreg import SequenceSpec, minorant
+from seqreg import SequenceSpec
 from seqreg.cli import _minorant_payload
-from seqreg.errors import SeqRegError
-from seqreg.extreal import NEG_INF, ZERO, ExtReal, RawNumber, ext, raw_add, raw_div, raw_mul
-from seqreg.minorant import MinorantResult, SupportLine, _lower_hull, _tail_chords, regularize
+from seqreg.errors import InconsistentDeclaration, SeqRegError
+from seqreg.extreal import (NEG_INF, POS_INF, ZERO, ExtReal, RawNumber, ext, raw_add, raw_div,
+                            raw_mul)
+from seqreg.minorant import SupportLine, _tail_chords, _window_values, regularize
 from seqreg.piecewise import Breakpoint, Interval, PiecewiseLinearFn
+from seqreg.sequences import CASE2, classify_regime, to_log_scale
+from seqreg.tails import LOG, WEIGHT, AffineLog, ExplicitOnly, FactorialPower, Geometric
 
 _POS, _NEG = math.inf, -math.inf
 
@@ -69,31 +81,59 @@ def former_to_json(x: ExtReal):
     return v
 
 
+def former_lower_hull(vals: list[ExtReal]) -> list[tuple[int, int, int]]:
+    hull: list[tuple[int, int, int]] = []
+    for q, v in enumerate(vals):
+        if v.is_pos_inf:
+            continue
+        if v.is_neg_inf:
+            # only a declaration or a closed-form tail gets a -inf entry past case 1
+            raise InconsistentDeclaration(
+                f"a_{q} = -inf collapses the sequence (case 1), "
+                "which contradicts the declared or tail regime")
+        ny, dy = v.raw.as_integer_ratio()
+        while len(hull) >= 2:
+            (i, ni, di), (j, nj, dj) = hull[-2], hull[-1]
+            if (nj * di - ni * dj) * dy * (q - j) <= (ny * dj - nj * dy) * di * (j - i):
+                break
+            hull.pop()
+        hull.append((q, ny, dy))
+    return hull
+
+
 def former_hull_walk(seq, vals, w, cap, extends):
-    hull = _lower_hull(vals)
+    hull = former_lower_hull(vals)
     raws = [v.raw for v in vals]
     cap_raw = cap.raw
     chord = _tail_chords(seq, w) if extends else None
     out = list(vals)
     edge_data: list[tuple[RawNumber, int, RawNumber, int]] = []  # (slope, P, a_P, q)
     stopped = False
+    run: Optional[Fraction] = None  # the exact slope of the hull edge that ends at P
     for i, (P, nP, dP) in enumerate(hull):
         if P == w - 1:
             break  # the window is covered; the tail is not asked from its last point
         aP = raws[P]
         best: Optional[tuple[RawNumber, int]] = None
+        exact = None
         if i + 1 < len(hull):
             q, nq, dq = hull[i + 1]
-            if type(aP) is Fraction and type(raws[q]) is Fraction:
-                slope = Fraction(nq * dP - nP * dq, dq * dP * (q - P))
-            else:
-                slope = raw_div(raw_add(raws[q], -aP), q - P)
-            if slope < cap_raw:
-                best = (slope, q)
-        tail = chord(P, aP) if chord else None
-        if tail is not None and tail[0] == "event" and tail[1] < cap_raw:
-            if best is None or tail[1] < best[0]:
-                best = (tail[1], tail[2])
+            # decided on exact values: the edge's slope between the binary values
+            exact = Fraction(nq * dP - nP * dq, dq * dP * (q - P))
+            if exact == run:
+                best = (edge_data[-1][0], q)  # a collinear run takes its first edge's slope
+            elif exact < cap_raw:
+                if type(aP) is Fraction and type(raws[q]) is Fraction:
+                    slope = exact
+                else:
+                    slope = raw_div(raw_add(raws[q], -aP), q - P)
+                best = (slope if slope < cap_raw else exact, q)  # exact where it rounds up
+        # the tail is asked at the first point of a run only; (slope, q) or None
+        tail = chord(P, aP) if chord and not (exact is not None and exact == run) else None
+        if tail is not None and tail[0] < cap_raw:
+            if best is None or tail[0] < exact:
+                best = tail
+        run = exact if best is not None and best[1] < w else None
         if best is None:
             stopped = True
             slope, q = cap_raw, w
@@ -125,7 +165,9 @@ def former_hull_walk(seq, vals, w, cap, extends):
         edges += [SupportLine(ExtReal(s), ExtReal(raw_add(aP, -raw_mul(s, P))), touching)
                   for s, P, aP, _ in run]
         _, first, a_first, _ = run[0]
-        value = ExtReal(raw_add(raw_mul(slope, first), -a_first))
+        value = raw_add(raw_mul(slope, first), -a_first)
+        # a float zero trace value is 0.0, as minorant._trace_value gives
+        value = ExtReal(0.0 if value == 0 and type(value) is float else value)
         bps.append(Breakpoint(ExtReal(slope), value, value, ext(last)))
     principal = [0] + [q for *_, q in edge_data if q < w]
     tail_end = edge_data[-1][3] if edge_data and edge_data[-1][3] >= w else None
@@ -139,7 +181,67 @@ def former_hull_walk(seq, vals, w, cap, extends):
     return out, principal, edges, trace, stopped, tail_end
 
 
-def former_minorant_payload(result: MinorantResult) -> dict:
+@dataclass(frozen=True)
+class FormerResult:
+    """MinorantResult as it was, with the edges the walk built."""
+
+    regularized: SequenceSpec
+    principal_indices: tuple[int, ...]
+    edges: tuple[SupportLine, ...]
+    trace: PiecewiseLinearFn
+    regime: object
+    stable_prefix: int
+    provisional_from: int
+    window: int
+    scale: str
+    finite_principal: Optional[bool] = None
+    tail_end: Optional[int] = None
+
+    def to_json(self) -> dict:
+        return {
+            "regularized": [v.to_json() for v in self.regularized.prefix],
+            "scale": self.scale,
+            "principal_indices": list(self.principal_indices),
+            "slopes": [e.slope.to_json() for e in self.edges],
+            "edges": [e.to_json() for e in self.edges],
+            "trace": self.trace.to_json(),
+            "regime": self.regime.to_json(),
+            "stable_prefix": self.stable_prefix,
+            "provisional_from": self.provisional_from,
+            "window": self.window,
+            "finite_principal": self.finite_principal,
+        }
+
+
+def former_regularize(a: SequenceSpec, window: int) -> FormerResult:
+    """regularize on the former walk, for the standard regime and Case 2."""
+    seq = to_log_scale(a)
+    regime = classify_regime(seq, window)
+    w, vals = _window_values(seq, window)
+    case2 = regime.regime == CASE2
+    extends = isinstance(seq.tail, (AffineLog, Geometric) if case2 else FactorialPower)
+    out, principal, edges, trace, stopped, tail_end = former_hull_walk(
+        seq, vals, w, regime.a_iota if case2 else POS_INF, extends)
+    # a proven end pins the whole window; otherwise trust up to the penultimate principal
+    if extends and stopped == case2:
+        stable = w - 1
+    else:
+        stable = principal[-2] if len(principal) >= 2 else principal[-1]
+    base = FormerResult(
+        SequenceSpec(kind=LOG, prefix=tuple(out), tail=ExplicitOnly(), declared_regime=regime),
+        tuple(principal), tuple(edges), trace, regime, stable, stable + 1, w, LOG,
+        stopped if case2 else None, tail_end)
+    if a.kind == LOG:
+        return base
+    weights = [v.exp() for v in base.regularized.prefix]
+    for p in base.principal_indices:
+        weights[p] = a.value(p)
+    regularized = SequenceSpec(kind=WEIGHT, prefix=tuple(weights), tail=ExplicitOnly(),
+                               declared_regime=base.regime)
+    return replace(base, regularized=regularized, scale=WEIGHT)
+
+
+def former_minorant_payload(result: FormerResult) -> dict:
     full = result.to_json()
     payload = {
         "regularized": full["regularized"],
@@ -255,15 +357,12 @@ def documents(draw, entries: str):
 
 
 def results(doc, window):
-    """MinorantResult (or error) of the walk as it is and of the former walk."""
+    """The result (or error) of regularize and of the former walk."""
     seq = SequenceSpec.from_json(doc)
-    new = outcome(regularize, seq, window)
-    with mock.patch.object(minorant, "_hull_walk", former_hull_walk):
-        old = outcome(regularize, seq, window)
-    return new, old
+    return outcome(regularize, seq, window), outcome(former_regularize, seq, window)
 
 
-def walk_key(r: MinorantResult):
+def walk_key(r):
     return ([num(v) for v in r.regularized.prefix], r.principal_indices,
             [(num(e.slope), num(e.intercept), e.touching) for e in r.edges],
             [(num(b.x), num(b.left_value), num(b.right_value), num(b.slope_right))
@@ -292,6 +391,8 @@ def test_walk_matches_the_former_expressions(entries, data):
     {"kind": "log", "prefix": [0.0, 1.0, 3.0], "tail": {"type": "explicit_only"}},
     {"kind": "log", "prefix": [0.0, -1.0, -1.5], "tail": {"type": "explicit_only"}},
     {"kind": "log", "prefix": [-0.0, 0.5, 0, 2], "tail": {"type": "explicit_only"}},
+    # a collinear run whose float slopes are 0.0 and -0.0: one step of slope 0.0
+    {"kind": "log", "prefix": [-0.0, 0.0, -0.0], "tail": {"type": "explicit_only"}},
     # a case-2 cap and a factorial tail past the window
     {"kind": "log", "prefix": [0, "-7/3", 1, 2.5], "tail": {"type": "affine_log", "c": "1/2"}},
     {"kind": "log", "prefix": [0, 40, "inf", 90],
