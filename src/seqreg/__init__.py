@@ -118,104 +118,6 @@ from .oracles import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineLog",
-    "AxiomViolation",
-    "Breakpoint",
-    "CASE1",
-    "CASE2",
-    "Case2LimitReport",
-    "ComparisonReport",
-    "ConjugateValue",
-    "ConvexityReport",
-    "DEFAULT_WINDOW",
-    "EMPTY_INTERVAL",
-    "ExplicitOnly",
-    "Expression",
-    "ExtReal",
-    "FactorialPower",
-    "Geometric",
-    "GrowthIndicators",
-    "INDETERMINATE",
-    "InconsistentDeclaration",
-    "InfiniteEntryUnsupported",
-    "InfinityAtZero",
-    "Interval",
-    "LOG",
-    "LimitComparison",
-    "MinorantResult",
-    "NEG_INF",
-    "NonFiniteEntry",
-    "NormalizeResult",
-    "NotComparable",
-    "NotLogConvex",
-    "ONE",
-    "OmegaValue",
-    "OracleReport",
-    "OutOfDomain",
-    "POS_INF",
-    "ParseError",
-    "PhiInterval",
-    "PhiRegResult",
-    "PhiSegment",
-    "PiecewiseLinearFn",
-    "REAL_LINE",
-    "RegimeClassification",
-    "RegimeMismatch",
-    "RegularizingFunction",
-    "STANDARD",
-    "SeqRegError",
-    "SequenceSpec",
-    "StepFunction",
-    "SupportLine",
-    "SweepResult",
-    "TruncatedTail",
-    "Unbounded",
-    "UnknownAIota",
-    "WEIGHT",
-    "WindowTooShort",
-    "ZERO",
-    "brute_minorant",
-    "brute_omega",
-    "brute_phi_sweep",
-    "brute_trace",
-    "case1_regularize",
-    "case2_limit_check",
-    "case2_regularize",
-    "classify_regime",
-    "compare_regularizations",
-    "compare_values",
-    "compile_formula",
-    "convex_minorant",
-    "counting_function",
-    "counting_m_phi",
-    "ext",
-    "growth_indicators",
-    "is_log_convex",
-    "limit_comparison",
-    "log_convex_minorant",
-    "log_of_fraction",
-    "make_phi",
-    "normalize_sequence",
-    "omega_direct",
-    "omega_double_tilde",
-    "omega_integral",
-    "omega_piecewise",
-    "omega_tilde",
-    "phi_omega",
-    "quotients",
-    "reconstruct_from_trace",
-    "recover_sequence",
-    "regularize_with_phi",
-    "require_regime",
-    "resolve_window",
-    "support_line",
-    "tail_from_json",
-    "to_log_scale",
-    "to_weight_scale",
-    "trace_A_phi",
-    "trace_function",
-    "trace_invariance_check",
-    "underline_sequence",
-    "young_conjugate",
-]
+# every public name imported above, sorted; the submodules are not exported
+__all__ = sorted(n for n, v in globals().items()
+                 if not n.startswith("_") and type(v) is not type(errors))

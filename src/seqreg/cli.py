@@ -23,7 +23,7 @@ import click
 
 from .errors import ParseError, SeqRegError
 from .extreal import ExtReal, ext
-from .minorant import MinorantResult, real_trace, regularize
+from .minorant import MinorantResult, _real, regularize
 from .oracles import (
     OracleReport,
     brute_minorant,
@@ -222,7 +222,7 @@ def _minorant_payload(result: MinorantResult) -> dict:
         "regularized": [v.to_json() for v in result.regularized.prefix],
         "principal_indices": list(result.principal_indices),
         "slopes": [s.to_json() for s in result.slopes],
-        "trace_breakpoints": [bp.to_json() for bp in result.trace.breakpoints],
+        "trace_breakpoints": result._trace_json()["breakpoints"],
         "regime": result.regime.to_json(),
         "stable_prefix": result.stable_prefix,
         "provisional_from": result.provisional_from,
@@ -411,12 +411,12 @@ def trace(files, window, tol, verify, extended):
 
     def worker(path: str):
         log_seq = to_log_scale(_load_spec(path))
-        result = regularize(log_seq, window=window, tol=tol)
-        fn = real_trace(result)
-        payload = {"trace": fn.to_json(), "regime": result.regime.to_json()}
+        result = _real(regularize(log_seq, window=window, tol=tol))  # refuses Case 1
+        payload = {"trace": result._trace_json(), "regime": result.regime.to_json()}
         status = EXIT_OK
         diagnostics: list[str] = []
         if verify:
+            fn = result.trace
             slopes = _trace_sample_slopes(fn)
             pairs = []
             witnesses = []
@@ -529,9 +529,9 @@ def phireg(files, window, tol, phi_descriptor, emit, grid_spec, extended, verify
             ts.extend(lo + span * Fraction(i, 16) for i in range(-4, 21))
         ts = sorted(set(ts))
         lines = ["t,m,A"]
-        ms, As = result.counting.values_sorted(ts), result.trace.evaluate_sorted(ts, extended)
-        for t, m, a_val in zip(ts, ms, As):
-            lines.append(f"{_csv_cell(t)},{'' if m is None else m},{_csv_cell(a_val)}")
+        ms, As = result.counting.values_sorted(ts), result.trace._floats_sorted(ts, extended)
+        for t, m, a in zip(ts, ms, As):
+            lines.append(f"{_csv_cell(t)},{'' if m is None else m},{'' if a is None else repr(a)}")
         for r in reports:
             lines.append("# verify: " + _canonical(r.to_json()))
         return "\n".join(lines) + "\n", status, diagnostics

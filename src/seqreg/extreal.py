@@ -198,10 +198,7 @@ class ExtReal:
 
     def to_json(self):
         """Canonical JSON payload: int, float, or "p/q"/"inf"/"-inf" string."""
-        v = self._v
-        if type(v) is not Fraction and isinstance(v, float):
-            return "inf" if v == _POS else "-inf" if v == _NEG else v
-        return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return raw_json(self._v)
 
     @staticmethod
     def from_json(payload) -> "ExtReal":
@@ -214,20 +211,28 @@ class ExtReal:
         raise ValueError(f"cannot parse extended real from {payload!r}")
 
 
+def raw_json(v: RawNumber):
+    """The canonical JSON payload of a raw payload (ExtReal.to_json)."""
+    if type(v) is not Fraction and isinstance(v, float):
+        return "inf" if v == _POS else "-inf" if v == _NEG else v
+    return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
 def _parse_number(text: str) -> RawNumber:
     # ASCII "[-]digits/digits" is read as Fraction(s) reads it, without its regular
     # expression: Fraction(int(n), int(d)), and d = 0 raises ZeroDivisionError on both
     n, slash, d = text.partition("/")
-    fast = slash and text.isascii() and d.isdigit() and (n[1:] if n[:1] == "-" else n).isdigit()
-    s = text.strip()
-    low = s.lower()
-    if low in ("inf", "+inf", "infinity"):
-        return _POS
-    if low in ("-inf", "-infinity"):
-        return _NEG
     try:
+        if slash and text.isascii() and d.isdigit() and (n[1:] if n[:1] == "-" else n).isdigit():
+            return Fraction(int(n), int(d))
+        s = text.strip()
+        low = s.lower()
+        if low in ("inf", "+inf", "infinity"):
+            return _POS
+        if low in ("-inf", "-infinity"):
+            return _NEG
         # Fraction handles both "p/q" and exact decimal strings like "1.5"
-        return Fraction(int(n), int(d)) if fast else Fraction(s)
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad number literal {text!r}") from exc
 
@@ -293,8 +298,13 @@ def raw_line(a: RawNumber, slope: RawNumber, P: int):
         base, step = a.numerator * slope.denominator, slope.numerator * a.denominator
         den = a.denominator * slope.denominator
         return lambda p: Fraction(base + step * (p - P), den)
+    floats = type(a) is float is type(slope) and _NEG < a < _POS and _NEG < slope < _POS
 
     def value(p: int) -> RawNumber:
+        if floats:  # raw_add's a + (-x) is a - x on two floats
+            v = a - slope * (P - p)
+            if _NEG < v < _POS:
+                return v
         v = raw_add(a, -raw_mul(slope, P - p))
         if _inf_sign(v) and not (_inf_sign(a) or _inf_sign(slope)):
             return raw_line(Fraction(a), Fraction(slope), P)(p)
@@ -309,7 +319,7 @@ def raw_slope(a: RawNumber, b: RawNumber, k: int) -> RawNumber:
     if type(a) is Fraction and type(b) is Fraction:
         return Fraction(b.numerator * a.denominator - a.numerator * b.denominator,
                         a.denominator * b.denominator * k)
-    s = raw_div(raw_add(b, -a), k)
+    s = (b - a) / k if type(a) is float is type(b) else raw_div(raw_add(b, -a), k)
     if _inf_sign(s):
         return (Fraction(b) - Fraction(a)) / k
     return s

@@ -12,11 +12,16 @@ Slopes, line values and trace values are computed on raw payloads by
 ExtReal's rules (extreal.raw_slope, raw_line): one Fraction between exact
 values, and exact where a float would overflow from finite operands.
 
-A closed-form tail is the only thing the minorant adds: at each event it may
-offer a strictly lower chord past the window (_tail_chords), the sweep's
-last event.  _run fills the window between principal indices with the line
-values, and past the last one with the tail chord's line or, when the sweep
-ends before the window does and the cap is finite, the line of slope cap.
+A closed-form tail is the only thing the minorant adds: a strictly lower
+chord past the window (_tail_chords) is the sweep's last event.  A tail point
+below the extension of a hull edge lies below the extension of every later
+edge, so a chord that wins at one vertex wins at every later one, and one
+that loses at the last vertex the sweep reaches loses at every earlier one.
+So the tail is asked there once, and at each event only when it wins there
+(the departure rule, _sweep).  _run fills the window between principal
+indices with the line values, and past the last one with the tail chord's
+line or, when the sweep ends before the window does and the cap is finite,
+the line of slope cap.
 +inf points project down onto those lines (and stay +inf past the last
 finite point when there is no cap).
 
@@ -37,7 +42,9 @@ check their regime first and then call the same builders.
 
 The trace k -> sup_p (p*k - a_p) has one breakpoint per distinct event time;
 its conjugate reproduces the minorant values (exact on rationals).  A result
-keeps one slope per edge and builds its SupportLines only when asked.
+keeps one slope per edge and the sweep's raw events, and builds its
+SupportLines and its trace only when asked; the CLI prints the trace from
+the raw events.
 """
 
 from __future__ import annotations
@@ -45,13 +52,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 from typing import Callable, Optional, Union
 
 from .errors import (InconsistentDeclaration, InfiniteEntryUnsupported, InfinityAtZero,
                      RegimeMismatch, UnknownAIota)
 from .extreal import (ExtReal, NEG_INF, POS_INF, ZERO, RawNumber, _inf_sign, ext, raw_add,
-                      raw_div, raw_line, raw_mul, raw_slope)
+                      raw_div, raw_json, raw_line, raw_mul, raw_slope)
 from .piecewise import (
     Breakpoint,
     EMPTY_INTERVAL,
@@ -97,7 +105,6 @@ class MinorantResult:
     principal_indices: tuple[int, ...]
     # one per edge: from each principal index to the next, and past the window to tail_end
     slopes: tuple[ExtReal, ...]
-    trace: PiecewiseLinearFn
     regime: RegimeClassification
     stable_prefix: int
     provisional_from: int
@@ -108,6 +115,27 @@ class MinorantResult:
     tail_end: Optional[int] = None
     # the log-scale window values, which the edges pass through
     _log: tuple[ExtReal, ...] = field(default=(), repr=False)
+    # the sweep's events (time, left value, right value, top) as raw payloads,
+    # and the right end of the trace's domain
+    _events: tuple = field(default=(), repr=False)
+    _hi: ExtReal = field(default=POS_INF, repr=False)
+
+    @cached_property
+    def trace(self) -> PiecewiseLinearFn:
+        """The trace, built from the sweep's events when first asked for."""
+        if self.regime.regime == CASE1:
+            return PiecewiseLinearFn(breakpoints=(), domain=EMPTY_INTERVAL, slope_left=ZERO,
+                                     value_at_minus_inf=ZERO - self._log[0])
+        return _trace(self._events, self._log[0], self._hi)
+
+    def _trace_json(self) -> dict:
+        """self.trace.to_json() outside Case 1, printed from the raw events."""
+        at_minus_inf = (ZERO - self._log[0]).to_json()
+        bps = [{"x": raw_json(x), "left_value": raw_json(left), "right_value": raw_json(right),
+                "slope_right": top} for x, left, right, top in _merged(self._events)]
+        payload = {"breakpoints": bps, "domain": Interval(NEG_INF, self._hi).to_json(),
+                   "slope_left": 0, "value_at_minus_inf": at_minus_inf}
+        return payload if bps else {**payload, "constant": at_minus_inf}
 
     @property
     def edges(self) -> tuple[SupportLine, ...]:
@@ -172,7 +200,7 @@ def _tail_chords(seq: SequenceSpec, w: int):
     It is None from the window's last point, which the window covers; when an
     affine-log or geometric tail's chords only approach their limit slope from
     above (never attained); and when the tail admits no closed-form reasoning.
-    Each tail value is read once however many events ask for it.
+    Each tail value is read once however many vertices ask for it.
     """
     tail = seq.tail
     values: dict[int, RawNumber] = {}
@@ -234,11 +262,25 @@ def _trace_value(a: RawNumber, tau: RawNumber, q: int) -> RawNumber:
     if type(a) is Fraction and type(tau) is Fraction:
         return Fraction(q * tau.numerator * a.denominator - a.numerator * tau.denominator,
                         tau.denominator * a.denominator)
+    if type(a) is float is type(tau):  # raw_line's c on two floats, unless it overflows
+        c = a - tau * q
+        if -math.inf < c < math.inf:
+            return 0 - c
     return 0 - raw_line(a, tau, q)(0)
 
 
+def _lower(tail, bn: int, bd: int, cn: int, cd: int):
+    """tail, a chord (slope, q) or None, if strictly below the first edge's time
+    bn/bd and the cap cn/cd, else None."""
+    if tail is not None:
+        xn, xd = _pair(tail[0])
+        if xn * bd < bn * xd and xn * cd < cn * xd:
+            return tail
+    return None
+
+
 def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber],
-           chord: Optional[Callable] = None):
+           chord: Optional[Callable] = None, each: bool = False):
     """The event sweep over pts = [(q, a_q, threshold(q))], thresholds non-decreasing.
 
     ``hull[lo:]`` is the lower hull, collinear points kept, of the points
@@ -247,12 +289,25 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
     a first edge below slope tau is a jump, and the batch is the run of hull
     points on the lowest line of slope tau.  The hull is then cut at the
     batch's last point, the new P.  Ungated (every threshold -inf), all points
-    enter at the first event.  ``chord`` (_tail_chords) is asked at each
-    event: a tail chord strictly below the first edge and the cap is the last
-    event, its top the tail index.  Asking at a batch's start is enough: a
-    chord from a later point of the run beats the run exactly when the one
-    from its first point does.  Returns the principal points with their
-    entry times, the discontinuities, the events (time, left_A, right_A, top)
+    enter at the first event.
+
+    ``chord`` (_tail_chords) is the tail hook of an ungated sweep.  Asked at
+    an event, a tail chord strictly below the first edge and the cap is the
+    last event, its top the tail index.  Asking at a batch's start is enough:
+    a chord from a later point of the run beats the run exactly when the one
+    from its first point does.  The departure rule decides where it is
+    asked.  The sweep visits the hull vertices V_0 < V_1 < ... < V_s, V_s the
+    first whose edge reaches the cap (or the last).  A tail point below the
+    extension of edge V_i V_(i+1) lies below the extension of every later
+    edge, which passes above it past V_(i+1), and a chord from V_s below the
+    edge that ends there is below the cap too.  So a chord that wins at one
+    vertex wins at every later one, and one that loses at V_s (or, where the
+    window ends at V_s and chord is None, at the last batch's start) loses
+    at every vertex.  The sweep asks there only, and when the chord wins
+    there it runs again (``each``) asking at each event.
+
+    Returns the principal points with their entry times, the
+    discontinuities, the events (time, left_A, right_A, top) as raw payloads
     and whether the cap stopped the sweep.
 
     Each value, threshold, chord and the cap is read once by _pair, and a time
@@ -270,11 +325,12 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
     cn, cd = (1, 0) if cap is None else _pair(cap)
     principal: list[tuple[int, ExtReal]] = [(0, NEG_INF)]
     disc: list[int] = []
-    events: list[tuple[ExtReal, ExtReal, ExtReal, int]] = []
+    events: list[tuple[RawNumber, RawNumber, RawNumber, int]] = []
     hull = [0]  # positions in ps
     lo = 0
     m = 1  # the next point to admit
     last: RawNumber = -math.inf  # the last event's time as emitted
+    run = None  # (P, a_P, bn, bd) at the start of the last run, for the departure rule
 
     while True:
         P, nP, dP, _, _ = ps[hull[lo]]
@@ -315,15 +371,17 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
                 bn, bd = slope(src)
             m += 1
         aP = pts[hull[lo]][1]
-        tail = chord(P, aP) if chord is not None else None
-        if tail is not None:
-            xn, xd = _pair(tail[0])
-            if not (xn * bd < bn * xd and xn * cd < cn * xd):
-                tail = None  # the first edge is no higher, or the chord reaches the cap
+        tail = _lower(chord(P, aP), bn, bd, cn, cd) if each else None
         if tail is not None:
             tau = tail[0]
         else:
             if bd == 0 or bn * cd >= cn * bd:
+                if chord is not None and not each:  # the departure rule
+                    at, tail = (P, aP, bn, bd), chord(P, aP)
+                    if tail is None and run is not None:
+                        at, tail = run, chord(*run[:2])
+                    if _lower(tail, *at[2:], cn, cd):
+                        return _sweep(pts, cap, chord, True)
                 return principal, disc, events, bd != 0
             tau = raw_slope(aP, pts[src][1], ps[src][0] - P) if src >= 0 else _raw(pts[~src][2])
             if type(tau) is float and cap is not None and not tau < cap:
@@ -335,9 +393,9 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
         last = tau
 
         # the trace value P*tau - a_P, and at a jump that of the lowest line
-        left = right = ExtReal(_trace_value(aP, tau, P))
+        left = right = _trace_value(aP, tau, P)
         if tail is not None:
-            events.append((ExtReal(tau), left, right, tail[1]))
+            events.append((tau, left, right, tail[1]))
             return principal, disc, events, False
         first = i = lo + 1
         sn, sd = slope(hull[i])
@@ -362,7 +420,7 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
                 i += 1
             q = ps[hull[first]][0]
             disc.append(q)
-            right = ExtReal(_trace_value(pts[hull[first]][1], tau, q))
+            right = _trace_value(pts[hull[first]][1], tau, q)
         else:
             while i + 1 < len(hull):
                 sn, sd = slope(hull[i + 1])
@@ -370,9 +428,10 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
                     break
                 i += 1
         tau_x = ExtReal(tau)
-        events.append((tau_x, left, right, ps[hull[i]][0]))
+        events.append((tau, left, right, ps[hull[i]][0]))
         for j in hull[first:i + 1]:
             principal.append((ps[j][0], tau_x))
+        run = P, aP, bn, bd
         lo = i
 
 
@@ -412,7 +471,7 @@ def _run(vals: list[ExtReal], cap: Optional[RawNumber], regime: Optional[RegimeC
     P, w = principal[-1][0], len(out)
     tail_end = events[-1][3] if events and events[-1][3] >= w else None
     if tail_end is not None:
-        _fill(out, P, events[-1][0].raw, w)
+        _fill(out, P, events[-1][0], w)
     elif cap is not None and P < w - 1:
         _fill(out, P, cap, w)
     return out, principal, disc, events, tail_end
@@ -425,20 +484,27 @@ def _fill(out: list[RawNumber], P: int, slope: RawNumber, end: int) -> None:
         out[p] = at(p)
 
 
-def _trace(events, a0: ExtReal, hi: ExtReal) -> PiecewiseLinearFn:
-    """The trace on (-inf, hi) from the sweep's events: one breakpoint per
-    distinct event time, the value left of it from the first event at that
-    time.  A later event there without a jump keeps the value right of it,
-    which it equals in exact arithmetic, so float rounding cannot fake a jump."""
-    bps: list[Breakpoint] = []
+def _merged(events) -> list[tuple]:
+    """The trace's breakpoints from the sweep's events, as raw (x, left, right,
+    top): one per distinct event time, the value left of it from the first
+    event at that time.  A later event there without a jump keeps the value
+    right of it, which it equals in exact arithmetic, so float rounding cannot
+    fake a jump."""
+    bps: list[tuple] = []
     for tau, left, right, top in events:
-        if bps and bps[-1].x == tau:
-            prev = bps[-1]
-            bps[-1] = Breakpoint(prev.x, prev.left_value,
-                                 prev.right_value if right == left else right, ext(top))
+        if bps and bps[-1][0] == tau:
+            x, before, after, _ = bps[-1]
+            bps[-1] = (x, before, after if right == left else right, top)
         else:
-            bps.append(Breakpoint(tau, left, right, ext(top)))
-    return PiecewiseLinearFn(breakpoints=tuple(bps), domain=Interval(NEG_INF, hi),
+            bps.append((tau, left, right, top))
+    return bps
+
+
+def _trace(events, a0: ExtReal, hi: ExtReal) -> PiecewiseLinearFn:
+    """The trace on (-inf, hi) from the sweep's events (_merged)."""
+    bps = tuple(Breakpoint(ExtReal(x), ExtReal(left), ExtReal(right), ext(top))
+                for x, left, right, top in _merged(events))
+    return PiecewiseLinearFn(breakpoints=bps, domain=Interval(NEG_INF, hi),
                              slope_left=ZERO, value_at_minus_inf=ZERO - a0,
                              constant=None if bps else ZERO - a0)
 
@@ -454,7 +520,7 @@ def _window_values(seq: SequenceSpec, window: Optional[int]) -> tuple[int, list[
 
 
 def _result(regime: RegimeClassification, w: int, prefix: tuple[ExtReal, ...],
-            principal: list[int], slopes: list[ExtReal], trace: PiecewiseLinearFn,
+            principal: list[int], slopes: list[ExtReal], events: tuple, hi: ExtReal,
             proven: bool, finite_principal: Optional[bool] = None,
             tail_end: Optional[int] = None) -> MinorantResult:
     # a proven end pins the whole window; otherwise trust up to the penultimate principal
@@ -464,7 +530,6 @@ def _result(regime: RegimeClassification, w: int, prefix: tuple[ExtReal, ...],
                                  declared_regime=regime),
         principal_indices=tuple(principal),
         slopes=tuple(slopes),
-        trace=trace,
         regime=regime,
         stable_prefix=stable,
         provisional_from=stable + 1,
@@ -473,6 +538,8 @@ def _result(regime: RegimeClassification, w: int, prefix: tuple[ExtReal, ...],
         finite_principal=finite_principal,
         tail_end=tail_end,
         _log=prefix,
+        _events=events,
+        _hi=hi,
     )
 
 
@@ -490,23 +557,20 @@ def _hull(seq: SequenceSpec, window: Optional[int], regime: RegimeClassification
                                                chord=_tail_chords(seq, w) if extends else None)
     # each value the fill wrote is wrapped once; the others keep the window's ExtReal
     prefix = tuple(v if v.raw is r else ExtReal(r) for v, r in zip(vals, out))
-    slopes = [t for _, t in principal[1:]] + ([] if tail_end is None else [events[-1][0]])
-    trace = _trace(events, vals[0], POS_INF if cap is None else cap)
+    slopes = [t for _, t in principal[1:]] + ([] if tail_end is None else [ExtReal(events[-1][0])])
     indices = [p for p, _ in principal]
     stopped = tail_end is None and indices[-1] < w - 1
     # the result is proven once a factorial tail has vetted the sweep to the window
     # end, or when the chords of a Case 2 tail never dip below the cap it stopped at
-    return _result(regime, w, prefix, indices, slopes, trace,
-                   extends and stopped == (cap is not None),
+    return _result(regime, w, prefix, indices, slopes, tuple(events),
+                   POS_INF if cap is None else cap, extends and stopped == (cap is not None),
                    None if cap is None else stopped, tail_end)
 
 
 def _case1(seq: SequenceSpec, window: Optional[int],
            regime: RegimeClassification) -> MinorantResult:
     w, vals = _window_values(seq, window)
-    trace = PiecewiseLinearFn(breakpoints=(), domain=EMPTY_INTERVAL, slope_left=ZERO,
-                              value_at_minus_inf=ZERO - vals[0])
-    return _result(regime, w, (vals[0],) + (NEG_INF,) * (w - 1), [0], [], trace, True,
+    return _result(regime, w, (vals[0],) + (NEG_INF,) * (w - 1), [0], [], (), POS_INF, True,
                    finite_principal=True)
 
 
@@ -592,11 +656,15 @@ def case2_regularize(a: SequenceSpec, window: Optional[int] = None,
 
 def real_trace(result: MinorantResult) -> PiecewiseLinearFn:
     """The trace of a minorant result, refused in Case 1, where it is +inf on R."""
+    return _real(result).trace
+
+
+def _real(result: MinorantResult) -> MinorantResult:
     if result.regime.regime == CASE1:
         raise RegimeMismatch(
             f"{result.regime.describe()}: the trace is +inf at every real slope; "
             "only the value at -inf survives", CASE1)
-    return result.trace
+    return result
 
 
 def trace_function(a: SequenceSpec, window: Optional[int] = None,

@@ -456,7 +456,7 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
     regularized = SequenceSpec(kind=LOG, prefix=prefix, tail=ExplicitOnly(),
                                declared_regime=declared)
 
-    provisional_from = _stable_boundary(phi, principal, indices, w, closed)
+    provisional_from = _stable_boundary(phi, principal, indices, w)
     return PhiRegResult(
         regularized=regularized,
         principal_indices=tuple(indices),
@@ -474,7 +474,7 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
 
 
 def _stable_boundary(phi: RegularizingFunction, principal: list[tuple[int, ExtReal]],
-                     indices: list[int], w: int, closed: bool) -> int:
+                     indices: list[int], w: int) -> int:
     """First index whose value could change if the sequence were extended.
 
     For gated phi, a point beyond the window only becomes visible at

@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .errors import OutOfDomain
@@ -165,6 +166,30 @@ class PiecewiseLinearFn:
         domain +inf when extended, else None."""
         return [(POS_INF if extended else None) if i is None else self._raw_value(ext(x), i)
                 for x, i in zip(xs, _positions(self._xs, xs, self.domain))]
+
+    def _floats_sorted(self, xs, extended: bool) -> list[Optional[float]]:
+        """float of evaluate_sorted(xs, extended), None kept, for the CSV.  On an
+        exact segment and x, r + s (x - b) is one integer true division, which
+        rounds once, as float(Fraction) does."""
+        out: list[Optional[float]] = []
+        for x, i in zip(xs, _positions(self._xs, xs, self.domain)):
+            if i is None:
+                out.append(math.inf if extended else None)
+                continue
+            if i >= 0:
+                bp = self.breakpoints[i]
+                r, s, b, t = bp.right_value.raw, bp.slope_right.raw, bp.x.raw, ext(x).raw
+                if type(r) is type(s) is type(b) is type(t) is Fraction:
+                    q = s.denominator * b.denominator * t.denominator
+                    num = r.numerator * q + r.denominator * s.numerator * (
+                        t.numerator * b.denominator - b.numerator * t.denominator)
+                    try:
+                        out.append(num / (r.denominator * q))
+                    except OverflowError:  # past the float range, as _to_float takes it
+                        out.append(math.inf if num > 0 else -math.inf)
+                    continue
+            out.append(float(self._raw_value(ext(x), i)))
+        return out
 
     def _raw_value(self, x: ExtReal, i: Optional[int] = None) -> ExtReal:
         """The value at x in the domain; i, if given, is the last breakpoint at or before x."""

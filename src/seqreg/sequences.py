@@ -22,7 +22,7 @@ say so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -147,14 +147,6 @@ class SequenceSpec:
     def values(self, window: int) -> list[ExtReal]:
         head = list(self.prefix[:max(window, 0)])
         return head + [self.value(p) for p in range(len(head), window)]
-
-    @property
-    def known_length(self) -> Optional[int]:
-        """Length of trustworthy data: prefix length for explicit-only, else None."""
-        return len(self.prefix) if isinstance(self.tail, ExplicitOnly) else None
-
-    def with_declared(self, regime: RegimeClassification) -> "SequenceSpec":
-        return replace(self, declared_regime=regime)
 
     # -- serialization ---------------------------------------------------------
 
@@ -322,8 +314,9 @@ def classify_regime(seq: SequenceSpec, window: Optional[int] = None,
                 if tail_slope.is_pos_inf:
                     raise InconsistentDeclaration(
                         "declared case2 but the tail rule diverges (standard)")
-                gap = abs(float(declared.a_iota) - float(tail_slope))
-                if gap > tol * max(1.0, abs(float(tail_slope))):
+                # on the payloads: past the float range, float() made the gap inf and the bound inf
+                d, t = declared.a_iota, tail_slope
+                if max(d - t, t - d) > ext(tol) * max(ONE, t, -t):
                     raise InconsistentDeclaration(
                         f"declared a_iota {declared.a_iota} but the tail rule gives {tail_slope}")
         return RegimeClassification(declared.regime, declared.a_iota, evidence, "declared")

@@ -191,7 +191,7 @@ def frozen_regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
         raise InfiniteEntryUnsupported(
             "window ends in +inf entries; without a blowup point the "
             "regularization of a cofinitely-infinite sequence is undefined")
-    principal, disc, events, stopped_by_cap = _sweep(pts, None if cap is None else cap.raw)
+    principal, disc, events, _ = _sweep(pts, None if cap is None else cap.raw)
 
     indices = [p for p, _ in principal]
     J_right = cap if cap is not None else POS_INF
@@ -240,7 +240,7 @@ def frozen_regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
     regularized = SequenceSpec(kind=LOG, prefix=tuple(out), tail=ExplicitOnly(),
                                declared_regime=declared)
 
-    provisional_from = _stable_boundary(phi, principal, indices, w, stopped_by_cap)
+    provisional_from = _stable_boundary(phi, principal, indices, w)
     return PhiRegResult(
         regularized=regularized,
         principal_indices=tuple(indices),

@@ -22,7 +22,10 @@ On every input, exact or float, with +inf holes, values at the edge of the
 float range, declared caps and closed-form tails, `regularize` and the
 reference must give the same values, principal indices, edges, breakpoints,
 stable prefix and finite_principal flag and tail end, compared by type and
-repr, or raise the same error.
+repr, or raise the same error.  The reference asks the tail at every vertex;
+the sweep asks it at its last vertex and, only when the chord wins there, at
+each event (the departure rule).  The trace the CLI prints from the raw
+events must be the result's trace, byte for byte.
 """
 
 import json
@@ -34,7 +37,7 @@ from typing import Optional
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqreg import SequenceSpec
 from seqreg.cli import main
@@ -284,6 +287,18 @@ def key(walk):
             None if trace.constant is None else num(trace.constant), stopped, tail_end)
 
 
+def departure(prefix: list, w: int):
+    """A factorial tail past a convex window whose last edge is steep."""
+    seq = SequenceSpec.from_json({"kind": "log", "prefix": prefix,
+                                  "tail": {"type": "factorial_power", "s": 1, "c": 1}})
+    return seq, w, POS_INF
+
+
+# the chord loses at vertex 1 and wins at vertex 2, before the window's
+# penultimate vertex 3 (window 5); with index 5 in the window it loses at 2
+DEPARTURES = [([0, 0.5, 1.2, 3, 1000], 5), ([0, 0.5, 1.2, 3, 1000], 6), ([0, 0.5, 1.2, 1000], 4)]
+
+
 def outcome(fn, *args):
     """fn's result, or the type and message of the error it raised."""
     try:
@@ -295,16 +310,38 @@ def outcome(fn, *args):
 # -- the kernel against the reference ---------------------------------------------------
 
 
+def canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 @pytest.mark.parametrize("entries", sorted(STEPS))
-@given(data=st.data())
+@given(data=st.data(), pinned=st.none())
+@example(data=None, pinned=departure(*DEPARTURES[0]))
+@example(data=None, pinned=departure(*DEPARTURES[1]))
+@example(data=None, pinned=departure(*DEPARTURES[2]))
 @settings(max_examples=300, deadline=None)
-def test_kernel_matches_the_reference(entries, data):
-    seq, w, cap = data.draw(walks(entries))
+def test_kernel_matches_the_reference(entries, data, pinned):
+    seq, w, cap = pinned or data.draw(walks(entries))
     got, want = outcome(regularize, seq, w), outcome(reference, seq, w, cap)
     if isinstance(want[0], str):
         assert got == want
     else:
         assert key(fields(got)) == key(want)
+        assert canonical(got._trace_json()) == canonical(got.trace.to_json())
+
+
+@pytest.mark.parametrize("doc, principal, tail_end", [
+    (DEPARTURES[0], (0, 1, 2), 5), (DEPARTURES[1], (0, 1, 2, 5), None),
+    (DEPARTURES[2], (0, 1, 2), 4)])
+def test_the_tail_departs_at_the_first_vertex_where_it_wins(doc, principal, tail_end):
+    seq, w, _ = departure(*doc)
+    r = regularize(seq, w)
+    assert (r.principal_indices, r.tail_end) == (principal, tail_end)
+    if doc == DEPARTURES[0]:
+        # the window's own hull runs on through 3 to 4: the tail leaves before
+        # its penultimate vertex
+        window = SequenceSpec(kind=LOG, prefix=seq.prefix, tail=ExplicitOnly())
+        assert regularize(window, w).principal_indices == (0, 1, 2, 3, 4)
 
 
 def test_collinear_points_stay_on_the_hull():
@@ -348,14 +385,20 @@ def test_float_edge_cases_match_the_loop(tmp_path, prefix):
 
 
 def test_tail_values_are_read_once_per_walk(monkeypatch):
-    # on a convex prefix every index is principal, and every event asks the
-    # factorial tail for its lowest chord from the window end on
+    # on a convex window every index is principal; the window's last point
+    # asks nothing, and the chord loses at the start of the last run, so by
+    # the departure rule the factorial tail is searched for its lowest chord
+    # from there only, never at the events before it
     tail = FactorialPower(s=Fraction(1), c=Fraction(1))
     seq = SequenceSpec(kind=LOG, prefix=(0,), tail=tail)
     w = 40
     reads: list[int] = []
-    real = FactorialPower.value
+    searches: list[int] = []
+    real, search = FactorialPower.value, FactorialPower.search
     monkeypatch.setattr(FactorialPower, "value",
                         lambda self, p, kind: reads.append(p) or real(self, p, kind))
+    monkeypatch.setattr(FactorialPower, "search",
+                        lambda self, test, start: searches.append(start) or search(self, test, start))
     assert regularize(seq, w).principal_indices == tuple(range(w))
     assert reads and len(reads) == len(set(reads))
+    assert 1 <= len(searches) <= 2

@@ -124,9 +124,11 @@ PHIS += [stepped_phi(2), stepped_phi(5)]
 
 
 def key(result):
-    """The sweep's output with every number as (type, repr): 1 == 1.0 is no match."""
-    def num(x: ExtReal):
-        return type(x.raw).__name__, repr(x.raw)
+    """The sweep's output with every number as (type, repr): 1 == 1.0 is no match.
+    The sweep's events hold raw payloads, the reference's ExtReals."""
+    def num(x):
+        raw = x.raw if isinstance(x, ExtReal) else x
+        return type(raw).__name__, repr(raw)
 
     principal, disc, events, stopped = result
     return ([(p, num(t)) for p, t in principal], disc,

@@ -10,7 +10,9 @@ so must `threshold(p)`.
 `StepFunction.values_sorted` and `PiecewiseLinearFn.evaluate_sorted`, one pass
 over the jumps and one over the breakpoints; at every sample they must equal
 `counting_m_phi` and `trace_A_phi`, value and type alike, inside J and outside
-it.
+it.  The CSV prints A from `PiecewiseLinearFn._floats_sorted`, which on an
+exact segment divides two integers once: it must print the same float as
+`float` of `evaluate_sorted`'s value.
 """
 
 import math
@@ -274,3 +276,31 @@ def test_sorted_pass_without_breakpoints(extended):
     outside = POS_INF if extended else None
     assert sample_record(result, ts, extended) == [(0, ext(-3)), (0, ext(-3)),
                                                    (None, outside), (None, outside)]
+
+
+def floats_key(result, ts, extended):
+    """The CSV's A column at the sorted ts, and float of evaluate_sorted there, by repr."""
+    got = result.trace._floats_sorted(ts, extended)
+    want = [None if a is None else float(a) for a in result.trace.evaluate_sorted(ts, extended)]
+    return [None if a is None else repr(a) for a in got], [None if a is None else repr(a) for a in want]
+
+
+@given(records(), st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=8),
+                          max_size=12), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_csv_floats_match_the_sorted_pass(result, extra, extended):
+    if result is None:
+        return
+    got, want = floats_key(result, samples(result, extra), extended)
+    assert got == want
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_csv_floats_past_the_float_range(extended):
+    # exact slopes of -10**400 and 10**400: A runs from -10**400 to 10**400,
+    # past the float range on both sides
+    seq = SequenceSpec(kind="log", prefix=tuple(map(ExtReal, [10**400, 0, 10**400])),
+                       tail=ExplicitOnly())
+    result = regularize_with_phi(seq, make_phi("infinite"))
+    got, want = floats_key(result, samples(result, [0]), extended)
+    assert got == want and {"inf", "-inf"} <= set(got)

@@ -206,6 +206,23 @@ def test_inconsistent_declaration_raises():
         classify_regime(g)
 
 
+@pytest.mark.parametrize("c", [-3 * 10**311, 3 * 10**311], ids=["negative", "positive"])
+def test_declared_a_iota_against_a_slope_past_the_float_range(c):
+    # float(c) is -inf or inf, and a gap of inf against a bound of tol * inf
+    # let the declaration pass; the sweep then took tail chords at slope c
+    # under the cap 3/4 and raised "breakpoints must be strictly increasing"
+    declared = RegimeClassification(regime=CASE2, a_iota=ext(Fraction(3, 4)),
+                                    evidence_window=(0, 4), source="declared")
+    a = SequenceSpec(kind="log", prefix=(0, 0, Fraction(3, 4), Fraction(3, 4)),
+                     tail=AffineLog(c=Fraction(c)), declared_regime=declared)
+    with pytest.raises(InconsistentDeclaration, match="declared a_iota 3/4"):
+        classify_regime(a, 4)
+    same = RegimeClassification(regime=CASE2, a_iota=ext(c), evidence_window=(0, 4),
+                                source="declared")
+    assert classify_regime(SequenceSpec(kind="log", prefix=a.prefix, tail=a.tail,
+                                        declared_regime=same), 4).a_iota == ext(c)
+
+
 def test_resolve_window_clamps_explicit():
     a = SequenceSpec(kind="log", prefix=(0, 1, 2), tail=ExplicitOnly())
     assert resolve_window(a, None) == 3
