@@ -75,6 +75,7 @@ from .sequences import (
     SequenceSpec,
     classify_regime,
     resolve_window,
+    slopes_differ,
     to_log_scale,
 )
 from .tails import LOG, WEIGHT, AffineLog, ExplicitOnly, FactorialPower, Geometric
@@ -317,7 +318,8 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
     time (a threshold, a chord, or extreal.raw_slope from P, exact where the
     float rounds up to the cap), held at the last event's time against float
     rounding, and its trace values by _trace_value: on exact values, one
-    Fraction for the time and one per trace value.
+    Fraction for the time and one per trace value.  A float slope that
+    rounds up past a threshold it must not pass is held at that threshold.
     """
     ps = [(q, *v.as_integer_ratio(), *(thr if type(thr) is tuple else _pair(thr)))
           for q, v, thr in pts]
@@ -386,8 +388,19 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
             tau = raw_slope(aP, pts[src][1], ps[src][0] - P) if src >= 0 else _raw(pts[~src][2])
             if type(tau) is float and cap is not None and not tau < cap:
                 tau = Fraction(bn, bd)  # a float slope that rounds up to the cap is taken exactly
+            # a float slope rounded up past a threshold would put that point's
+            # entry, and a jump there, late: it is held at the threshold of the
+            # last point admitted where that is the exact time and the point lies
+            # below the line, and at the next point's, which exceeds the exact time
+            tn, td = ps[m - 1][3:]
+            if type(tau) is float and tn * bd == bn * td:
+                sn, sd = slope(m - 1)
+                if sn * bd < bn * sd:
+                    tau = min(tau, _raw(pts[m - 1][2]))
             if type(tau) is Fraction:
                 bn, bd = tau.numerator, tau.denominator  # the same time, reduced
+            elif m < len(ps):
+                tau = min(tau, _raw(pts[m][2]))
         if not (type(tau) is type(last) is Fraction) and tau < last:
             tau = last  # float rounding cannot take the events back in time
         last = tau
@@ -642,8 +655,7 @@ def case2_regularize(a: SequenceSpec, window: Optional[int] = None,
         raise UnknownAIota(
             "Case 2 needs the limit slope a_iota: declare it or use a closed-form tail")
     if regime.a_iota is not None and a_iota is not None:
-        gap = abs(float(cap) - float(regime.a_iota))
-        if gap > tol * max(1.0, abs(float(regime.a_iota))):
+        if slopes_differ(cap, regime.a_iota, tol):
             raise UnknownAIota(
                 f"a_iota = {cap} contradicts the classified limit slope {regime.a_iota}")
     if regime.regime == INDETERMINATE:

@@ -127,19 +127,8 @@ def _finite_abs(v) -> float:
 # convex minorant by exhaustive line enumeration
 
 
-def _rationalize(values: Sequence, what: str) -> list[Fraction]:
-    out = []
-    for i, v in enumerate(values):
-        e = ext(v)
-        if not e.is_finite:
-            raise ValueError(f"{what} must be finite at every index, got {e} at {i}")
-        raw = e.raw
-        out.append(raw if isinstance(raw, Fraction) else Fraction(raw))
-    return out
-
-
 def _rationalize_allow_pos_inf(values: Sequence, what: str) -> list[Fraction | None]:
-    """Like _rationalize but +inf entries become None (no constraint)."""
+    """The values as Fractions, +inf entries as None (no constraint)."""
     out: list[Fraction | None] = []
     for i, v in enumerate(values):
         e = ext(v)
@@ -375,6 +364,9 @@ def brute_phi_sweep(
     trace samples are the negated minima, and the regularized sequence is
     recovered by maximizing p t - A(t) over the admissible part of the
     grid.  Everything is float; accuracy is bounded by the grid step.
+    +inf entries are points that never attain the minimum.  Past the last
+    finite entry the sup is +inf when the grid stands for slopes up to +inf
+    (no t_max), and the sup over the grid otherwise.
 
     Precondition: phi is non-decreasing along the grid (axiom I of a
     regularizing function).  Then the grid slopes with phi(t) >= p form a
@@ -387,8 +379,11 @@ def brute_phi_sweep(
 
     if slope_grid_step <= 0:
         raise ValueError("slope_grid_step must be positive")
-    vals = [float(f) for f in _rationalize(a, "sweep input")]
+    vals = [math.inf if f is None else float(f)
+            for f in _rationalize_allow_pos_inf(a, "sweep input")]
     n = len(vals)
+    if not vals or vals[0] == math.inf:
+        raise ValueError("sweep input needs a finite anchor a_0")
     if n == 1:
         t0 = t_min if t_min is not None else 0.0
         return SweepResult(
@@ -404,11 +399,13 @@ def brute_phi_sweep(
             As=np.array([-vals[0]]),
         )
 
-    diffs = [vals[p + 1] - vals[p] for p in range(n - 1)]
+    finite = [p for p in range(n) if vals[p] != math.inf]
+    diffs = [(vals[q] - vals[p]) / (q - p) for p, q in zip(finite, finite[1:])] or [0.0]
     last_threshold = _phi_threshold_estimate(phi, n - 1, max(diffs))
     if t_min is None:
         t_min = min(min(diffs), last_threshold) - 1.0
-    if t_max is None:
+    unbounded = t_max is None
+    if unbounded:
         t_max = max(max(diffs), last_threshold) + 1.0
     span = (t_max - t_min) / slope_grid_step
     if not span < _MAX_GRID:  # a non-finite span is refused too
@@ -447,7 +444,7 @@ def brute_phi_sweep(
 
     regularized: list[ExtReal] = []
     for p in range(n):
-        if starts[p] == count:
+        if starts[p] == count or (unbounded and p > finite[-1]):
             regularized.append(ext(vals[p]))
             continue
         proj = (p * ts - As)[starts[p]:].max()

@@ -161,14 +161,9 @@ class PiecewiseLinearFn:
 
     __call__ = evaluate
 
-    def evaluate_sorted(self, xs, extended: bool = False) -> list[Optional[ExtReal]]:
-        """evaluate at each x of the sorted finite xs, in one pass; outside the
-        domain +inf when extended, else None."""
-        return [(POS_INF if extended else None) if i is None else self._raw_value(ext(x), i)
-                for x, i in zip(xs, _positions(self._xs, xs, self.domain))]
-
     def _floats_sorted(self, xs, extended: bool) -> list[Optional[float]]:
-        """float of evaluate_sorted(xs, extended), None kept, for the CSV.  On an
+        """float of the value at each x of the sorted finite xs, in one pass,
+        for the CSV; outside the domain inf when extended, else None.  On an
         exact segment and x, r + s (x - b) is one integer true division, which
         rounds once, as float(Fraction) does."""
         out: list[Optional[float]] = []

@@ -286,6 +286,12 @@ def is_log_convex(seq: SequenceSpec, window: Optional[int] = None,
 # -- regime classification -------------------------------------------------------
 
 
+def slopes_differ(d: ExtReal, t: ExtReal, tol: float) -> bool:
+    """|d - t| > tol * max(1, |t|), on the payloads: past the float range
+    float() would make the gap inf and the bound inf."""
+    return max(d - t, t - d) > ext(tol) * max(ONE, t, -t)
+
+
 def classify_regime(seq: SequenceSpec, window: Optional[int] = None,
                     tol: float = 1e-9) -> RegimeClassification:
     """Decide standard / case1 / case2 / indeterminate for the sequence.
@@ -314,9 +320,7 @@ def classify_regime(seq: SequenceSpec, window: Optional[int] = None,
                 if tail_slope.is_pos_inf:
                     raise InconsistentDeclaration(
                         "declared case2 but the tail rule diverges (standard)")
-                # on the payloads: past the float range, float() made the gap inf and the bound inf
-                d, t = declared.a_iota, tail_slope
-                if max(d - t, t - d) > ext(tol) * max(ONE, t, -t):
+                if slopes_differ(declared.a_iota, tail_slope, tol):
                     raise InconsistentDeclaration(
                         f"declared a_iota {declared.a_iota} but the tail rule gives {tail_slope}")
         return RegimeClassification(declared.regime, declared.a_iota, evidence, "declared")

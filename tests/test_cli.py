@@ -581,20 +581,48 @@ def test_phireg_verify_under_blowup_stops_short_of_T(tmp_path):
     assert report["max_abs_deviation"] <= 2e-3
 
 
-def test_phireg_verify_under_blowup_still_rejects_a_wrong_value(tmp_path, runner, monkeypatch):
+def perturb_phireg(monkeypatch, at):
+    """Make phireg's engine return a_at - 1 in place of a_at."""
     engine = cli_mod.regularize_with_phi
 
     def perturbed(*args, **kwargs):
         result = engine(*args, **kwargs)
         prefix = list(result.regularized.prefix)
-        prefix[8] = prefix[8] - ext(1)
+        prefix[at] = prefix[at] - ext(1)
         return dataclasses.replace(
             result, regularized=dataclasses.replace(result.regularized, prefix=tuple(prefix)))
 
     monkeypatch.setattr(cli_mod, "regularize_with_phi", perturbed)
+
+
+def test_phireg_verify_under_blowup_still_rejects_a_wrong_value(tmp_path, runner, monkeypatch):
+    perturb_phireg(monkeypatch, 8)
     path = tmp_path / "blowup.json"
     path.write_text(json.dumps(BLOWUP_PREFIX))
     res = runner.invoke(main, ["phireg", "--verify", "--phi", "blowup:20", str(path)])
+    assert res.exit_code == 3
+    assert "verify deviation" in res.stderr
+
+
+# +inf entries are points that never take over: an uncapped ungated window
+# stays +inf past its last finite entry, and blowup closes it with its cap line
+@pytest.mark.parametrize("prefix, phi, at", [
+    ([0, 10, "inf", 0, 10], "exp", 2), ([0, 10, "inf", 0, 10], "infinite", 2),
+    ([1, "inf"], "blowup:3", 1), ([0, 4, "inf", 3, "inf", "inf"], "blowup:3", 5),
+    ([0, 4, "inf", 3, "inf", "inf"], "infinite", 1),
+])
+def test_phireg_verify_runs_the_oracle_on_inf_entries(tmp_path, runner, monkeypatch, prefix, phi,
+                                                      at):
+    path = tmp_path / "inf.json"
+    doc = {"kind": "log", "prefix": prefix, "tail": {"type": "explicit_only"}}
+    path.write_text(json.dumps(doc))
+    args = ["phireg", "--verify", "--phi", phi, str(path)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.stderr
+    (report,) = json.loads(res.stdout)["verify"]
+    assert "skipped" not in report["quantity"]
+    perturb_phireg(monkeypatch, at)
+    res = runner.invoke(main, args)
     assert res.exit_code == 3
     assert "verify deviation" in res.stderr
 

@@ -3,9 +3,12 @@
 `minorant.regularize` runs the minorant as the ungated event sweep
 (`minorant._sweep`): the chain decides its turns on integer ratios, and
 slopes, cap tests, line values and breakpoints are computed on raw payloads,
-each output wrapped in ExtReal once.  The functions below are the kernel that
-ran before, kept as the reference: a chain on normalized Fractions and a walk
-in ExtReal arithmetic.  Four rules differ from the walk as it ran:
+each output wrapped in ExtReal once.  `ref_hull_walk` below is the kernel that
+ran before, kept as the one reference for the minorant: a chain on normalized
+Fractions and a walk in ExtReal arithmetic, which asks the closed-form tail
+for its lowest chord at every vertex by a linear scan (`ref_tail_chord`, the
+one reference for `FactorialPower.search` on chords).  Four rules differ from
+the walk as it ran:
 
 - overflow: a slope, line value, intercept or breakpoint value that comes out
   +-inf from finite operands is computed again on their exact values;
@@ -41,23 +44,28 @@ from hypothesis import example, given, settings, strategies as st
 
 from seqreg import SequenceSpec
 from seqreg.cli import main
-from seqreg.errors import InconsistentDeclaration, SeqRegError
+from seqreg.errors import InconsistentDeclaration, SeqRegError, WindowTooShort
 from seqreg.extreal import NEG_INF, POS_INF, ZERO, ExtReal, ext
 from seqreg.minorant import SupportLine, regularize
-from seqreg.sequences import CASE2, STANDARD, RegimeClassification
+from seqreg.sequences import (CASE2, STANDARD, RegimeClassification, classify_regime,
+                              resolve_window)
 from seqreg.piecewise import Breakpoint, Interval, PiecewiseLinearFn
-from seqreg.tails import LOG, AffineLog, ExplicitOnly, FactorialPower, Geometric
+from seqreg.tails import LOG, TAIL_SEARCH_CAP, AffineLog, ExplicitOnly, FactorialPower, Geometric
 
 
-# -- the replaced kernel, verbatim -----------------------------------------------------
+# -- the replaced kernel ----------------------------------------------------------------
 
 
 def ref_tail_chord(seq: SequenceSpec, P: int, aP: ExtReal, w: int):
-    """Best chord from (P, aP) into the closed-form tail beyond the window.
+    """Lowest chord from (P, aP) into the closed-form tail beyond the window.
 
     Returns ("event", slope, q) for an attained minimal chord (the first q of
     the lowest), ("floor", c) when tail chords only approach c from above
     (never attained), or None when the tail admits no closed-form reasoning.
+    A factorial tail is scanned one index at a time: its chords fall, then
+    rise, so the scan stops at the first rise.  Chords that still fall
+    TAIL_SEARCH_CAP indices on fall all the way there, and the scan raises
+    as the tail search does.
     """
     tail = seq.tail
     start = max(P + 1, w, len(seq.prefix))
@@ -69,14 +77,20 @@ def ref_tail_chord(seq: SequenceSpec, P: int, aP: ExtReal, w: int):
         s = (tail.value(start, LOG) - aP) / (start - P)
         return ("event", s, start)
     if isinstance(tail, FactorialPower):
-        # the tail is convex, so the first chord no higher than the next is the lowest
-        chords: dict[int, ExtReal] = {}
         def chord(q: int) -> ExtReal:
-            if q not in chords:
-                chords[q] = (tail.value(q, LOG) - aP) / (q - P)
-            return chords[q]
-        q = tail.search(lambda q: not chord(q + 1) < chord(q), start)
-        return ("event", chord(q), q)
+            return (tail.value(q, LOG) - aP) / (q - P)
+
+        last = start + TAIL_SEARCH_CAP - 1
+        if chord(last + 1) < chord(last):
+            raise WindowTooShort(f"the factorial tail was searched {TAIL_SEARCH_CAP} "
+                                 f"indices past index {start} without an answer")
+        best = (chord(start), start)
+        prev, q = best[0], start + 1
+        while not (s := chord(q)) > prev:
+            if s < best[0]:
+                best = (s, q)
+            prev, q = s, q + 1
+        return ("event", *best)
     return None
 
 
@@ -255,9 +269,15 @@ def walks(draw, entries: str):
     return seq, w, cap
 
 
-def reference(seq: SequenceSpec, w: int, cap: ExtReal):
+def reference(seq: SequenceSpec, window: Optional[int], cap: Optional[ExtReal] = None):
     """ref_hull_walk's output as regularize's fields: the values, principal
-    indices, edges, trace, (stable prefix, finite_principal) and tail end."""
+    indices, edges, trace, (stable prefix, finite_principal) and tail end.
+    Without a cap given, the cap is the Case 2 limit slope that
+    classify_regime reads off a parsed document, and +inf otherwise."""
+    w = resolve_window(seq, window)
+    if cap is None:
+        regime = classify_regime(seq, window)
+        cap = regime.a_iota if regime.regime == CASE2 else POS_INF
     extends = isinstance(seq.tail, FactorialPower if cap.is_pos_inf else (AffineLog, Geometric))
     out, principal, edges, trace, stopped, tail_end = ref_hull_walk(seq, seq.values(w), w, cap,
                                                                      extends)
@@ -307,11 +327,28 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def check_walk(seq: SequenceSpec, window: Optional[int], cap: Optional[ExtReal] = None):
+    """regularize(seq, window) against the reference; returns regularize's
+    result, or the type and message of the error both raised."""
+    got, want = outcome(regularize, seq, window), outcome(reference, seq, window, cap)
+    if isinstance(want[0], str):
+        assert got == want
+    else:
+        assert key(fields(got)) == key(want)
+        assert canonical(got._trace_json()) == canonical(got.trace.to_json())
+    return got
+
+
 # -- the kernel against the reference ---------------------------------------------------
 
 
-def canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+# a collinear run whose float slopes are 0.0 and -0.0 is one step of slope 0.0
+SIGNED_ZEROS = (SequenceSpec.from_json({"kind": "log", "prefix": [-0.0, 0.0, -0.0],
+                                        "tail": {"type": "explicit_only"}}), 3, POS_INF)
 
 
 @pytest.mark.parametrize("entries", sorted(STEPS))
@@ -319,15 +356,10 @@ def canonical(payload) -> str:
 @example(data=None, pinned=departure(*DEPARTURES[0]))
 @example(data=None, pinned=departure(*DEPARTURES[1]))
 @example(data=None, pinned=departure(*DEPARTURES[2]))
+@example(data=None, pinned=SIGNED_ZEROS)
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_the_reference(entries, data, pinned):
-    seq, w, cap = pinned or data.draw(walks(entries))
-    got, want = outcome(regularize, seq, w), outcome(reference, seq, w, cap)
-    if isinstance(want[0], str):
-        assert got == want
-    else:
-        assert key(fields(got)) == key(want)
-        assert canonical(got._trace_json()) == canonical(got.trace.to_json())
+    check_walk(*(pinned or data.draw(walks(entries))))
 
 
 @pytest.mark.parametrize("doc, principal, tail_end", [

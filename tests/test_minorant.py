@@ -315,6 +315,16 @@ def test_case2_contradictory_cap_rejected():
         case2_regularize(a, window=8, a_iota=3)
 
 
+@pytest.mark.parametrize("c", [10**400, -10**400], ids=["1e400", "-1e400"])
+def test_case2_cap_against_a_limit_slope_past_the_float_range(c):
+    # float() made the gap inf and the bound tol * inf, so any cap passed and
+    # the result said a_iota = c while the walk ran under the cap 3
+    a = log_seq([0, 5, 1, 7], tail=AffineLog(c=c))
+    with pytest.raises(UnknownAIota, match="a_iota = 3 contradicts"):
+        case2_regularize(a, a_iota=3)
+    assert case2_regularize(a, a_iota=c).regime.a_iota == ext(c)
+
+
 def test_case2_oracle_agreement():
     rng = random.Random(20240811)
     for _ in range(25):

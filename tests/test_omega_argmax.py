@@ -1,18 +1,34 @@
-"""The omega routes and `brute_omega` against the loops they replaced.
+"""The omega routes against `brute_omega` and the paper's identities.
 
 `OmegaTable` finds the argmax of t^p / M_p once per t, on integers for exact
 t, and `direct`, `tilde` and `double_tilde` all read it; the piecewise and
 integral routes find their segment by bisection, and the integral route reads
-a prefix product kept by the table.  `brute_omega` runs on integers on exact
-inputs.  The former bodies are kept here verbatim as the references: on
-exact and float t, log-convex and rough weights, zero and +inf weights and
-every tail kind, the results must match by repr, argmax and boundary flag,
-or both raise the same exception type.
+a prefix product kept by the table.  The checks share no code with them:
+
+- `direct` is `brute_omega` over the weights listed up to where the terms stop
+  rising: the window for explicit tails, two indices past the examined range
+  for geometric-type tails below their limit root, and two past the first
+  quotient above t for factorial tails.  By type and repr where t and the
+  listed weights are exact and the argmax lies in the examined range, and up
+  to rounding otherwise; where a listed weight overflows the float range (the
+  weights sqrt(q!) past q = 300 or so), up to rounding over the log weights.
+  A zero weight makes the sup +inf, and past the limit root the terms grow
+  without bound.
+- `tilde` and `double_tilde` drop the coefficient M_0, and `double_tilde` the
+  index 0: at direct's argmax they are its term without M_0.
+- `omega_piecewise` = `omega_integral`, by type and repr on exact log-convex
+  inputs, since the integral's product telescopes to M_0 t^p / M_p; and
+  direct = piecewise on those inputs.
+
+Each table serves its routes in a drawn order over several t, so the argmax
+kept from one t must not leak into the next.
 """
 
 import math
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqreg import (
@@ -20,226 +36,167 @@ from seqreg import (
     ExplicitOnly,
     FactorialPower,
     Geometric,
+    SeqRegError,
     SequenceSpec,
     brute_omega,
     ext,
+    to_log_scale,
+    to_weight_scale,
 )
-from seqreg.errors import NonFiniteEntry, NotLogConvex, OutOfDomain, WindowTooShort
-from seqreg.extreal import NEG_INF, POS_INF, ZERO
-from seqreg.tails import TAIL_SEARCH_CAP
-from seqreg.weights import _EXACT_POWER_CAP, OmegaTable, OmegaValue, _require_nonneg
+from seqreg.extreal import POS_INF, ZERO
+from seqreg.weights import OmegaTable, OmegaValue
 
-
-# -- the references ------------------------------------------------------------
-
-
-def ref_sup_scan(self, t, include_zero, with_coeff):
-    """The former OmegaTable._sup_scan: one Fraction scan per route and t."""
-    base_end = self.base_end
-    if t.is_pos_inf:
-        return OmegaValue(POS_INF, None, False)
-    tail = self.M.tail
-    p_start = 0 if include_zero else 1
-
-    root = self.limit_root
-    if root is not None and root.is_finite:
-        if t > root:
-            return OmegaValue(POS_INF, None, False)
-
-    avals = self.avals
-    if with_coeff and not math.isfinite(float(avals[0])):
-        raise NonFiniteEntry("M_0 must be positive and finite for the associated function")
-    zero_from = p_start if not with_coeff else max(1, p_start)
-    for p in range(zero_from, base_end):
-        if avals[p].is_neg_inf:
-            return OmegaValue(POS_INF, p, False)
-
-    wvals = self.wvals
-    off = float(avals[0]) if with_coeff else 0.0
-    log_t = float(t.log())
-    exact_ok = (t.is_exact and base_end <= _EXACT_POWER_CAP and self.wvals_exact
-                and (not with_coeff or wvals[0].is_exact))
-    best_val = None
-    best_p = None
-    if exact_ok:
-        coeff = wvals[0].raw if with_coeff else Fraction(1)
-        power = Fraction(1)
-        best_r = None
-        for p in range(base_end):
-            if p > 0:
-                power *= t.raw
-            if p < p_start or wvals[p].is_pos_inf:
-                continue
-            r = coeff * power / wvals[p].raw
-            if best_r is None or r >= best_r:
-                best_r, best_p = r, p
-        if best_r is not None:
-            best_val = ext(best_r).log()
-    else:
-        for p in range(p_start, base_end):
-            if avals[p].is_pos_inf:
-                continue
-            term = off + p * log_t - float(avals[p])
-            if best_val is None or term >= float(best_val):
-                best_val, best_p = ext(term), p
-    if best_val is None:
-        return OmegaValue(NEG_INF, None, False)
-
-    boundary = False
-    if isinstance(tail, FactorialPower):
-        a = self.log_view
-        try:
-            end = tail.search(lambda p: float(a.value(p) - a.value(p - 1)) > log_t, base_end)
-        except WindowTooShort:
-            end, boundary = base_end + TAIL_SEARCH_CAP, True
-        for p in range(max(base_end, end - 2), end):
-            term = off + p * log_t - float(a.value(p))
-            if term >= float(best_val):
-                best_val, best_p = ext(term), p
-    elif isinstance(tail, (Geometric, AffineLog)):
-        if root is not None and t == root:
-            const = avals[0] if with_coeff else ZERO
-            if const >= best_val:
-                return OmegaValue(const, None, False)
-    else:
-        boundary = best_p == base_end - 1
-    return OmegaValue(best_val, best_p, boundary)
-
-
-def ref_direct(table, t):
-    t = ext(t)
-    _require_nonneg(t)
-    if t == ZERO:
-        return OmegaValue(ZERO, 0, False)
-    return ref_sup_scan(table, t, include_zero=True, with_coeff=True)
-
-
-def ref_tilde(table, t):
-    t = ext(t)
-    _require_nonneg(t)
-    if t == ZERO:
-        return ZERO - table.log_view.value(0)
-    return ref_sup_scan(table, t, include_zero=True, with_coeff=False).value
-
-
-def ref_double_tilde(table, t):
-    t = ext(t)
-    if t <= ZERO:
-        raise OutOfDomain("sup over p >= 1 needs t > 0 (the limit at 0 is -inf)")
-    return ref_sup_scan(table, t, include_zero=False, with_coeff=False).value
-
-
-def ref_segment_index(self, t):
-    """The former linear scan for the largest p with mu_p <= t."""
-    base_end = self.base_end
-    mus = self.quotients
-    p = 0
-    for q in range(1, len(mus)):
-        if mus[q] <= t:
-            p = q
-    if isinstance(self.M.tail, FactorialPower) and p == base_end - 1:
-        return self.M.tail.search(lambda q: not self.M.tail.quotient(q) <= t, base_end) - 1
-    return p
-
-
-def ref_piecewise(self, t):
-    t = ext(t)
-    _require_nonneg(t)
-    self.require_log_convex()
-    self._case2_guard(t)
-    if t.is_pos_inf:
-        return POS_INF
-    p = ref_segment_index(self, t)
-    if p == 0:
-        return ZERO
-    M0, Mp = self._weight(0), self._weight(p)
-    if t.is_exact and M0.is_exact and Mp.is_exact:
-        return ext(M0.raw * t.raw ** p / Mp.raw).log()
-    return ext(float(M0.log()) + p * float(t.log()) - float(Mp.log()))
-
-
-def ref_integral(self, t):
-    """The former integral route: the telescoped product, one factor at a time."""
-    t = ext(t)
-    _require_nonneg(t)
-    self.require_log_convex()
-    self._case2_guard(t)
-    if t.is_pos_inf:
-        return POS_INF
-    p = ref_segment_index(self, t)
-    if p == 0:
-        return ZERO
-    wv = [self._weight(q) for q in range(p + 1)]
-    mus = [None] + [wv[q] / wv[q - 1] for q in range(1, p + 1)]
-    if t.is_exact and all(v.is_exact for v in wv):
-        product = Fraction(1)
-        for q in range(1, p):
-            product *= (mus[q + 1].raw / mus[q].raw) ** q
-        product *= (t.raw / mus[p].raw) ** p
-        return ext(product).log()
-    terms = [q * (float(mus[q + 1].log()) - float(mus[q].log())) for q in range(1, p)]
-    terms.append(p * (float(t.log()) - float(mus[p].log())))
-    if math.inf in terms and -math.inf in terms:
-        q = terms.index(-math.inf) + 1
-        raise NotLogConvex(f"piecewise evaluation needs log-convexity; violated at index {q}", q)
-    return ext(math.fsum(terms))
-
-
-def ref_brute_omega(M, t, p_max):
-    """The former brute_omega: every term an ExtReal expression."""
-    te = ext(t)
-    if te < ZERO:
-        raise ValueError("brute_omega needs t >= 0")
-    weights = []
-    for i, v in enumerate(M):
-        e = ext(v)
-        if not e.is_finite or e <= ZERO:
-            raise ValueError(f"oracle weights must be positive and finite, got {e} at {i}")
-        weights.append(e)
-    if not weights:
-        raise ValueError("empty weight list")
-    last = min(p_max, len(weights) - 1)
-    if te == ZERO:
-        return ZERO
-    best = None
-    for p in range(last + 1):
-        ratio = weights[0] * te ** p / weights[p]
-        if ratio.is_pos_inf:
-            raise ValueError(f"the term of index {p} overflows the float range")
-        if best is None or ratio > best:
-            best = ratio
-    return best.log()
+# stands in for a +inf weight: its term lies far below the p = 0 term, log 1
+NEVER = Fraction(10) ** 4000
+ROUTES = ("direct", "tilde", "double_tilde", "piecewise", "integral")
 
 
 def outcome(fn, *args):
-    """fn's result by repr (argmax and boundary too for an OmegaValue), or
-    the type of what it raised."""
+    """fn's result, or the type of the package error it raised."""
     try:
-        v = fn(*args)
-    except Exception as exc:  # the exception type is the outcome compared
+        return fn(*args)
+    except SeqRegError as exc:
         return type(exc)
-    if isinstance(v, OmegaValue):
-        return repr(v.value.to_json()), type(v.value.raw), v.argmax_index, v.boundary_attained
-    return repr(v.to_json()), type(v.raw)
 
 
-ROUTES = {
-    "direct": ref_direct,
-    "tilde": ref_tilde,
-    "double_tilde": ref_double_tilde,
-    "piecewise": ref_piecewise,
-    "integral": ref_integral,
-}
+def num(x):
+    return type(x.raw).__name__, repr(x.raw)
+
+
+def close(x, y) -> bool:
+    if not (x.is_finite and y.is_finite):
+        return x == y
+    return abs(float(x) - float(y)) <= 1e-9 * max(1.0, abs(float(y)))
+
+
+def same(x, y, exact: bool) -> bool:
+    return num(x) == num(y) if exact else close(x, y)
+
+
+def listed_weights(table: OmegaTable, t):
+    """The weights M_0 .. M_{K-1}, K past every index whose term can still rise,
+    and their logs, which stay finite where a weight overflows the float range."""
+    tail, end = table.M.tail, table.base_end
+    if isinstance(tail, FactorialPower):
+        while not tail.quotient(end) > t:
+            end += 1
+    if not isinstance(tail, ExplicitOnly):
+        end += 2
+    weights, logs = to_weight_scale(table.M), to_log_scale(table.M)
+    return [weights.value(p) for p in range(end)], [logs.value(p) for p in range(end)]
+
+
+def log_sup(logs, t, first=0):
+    """max over p >= first of log(t^p / M_p) in float log space, +inf weights
+    left out: the check where a listed weight overflows the float range."""
+    lt = math.log(float(t))
+    return ext(max(p * lt - float(v) for p, v in enumerate(logs) if p >= first and v.is_finite))
+
+
+def log_term(weights, t, p, coeff=True):
+    """log(M_0 t^p / M_p), or without M_0, on exact values."""
+    m0 = weights[0].raw if coeff else 1
+    return ext(m0 * t.raw ** p / weights[p].raw).log()
+
+
+def check_direct_forms(table, t, direct, tilde, double_tilde):
+    """direct against brute_omega; tilde and double_tilde at its argmax."""
+    if isinstance(direct, type):
+        return
+    if t == ZERO:
+        assert (direct.value, direct.argmax_index) == (ZERO, 0)
+        return
+    root = table.M.tail.root_limit()
+    if root is not None and t > root:  # the terms grow without bound
+        assert direct.value.is_pos_inf and tilde.is_pos_inf and double_tilde.is_pos_inf
+        return
+    try:
+        weights, logs = listed_weights(table, t)
+    except SeqRegError:  # a weight past the exact-weight budget: nothing to list
+        return
+    zero = next((p for p, m in enumerate(weights) if p and m == ZERO), None)
+    if zero is not None:
+        assert (direct.value, direct.argmax_index) == (POS_INF, zero)
+        return
+    if not weights[0].is_finite:
+        return  # M_0 overflows the float range: brute_omega takes no such weight
+    if any(m.is_pos_inf and v.is_finite for m, v in zip(weights, logs)):
+        # sqrt(q!) past q = 300 or so: the definition on the log weights
+        assert close(direct.value, logs[0] + log_sup(logs, t))
+        assert close(tilde, direct.value - logs[0])
+        assert close(double_tilde, log_sup(logs, t, 1))
+        return
+    # on the entries' exact values, so that no float term overflows
+    listed = [NEVER if m.is_pos_inf else Fraction(m.raw) for m in weights]
+    x = Fraction(t.raw)
+    want = brute_omega(listed, x, len(listed) - 1)
+    p = direct.argmax_index
+    if root is not None and t == root:  # a plateau past the prefix: no argmax
+        assert close(direct.value, want)
+        return
+    exact = (t.is_exact and all(not m.is_finite or m.is_exact for m in weights)
+             and p < table.base_end)
+    assert same(direct.value, want, exact)
+    assert direct.boundary_attained == (
+        isinstance(table.M.tail, ExplicitOnly) and p == table.base_end - 1)
+    m0 = weights[0]
+    if exact:
+        assert num(direct.value) == num(log_term(weights, t, p))
+        assert num(tilde) == num(log_term(weights, t, p, coeff=False))
+        # ties go to the larger index: every later term is smaller
+        top = t.raw ** p / weights[p].raw
+        assert all(t.raw ** q / m.raw < top for q, m in enumerate(weights) if q > p and m.is_finite)
+    else:
+        assert close(tilde, direct.value - m0.log())
+    if p:  # the argmax over p >= 1 is direct's (up to float ties)
+        assert same(double_tilde, tilde, exact)
+        return
+    # from the first finite weight M_r past M_0 on: log(M_r t^(p-r) / M_p)
+    r = next((q for q in range(1, len(weights)) if weights[q].is_finite), None)
+    if r is None:  # no term t^p / M_p > 0 with p >= 1
+        assert double_tilde.is_neg_inf
+    else:
+        rest = brute_omega(listed[r:], x, len(listed) - r - 1)
+        assert close(double_tilde, rest + ext(r) * t.log() - weights[r].log())
+
+
+def log_convex(table: OmegaTable, t) -> bool:
+    """M_q^2 <= M_(q-1) M_(q+1) at every inner q of the listed weights, all
+    positive and finite."""
+    try:
+        weights, logs = listed_weights(table, t)
+    except SeqRegError:
+        return False
+    if not all(m > ZERO and v.is_finite for m, v in zip(weights, logs)):
+        return False
+    if all(m.is_finite for m in weights):
+        ms = [m.raw for m in weights]
+        return all(b * b <= a * c for a, b, c in zip(ms, ms[1:], ms[2:]))
+    ls = [float(v) for v in logs]  # a weight past the float range
+    return all(2 * b <= a + c for a, b, c in zip(ls, ls[1:], ls[2:]))
+
+
+def check_segment_forms(table, t, direct, piecewise, integral):
+    """piecewise = integral; and direct = piecewise where the weights are
+    log-convex as far as the terms can rise (the routes check the window)."""
+    if isinstance(piecewise, type) or isinstance(integral, type):
+        return
+    exact = t.is_exact and table.wvals_exact
+    assert same(piecewise, integral, exact)
+    if not isinstance(direct, type) and log_convex(table, t):
+        # at p = 0 piecewise gives an exact 0, and direct log 1 = 0.0
+        p = direct.argmax_index
+        assert same(direct.value, piecewise, exact and 0 < p < table.base_end)
 
 
 def check_routes(M, window, ts, order):
-    """Evaluate every route at every t on one table, in the drawn order, and
-    each reference on a fresh table of its own."""
-    table, ref_table = OmegaTable(M, window), OmegaTable(M, window)
+    """Evaluate every route at every t on one table, in the drawn order."""
+    table = OmegaTable(M, window)
     for t in ts:
-        for name in order:
-            new = outcome(getattr(table, name), t)
-            assert new == outcome(ROUTES[name], ref_table, t), (name, t)
+        got = {name: outcome(getattr(table, name), t) for name in order}
+        t = ext(t)
+        check_direct_forms(table, t, got["direct"], got["tilde"], got["double_tilde"])
+        check_segment_forms(table, t, got["direct"], got["piecewise"], got["integral"])
 
 
 # -- the inputs ----------------------------------------------------------------
@@ -297,7 +254,8 @@ def omega_cases(draw):
     if isinstance(tail, ExplicitOnly):
         window = draw(st.sampled_from([None, window]))
     # t: random rationals and their floats, the quotients of the prefix
-    # (where two terms tie), the limit root, and 0
+    # (where two terms tie), the limit root, and 0; with s = 1/2 the terms
+    # rise until q = t^2, past where the weights sqrt(q!) are floats
     quotients = [Fraction(b) / Fraction(a) for a, b in zip(prefix, prefix[1:])
                  if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)) and a and b]
     knots = [Fraction(0), *quotients]
@@ -326,10 +284,14 @@ def test_routes_match_the_former_scans(case):
 @settings(max_examples=40, deadline=None)
 def test_factorial_tails_past_the_window(k, shift, s):
     # the segment lies past the window: the integral's product is extended by
-    # binary splitting, the direct forms' terms by the tail search
+    # binary splitting, the direct forms' terms by the tail search, and the
+    # oracle lists every weight up to past the first quotient above t
     M = SequenceSpec(kind="weight", prefix=(Fraction(1),), tail=FactorialPower(s=s, c=Fraction(1)))
     t = Fraction(10 * k + shift) ** s
     check_routes(M, 4, [t, t + Fraction(1, 3), float(t), t - 1], list(ROUTES))
+    table = OmegaTable(M, 4)
+    assert table.direct(t).argmax_index >= table.base_end
+    assert num(table.piecewise(t)) == num(table.integral(t))
 
 
 def test_collinear_run_goes_to_the_larger_index():
@@ -344,7 +306,8 @@ def test_t_at_a_quotient_goes_to_the_larger_index():
     # quotients 1, 2, 4: at t = 2 the terms of p = 1 and p = 2 tie
     M = SequenceSpec(kind="weight", prefix=(1, 1, 2, 8, 64), tail=ExplicitOnly())
     assert OmegaTable(M).direct(2).argmax_index == 2
-    check_routes(M, None, [Fraction(2), Fraction(4), 2.0, 4.0], list(ROUTES))
+    # at t = 8 the integral route's product runs over every quotient
+    check_routes(M, None, [Fraction(2), Fraction(4), 2.0, 4.0, Fraction(8)], list(ROUTES))
 
 
 def test_p0_wins_below_the_first_quotient():
@@ -370,8 +333,9 @@ def test_zero_and_infinite_weights():
     # M_0 overflows to +inf while log M_0 = 800 is finite: at one t the
     # direct form takes the float pass and the others the exact one
     big_m0 = SequenceSpec(kind="log", prefix=(800, float("inf"), float("inf")), tail=ExplicitOnly())
-    assert OmegaTable(big_m0).direct(2).value == ZERO
-    check_routes(big_m0, None, [Fraction(2), 2.0], ["tilde", "direct", "double_tilde"])
+    table = OmegaTable(big_m0)
+    assert table.direct(2).value == ZERO
+    assert table.tilde(2.0) == ext(-800.0) and table.double_tilde(2.0).is_neg_inf
 
 
 def test_t_at_the_limit_root():
@@ -379,12 +343,28 @@ def test_t_at_the_limit_root():
     affine = SequenceSpec(kind="weight", prefix=(1,), tail=AffineLog(c=Fraction(1, 2)))
     for M, root in ((geometric, Fraction(2)), (affine, math.exp(0.5))):
         check_routes(M, 8, [root, root, ext(root).raw * 2], list(ROUTES))
+        # at the root the terms past the prefix are log M_0 = 0; past it they grow
+        table = OmegaTable(M, 8)
+        assert table.direct(root).value == ZERO
+        assert table.direct(ext(root).raw * 2).value.is_pos_inf
 
 
 def test_one_table_over_a_grid_matches_fresh_tables():
     # exact and float t of equal value must not share the per-t argmax
     M = SequenceSpec(kind="weight", prefix=(1, 1, 2, 8), tail=FactorialPower(s=Fraction(1), c=Fraction(1)))
-    check_routes(M, 6, [Fraction(2), 2.0, Fraction(2), Fraction(7, 2), 3.5, Fraction(9)], list(ROUTES))
+    grid = [Fraction(2), 2.0, Fraction(2), Fraction(7, 2), 3.5, Fraction(9)]
+    check_routes(M, 6, grid, list(ROUTES))
+    table = OmegaTable(M, 6)
+    for t in grid:
+        for name in ROUTES:
+            got = outcome(getattr(table, name), t)
+            fresh = outcome(getattr(OmegaTable(M, 6), name), t)
+            if isinstance(got, type):
+                assert got is fresh
+            elif isinstance(got, OmegaValue):
+                assert (num(got.value), got.argmax_index) == (num(fresh.value), fresh.argmax_index)
+            else:
+                assert num(got) == num(fresh), (name, t)
 
 
 @given(st.lists(st.one_of(st.fractions(min_value=Fraction(1, 20), max_value=50, max_denominator=20),
@@ -396,4 +376,23 @@ def test_one_table_over_a_grid_matches_fresh_tables():
        st.integers(0, 14))
 @settings(max_examples=400, deadline=None)
 def test_brute_omega_matches_the_former_loop(weights, t, p_max):
-    assert outcome(brute_omega, weights, t, p_max) == outcome(ref_brute_omega, weights, t, p_max)
+    # the definition: the largest M_0 t^p / M_p over p <= p_max, here on the
+    # entries' exact values; brute_omega gives its log exactly on exact input,
+    # and up to rounding on float input unless a float term overflows
+    ws, te = [ext(v) for v in weights], ext(t)
+    if te < ZERO or any(not w.is_finite or w <= ZERO for w in ws):
+        with pytest.raises(ValueError):
+            brute_omega(weights, t, p_max)
+        return
+    last = min(p_max, len(ws) - 1)
+    x, m0 = Fraction(te.raw), Fraction(ws[0].raw)
+    heads = [m0 * x ** p for p in range(last + 1)]
+    want = ZERO if te == ZERO else ext(max(h / Fraction(w.raw) for h, w in zip(heads, ws))).log()
+    exact = te.is_exact and all(w.is_exact for w in ws[:last + 1])
+    try:
+        got = brute_omega(weights, t, p_max)
+    except ValueError:
+        big = Fraction(sys.float_info.max)
+        assert not exact and any(h > big or h / Fraction(w.raw) > big for h, w in zip(heads, ws))
+        return
+    assert same(got, want, exact)

@@ -1,24 +1,33 @@
-"""The naive reference implementations themselves need pinning down."""
+"""The naive reference implementations themselves need pinning down, and the
+exact engine must equal them."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import seqreg.oracles as oracles
 from seqreg import (
+    CASE2,
     POS_INF,
     ZERO,
+    AffineLog,
+    ExtReal,
+    RegimeClassification,
     brute_minorant,
     brute_omega,
     brute_phi_sweep,
+    brute_trace,
     compare_values,
     ext,
     make_phi,
     regularize_with_phi,
 )
 from seqreg import ExplicitOnly, SequenceSpec
+from seqreg.minorant import regularize
+from test_phireg_sweep import count_fractions
 
 
 # -- brute_minorant ---------------------------------------------------------------
@@ -74,6 +83,181 @@ def test_brute_minorant_degenerate_inputs():
         brute_minorant([float("inf"), 1])
     with pytest.raises(ValueError):
         brute_minorant([0, float("-inf")])
+
+
+# -- the exact engine against the oracles ----------------------------------------
+#
+# brute_minorant checks its two routes against each other on every call; the
+# engine must give its values exactly, by type, on exact rationals large and
+# small, +inf entries, declared caps, and an affine-log tail whose first point
+# past the window is a beyond point.
+
+EXACT = st.one_of(
+    st.integers(-50, 50).map(Fraction),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=97),
+    st.fractions(min_value=-100, max_value=100, max_denominator=97).map(
+        lambda x: x * Fraction(10**30, 7)),
+    st.fractions(min_value=-100, max_value=100, max_denominator=97).map(
+        lambda x: x * Fraction(1, 2**60)),
+)
+
+
+@st.composite
+def exact_windows(draw):
+    """(sequence, window, cap): no cap, a declared Case 2 cap, or an affine-log tail."""
+    a = [draw(EXACT)] + draw(st.lists(st.one_of(EXACT, EXACT, EXACT, st.just(math.inf)),
+                                      max_size=11))
+    kind = draw(st.sampled_from(["standard", "declared", "affine"]))
+    if kind == "affine":
+        c = draw(EXACT)
+        seq = SequenceSpec(kind="log", prefix=tuple(a), tail=AffineLog(c=c))
+        return seq, len(a) + draw(st.integers(0, 3)), ext(c)
+    cap = draw(EXACT) if kind == "declared" else None
+    declared = None if cap is None else RegimeClassification(CASE2, ext(cap), (0, len(a)),
+                                                             "declared")
+    return SequenceSpec(kind="log", prefix=tuple(a), tail=ExplicitOnly(),
+                        declared_regime=declared), len(a), cap
+
+
+def key(values):
+    return [(type(v.raw), v.raw) for v in values]
+
+
+# the chord from (0, 5) to the tail point (2, 2) undercuts the edge to (1, 20)
+TAIL_CHORD = (SequenceSpec(kind="log", prefix=(5, 20), tail=AffineLog(c=Fraction(1))), 2, ext(1))
+
+
+@given(exact_windows())
+@example(TAIL_CHORD)
+@settings(max_examples=300, deadline=None)
+def test_exact_minorant_matches_the_oracle(case):
+    seq, w, cap = case
+    r = regularize(seq, w)
+    vals = seq.values(w)
+    beyond = [] if r.tail_end is None else [(r.tail_end, seq.value(r.tail_end))]
+    want = brute_minorant(vals, slope_cap=cap, beyond=beyond)
+    assert key(r.regularized.prefix) == key(want)
+    if beyond:  # the lowest chord: no later tail point lies below its line
+        q = r.tail_end + 1
+        assert brute_minorant(vals, slope_cap=cap, beyond=beyond + [(q, seq.value(q))]) == want
+
+
+@given(exact_windows(), st.lists(EXACT, min_size=1, max_size=8))
+@example(TAIL_CHORD, [Fraction(-3), Fraction(1, 2)])
+@settings(max_examples=300, deadline=None)
+def test_exact_trace_matches_the_oracle(case, slopes):
+    seq, w, cap = case
+    r = regularize(seq, w)
+    beyond = [] if r.tail_end is None else [(r.tail_end, seq.value(r.tail_end))]
+    ks = [ext(k) for k in slopes if cap is None or k < cap]
+    want = brute_trace(seq.values(w), ks, beyond)
+    assert key(r.trace.evaluate(k) for k in ks) == key(want)
+
+
+# -- what the oracles take -----------------------------------------------------------
+#
+# brute_minorant reads a float at its binary value, an infinite cap as no cap,
+# and a point past the window as that point at the end of +inf entries; and
+# brute_trace is the direct sup over the finite values, on floats, +inf and
+# -inf entries and float slopes too.
+
+FLOATS = st.one_of(
+    st.integers(-800, 800).map(lambda k: k / 8),
+    st.sampled_from([0.0, -0.0, 1.7e308, -1.7e308, 5e-324]),
+)
+FINITE = st.one_of(EXACT, FLOATS)
+
+
+@st.composite
+def minorant_inputs(draw):
+    """(entries, cap, beyond): exact, float or mixed entries, +inf among them,
+    a cap of any kind, and up to two points past the window at any gap."""
+    finite = draw(st.sampled_from([EXACT, FLOATS, FINITE]))
+    entry = st.one_of(finite, finite, finite, st.just(math.inf))
+    a = draw(st.lists(entry, min_size=1, max_size=12))
+    beyond, q = [], len(a)
+    for _ in range(draw(st.integers(0, 2))):
+        q += draw(st.integers(0, 20))
+        beyond.append((q, draw(entry)))
+        q += 1
+    cap = draw(st.one_of(st.none(), EXACT, FLOATS, st.sampled_from([math.inf, -math.inf])))
+    return a, cap, beyond
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result by type and repr, or the type of what it raised."""
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+    return [(type(v), type(v.raw), repr(v)) for v in result]
+
+
+def rational(v):
+    return v if v == math.inf else Fraction(v)
+
+
+@given(minorant_inputs())
+@settings(max_examples=400, deadline=None)
+def test_brute_minorant_reads_floats_infinite_caps_and_far_points(case):
+    a, cap, beyond = case
+    padded = [rational(v) for v in a]
+    for q, v in beyond:
+        padded += [math.inf] * (q - len(padded)) + [rational(v)]
+    exact_cap = None if cap is None or math.isinf(cap) else Fraction(cap)
+    want = outcome(lambda: brute_minorant(padded, slope_cap=exact_cap)[:len(a)])
+    assert outcome(brute_minorant, a, slope_cap=cap, beyond=beyond) == want
+
+
+@st.composite
+def trace_inputs(draw):
+    value = draw(st.sampled_from([EXACT, EXACT, FLOATS, FINITE]))
+    slope = draw(st.sampled_from([EXACT, EXACT, FLOATS, FINITE]))
+    infinite = st.sampled_from([math.inf, -math.inf])
+    vals = draw(st.lists(st.one_of(value, value, value, infinite), max_size=12))
+    slopes = draw(st.lists(slope, max_size=10))
+    return [ExtReal(v) for v in vals], [ExtReal(k) for k in slopes]
+
+
+@given(trace_inputs())
+@settings(max_examples=400, deadline=None)
+def test_brute_trace_is_the_direct_sup(case):
+    vals, slopes = case
+    want = outcome(lambda: [max(ext(p) * k - v for p, v in enumerate(vals) if v.is_finite)
+                            for k in slopes])
+    assert outcome(brute_trace, vals, slopes) == want
+
+
+# -- the integer path is the one taken ----------------------------------------------
+
+
+def rough(n):
+    return [Fraction(p * p, 4) + Fraction((p * 7919) % 13, 3 + p % 5) for p in range(n)]
+
+
+def test_integer_minorant_builds_one_fraction_per_output_and_route():
+    a = rough(20)
+    for cap in (None, Fraction(7, 3)):
+        got, built = count_fractions(lambda: brute_minorant(a, slope_cap=cap))
+        declared = None if cap is None else RegimeClassification(CASE2, ext(cap), (0, 20),
+                                                                 "declared")
+        seq = SequenceSpec(kind="log", prefix=tuple(a), tail=ExplicitOnly(),
+                           declared_regime=declared)
+        assert got == list(regularize(seq).regularized.prefix)
+        assert built == 2 * len(a)
+    # a beyond point constrains as the same point at the end of +inf entries does
+    far = Fraction(500, 7)
+    got, built = count_fractions(lambda: brute_minorant(a, beyond=[(30, far)]))
+    assert got == brute_minorant(a + [math.inf] * 10 + [far])[:20]
+    assert built == 2 * len(a)
+
+
+def test_integer_trace_builds_one_fraction_per_slope():
+    vals = [ExtReal(v) for v in rough(20)] + [POS_INF]
+    slopes = [ExtReal(Fraction(k, 7)) for k in range(-20, 80, 3)]
+    got, built = count_fractions(brute_trace, vals, slopes)
+    assert got == [max(ext(p) * k - v for p, v in enumerate(vals[:20])) for k in slopes]
+    assert built == len(slopes)
 
 
 # -- brute_omega ------------------------------------------------------------------
@@ -163,6 +347,21 @@ def test_sweep_refuses_a_non_finite_span():
     # differences near 2e308 overflow the slope span to inf
     with pytest.raises(ValueError, match="unbounded size exceeds the oracle budget"):
         brute_phi_sweep([0, 1e308, -1e308, 1e308], make_phi("exp"), slope_grid_step=1e-3)
+
+
+def test_sweep_takes_inf_entries_as_points_that_never_attain():
+    vals = [0, 4, math.inf, 3, math.inf, math.inf]
+    res = brute_phi_sweep(vals, make_phi("infinite"), 1e-3)
+    assert res.principal_indices == [0, 3]
+    # without a cap the sup past the last finite entry is +inf
+    assert res.regularized[4:] == [POS_INF, POS_INF]
+    assert [float(v) for v in res.regularized[:4]] == pytest.approx([0, 1, 2, 3], abs=1e-2)
+    # a grid that ends short of T = 3 closes with the line of slope 3 through 3
+    capped = brute_phi_sweep(vals, make_phi("blowup:3"), 1e-3, t_max=3 - 5e-4)
+    assert [float(v) for v in capped.regularized] == pytest.approx(
+        [0, 8 / 3, 16 / 3, 3, 6, 9], abs=1e-2)
+    with pytest.raises(ValueError, match="finite anchor"):
+        brute_phi_sweep([math.inf, 1], make_phi("exp"), 1e-3)
 
 
 def test_sweep_explicit_range():

@@ -22,7 +22,8 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from seqreg import (CASE2, ExplicitOnly, ExtReal, RegimeClassification, RegularizingFunction,
-                    SeqRegError, SequenceSpec, ext, make_phi, regularize_with_phi)
+                    SeqRegError, SequenceSpec, ext, make_phi, recover_sequence,
+                    regularize_with_phi)
 from seqreg import minorant, phireg
 from seqreg.extreal import NEG_INF, POS_INF, ZERO
 from seqreg.minorant import _sweep
@@ -249,6 +250,35 @@ def test_a_float_slope_that_rounds_up_to_the_cap_is_taken_exactly():
     assert r.principal_indices == (0, 5)
     t = r.intervals[1].start
     assert type(t.raw) is Fraction and t < ext(1)
+
+
+def test_a_float_slope_tied_with_a_threshold_enters_at_the_threshold():
+    # under blowup:3 the slope from 0 to 3, 8.5 / 3, is 17/6, the threshold of
+    # 6, which lies below that line; the float slope rounds above 17/6, and an
+    # event emitted there put 6's entry, and the jump, past its threshold
+    values = [-3.5, 1.0, 2.5, 5.0, 7.9, 10.8, 13.4]
+    phi = make_phi("blowup:3")
+    r = assert_agrees_with_the_exact_loop(values, phi, None)
+    assert r.principal_indices == (0, 6) and r.intervals[1].start == ext(Fraction(17, 6))
+    assert recover_sequence(r.trace, phi, 6) == r.regularized.prefix[6] == ext(13.4)
+    # the loop on the same floats: 5's slope from 2 rounds above 23/6, the
+    # threshold of 6, and the loop takes the smaller, as the sweep must
+    values = [0.0, 0.0, -7.875, 0.0, 1.375, 3.625, 5.875, 8.125, 10.375]
+    phi = make_phi("blowup:4")
+    pts, cap = sweep_points(values, set(), phi), phi.blowup_T.raw
+    assert key(_sweep(pts, cap)) == key(ref_sweep(pts, cap))
+
+
+def test_a_float_slope_cannot_round_past_the_next_threshold():
+    # under blowup:10, at the floats' binary values the slope from 3 to 4 lies
+    # just below 49/5, the threshold of 5, and rounds to 9.8, above it: 4
+    # enters at 49/5, not later, and 5 with it, with the jump
+    values = [0.0, 0.0, 0.0, -5.1, 4.7, 9.4]
+    phi = make_phi("blowup:10")
+    r = assert_agrees_with_the_exact_loop(values, phi, None)
+    assert r.principal_indices == (0, 1, 2, 3, 4, 5)
+    assert r.intervals[4].start == r.intervals[5].start == ext(Fraction(49, 5))
+    assert close(recover_sequence(r.trace, phi, 5), ext(9.4))
 
 
 def test_jump_admits_the_run_on_the_lowest_line():

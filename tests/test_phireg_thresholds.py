@@ -1,18 +1,18 @@
-"""Threshold rules and the merged CSV pass against the expressions they replaced.
+"""Threshold rules and the merged CSV pass against what they compute.
 
-Each built-in phi gives threshold(p) as an integer ratio (n, d), d > 0, that
-the sweep reads without building a Fraction.  Below, `frozen_*` are the
-Fraction expressions that computed the thresholds before, kept verbatim: on
-every p up to 4096 and every drawn parameter, the ratio must equal them, and
-so must `threshold(p)`.
+Each built-in phi gives threshold(p) = inf{t : phi(t) >= p} as an integer
+ratio (n, d), d > 0, that the sweep reads without building a Fraction.
+Below, the thresholds by their closed forms: log p (read as the float's
+exact value) for exp, (log p - beta) / alpha for expaffine, T - 1/p for
+blowup, and the first knot segment that reaches p for piecewise.  On every p
+up to 4096 and every drawn parameter the ratio must equal them, and so must
+`threshold(p)`.
 
 `phireg --emit csv` reads m(t) and A(t) at sorted slopes with
-`StepFunction.values_sorted` and `PiecewiseLinearFn.evaluate_sorted`, one pass
-over the jumps and one over the breakpoints; at every sample they must equal
-`counting_m_phi` and `trace_A_phi`, value and type alike, inside J and outside
-it.  The CSV prints A from `PiecewiseLinearFn._floats_sorted`, which on an
-exact segment divides two integers once: it must print the same float as
-`float` of `evaluate_sorted`'s value.
+`StepFunction.values_sorted` and `PiecewiseLinearFn._floats_sorted`, one pass
+over the jumps and one over the breakpoints; at every sample, inside J and
+outside it, m must equal `counting_m_phi`, and A the float of `trace_A_phi`,
+by repr (on an exact segment `_floats_sorted` divides two integers once).
 """
 
 import math
@@ -32,22 +32,22 @@ from seqreg.minorant import _sweep as sweep
 from test_phireg_sweep import key, ref_sweep
 
 
-# -- the replaced threshold expressions, verbatim ------------------------------------
+# -- the thresholds by their closed forms ------------------------------------------------
 
 
-def frozen_log(p):
+def threshold_exp(p):
     return Fraction(0) if p == 1 else Fraction(math.log(p))
 
 
-def frozen_expaffine(alpha, beta, p):
-    return (frozen_log(p) - beta) / alpha
+def threshold_expaffine(alpha, beta, p):
+    return (threshold_exp(p) - beta) / alpha
 
 
-def frozen_blowup(T, p):
+def threshold_blowup(T, p):
     return T - Fraction(1, p)
 
 
-def frozen_piecewise(knots, p):
+def threshold_piecewise(knots, p):
     xs = [k[0] for k in knots]
     vs = [k[1] for k in knots]
     final_slope = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
@@ -83,7 +83,7 @@ POSITIVE = RATIONALS.map(abs).filter(lambda x: x > 0)
 def test_exp_rule_on_every_index():
     phi = make_phi("exp")
     for p in range(1, 4097):
-        assert_rule(phi, p, frozen_log(p))
+        assert_rule(phi, p, threshold_exp(p))
     assert phi.threshold(0) == NEG_INF
 
 
@@ -92,7 +92,7 @@ def test_exp_rule_on_every_index():
 def test_expaffine_rule(alpha, beta, ps):
     phi = make_phi(f"expaffine:{alpha},{beta}")
     for p in ps + [1, 2, 4096]:
-        assert_rule(phi, p, frozen_expaffine(alpha, beta, p))
+        assert_rule(phi, p, threshold_expaffine(alpha, beta, p))
 
 
 @given(RATIONALS, st.lists(INDICES, min_size=1, max_size=40))
@@ -100,7 +100,7 @@ def test_expaffine_rule(alpha, beta, ps):
 def test_blowup_rule(T, ps):
     phi = make_phi(f"blowup:{T}")
     for p in ps + [1, 2, 4096]:
-        assert_rule(phi, p, frozen_blowup(T, p))
+        assert_rule(phi, p, threshold_blowup(T, p))
 
 
 @st.composite
@@ -128,7 +128,7 @@ def test_piecewise_rule(knots, ps):
     # every knot value's neighbourhood, where the segment changes
     near = [p for _, v in knots for p in (math.floor(v), math.floor(v) + 1) if 1 <= p <= 4096]
     for p in ps + near + [1, 4096]:
-        assert_rule(phi, p, frozen_piecewise(knots, p))
+        assert_rule(phi, p, threshold_piecewise(knots, p))
 
 
 def test_infinite_rule():
@@ -191,8 +191,8 @@ def test_an_infinite_threshold_violates_axiom_iii(p):
 
 def sample_record(result, ts, extended):
     """(m, A) at each of the sorted ts, as the CSV reads them: None outside J,
-    and A = +inf there when extended."""
-    return list(zip(result.counting.values_sorted(ts), result.trace.evaluate_sorted(ts, extended)))
+    and A = inf there when extended."""
+    return list(zip(result.counting.values_sorted(ts), result.trace._floats_sorted(ts, extended)))
 
 
 PHIS = [make_phi(d) for d in ("exp", "expaffine:1/2,1", "blowup:0", "blowup:5/2", "infinite",
@@ -239,8 +239,11 @@ def samples(result, extra):
     return sorted(set(ts))
 
 
-def num(x):
-    return None if x is None else (type(x.raw).__name__, repr(x.raw))
+def per_sample(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except OutOfDomain:
+        return None
 
 
 @given(records(), st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=8),
@@ -250,18 +253,8 @@ def test_sorted_pass_matches_the_per_sample_functions(result, extra, extended):
     if result is None:
         return
     ts = samples(result, extra)
-    got = sample_record(result, ts, extended)
-    assert len(got) == len(ts)
-    for t, (m, a) in zip(ts, got):
-        try:
-            want_a = trace_A_phi(result, t, extended=extended)
-        except OutOfDomain:
-            want_a = None
-        try:
-            want_m = counting_m_phi(result, t)
-        except OutOfDomain:
-            want_m = None
-        assert (m, num(a)) == (want_m, num(want_a)), t
+    got = result.counting.values_sorted(ts)
+    assert got == [per_sample(counting_m_phi, result, t) for t in ts]
 
 
 @pytest.mark.parametrize("extended", [False, True])
@@ -273,16 +266,16 @@ def test_sorted_pass_without_breakpoints(extended):
     result = regularize_with_phi(seq, make_phi("blowup:2"))
     assert result.trace.breakpoints == ()
     ts = [ext(-1), ext(0), ext(2), ext(5)]
-    outside = POS_INF if extended else None
-    assert sample_record(result, ts, extended) == [(0, ext(-3)), (0, ext(-3)),
+    outside = math.inf if extended else None
+    assert sample_record(result, ts, extended) == [(0, -3.0), (0, -3.0),
                                                    (None, outside), (None, outside)]
 
 
 def floats_key(result, ts, extended):
-    """The CSV's A column at the sorted ts, and float of evaluate_sorted there, by repr."""
+    """The CSV's A column at the sorted ts, and float of trace_A_phi at each, by repr."""
     got = result.trace._floats_sorted(ts, extended)
-    want = [None if a is None else float(a) for a in result.trace.evaluate_sorted(ts, extended)]
-    return [None if a is None else repr(a) for a in got], [None if a is None else repr(a) for a in want]
+    want = [per_sample(trace_A_phi, result, t, extended=extended) for t in ts]
+    return [repr(a) for a in got], [repr(None if a is None else float(a)) for a in want]
 
 
 @given(records(), st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=8),

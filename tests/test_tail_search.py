@@ -1,11 +1,12 @@
 """The factorial-tail search against the linear scans it replaced.
 
 `FactorialPower.search` gallops and bisects on a test that is false and then
-true along the tail.  The three functions below are the scans that used to
-answer the same questions one index at a time, kept verbatim as references:
-the minorant's lowest tail chord, the direct omega route's tail terms, and
-the piecewise routes' segment index.  Wherever a scan finished below its cap,
-the search must give the same answer, bit for bit.
+true along the tail.  The scans answer the same questions one index at a
+time and are the one reference for each: the minorant's lowest tail chord
+(`test_hull_kernel.ref_tail_chord`, which the reference hull walk asks at
+every vertex), and below, the direct omega routes' sup with its tail terms
+and the piecewise routes' segment index.  Wherever a scan finished below its
+cap, the search must give the same answer, bit for bit.
 """
 
 import math
@@ -21,8 +22,8 @@ from seqreg.extreal import NEG_INF, POS_INF, ZERO
 from seqreg.minorant import _tail_chords
 from seqreg.tails import LOG, TAIL_SEARCH_CAP, AffineLog, FactorialPower, Geometric
 from seqreg.weights import _EXACT_POWER_CAP, OmegaTable, OmegaValue
+from test_hull_kernel import ref_tail_chord
 
-_TAIL_SCAN_CAP = 200_000
 _SCAN_CAP = 200_000
 
 
@@ -33,35 +34,7 @@ def _tail_chord(seq: SequenceSpec, P: int, aP: ExtReal, w: int):
     return None if found is None else ("event", ExtReal(found[0]), found[1])
 
 
-# -- the replaced scans, verbatim ------------------------------------------------
-
-
-def ref_tail_chord(seq: SequenceSpec, P: int, aP: ExtReal, w: int):
-    tail = seq.tail
-    start = max(P + 1, w, len(seq.prefix))
-    if isinstance(tail, (AffineLog, Geometric)):
-        c = tail.slope_limit()
-        diff = c * P - aP
-        if diff >= ZERO:
-            return ("floor", c)
-        s = (tail.value(start, LOG) - aP) / (start - P)
-        return ("event", s, start)
-    if isinstance(tail, FactorialPower):
-        prev: Optional[ExtReal] = None
-        best: Optional[tuple[ExtReal, int]] = None
-        q = start
-        for _ in range(_TAIL_SCAN_CAP):
-            s = (tail.value(q, LOG) - aP) / (q - P)
-            if best is None or s < best[0]:
-                best = (s, q)
-            if prev is not None and s > prev:
-                break
-            prev = s
-            q += 1
-        if best is None:
-            return None
-        return ("event", best[0], best[1])
-    return None
+# -- the replaced omega scans -----------------------------------------------------
 
 
 def ref_sup_scan(self, t: ExtReal, include_zero: bool, with_coeff: bool) -> OmegaValue:
