@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import click
 
 from .errors import ParseError, SeqRegError
-from .extreal import ExtReal, ext
+from .extreal import ExtReal, _inf_sign, _to_float, ext, raw_add, raw_mul
 from .minorant import MinorantResult, _real, regularize
 from .oracles import (
     OracleReport,
@@ -170,14 +170,11 @@ def _parse_loggrid(spec: str) -> list[float]:
     return [math.exp(lo + (hi - lo) * i / (count - 1)) for i in range(count)]
 
 
-def _csv_cell(value: Optional[ExtReal]) -> str:
-    if value is None:
-        return ""
-    if value.is_pos_inf:
-        return "inf"
-    if value.is_neg_inf:
-        return "-inf"
-    return repr(float(value))
+def _csv_cell(value) -> str:
+    """An ExtReal, a raw payload or None as a CSV cell: inf, -inf or repr(float)."""
+    v = value.raw if isinstance(value, ExtReal) else value
+    sign = _inf_sign(v)
+    return "" if v is None else repr(_to_float(v)) if not sign else "inf" if sign > 0 else "-inf"
 
 
 # ---------------------------------------------------------------------------
@@ -520,17 +517,17 @@ def phireg(files, window, tol, phi_descriptor, emit, grid_spec, extended, verify
             if verify:
                 payload["verify"] = [r.to_json() for r in reports]
             return _canonical(payload) + "\n", status, diagnostics
-        ts: list[ExtReal] = [bp.x for bp in result.trace.breakpoints if bp.x.is_finite]
+        # the sample slopes as raw payloads, by ExtReal's rules (raw_add, raw_mul)
+        ts = [x for x, *_ in result._bps if not _inf_sign(x)]
         if grid is not None:
-            ts.extend(ext(t) for t in grid)
+            ts.extend(grid)
         elif ts:
             lo, hi = ts[0], ts[-1]
-            span = hi - lo if hi > lo else ext(1)
-            ts.extend(lo + span * Fraction(i, 16) for i in range(-4, 21))
+            span = raw_add(hi, -lo) if hi > lo else Fraction(1)
+            ts.extend(raw_add(lo, raw_mul(span, Fraction(i, 16))) for i in range(-4, 21))
         ts = sorted(set(ts))
         lines = ["t,m,A"]
-        ms, As = result.counting.values_sorted(ts), result.trace._floats_sorted(ts, extended)
-        for t, m, a in zip(ts, ms, As):
+        for t, (m, a) in zip(ts, result._samples(ts, extended)):
             lines.append(f"{_csv_cell(t)},{'' if m is None else m},{'' if a is None else repr(a)}")
         for r in reports:
             lines.append("# verify: " + _canonical(r.to_json()))

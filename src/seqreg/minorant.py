@@ -18,10 +18,10 @@ below the extension of a hull edge lies below the extension of every later
 edge, so a chord that wins at one vertex wins at every later one, and one
 that loses at the last vertex the sweep reaches loses at every earlier one.
 So the tail is asked there once, and at each event only when it wins there
-(the departure rule, _sweep).  _run fills the window between principal
-indices with the line values, and past the last one with the tail chord's
-line or, when the sweep ends before the window does and the cap is finite,
-the line of slope cap.
+(the departure rule, _sweep).  _run gives the lines that fill the window
+between principal indices, and past the last one the tail chord's line or,
+when the sweep ends before the window does and the cap is finite, the line
+of slope cap; _filled fills them in.
 +inf points project down onto those lines (and stay +inf past the last
 finite point when there is no cap).
 
@@ -60,24 +60,9 @@ from .errors import (InconsistentDeclaration, InfiniteEntryUnsupported, Infinity
                      RegimeMismatch, UnknownAIota)
 from .extreal import (ExtReal, NEG_INF, POS_INF, ZERO, RawNumber, _inf_sign, ext, raw_add,
                       raw_div, raw_json, raw_line, raw_mul, raw_slope)
-from .piecewise import (
-    Breakpoint,
-    EMPTY_INTERVAL,
-    Interval,
-    PiecewiseLinearFn,
-)
-from .sequences import (
-    CASE1,
-    CASE2,
-    INDETERMINATE,
-    STANDARD,
-    RegimeClassification,
-    SequenceSpec,
-    classify_regime,
-    resolve_window,
-    slopes_differ,
-    to_log_scale,
-)
+from .piecewise import Breakpoint, EMPTY_INTERVAL, Interval, PiecewiseLinearFn
+from .sequences import (CASE1, CASE2, INDETERMINATE, STANDARD, RegimeClassification, SequenceSpec,
+                        classify_regime, resolve_window, slopes_differ, to_log_scale)
 from .tails import LOG, WEIGHT, AffineLog, ExplicitOnly, FactorialPower, Geometric
 
 
@@ -131,12 +116,7 @@ class MinorantResult:
 
     def _trace_json(self) -> dict:
         """self.trace.to_json() outside Case 1, printed from the raw events."""
-        at_minus_inf = (ZERO - self._log[0]).to_json()
-        bps = [{"x": raw_json(x), "left_value": raw_json(left), "right_value": raw_json(right),
-                "slope_right": top} for x, left, right, top in _merged(self._events)]
-        payload = {"breakpoints": bps, "domain": Interval(NEG_INF, self._hi).to_json(),
-                   "slope_left": 0, "value_at_minus_inf": at_minus_inf}
-        return payload if bps else {**payload, "constant": at_minus_inf}
+        return _trace_payload(_merged(self._events), self._log[0], self._hi)
 
     @property
     def edges(self) -> tuple[SupportLine, ...]:
@@ -280,9 +260,10 @@ def _lower(tail, bn: int, bd: int, cn: int, cd: int):
     return None
 
 
-def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber],
-           chord: Optional[Callable] = None, each: bool = False):
-    """The event sweep over pts = [(q, a_q, threshold(q))], thresholds non-decreasing.
+def _sweep(pts: list[tuple[int, int, int, RawNumber]], ths: list[tuple[int, int, Threshold]],
+           cap: Optional[RawNumber], chord: Optional[Callable] = None, each: bool = False):
+    """The event sweep over the points pts = [(q, n, d, a_q)], a_q = n/d
+    (_read), and their thresholds ths = [(n, d, threshold(q))], non-decreasing.
 
     ``hull[lo:]`` is the lower hull, collinear points kept, of the points
     admitted from the current principal point P = pts[hull[lo]] on.  At an
@@ -311,34 +292,33 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
     discontinuities, the events (time, left_A, right_A, top) as raw payloads
     and whether the cap stopped the sweep.
 
-    Each value, threshold, chord and the cap is read once by _pair, and a time
-    is an unreduced pair (num, den): x < y is x_num*y_den < y_num*x_den.  The
-    turn test drops the middle point j of i < j < q only when it lies strictly
-    above the chord from i to q.  An event emits the raw value of what set its
-    time (a threshold, a chord, or extreal.raw_slope from P, exact where the
-    float rounds up to the cap), held at the last event's time against float
-    rounding, and its trace values by _trace_value: on exact values, one
-    Fraction for the time and one per trace value.  A float slope that
-    rounds up past a threshold it must not pass is held at that threshold.
+    Each value and threshold arrives as an integer pair, each chord and the
+    cap is read once by _pair, and a time is an unreduced pair (num, den): x < y
+    is x_num*y_den < y_num*x_den.  The turn test drops the middle point j of
+    i < j < q only when it lies strictly above the chord from i to q.  An
+    event emits the raw value of what set its time (a threshold, a chord, or
+    extreal.raw_slope from P, exact where the float rounds up to the cap),
+    held at the last event's time against float rounding, and its trace
+    values by _trace_value: on exact values, one Fraction for the time and
+    one per trace value.  A float slope that rounds up past a threshold it
+    must not pass is held at that threshold.
     """
-    ps = [(q, *v.as_integer_ratio(), *(thr if type(thr) is tuple else _pair(thr)))
-          for q, v, thr in pts]
-    gated = any(thr is not None for *_, thr in pts)
+    gated = ths[-1][2] is not None  # thresholds never fall: one above -inf makes the last so
     cn, cd = (1, 0) if cap is None else _pair(cap)
     principal: list[tuple[int, ExtReal]] = [(0, NEG_INF)]
     disc: list[int] = []
     events: list[tuple[RawNumber, RawNumber, RawNumber, int]] = []
-    hull = [0]  # positions in ps
+    hull = [0]  # positions in pts
     lo = 0
     m = 1  # the next point to admit
     last: RawNumber = -math.inf  # the last event's time as emitted
     run = None  # (P, a_P, bn, bd) at the start of the last run, for the departure rule
 
     while True:
-        P, nP, dP, _, _ = ps[hull[lo]]
+        P, nP, dP, aP = pts[hull[lo]]
 
         def slope(j: int) -> tuple[int, int]:
-            q, n, d, _, _ = ps[j]
+            q, n, d, _ = pts[j]
             return n * dP - nP * d, d * dP * (q - P)
 
         # (bn, bd) is the earliest takeover time, +inf while no point is
@@ -349,13 +329,15 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
         if len(hull) > lo + 1:
             src = hull[lo + 1]
             bn, bd = slope(src)
-        while m < len(ps):
-            q, ny, dy, tn, td = ps[m]
-            if tn * bd > bn * td:
-                break
+        while m < len(pts):
+            q, ny, dy, _ = pts[m]
+            if gated:
+                tn, td, _ = ths[m]
+                if tn * bd > bn * td:
+                    break
             while len(hull) > lo + 1:
-                i, ni, di, _, _ = ps[hull[-2]]
-                j, nj, dj, _, _ = ps[hull[-1]]
+                i, ni, di, _ = pts[hull[-2]]
+                j, nj, dj, _ = pts[hull[-1]]
                 if (nj * di - ni * dj) * dy * (q - j) <= (ny * dj - nj * dy) * di * (j - i):
                     break
                 hull.pop()
@@ -367,12 +349,11 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
                     en, ed, j = tn, td, ~m
                 if en * bd < bn * ed:
                     bn, bd, src = en, ed, j
-            elif m + 1 == len(ps):
+            elif m + 1 == len(pts):
                 # the chain is complete; its first edge's slope only fell as it grew
                 src = hull[lo + 1]
                 bn, bd = slope(src)
             m += 1
-        aP = pts[hull[lo]][1]
         tail = _lower(chord(P, aP), bn, bd, cn, cd) if each else None
         if tail is not None:
             tau = tail[0]
@@ -383,24 +364,24 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
                     if tail is None and run is not None:
                         at, tail = run, chord(*run[:2])
                     if _lower(tail, *at[2:], cn, cd):
-                        return _sweep(pts, cap, chord, True)
+                        return _sweep(pts, ths, cap, chord, True)
                 return principal, disc, events, bd != 0
-            tau = raw_slope(aP, pts[src][1], ps[src][0] - P) if src >= 0 else _raw(pts[~src][2])
+            tau = raw_slope(aP, pts[src][3], pts[src][0] - P) if src >= 0 else _raw(ths[~src][2])
             if type(tau) is float and cap is not None and not tau < cap:
                 tau = Fraction(bn, bd)  # a float slope that rounds up to the cap is taken exactly
             # a float slope rounded up past a threshold would put that point's
             # entry, and a jump there, late: it is held at the threshold of the
             # last point admitted where that is the exact time and the point lies
             # below the line, and at the next point's, which exceeds the exact time
-            tn, td = ps[m - 1][3:]
+            tn, td, thr = ths[m - 1]
             if type(tau) is float and tn * bd == bn * td:
                 sn, sd = slope(m - 1)
                 if sn * bd < bn * sd:
-                    tau = min(tau, _raw(pts[m - 1][2]))
+                    tau = min(tau, _raw(thr))
             if type(tau) is Fraction:
                 bn, bd = tau.numerator, tau.denominator  # the same time, reduced
-            elif m < len(ps):
-                tau = min(tau, _raw(pts[m][2]))
+            elif m < len(pts):
+                tau = min(tau, _raw(ths[m][2]))
         if not (type(tau) is type(last) is Fraction) and tau < last:
             tau = last  # float rounding cannot take the events back in time
         last = tau
@@ -415,7 +396,7 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
         if sn * bd < bn * sd:
             def icpt(j: int) -> tuple[int, int]:
                 # a_j - j*tau = num / (den * bd)
-                q, n, d, _, _ = ps[j]
+                q, n, d, _ = pts[j]
                 return n * bd - q * bn * d, d
 
             c_n, c_d = icpt(hull[i])
@@ -431,9 +412,9 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
                 if x_n * c_d != c_n * x_d:
                     break
                 i += 1
-            q = ps[hull[first]][0]
+            q, _, _, a = pts[hull[first]]
             disc.append(q)
-            right = _trace_value(pts[hull[first]][1], tau, q)
+            right = _trace_value(a, tau, q)
         else:
             while i + 1 < len(hull):
                 sn, sd = slope(hull[i + 1])
@@ -441,53 +422,67 @@ def _sweep(pts: list[tuple[int, RawNumber, Threshold]], cap: Optional[RawNumber]
                     break
                 i += 1
         tau_x = ExtReal(tau)
-        events.append((tau, left, right, ps[hull[i]][0]))
+        events.append((tau, left, right, pts[hull[i]][0]))
         for j in hull[first:i + 1]:
-            principal.append((ps[j][0], tau_x))
+            principal.append((pts[j][0], tau_x))
         run = P, aP, bn, bd
         lo = i
 
 
-def _run(vals: list[ExtReal], cap: Optional[RawNumber], regime: Optional[RegimeClassification],
-         threshold: Optional[Callable[[int, list], Threshold]] = None,
+def _read(vals: list[ExtReal]) -> tuple[list[RawNumber], list[tuple], Optional[int]]:
+    """The window read once: its raw payloads, the sweep's points (q, n, d, a_q),
+    a_q = n/d, without the +inf entries, which never take over, and the index
+    of the first -inf entry, where the points end (refused, or Case 1)."""
+    raws, pts = [v.raw for v in vals], []
+    for q, a in enumerate(raws):
+        if type(a) is not Fraction and not -math.inf < a < math.inf:
+            if a > 0:
+                continue
+            return raws, pts, q
+        n, d = a.as_integer_ratio()
+        pts.append((q, n, d, a))
+    return raws, pts, None
+
+
+def _run(read: tuple, cap: Optional[RawNumber], regime: Optional[RegimeClassification],
+         ths: Optional[list[tuple[int, int, Threshold]]] = None,
          chord: Optional[Callable] = None):
-    """The sweep over the window vals and the regularized window it gives:
-    (out, principal, disc, events, tail_end), out as raw payloads.
+    """The sweep over the window read once (_read) and the lines (P, slope, end)
+    that fill the regularized window: (principal, disc, events, lines, tail_end).
 
-    The window is read once into points; +inf points never take over, and a
-    -inf entry is refused: it contradicts the regime of the ungated sweep
-    (regime given), and a gated sweep (regime None) cannot take it.
-    threshold(q, pts) is threshold(q) of a gated sweep, pts the points read
-    before q; chord is the sweep's tail hook.  out has the line of each
-    principal point's entry time up to it, and past the last principal
-    point the tail chord's line (tail_end its tail index), or, when the
-    sweep ends before the window does and the cap is finite, the line of
-    slope cap: the value the trace's conjugate recovers there.
+    A -inf entry is refused: it contradicts the regime of the ungated sweep
+    (regime given), and a gated sweep (regime None) cannot take it.  ths are
+    a gated sweep's thresholds, one per point; chord is the tail hook.  Each
+    principal point's line, of its successor's entry time, runs up to that
+    successor; past the last one runs the tail chord's line (tail_end its
+    tail index) or, when the sweep ends before the window does and the cap
+    is finite, the line of slope cap, which the trace's conjugate recovers.
     """
-    pts: list[tuple[int, RawNumber, Threshold]] = []  # (q, a_q, threshold(q))
-    for q, v in enumerate(vals):
-        if v.is_pos_inf:
-            continue
-        if v.is_neg_inf:
-            if regime is None:
-                raise InfiniteEntryUnsupported(
-                    f"a_{q} = -inf: only the ungated phi handles collapsing sequences")
-            raise InconsistentDeclaration(
-                f"a_{q} = -inf collapses the sequence (case 1), "
-                f"but the {regime.source} regime is {regime.regime}")
-        pts.append((q, v.raw, threshold(q, pts) if threshold else None))
-    principal, disc, events, _ = _sweep(pts, cap, chord)
-
-    out = [v.raw for v in vals]
-    for (P, _), (end, t) in zip(principal, principal[1:]):
-        _fill(out, P, t.raw, end)
-    P, w = principal[-1][0], len(out)
+    raws, pts, neg = read
+    if neg is not None:
+        if regime is None:
+            raise InfiniteEntryUnsupported(
+                f"a_{neg} = -inf: only the ungated phi handles collapsing sequences")
+        raise InconsistentDeclaration(
+            f"a_{neg} = -inf collapses the sequence (case 1), "
+            f"but the {regime.source} regime is {regime.regime}")
+    principal, disc, events, _ = _sweep(pts, ths or [(-1, 0, None)] * len(pts), cap, chord)
+    lines = [(P, t.raw, end) for (P, _), (end, t) in zip(principal, principal[1:])]
+    P, w = principal[-1][0], len(raws)
     tail_end = events[-1][3] if events and events[-1][3] >= w else None
     if tail_end is not None:
-        _fill(out, P, events[-1][0], w)
+        lines.append((P, events[-1][0], w))
     elif cap is not None and P < w - 1:
-        _fill(out, P, cap, w)
-    return out, principal, disc, events, tail_end
+        lines.append((P, cap, w))
+    return principal, disc, events, lines, tail_end
+
+
+def _filled(raws: list[RawNumber], lines: list[tuple[int, RawNumber, int]]) -> list[RawNumber]:
+    """The window raws with each line (P, slope, end) filled in (_fill)."""
+    out = list(raws)
+    for P, slope, end in lines:
+        _fill(out, P, slope, end)
+    return out
 
 
 def _fill(out: list[RawNumber], P: int, slope: RawNumber, end: int) -> None:
@@ -511,6 +506,16 @@ def _merged(events) -> list[tuple]:
         else:
             bps.append((tau, left, right, top))
     return bps
+
+
+def _trace_payload(bps: list[tuple], a0: ExtReal, hi: ExtReal) -> dict:
+    """_trace(events, a0, hi).to_json(), printed from bps = _merged(events)."""
+    at_minus_inf = (ZERO - a0).to_json()
+    points = [{"x": raw_json(x), "left_value": raw_json(left), "right_value": raw_json(right),
+               "slope_right": top} for x, left, right, top in bps]
+    payload = {"breakpoints": points, "domain": Interval(NEG_INF, hi).to_json(),
+               "slope_left": 0, "value_at_minus_inf": at_minus_inf}
+    return payload if points else {**payload, "constant": at_minus_inf}
 
 
 def _trace(events, a0: ExtReal, hi: ExtReal) -> PiecewiseLinearFn:
@@ -566,8 +571,10 @@ def _hull(seq: SequenceSpec, window: Optional[int], regime: RegimeClassification
     the standard regime and from an affine-log or geometric one in Case 2."""
     w, vals = _window_values(seq, window)
     extends = isinstance(seq.tail, FactorialPower if cap is None else (AffineLog, Geometric))
-    out, principal, _, events, tail_end = _run(vals, None if cap is None else cap.raw, regime,
-                                               chord=_tail_chords(seq, w) if extends else None)
+    read = _read(vals)
+    principal, _, events, lines, tail_end = _run(read, None if cap is None else cap.raw, regime,
+                                                 chord=_tail_chords(seq, w) if extends else None)
+    out = _filled(read[0], lines)
     # each value the fill wrote is wrapped once; the others keep the window's ExtReal
     prefix = tuple(v if v.raw is r else ExtReal(r) for v, r in zip(vals, out))
     slopes = [t for _, t in principal[1:]] + ([] if tail_end is None else [ExtReal(events[-1][0])])

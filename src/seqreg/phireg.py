@@ -17,8 +17,9 @@ the principal / discontinuity classification) is exact, a float taken at its
 binary value.  Each phi's one threshold rule gives threshold(p) as an integer
 ratio, so the engine and the recovery conjugate use identical cutoffs.
 
-Each call reads the window once into raw payloads (Fraction or float) and
-computes the threshold vector threshold(0..w-1) once.  phi is non-decreasing
+Each call reads the window once into integer pairs (minorant._read, a float
+at its exact value) and computes the threshold vector threshold(0..w-1)
+once, as pairs too (_thresholds).  phi is non-decreasing
 (axiom I), so the thresholds are too, and the points visible at slope t form
 a growing prefix of the window.  The whole sweep is therefore one pass from
 left to right: Andrew's monotone chain over the visible prefix from P,
@@ -28,15 +29,16 @@ chain, threshold); when the next point's threshold is later, that time is
 the next event.  Each point is pushed and popped at most once, so
 the sweep is linear in the window.
 
-The sweep is minorant._sweep, the one hull kernel, and minorant._run reads
-the window into raw payloads, runs the sweep and fills the regularized
-window.  When the sweep ends before the window does, stopped by the cap or
-at trailing +inf entries, a finite cap (blowup's T, Case 2's a_iota) closes
-the window with its line through the last principal point: the value that
-recover_sequence gives there.  A value wraps into ExtReal only when it
-enters the record.  compare runs the same core (_core) for both phis and the
-ungated one on one read of the window, and reads the raw windows it fills:
-it builds no record.
+The sweep is minorant._sweep, the one hull kernel, and minorant._run runs it
+and gives the lines that fill the regularized window.  When the sweep ends
+before the window does, stopped by the cap or at trailing +inf entries, a
+finite cap (blowup's T, Case 2's a_iota) closes the window with its line
+through the last principal point: the value that recover_sequence gives
+there.  The record keeps the sweep's raw output: its JSON and the CSV
+samples are printed from it, and a value wraps into ExtReal only when the
+library asks for the record's objects.  compare runs the same core (_core)
+for both phis and the ungated one on one read of the window, and fills and
+compares integer pairs: it builds no record.
 
 Events where the entering point sits strictly below the old line are the
 indices of discontinuity: visibility arrived later than tangency, so the trace
@@ -59,27 +61,19 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
-from .errors import (
-    AxiomViolation,
-    InfiniteEntryUnsupported,
-    NotComparable,
-    ParseError,
-)
+from .errors import AxiomViolation, InfiniteEntryUnsupported, NotComparable, ParseError
 from .extreal import (ExtReal, NEG_INF, ONE, POS_INF, RawNumber, ZERO, _inf_sign, _to_float,
-                      ext, raw_add, raw_div, raw_exp, raw_mul)
-from .minorant import Threshold, _raw, _run, _trace, _window_values
-from .piecewise import EMPTY_INTERVAL, PiecewiseLinearFn, StepFunction
-from .sequences import (
-    CASE1,
-    CASE2,
-    SequenceSpec,
-    classify_regime,
-    to_log_scale,
-)
+                      ext, raw_add, raw_div, raw_exp, raw_json, raw_line, raw_mul)
+from .minorant import (Threshold, _filled, _merged, _pair, _raw, _read, _run, _trace,
+                       _trace_payload, _window_values)
+from .piecewise import EMPTY_INTERVAL, Interval, PiecewiseLinearFn, StepFunction
+from .sequences import (CASE1, CASE2, RegimeClassification, SequenceSpec, classify_regime,
+                        to_log_scale)
 from .tails import LOG, ExplicitOnly
 
 
@@ -90,12 +84,6 @@ def _ratio(raw: RawNumber) -> Threshold:
     if type(raw) is Fraction:
         return raw.numerator, raw.denominator
     return None if raw == -math.inf else raw
-
-
-def _below(x: Threshold, y: Threshold) -> bool:  # x < y
-    if type(x) is type(y) is tuple:
-        return x[0] * y[1] < y[0] * x[1]
-    return _raw(x) < _raw(y)
 
 
 class RegularizingFunction:
@@ -206,7 +194,7 @@ def _piecewise_phi(knots: list[tuple[Fraction, Fraction]]) -> RegularizingFuncti
             c = xs[i - 1] - vs[i - 1] * r  # threshold(p) = c + r p
             segs.append((vs[i], c.numerator * r.denominator, r.numerator * c.denominator,
                          c.denominator * r.denominator))
-    tops = [seg[0] for seg in segs]
+    tops = [math.floor(seg[0]) for seg in segs]  # for an integer p, top >= p is floor(top) >= p
 
     def rule(p: int) -> Threshold:
         _, A, B, C = segs[min(bisect.bisect_left(tops, p), len(segs) - 1)]
@@ -321,99 +309,173 @@ class PhiSegment:
         }
 
 
+def _line_float(r: RawNumber, s: int, b: RawNumber, t: RawNumber) -> float:
+    """float(r + s (t - b)) by ExtReal's rules, as PiecewiseLinearFn.evaluate
+    gives the trace at t on its line through (b, r): on exact values one
+    integer division, rounded once as float(Fraction) is, and the infinity of
+    its sign past the float range."""
+    if type(r) is type(b) is type(t) is Fraction:
+        q = b.denominator * t.denominator
+        num = r.numerator * q + r.denominator * s * (
+            t.numerator * b.denominator - b.numerator * t.denominator)
+        try:
+            return num / (r.denominator * q)
+        except OverflowError:
+            return math.inf if num > 0 else -math.inf
+    return _to_float(raw_add(r, raw_mul(s, raw_add(t, -b))))
+
+
 @dataclass(frozen=True)
 class PhiRegResult:
-    regularized: SequenceSpec
+    """The regularization record: the sweep's raw output, from which to_json and
+    _samples print, and regularized, intervals, segments, counting and trace,
+    built when first asked for."""
+
     principal_indices: tuple[int, ...]
     discontinuity_indices: tuple[int, ...]
-    intervals: tuple[PhiInterval, ...]
-    segments: tuple[PhiSegment, ...]
-    counting: StepFunction
-    trace: PiecewiseLinearFn
     J_right: ExtReal
     finite_principal: bool
     window: int
     provisional_from: int
     phi_descriptor: str
+    # the window as read, the principal points (index, entry time; None in Case 1),
+    # the lines (P, slope, end) that fill the window, the events, the declared regime
+    _vals: tuple = field(default=(), repr=False)
+    _principal: Optional[tuple] = field(default=None, repr=False)
+    _lines: tuple = field(default=(), repr=False)
+    _events: tuple = field(default=(), repr=False)
+    _declared: Optional[RegimeClassification] = field(default=None, repr=False)
+
+    @cached_property
+    def _out(self) -> list[RawNumber]:
+        """The regularized window as raw payloads (minorant._filled)."""
+        return _filled([v.raw for v in self._vals], self._lines)
+
+    @cached_property
+    def regularized(self) -> SequenceSpec:
+        # each value the fill wrote is wrapped once; the others keep the window's ExtReal
+        prefix = tuple(v if v.raw is r else ExtReal(r) for v, r in zip(self._vals, self._out))
+        return SequenceSpec(kind=LOG, prefix=prefix, tail=ExplicitOnly(),
+                            declared_regime=self._declared)
+
+    @cached_property
+    def intervals(self) -> tuple[PhiInterval, ...]:
+        times = [t for _, t in self._principal or ()]
+        return tuple(map(PhiInterval, times, times[1:] + [self.J_right]))
+
+    @cached_property
+    def segments(self) -> tuple[PhiSegment, ...]:
+        return tuple(PhiSegment(ExtReal(slope), P, self._vals[P], P, end)
+                     for P, slope, end in self._lines) if self._principal else ()
+
+    @cached_property
+    def counting(self) -> StepFunction:
+        jumps = tuple((tau, top) for tau, _, _, top in self._events)
+        J = Interval(NEG_INF, self.J_right) if self._principal else EMPTY_INTERVAL  # the trace's
+        return StepFunction(jumps=jumps, initial_level=0, domain=J)
+
+    @cached_property
+    def trace(self) -> PiecewiseLinearFn:
+        if self._principal is None:
+            # every real slope is eventually undercut: J is empty, only the -inf
+            # conventions survive (m(-inf) = 0, A(-inf) = -a_0)
+            return PiecewiseLinearFn(breakpoints=(), domain=EMPTY_INTERVAL, slope_left=ZERO,
+                                     value_at_minus_inf=ZERO - self._vals[0])
+        return _trace(self._events, self._vals[0], self.J_right)
+
+    @cached_property
+    def _bps(self) -> list[tuple]:
+        """The trace's breakpoints as raw (x, left, right, top) (minorant._merged)."""
+        return _merged(self._events)
+
+    def _samples(self, ts: list, extended: bool) -> list[tuple]:
+        """(m(t), float A(t)) at the sorted raw slopes ts, by one pointer over the
+        breakpoints (A by _line_float); (None, inf if extended else None) outside J."""
+        bps, hi, i, rows = self._bps, self.J_right.raw, -1, []
+        outside = (None, math.inf if extended else None)
+        flat = (0, float(ZERO - self._vals[0]))  # below the first event m = 0 and A = -a_0
+        for t in ts:
+            if _inf_sign(t) or not t < hi:
+                rows.append(outside)
+                continue
+            while i + 1 < len(bps) and bps[i + 1][0] <= t:
+                i += 1
+            if i >= 0:
+                x, _, right, top = bps[i]
+                rows.append((top, _line_float(right, top, x, t)))
+            else:
+                rows.append(flat)
+        return rows
 
     def to_json(self) -> dict:
-        return {
-            "regularized": [v.to_json() for v in self.regularized.prefix],
-            "principal_indices": list(self.principal_indices),
-            "discontinuity_indices": list(self.discontinuity_indices),
-            "intervals": [iv.to_json() for iv in self.intervals],
-            "segments": [s.to_json() for s in self.segments],
-            "counting": self.counting.to_json(),
-            "trace": self.trace.to_json(),
-            "J_right": self.J_right.to_json(),
-            "finite_principal": self.finite_principal,
-            "window": self.window,
-            "provisional_from": self.provisional_from,
-            "phi": self.phi_descriptor,
-        }
+        """The record as JSON, printed from the sweep's raw output."""
+        times = [t.to_json() for _, t in self._principal or ()]
+        J, bps = self.J_right.to_json(), self._bps
+        trace = (_trace_payload(bps, self._vals[0], self.J_right) if self._principal
+                 else self.trace.to_json())
+        ev = self._events  # StepFunction keeps the last of the events at one time
+        jumps = [[raw_json(t), top] for k, (t, *_, top) in enumerate(ev)
+                 if k + 1 == len(ev) or ev[k + 1][0] != t]
+        counting = {"initial_level": 0, "jumps": jumps,
+                    "domain": dict(trace["domain"])} if self._principal else self.counting.to_json()
+        segments = [{"slope": raw_json(slope), "anchor_index": P, "span": [P, end],
+                     "anchor_value": self._vals[P].to_json()} for P, slope, end in self._lines]
+        return {"regularized": [raw_json(v) for v in self._out],
+                "principal_indices": list(self.principal_indices),
+                "discontinuity_indices": list(self.discontinuity_indices),
+                "intervals": [{"start": t, "end": u} for t, u in zip(times, times[1:] + [J])],
+                "segments": segments if self._principal else [], "counting": counting,
+                "trace": trace, "J_right": J, "finite_principal": self.finite_principal,
+                "window": self.window, "provisional_from": self.provisional_from,
+                "phi": self.phi_descriptor}
 
 
 # -- the sweep ----------------------------------------------------------------------
 
 
-def _case1_result(prefix: tuple[ExtReal, ...], phi: RegularizingFunction) -> PhiRegResult:
-    # every real slope is eventually undercut: J is empty, only the -inf
-    # conventions survive (m(-inf) = 0, A(-inf) = -a_0)
-    trace = PiecewiseLinearFn(breakpoints=(), domain=EMPTY_INTERVAL,
-                              slope_left=ZERO, value_at_minus_inf=ZERO - prefix[0])
-    counting = StepFunction(jumps=(), initial_level=0, domain=EMPTY_INTERVAL)
-    regularized = SequenceSpec(kind=LOG, prefix=prefix, tail=ExplicitOnly())
-    return PhiRegResult(
-        regularized=regularized,
-        principal_indices=(0,),
-        discontinuity_indices=(),
-        intervals=(),
-        segments=(),
-        counting=counting,
-        trace=trace,
-        J_right=NEG_INF,
-        finite_principal=True,
-        window=len(prefix),
-        provisional_from=len(prefix),
-        phi_descriptor=phi.descriptor,
-    )
+def _thresholds(phi: RegularizingFunction, pts: list) -> list[tuple[int, int, Threshold]]:
+    """threshold(q) of each point as the sweep reads it, (n, d, threshold(q))
+    with d > 0, or (-1, 0) for -inf; phi must reach every q (axiom III) and
+    never fall (axiom I), since the sweep admits points in index order."""
+    ths = [(-1, 0, None)]  # phi >= 0: threshold(0) = -inf
+    for k in range(1, len(pts)):
+        q, thr = pts[k][0], phi._rule(pts[k][0])
+        if thr == math.inf:
+            raise AxiomViolation("III", q, f"threshold({q}) = inf: phi never reaches {q}")
+        tn, td = thr if type(thr) is tuple else _pair(thr)
+        pn, pd, before = ths[-1]
+        if tn * pd < pn * td:
+            raise AxiomViolation(
+                "I", q, f"threshold({q}) = {_raw(thr)} falls below "
+                f"threshold({pts[k - 1][0]}) = {_raw(before)}: phi must be non-decreasing")
+        ths.append((tn, td, thr))
+    return ths
 
 
-def _core(seq: SequenceSpec, vals: list[ExtReal], phi: RegularizingFunction,
+def _core(seq: SequenceSpec, read: tuple, phi: RegularizingFunction,
           window: Optional[int], tol: float):
-    """The sweep under phi on the window vals: (regime, cap, out, principal, disc,
-    events, closed), with out the regularized window as raw payloads and
-    closed whether the line of slope cap closes it past the last principal
-    point.  In Case 1, out is [a_0, -inf, ...] and there is no sweep
-    (principal None)."""
-    regime = threshold = None
+    """The sweep under phi on the window read once: (regime, cap, principal,
+    disc, events, lines, closed), lines those that fill the window
+    (minorant._run), closed whether the cap's line closes it.  In Case 1
+    there is no sweep (principal None): a line of slope -inf collapses it."""
+    regime = ths = None
     cap: Optional[ExtReal] = phi.blowup_T
+    raws, pts, _ = read
     if phi.infinite:
         regime = classify_regime(seq, window, tol)
         if regime.regime == CASE1:
-            return regime, None, [vals[0].raw] + [-math.inf] * (len(vals) - 1), None, (), (), False
+            return regime, None, None, (), (), [(0, -math.inf, len(raws))], False
         if regime.regime == CASE2:
             cap = regime.a_iota
     else:
-        def threshold(q: int, pts: list) -> Threshold:
-            thr = phi._rule(q) if q else None
-            if thr == math.inf:
-                raise AxiomViolation("III", q, f"threshold({q}) = inf: phi never reaches {q}")
-            if pts and _below(thr, pts[-1][2]):
-                # the sweep admits points in index order, so it needs phi non-decreasing
-                raise AxiomViolation(
-                    "I", q, f"threshold({q}) = {_raw(thr)} falls below "
-                    f"threshold({pts[-1][0]}) = {_raw(pts[-1][2])}: phi must be non-decreasing")
-            return thr
-
-    out, principal, disc, events, _ = _run(vals, None if cap is None else cap.raw, regime,
-                                           threshold)
-    if cap is None and threshold is not None and vals[-1].is_pos_inf:
+        ths = _thresholds(phi, pts)
+    principal, disc, events, lines, _ = _run(read, None if cap is None else cap.raw, regime, ths)
+    if cap is None and ths is not None and _inf_sign(raws[-1]) > 0:
         raise InfiniteEntryUnsupported(
             "window ends in +inf entries; without a blowup point the "
             "regularization of a cofinitely-infinite sequence is undefined")
-    closed = cap is not None and principal[-1][0] < len(vals) - 1
-    return regime, cap, out, principal, disc, events, closed
+    closed = cap is not None and principal[-1][0] < len(raws) - 1
+    return regime, cap, principal, disc, events, lines, closed
 
 
 def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
@@ -427,54 +489,20 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
     """
     seq = to_log_scale(a)
     w, vals = _window_values(seq, window)
-    regime, cap, out, principal, disc, events, closed = _core(seq, vals, phi, window, tol)
-    # each value the fill wrote is wrapped once; the others keep the window's ExtReal
-    prefix = tuple(v if v.raw is r else ExtReal(r) for v, r in zip(vals, out))
+    read = _read(vals)
+    regime, cap, principal, disc, events, lines, closed = _core(seq, read, phi, window, tol)
     if principal is None:
-        return _case1_result(prefix, phi)
-
-    indices = [p for p, _ in principal]
-    J_right = cap if cap is not None else POS_INF
-
-    # intervals and segments
-    intervals: list[PhiInterval] = []
-    segments: list[PhiSegment] = []
-    for (p_i, t_i), (p_next, t_next) in zip(principal, principal[1:]):
-        intervals.append(PhiInterval(t_i, t_next))
-        segments.append(PhiSegment(t_next, p_i, vals[p_i], p_i, p_next))
-    p_last, t_last = principal[-1]
-    intervals.append(PhiInterval(t_last, J_right))
-    if closed:
-        segments.append(PhiSegment(cap, p_last, vals[p_last], p_last, w))
-
-    # trace and counting: one breakpoint per distinct event time, one jump per event
-    trace = _trace(events, vals[0], J_right)
-    counting = StepFunction(jumps=tuple((tau, top) for tau, _, _, top in events),
-                            initial_level=0, domain=trace.domain)
-
-    declared = regime if phi.infinite else None
-    regularized = SequenceSpec(kind=LOG, prefix=prefix, tail=ExplicitOnly(),
-                               declared_regime=declared)
-
-    provisional_from = _stable_boundary(phi, principal, indices, w)
-    return PhiRegResult(
-        regularized=regularized,
-        principal_indices=tuple(indices),
-        discontinuity_indices=tuple(disc),
-        intervals=tuple(intervals),
-        segments=tuple(segments),
-        counting=counting,
-        trace=trace,
-        J_right=J_right,
-        finite_principal=closed,
-        window=w,
-        provisional_from=provisional_from,
-        phi_descriptor=phi.descriptor,
-    )
+        return PhiRegResult((0,), (), NEG_INF, True, w, w, phi.descriptor,
+                            _vals=tuple(vals), _lines=tuple(lines))
+    return PhiRegResult(tuple(p for p, _ in principal), tuple(disc),
+                        POS_INF if cap is None else cap, closed, w,
+                        _stable_boundary(phi, principal, w), phi.descriptor,
+                        _vals=tuple(vals), _principal=tuple(principal), _lines=tuple(lines),
+                        _events=tuple(events), _declared=regime if phi.infinite else None)
 
 
 def _stable_boundary(phi: RegularizingFunction, principal: list[tuple[int, ExtReal]],
-                     indices: list[int], w: int) -> int:
+                     w: int) -> int:
     """First index whose value could change if the sequence were extended.
 
     For gated phi, a point beyond the window only becomes visible at
@@ -482,17 +510,12 @@ def _stable_boundary(phi: RegularizingFunction, principal: list[tuple[int, ExtRe
     ungated phi the last accepted edge is always at risk (hull semantics).
     """
     if phi.infinite:
-        if len(indices) >= 2:
-            return indices[-2] + 1
-        return indices[-1] + 1
-    horizon = phi.threshold(w)
-    stable = 0
-    for i, (p_i, t_i) in enumerate(principal):
-        end = principal[i + 1][1] if i + 1 < len(principal) else None
-        if end is not None and end < horizon:
-            stable = principal[i + 1][0]
-        else:
+        return principal[-2 if len(principal) >= 2 else -1][0] + 1
+    horizon, stable = phi.threshold(w), 0
+    for p, t in principal[1:]:  # each principal point's entry ends the one before
+        if not t < horizon:
             break
+        stable = p
     return stable + 1
 
 
@@ -569,16 +592,33 @@ def _larger(phi1: RegularizingFunction, phi2: RegularizingFunction) -> str:
                         "on the probe grid")
 
 
-def _leq(x: RawNumber, y: RawNumber, tol: float) -> bool:
-    """x <= y on raw payloads (two Fractions cross-multiplied), or within tol as floats."""
-    if type(x) is type(y) is Fraction:
-        if x.numerator * y.denominator <= y.numerator * x.denominator:
-            return True
-    elif x <= y:
+def _pairs(raws: list[RawNumber], window: list[tuple[int, int]],
+           lines: list[tuple[int, RawNumber, int]]) -> list[tuple[int, int]]:
+    """minorant._filled on the window as integer pairs (n, d), d > 0, or (+-1, 0)
+    for +-inf: an exact line's values share one denominator, with no Fraction
+    per value, and another line's raw_line value is read at its exact value."""
+    out = list(window)
+    for P, slope, end in lines:
+        a = raws[P]
+        if type(a) is type(slope) is Fraction:
+            (n, d), (sn, sd) = window[P], slope.as_integer_ratio()
+            base, step, den = n * sd, sn * d, d * sd
+            out[P + 1:end] = [(base + step * k, den) for k in range(1, end - P)]
+        else:
+            at = raw_line(a, slope, P)
+            out[P + 1:end] = [_pair(at(p)) for p in range(P + 1, end)]
+    return out
+
+
+def _leq(x: tuple[int, int], y: tuple[int, int], tol: float) -> bool:
+    """x <= y on integer pairs (_pairs), cross-multiplied (two infinities by
+    sign), or within tol as floats when both are finite."""
+    (xn, xd), (yn, yd) = x, y
+    if (xn * yd <= yn * xd) if xd or yd else xn <= yn:
         return True
-    if _inf_sign(x) or _inf_sign(y):
+    if not (xd and yd):
         return False
-    fx, fy = _to_float(x), _to_float(y)
+    fx, fy = _to_float(Fraction(xn, xd)), _to_float(Fraction(yn, yd))
     return fx <= fy + tol * max(1.0, abs(fx), abs(fy))
 
 
@@ -589,24 +629,27 @@ def compare_regularizations(a: SequenceSpec, phi1: RegularizingFunction,
 
     Checks a^{larger} <= a^{smaller} <= a elementwise, and that the ungated
     regularization (the convex minorant) floors both.  The window is read once,
-    and each regularization is the sweep core's raw window, with no record.
+    and each regularization is the sweep core's lines, filled in as integer
+    pairs, with no record.
     """
     label = _larger(phi1, phi2)
     big, small = (phi1, phi2) if label == "phi1" else (phi2, phi1)
     seq = to_log_scale(a)
     w, vals = _window_values(seq, window)
-    x_big, x_small, x_floor = (_core(seq, vals, phi, window, tol)[2]
+    read = _read(vals)
+    # +inf entries are (1, 0); past a -inf entry the three are Case 1 records,
+    # which are -inf there, so the entries there are never compared
+    x = [(1, 0)] * w
+    for q, n, d, _ in read[1]:
+        x[q] = n, d
+    x_big, x_small, x_floor = (_pairs(read[0], x, _core(seq, read, phi, window, tol)[5])
                                for phi in (big, small, make_phi("infinite")))
-    ordered_ok = convex_floor_ok = True
-    witness: Optional[int] = None
-    for p in range(w):
-        if not (_leq(x_big[p], x_small[p], tol) and _leq(x_small[p], vals[p].raw, tol)):
-            ordered_ok = False
-            witness = p if witness is None else witness
-        if not (_leq(x_floor[p], x_big[p], tol) and _leq(x_big[p], vals[p].raw, tol)):
-            convex_floor_ok = False
-            witness = p if witness is None else witness
-    return ComparisonReport(label, ordered_ok, convex_floor_ok, witness)
+    unordered = [p for p in range(w)
+                 if not (_leq(x_big[p], x_small[p], tol) and _leq(x_small[p], x[p], tol))]
+    unfloored = [p for p in range(w)
+                 if not (_leq(x_floor[p], x_big[p], tol) and _leq(x_big[p], x[p], tol))]
+    return ComparisonReport(label, not unordered, not unfloored,
+                            min(unordered + unfloored, default=None))
 
 
 def trace_invariance_check(a: SequenceSpec, phi: RegularizingFunction,

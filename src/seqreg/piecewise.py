@@ -13,9 +13,7 @@ limit at an open end, and those are exactly the candidates enumerated.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .errors import OutOfDomain
@@ -59,24 +57,6 @@ class Interval:
             "lo_closed": self.lo_closed,
             "hi_closed": self.hi_closed,
         }
-
-
-def _positions(locs: list[ExtReal], xs, domain: Interval) -> list[Optional[int]]:
-    """bisect_right(locs, x) - 1 at each x of the sorted xs, by one pointer over
-    locs; None outside the domain and at +-inf.  The samples inside form one
-    run, whose ends are found once by bisection on raw payloads."""
-    raw, ls = [ext(x).raw for x in xs], [loc.raw for loc in locs]
-    start = max(bisect.bisect_right(raw, -math.inf),
-                (bisect.bisect_left if domain.lo_closed else bisect.bisect_right)(raw, domain.lo.raw))
-    end = min(bisect.bisect_left(raw, math.inf),
-              (bisect.bisect_right if domain.hi_closed else bisect.bisect_left)(raw, domain.hi.raw))
-    out: list[Optional[int]] = [None] * len(raw)
-    i = -1
-    for k in range(start, end):
-        while i + 1 < len(ls) and ls[i + 1] <= raw[k]:
-            i += 1
-        out[k] = i
-    return out
 
 
 REAL_LINE = Interval(NEG_INF, POS_INF)
@@ -161,39 +141,13 @@ class PiecewiseLinearFn:
 
     __call__ = evaluate
 
-    def _floats_sorted(self, xs, extended: bool) -> list[Optional[float]]:
-        """float of the value at each x of the sorted finite xs, in one pass,
-        for the CSV; outside the domain inf when extended, else None.  On an
-        exact segment and x, r + s (x - b) is one integer true division, which
-        rounds once, as float(Fraction) does."""
-        out: list[Optional[float]] = []
-        for x, i in zip(xs, _positions(self._xs, xs, self.domain)):
-            if i is None:
-                out.append(math.inf if extended else None)
-                continue
-            if i >= 0:
-                bp = self.breakpoints[i]
-                r, s, b, t = bp.right_value.raw, bp.slope_right.raw, bp.x.raw, ext(x).raw
-                if type(r) is type(s) is type(b) is type(t) is Fraction:
-                    q = s.denominator * b.denominator * t.denominator
-                    num = r.numerator * q + r.denominator * s.numerator * (
-                        t.numerator * b.denominator - b.numerator * t.denominator)
-                    try:
-                        out.append(num / (r.denominator * q))
-                    except OverflowError:  # past the float range, as _to_float takes it
-                        out.append(math.inf if num > 0 else -math.inf)
-                    continue
-            out.append(float(self._raw_value(ext(x), i)))
-        return out
-
-    def _raw_value(self, x: ExtReal, i: Optional[int] = None) -> ExtReal:
-        """The value at x in the domain; i, if given, is the last breakpoint at or before x."""
+    def _raw_value(self, x: ExtReal) -> ExtReal:
+        """The value at x in the domain."""
         if not self.breakpoints:
             if self.constant is None:
                 raise OutOfDomain("empty function")
             return self.constant
-        if i is None:
-            i = bisect.bisect_right(self._xs, x) - 1
+        i = bisect.bisect_right(self._xs, x) - 1
         if i < 0:
             first = self.breakpoints[0]
             return first.left_value - self.slope_left * (first.x - x)
@@ -337,11 +291,6 @@ class StepFunction:
         return self.initial_level if i < 0 else self.jumps[i][1]
 
     __call__ = value
-
-    def values_sorted(self, ts) -> list[Optional[int]]:
-        """value at each t of the sorted finite ts, in one pass; None outside the domain."""
-        return [None if i is None else self.initial_level if i < 0 else self.jumps[i][1]
-                for i in _positions(self._locs, ts, self.domain)]
 
     def left_limit(self, t) -> int:
         t = ext(t)

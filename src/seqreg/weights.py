@@ -152,7 +152,8 @@ class OmegaTable:
 
     @_once
     def wvals_exact(self) -> bool:
-        return all(v.is_exact or v.is_pos_inf for v in self.wvals)
+        # +inf only where the log view is: a finite weight past the float range takes the float path
+        return all(v.is_exact or a.is_pos_inf for v, a in zip(self.wvals, self.avals))
 
     @_once
     def quotients(self) -> list[ExtReal]:
@@ -165,7 +166,10 @@ class OmegaTable:
 
     @_once
     def convexity(self):
-        return is_log_convex(self.weight_view, self.window, self.tol)
+        # over the quotients the routes read: the examined range, and past it a
+        # closed-form tail's own, which the first one past the range joins
+        closed_form = isinstance(self.M.tail, (Geometric, AffineLog, FactorialPower))
+        return is_log_convex(self.weight_view, self.base_end + closed_form, self.tol)
 
     @_once
     def regime(self):

@@ -589,8 +589,10 @@ def perturb_phireg(monkeypatch, at):
         result = engine(*args, **kwargs)
         prefix = list(result.regularized.prefix)
         prefix[at] = prefix[at] - ext(1)
-        return dataclasses.replace(
-            result, regularized=dataclasses.replace(result.regularized, prefix=tuple(prefix)))
+        # the record builds regularized on first access; the perturbed one takes its place
+        object.__setattr__(result, "regularized",
+                           dataclasses.replace(result.regularized, prefix=tuple(prefix)))
+        return result
 
     monkeypatch.setattr(cli_mod, "regularize_with_phi", perturbed)
 

@@ -3,9 +3,10 @@
 `minorant._sweep` makes one left-to-right pass: a lower-hull stack of the
 points admitted from the current principal point on, merged with the
 non-decreasing thresholds.  `ref_loop` below is the loop that ran before it,
-kept verbatim as the reference (`ref_sweep` hands it the sweep's input, the
+kept as the reference (`ref_sweep` hands it the sweep's input, the
 thresholds read back from integer ratios): at every event it computed the
-takeover time of every later point.  On every input the two must give the same principal
+takeover time of every later point, and it decides on the entries' exact
+values, as the sweep does.  On every input the two must give the same principal
 points with their entry times, discontinuities, events and cap flag, value
 and type alike, on exact entries and on float entries whose arithmetic is
 exact.  Where float rounding leaves points only almost collinear, the sweep
@@ -19,7 +20,7 @@ import sys
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqreg import (CASE2, ExplicitOnly, ExtReal, RegimeClassification, RegularizingFunction,
                     SeqRegError, SequenceSpec, ext, make_phi, recover_sequence,
@@ -29,7 +30,7 @@ from seqreg.extreal import NEG_INF, POS_INF, ZERO
 from seqreg.minorant import _sweep
 
 
-# -- the replaced loop, verbatim ----------------------------------------------------
+# -- the replaced loop --------------------------------------------------------------
 
 
 def ref_loop(pts, cap_raw):
@@ -43,40 +44,45 @@ def ref_loop(pts, cap_raw):
 
     while True:
         # one pass: the takeover time e_q of every later point, keeping the
-        # earliest and every point tied with it
+        # earliest and every point tied with it.  Each decision is taken on
+        # the entries' exact values (x_q), so a float slope that rounds off
+        # a threshold, the cap or another point's time it equals exactly is
+        # still tied with it; the time emitted is the smallest raw value that
+        # sets the earliest time, the first point's among equal ones
         P, aP, _ = pts[k]
-        tau = None
+        tau = tau_x = None
         cands: list[int] = []
         blocked = False
         for j in range(k + 1, len(pts)):
             q, v, thr = pts[j]
-            e_q = (v - aP) / (q - P)
-            if e_q < thr:
-                e_q = thr
-            if cap_raw is not None and not e_q < cap_raw:
+            e_q, x_q = (v - aP) / (q - P), (Fraction(v) - Fraction(aP)) / (q - P)
+            if x_q < thr:
+                e_q = x_q = thr
+            if cap_raw is not None and not x_q < cap_raw:
                 blocked = True
-            elif tau is None or e_q < tau:
-                tau = e_q
+            elif tau is None or x_q < tau_x:
+                tau, tau_x = e_q, x_q
                 cands = [j]
-            elif e_q == tau:
+            elif x_q == tau_x:
+                tau = min(tau, e_q)
                 cands.append(j)
         if tau is None:
             stopped_by_cap = blocked
             break
         for j in cands:
-            assert tau >= pts[j][2]  # visibility always precedes takeover
+            assert tau_x >= pts[j][2]  # visibility always precedes takeover
         # a candidate lies below the old line exactly when its threshold, not
         # its slope from P, set its time ("binds"); deciding that on the slope
         # keeps float rounding in the intercepts from posing as a jump
-        binding = [j for j in cands if (pts[j][1] - aP) / (pts[j][0] - P) < pts[j][2]]
+        binding = [j for j in cands
+                   if (Fraction(pts[j][1]) - Fraction(aP)) / (pts[j][0] - P) < pts[j][2]]
         # written 0 - c, not -c: the trace value of c = 0.0 is 0.0, never -0.0
         left = right = 0 - (aP - P * tau)
         if binding:
-            icpt = [pts[j][1] - pts[j][0] * tau for j in binding]
-            c_min = min(icpt)
-            batch = [j for j, c in zip(binding, icpt) if c == c_min]
+            icpt = [Fraction(pts[j][1]) - pts[j][0] * Fraction(tau_x) for j in binding]
+            batch = [j for j, c in zip(binding, icpt) if c == min(icpt)]
             disc.append(pts[batch[0]][0])
-            right = 0 - c_min
+            right = 0 - (pts[batch[0]][1] - pts[batch[0]][0] * tau)
         else:
             batch = cands  # every candidate is on the old line: no jump
         top = pts[batch[-1]][0]
@@ -90,14 +96,28 @@ def ref_loop(pts, cap_raw):
 
 
 def ref_sweep(pts, cap_raw):
-    """ref_loop on `_sweep`'s input, whose thresholds are `Threshold`s."""
+    """ref_loop on points (q, a_q, threshold(q)), whose thresholds are `Threshold`s."""
     return ref_loop([(q, v, phireg._raw(thr)) for q, v, thr in pts], cap_raw)
 
 
-def ref_on_fractions(pts, cap_raw, chord=None):
-    """ref_sweep on the entries and the cap read as exact Fractions (phireg has no tail chords)."""
+def rows(pts):
+    """`_sweep`'s input from points (q, a_q, threshold(q)): the points
+    (q, n, d, a_q) and the thresholds (n, d, threshold(q)), each pair the
+    exact value, and (-1, 0) for -inf."""
+    return ([(q, *v.as_integer_ratio(), v) for q, v, _ in pts],
+            [(*(thr if type(thr) is tuple else minorant._pair(thr)), thr) for *_, thr in pts])
+
+
+def points(pts, ths):
+    """The points (q, a_q, threshold(q)) of `_sweep`'s input (rows)."""
+    return [(q, v, thr) for (q, _, _, v), (_, _, thr) in zip(pts, ths)]
+
+
+def ref_on_fractions(pts, ths, cap_raw, chord=None):
+    """ref_sweep on `_sweep`'s input with the entries and the cap read as exact
+    Fractions (phireg has no tail chords)."""
     assert chord is None
-    return ref_sweep([(q, Fraction(v), thr) for q, v, thr in pts],
+    return ref_sweep([(q, Fraction(v), thr) for q, v, thr in points(pts, ths)],
                      None if cap_raw is None else Fraction(cap_raw))
 
 
@@ -178,15 +198,25 @@ def sweep_points(values, holes, phi):
 def test_sweep_matches_the_loop_on_exact_entries(case):
     values, holes, phi, cap = case
     pts, cap = sweep_points(values, holes, phi), None if cap is None else cap.raw
-    assert key(_sweep(pts, cap)) == key(ref_sweep(pts, cap))
+    assert key(_sweep(*rows(pts), cap)) == key(ref_sweep(pts, cap))
 
 
+# a float slope that rounds below a blowup threshold it equals exactly: from
+# -6.5 at 5 to 13.0 at 10 under blowup:4 (39/10); from -3.0 at 8 to 8.75 at
+# 11, where 12's threshold, 47/12, ties with it; and from -0.25 at 0 to -1.25
+# at 5 under blowup:0 (-1/5)
 @given(sequences("dyadic"))
+@example(([0.0, 0.0, 0.0, 0.0, 0.0, -6.5, 0.0, 1.375, 2.75, 9.125, 13.0, 18.375], {8},
+          make_phi("blowup:4"), ExtReal(4)))
+@example(([0.0] * 8 + [-3.0, 2.5, 5.625, 8.75, 11.875, 15.0, 18.125, 21.25, 24.375, 27.5],
+          set(), make_phi("blowup:4"), ExtReal(4)))
+@example(([-0.25, -0.25, -0.5, -0.75, -1.0] + [-1.25] * 10, set(), make_phi("blowup:0"),
+          ExtReal(0)))
 @settings(max_examples=400, deadline=None)
 def test_sweep_matches_the_loop_on_float_entries(case):
     values, holes, phi, cap = case
     pts, cap = sweep_points(values, holes, phi), None if cap is None else cap.raw
-    assert key(_sweep(pts, cap)) == key(ref_sweep(pts, cap))
+    assert key(_sweep(*rows(pts), cap)) == key(ref_sweep(pts, cap))
 
 
 def regularize(values, phi, declared_cap):
@@ -266,7 +296,7 @@ def test_a_float_slope_tied_with_a_threshold_enters_at_the_threshold():
     values = [0.0, 0.0, -7.875, 0.0, 1.375, 3.625, 5.875, 8.125, 10.375]
     phi = make_phi("blowup:4")
     pts, cap = sweep_points(values, set(), phi), phi.blowup_T.raw
-    assert key(_sweep(pts, cap)) == key(ref_sweep(pts, cap))
+    assert key(_sweep(*rows(pts), cap)) == key(ref_sweep(pts, cap))
 
 
 def test_a_float_slope_cannot_round_past_the_next_threshold():
@@ -287,7 +317,7 @@ def test_jump_admits_the_run_on_the_lowest_line():
     # the lowest one: they enter together, with a jump, and 5 enters at t = 3
     thresholds = [None, (0, 1), (0, 1), (2, 1), (2, 1), (2, 1)]
     pts = [(q, Fraction(v), thresholds[q]) for q, v in enumerate([0, 1, 2, 2, 4, 7])]
-    got = _sweep(pts, None)
+    got = _sweep(*rows(pts), None)
     assert key(got) == key(ref_sweep(pts, None))
     principal, disc, events, stopped = got
     assert principal == [(0, NEG_INF), (1, ext(1)), (2, ext(1)), (3, ext(2)), (4, ext(2)),
@@ -354,7 +384,7 @@ def exact_windows(draw):
 def test_integer_sweep_matches_the_loop_on_exact_windows(case):
     values, holes, phi, cap = case
     pts, cap = sweep_points(values, holes, phi), None if cap is None else cap.raw
-    assert key(_sweep(pts, cap)) == key(ref_sweep(pts, cap))
+    assert key(_sweep(*rows(pts), cap)) == key(ref_sweep(pts, cap))
 
 
 @given(sequences("exact"), st.integers(0, 40), st.integers(-64, 64))
@@ -368,7 +398,7 @@ def test_one_float_entry_matches_the_loop(case, at, eighths):
     values[at] = eighths / 8
     holes.discard(at)
     pts, cap = sweep_points(values, holes, phi), None if cap is None else cap.raw
-    assert key(_sweep(pts, cap)) == key(ref_sweep(pts, cap))
+    assert key(_sweep(*rows(pts), cap)) == key(ref_sweep(pts, cap))
 
 
 def count_fractions(fn, *args):
@@ -397,7 +427,7 @@ def test_integer_sweep_builds_three_fractions_per_event_at_most():
     for phi in (make_phi("exp"), make_phi("expaffine:1/3,1"), make_phi("blowup:50")):
         pts = sweep_points(values, set(), phi)
         cap = None if phi.blowup_T is None else phi.blowup_T.raw
-        (principal, disc, events, _), built = count_fractions(_sweep, pts, cap)
+        (principal, disc, events, _), built = count_fractions(_sweep, *rows(pts), cap)
         assert key((principal, disc, events, _)) == key(ref_sweep(pts, cap))
         assert len(events) >= 10 and disc
         assert built <= 3 * len(events)

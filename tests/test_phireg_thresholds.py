@@ -8,13 +8,16 @@ blowup, and the first knot segment that reaches p for piecewise.  On every p
 up to 4096 and every drawn parameter the ratio must equal them, and so must
 `threshold(p)`.
 
-`phireg --emit csv` reads m(t) and A(t) at sorted slopes with
-`StepFunction.values_sorted` and `PiecewiseLinearFn._floats_sorted`, one pass
-over the jumps and one over the breakpoints; at every sample, inside J and
-outside it, m must equal `counting_m_phi`, and A the float of `trace_A_phi`,
-by repr (on an exact segment `_floats_sorted` divides two integers once).
+`phireg --emit csv` reads m(t) and A(t) at sorted slopes from the record's
+raw output (`PhiRegResult._samples`), with one pointer over the trace's
+breakpoints.  At every sample, inside J and outside it, m must equal
+`counting_m_phi`, and A the float of `trace_A_phi`, by repr (on an exact
+segment A is one division of two integers, `phireg._line_float`).
+`PhiRegResult.to_json`, printed from the raw output, must equal the JSON of
+the record's objects, which it builds only when asked.
 """
 
+import json
 import math
 from fractions import Fraction
 from unittest import mock
@@ -29,7 +32,7 @@ from seqreg import minorant
 from seqreg.errors import AxiomViolation
 from seqreg.extreal import NEG_INF, POS_INF, ZERO
 from seqreg.minorant import _sweep as sweep
-from test_phireg_sweep import key, ref_sweep
+from test_phireg_sweep import key, points, ref_sweep, stepped_phi
 
 
 # -- the thresholds by their closed forms ------------------------------------------------
@@ -145,12 +148,12 @@ EXACT_WINDOW = SequenceSpec(kind="log", prefix=tuple(map(ext, [0, 3, 1, 4, 9, 2,
                             tail=ExplicitOnly())
 
 
-def checked_sweep(pts, cap, chord=None):
+def checked_sweep(pts, ths, cap, chord=None):
     """minorant._sweep, checked against the replaced event loop by type and repr
     (phireg has no tail chords)."""
     assert chord is None
-    got = sweep(pts, cap)
-    assert key(got) == key(ref_sweep(pts, cap))
+    got = sweep(pts, ths, cap)
+    assert key(got) == key(ref_sweep(points(pts, ths), cap))
     return got
 
 
@@ -190,13 +193,14 @@ def test_an_infinite_threshold_violates_axiom_iii(p):
 
 
 def sample_record(result, ts, extended):
-    """(m, A) at each of the sorted ts, as the CSV reads them: None outside J,
-    and A = inf there when extended."""
-    return list(zip(result.counting.values_sorted(ts), result.trace._floats_sorted(ts, extended)))
+    """(m, A) at each of the sorted ts, as the CSV reads them from the record's
+    raw output: None outside J, and A = inf there when extended."""
+    return result._samples([t.raw for t in ts], extended)
 
 
+# stepped_phi(2) has tied thresholds, so events may share a time
 PHIS = [make_phi(d) for d in ("exp", "expaffine:1/2,1", "blowup:0", "blowup:5/2", "infinite",
-                              "piecewise:[[-1,0],[1,2],[3,2],[4,6]]")]
+                              "piecewise:[[-1,0],[1,2],[3,2],[4,6]]")] + [stepped_phi(2)]
 
 
 @st.composite
@@ -253,7 +257,7 @@ def test_sorted_pass_matches_the_per_sample_functions(result, extra, extended):
     if result is None:
         return
     ts = samples(result, extra)
-    got = result.counting.values_sorted(ts)
+    got = [m for m, _ in sample_record(result, ts, extended)]
     assert got == [per_sample(counting_m_phi, result, t) for t in ts]
 
 
@@ -273,7 +277,7 @@ def test_sorted_pass_without_breakpoints(extended):
 
 def floats_key(result, ts, extended):
     """The CSV's A column at the sorted ts, and float of trace_A_phi at each, by repr."""
-    got = result.trace._floats_sorted(ts, extended)
+    got = [a for _, a in sample_record(result, ts, extended)]
     want = [per_sample(trace_A_phi, result, t, extended=extended) for t in ts]
     return [repr(a) for a in got], [repr(None if a is None else float(a)) for a in want]
 
@@ -297,3 +301,41 @@ def test_csv_floats_past_the_float_range(extended):
     result = regularize_with_phi(seq, make_phi("infinite"))
     got, want = floats_key(result, samples(result, [0]), extended)
     assert got == want and {"inf", "-inf"} <= set(got)
+
+
+# -- the record printed from the raw output --------------------------------------------
+
+
+def object_json(result) -> dict:
+    """The record's JSON assembled from its on-demand objects' own to_json methods."""
+    return {
+        "regularized": [v.to_json() for v in result.regularized.prefix],
+        "principal_indices": list(result.principal_indices),
+        "discontinuity_indices": list(result.discontinuity_indices),
+        "intervals": [iv.to_json() for iv in result.intervals],
+        "segments": [seg.to_json() for seg in result.segments],
+        "counting": result.counting.to_json(),
+        "trace": result.trace.to_json(),
+        "J_right": result.J_right.to_json(),
+        "finite_principal": result.finite_principal,
+        "window": result.window,
+        "provisional_from": result.provisional_from,
+        "phi": result.phi_descriptor,
+    }
+
+
+# float rounding gives two events at the time -1/2, one of them as the float -0.5
+ROUNDED_TIES = SequenceSpec(kind="log", tail=ExplicitOnly(),
+                            prefix=tuple(ExtReal(k * 0.1) for k in (-2, -7, -12, 28, -29)))
+
+
+@given(records())
+@example(regularize_with_phi(ROUNDED_TIES, make_phi("blowup:0")))
+@settings(max_examples=400, deadline=None)
+def test_json_from_the_raw_output_matches_the_objects(result):
+    # exact and float windows, +inf holes and ends, Case 1 and Case 2, and
+    # blowup windows that the cap closes; json.dumps tells 1 from 1.0
+    if result is None:
+        return
+    printed = json.dumps(result.to_json(), sort_keys=True)  # before any object is built
+    assert printed == json.dumps(object_json(result), sort_keys=True)

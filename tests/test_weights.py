@@ -191,6 +191,31 @@ def test_non_convex_weights_rejected():
     assert float(omega_direct(bumpy, 2, window=5).value) == pytest.approx(math.log(4))
 
 
+@pytest.mark.parametrize("prefix, index", [
+    # the window [1, 1, 6, 36] is log-convex, but the routes read the prefix
+    # to 216, and the tail's 5! = 120 past it makes the quotient fall
+    ((1, 1, 6, 36, 216), 4),
+    # the prefix is log-convex up to the tail's first weight 5! = 120; the
+    # tail's own quotient 6 past it falls below 120 / 10^-4
+    ((1, Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10**4)), 5),
+])
+def test_convexity_covers_the_quotients_the_routes_read(prefix, index):
+    M = SequenceSpec(kind="weight", prefix=prefix, tail=FactorialPower(s=1, c=1))
+    for route in (omega_piecewise, omega_integral):
+        with pytest.raises(NotLogConvex) as err:
+            route(M, 1, window=4)
+        assert err.value.index == index
+    assert omega_direct(M, 1, window=4).value.is_finite  # the direct sup needs no convexity
+
+
+def test_tilde_reads_a_weight_past_the_float_range_on_the_log_view():
+    # M_0 = e^800 is finite, but +inf as a float: at an exact t it was
+    # skipped, and omega_tilde was -inf where it is -800 at the float t
+    M = SequenceSpec(kind="log", prefix=(ext(800), ext(math.inf), ext(math.inf)),
+                     tail=ExplicitOnly())
+    assert omega_tilde(M, Fraction(2)) == omega_tilde(M, 2.0) == ext(-800.0)
+
+
 def test_case2_closed_forms_live_on_half_open_interval():
     m = powers_of_two()
     assert omega_piecewise(m, Fraction(3, 2), window=16) == ZERO
