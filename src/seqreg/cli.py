@@ -240,7 +240,7 @@ def _verify_minorant(seq: SequenceSpec, result: MinorantResult,
     original = log_in.values(result.window)
     engine = to_log_scale(result.regularized).prefix
     cap = result.regime.a_iota if result.regime.regime == CASE2 else None
-    oracle = brute_minorant(list(original), slope_cap=cap, beyond=_tail_point(result, log_in))
+    oracle = brute_minorant(list(original), cap, _tail_point(result.tail_end, log_in))
     stable = min(len(engine), result.stable_prefix + 1)
     report = compare_values(
         "minorant stable prefix vs pairwise-line oracle",
@@ -268,9 +268,9 @@ def _misses_principal(principal: tuple[int, ...], original: list[ExtReal],
         for p, (o, a) in enumerate(zip(oracle, original)))
 
 
-def _tail_point(result: MinorantResult, log_seq: SequenceSpec) -> list:
+def _tail_point(tail_end: Optional[int], log_seq: SequenceSpec) -> list:
     """The sweep's far end past the window, as an oracle's ``beyond`` points."""
-    return [] if result.tail_end is None else [(result.tail_end, log_seq.value(result.tail_end))]
+    return [] if tail_end is None else [(tail_end, log_seq.value(tail_end))]
 
 
 @main.command()
@@ -417,7 +417,7 @@ def trace(files, window, tol, verify, extended):
             slopes = _trace_sample_slopes(fn)
             pairs = []
             witnesses = []
-            beyond = _tail_point(result, log_seq)
+            beyond = _tail_point(result.tail_end, log_seq)
             for k, direct in zip(slopes, brute_trace(log_seq.values(result.window), slopes, beyond)):
                 try:
                     engine = fn.evaluate(k, extended=extended)
@@ -547,7 +547,8 @@ def _verify_phireg(seq: SequenceSpec, phi, result, window: int, tol: float):
     # at slopes t >= T a blow-up phi admits every point, which J = (-inf, T) never does
     t_max = None if phi.blowup_T is None else float(phi.blowup_T) - _SWEEP_STEP / 2
     try:
-        sweep = brute_phi_sweep(vals, phi, _SWEEP_STEP, t_max=t_max)
+        sweep = brute_phi_sweep(vals, phi, _SWEEP_STEP, t_max=t_max,
+                                beyond=_tail_point(result._tail_end, log_seq))
     except (ValueError, OverflowError) as exc:  # OverflowError: an entry past the float range
         raise SeqRegError(f"phireg --verify: the sweep oracle refused the input: {exc}") from exc
     pairs = list(zip(result.regularized.prefix, sweep.regularized))

@@ -12,7 +12,7 @@ Slopes, line values and trace values are computed on raw payloads by
 ExtReal's rules (extreal.raw_slope, raw_line): one Fraction between exact
 values, and exact where a float would overflow from finite operands.
 
-A closed-form tail is the only thing the minorant adds: a strictly lower
+A closed-form tail is the only thing the ungated sweep adds: a strictly lower
 chord past the window (_tail_chords) is the sweep's last event.  A tail point
 below the extension of a hull edge lies below the extension of every later
 edge, so a chord that wins at one vertex wins at every later one, and one
@@ -36,9 +36,10 @@ Three regimes:
              its slopes reach a_iota, closed by the line of slope exactly
              a_iota through the last principal point.
 
-regularize() is the one place that maps a regime to its construction: it
-classifies once and calls that regime's builder.  The per-regime entry points
-check their regime first and then call the same builders.
+_ungated, the one builder, maps a regime and its cap to the construction.
+regularize() classifies once and calls it, the per-regime entry points check
+their regime first, and phireg under phi = +inf (its record, compare's floor)
+calls it too.
 
 The trace k -> sup_p (p*k - a_p) has one breakpoint per distinct event time;
 its conjugate reproduces the minorant values (exact on rationals).  A result
@@ -50,6 +51,7 @@ the raw events.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -102,20 +104,17 @@ class MinorantResult:
     # the log-scale window values, which the edges pass through
     _log: tuple[ExtReal, ...] = field(default=(), repr=False)
     # the sweep's events (time, left value, right value, top) as raw payloads,
-    # and the right end of the trace's domain
+    # and the right end of the trace's domain (-inf: empty, in Case 1)
     _events: tuple = field(default=(), repr=False)
     _hi: ExtReal = field(default=POS_INF, repr=False)
 
     @cached_property
     def trace(self) -> PiecewiseLinearFn:
         """The trace, built from the sweep's events when first asked for."""
-        if self.regime.regime == CASE1:
-            return PiecewiseLinearFn(breakpoints=(), domain=EMPTY_INTERVAL, slope_left=ZERO,
-                                     value_at_minus_inf=ZERO - self._log[0])
         return _trace(self._events, self._log[0], self._hi)
 
     def _trace_json(self) -> dict:
-        """self.trace.to_json() outside Case 1, printed from the raw events."""
+        """self.trace.to_json(), printed from the raw events."""
         return _trace_payload(_merged(self._events), self._log[0], self._hi)
 
     @property
@@ -382,8 +381,8 @@ def _sweep(pts: list[tuple[int, int, int, RawNumber]], ths: list[tuple[int, int,
                 bn, bd = tau.numerator, tau.denominator  # the same time, reduced
             elif m < len(pts):
                 tau = min(tau, _raw(ths[m][2]))
-        if not (type(tau) is type(last) is Fraction) and tau < last:
-            tau = last  # float rounding cannot take the events back in time
+        if not (type(tau) is type(last) is Fraction) and tau <= last:
+            tau = last  # float rounding cannot take the events back in time, nor print one twice
         last = tau
 
         # the trace value P*tau - a_P, and at a jump that of the lowest line
@@ -444,19 +443,29 @@ def _read(vals: list[ExtReal]) -> tuple[list[RawNumber], list[tuple], Optional[i
     return raws, pts, None
 
 
-def _run(read: tuple, cap: Optional[RawNumber], regime: Optional[RegimeClassification],
+# One window's construction (_run): the sweep's raw output, the lines (P, slope,
+# end) that fill the window, the tail index where the last line ends when the
+# sweep left the window by a tail chord, J's right end hi (-inf: J is empty),
+# whether the cap's line closes the window, and the last index that no
+# extension of the sequence can change.
+Construction = namedtuple("Construction", "principal disc events lines tail_end hi closed stable")
+
+
+def _run(read: tuple, cap: Optional[ExtReal], regime: Optional[RegimeClassification],
          ths: Optional[list[tuple[int, int, Threshold]]] = None,
-         chord: Optional[Callable] = None):
-    """The sweep over the window read once (_read) and the lines (P, slope, end)
-    that fill the regularized window: (principal, disc, events, lines, tail_end).
+         chord: Optional[Callable] = None) -> Construction:
+    """The sweep over the window read once (_read) and what it makes of it.
 
     A -inf entry is refused: it contradicts the regime of the ungated sweep
     (regime given), and a gated sweep (regime None) cannot take it.  ths are
     a gated sweep's thresholds, one per point; chord is the tail hook.  Each
     principal point's line, of its successor's entry time, runs up to that
-    successor; past the last one runs the tail chord's line (tail_end its
-    tail index) or, when the sweep ends before the window does and the cap
-    is finite, the line of slope cap, which the trace's conjugate recovers.
+    successor; past the last one runs the tail chord's line or, when the
+    sweep stops before the window does and the cap is finite, the line of
+    slope cap, which the trace's conjugate recovers.  The whole window is
+    stable once a factorial tail has vetted the sweep to its end, or when the
+    chords of a Case 2 tail never dip below the cap it stopped at; otherwise
+    up to the penultimate principal index.
     """
     raws, pts, neg = read
     if neg is not None:
@@ -466,15 +475,41 @@ def _run(read: tuple, cap: Optional[RawNumber], regime: Optional[RegimeClassific
         raise InconsistentDeclaration(
             f"a_{neg} = -inf collapses the sequence (case 1), "
             f"but the {regime.source} regime is {regime.regime}")
-    principal, disc, events, _ = _sweep(pts, ths or [(-1, 0, None)] * len(pts), cap, chord)
+    principal, disc, events, _ = _sweep(pts, ths or [(-1, 0, None)] * len(pts),
+                                        None if cap is None else cap.raw, chord)
     lines = [(P, t.raw, end) for (P, _), (end, t) in zip(principal, principal[1:])]
     P, w = principal[-1][0], len(raws)
     tail_end = events[-1][3] if events and events[-1][3] >= w else None
+    stopped = tail_end is None and P < w - 1
     if tail_end is not None:
         lines.append((P, events[-1][0], w))
-    elif cap is not None and P < w - 1:
-        lines.append((P, cap, w))
-    return principal, disc, events, lines, tail_end
+    elif cap is not None and stopped:
+        lines.append((P, cap.raw, w))
+    proven = chord is not None and stopped == (cap is not None)
+    stable = w - 1 if proven else principal[-2 if len(principal) >= 2 else -1][0]
+    return Construction(principal, disc, events, lines, tail_end,
+                        POS_INF if cap is None else cap, cap is not None and stopped, stable)
+
+
+def _ungated(seq: SequenceSpec, read: tuple, regime: RegimeClassification,
+             cap: Optional[ExtReal] = None) -> Construction:
+    """The ungated construction in the regime, on the window read once: the
+    one place that maps a regime to its construction.  Case 1 collapses;
+    otherwise the sweep runs with the cap (Case 2's a_iota unless cap is
+    given, none in the standard regime) and the chords into a closed-form
+    tail: a factorial one in the standard regime, an affine-log or geometric
+    one in Case 2."""
+    w = len(read[0])
+    if regime.regime == CASE1:
+        # every supporting line sinks forever: (a_0, -inf, -inf, ...), J is empty
+        return Construction([(0, NEG_INF)], [], [], [(0, -math.inf, w)], None, NEG_INF, True,
+                            w - 1)
+    if regime.regime != CASE2:
+        cap = None
+    elif cap is None:
+        cap = regime.a_iota
+    extends = isinstance(seq.tail, FactorialPower if cap is None else (AffineLog, Geometric))
+    return _run(read, cap, regime, chord=_tail_chords(seq, w) if extends else None)
 
 
 def _filled(raws: list[RawNumber], lines: list[tuple[int, RawNumber, int]]) -> list[RawNumber]:
@@ -508,23 +543,29 @@ def _merged(events) -> list[tuple]:
     return bps
 
 
+def _domain(hi: ExtReal) -> Interval:
+    """J = (-inf, hi), the trace's domain: empty for hi = -inf (Case 1)."""
+    return EMPTY_INTERVAL if hi.is_neg_inf else Interval(NEG_INF, hi)
+
+
 def _trace_payload(bps: list[tuple], a0: ExtReal, hi: ExtReal) -> dict:
     """_trace(events, a0, hi).to_json(), printed from bps = _merged(events)."""
     at_minus_inf = (ZERO - a0).to_json()
     points = [{"x": raw_json(x), "left_value": raw_json(left), "right_value": raw_json(right),
                "slope_right": top} for x, left, right, top in bps]
-    payload = {"breakpoints": points, "domain": Interval(NEG_INF, hi).to_json(),
+    payload = {"breakpoints": points, "domain": _domain(hi).to_json(),
                "slope_left": 0, "value_at_minus_inf": at_minus_inf}
-    return payload if points else {**payload, "constant": at_minus_inf}
+    return payload if points or hi.is_neg_inf else {**payload, "constant": at_minus_inf}
 
 
 def _trace(events, a0: ExtReal, hi: ExtReal) -> PiecewiseLinearFn:
-    """The trace on (-inf, hi) from the sweep's events (_merged)."""
+    """The trace on J = (-inf, hi) from the sweep's events (_merged); on an
+    empty J only the convention A(-inf) = -a_0 survives."""
     bps = tuple(Breakpoint(ExtReal(x), ExtReal(left), ExtReal(right), ext(top))
                 for x, left, right, top in _merged(events))
-    return PiecewiseLinearFn(breakpoints=bps, domain=Interval(NEG_INF, hi),
+    return PiecewiseLinearFn(breakpoints=bps, domain=_domain(hi),
                              slope_left=ZERO, value_at_minus_inf=ZERO - a0,
-                             constant=None if bps else ZERO - a0)
+                             constant=None if bps or hi.is_neg_inf else ZERO - a0)
 
 
 def _window_values(seq: SequenceSpec, window: Optional[int]) -> tuple[int, list[ExtReal]]:
@@ -537,61 +578,26 @@ def _window_values(seq: SequenceSpec, window: Optional[int]) -> tuple[int, list[
     return w, vals
 
 
-def _result(regime: RegimeClassification, w: int, prefix: tuple[ExtReal, ...],
-            principal: list[int], slopes: list[ExtReal], events: tuple, hi: ExtReal,
-            proven: bool, finite_principal: Optional[bool] = None,
-            tail_end: Optional[int] = None) -> MinorantResult:
-    # a proven end pins the whole window; otherwise trust up to the penultimate principal
-    stable = w - 1 if proven else principal[-2] if len(principal) >= 2 else principal[-1]
-    return MinorantResult(
-        regularized=SequenceSpec(kind=LOG, prefix=prefix, tail=ExplicitOnly(),
-                                 declared_regime=regime),
-        principal_indices=tuple(principal),
-        slopes=tuple(slopes),
-        regime=regime,
-        stable_prefix=stable,
-        provisional_from=stable + 1,
-        window=w,
-        scale=LOG,
-        finite_principal=finite_principal,
-        tail_end=tail_end,
-        _log=prefix,
-        _events=events,
-        _hi=hi,
-    )
+# -- the regime constructions ---------------------------------------------------------
 
 
-# -- the three regime constructions ------------------------------------------------
-
-
-def _hull(seq: SequenceSpec, window: Optional[int], regime: RegimeClassification,
-          cap: Optional[ExtReal]) -> MinorantResult:
-    """The standard minorant (no cap) or the Case 2 one (cap a_iota): the
-    ungated sweep, whose chords past the window come from a factorial tail in
-    the standard regime and from an affine-log or geometric one in Case 2."""
+def _minorant(seq: SequenceSpec, window: Optional[int], regime: RegimeClassification,
+              cap: Optional[ExtReal] = None) -> MinorantResult:
+    """The minorant in the regime (_ungated), as a result."""
     w, vals = _window_values(seq, window)
-    extends = isinstance(seq.tail, FactorialPower if cap is None else (AffineLog, Geometric))
     read = _read(vals)
-    principal, _, events, lines, tail_end = _run(read, None if cap is None else cap.raw, regime,
-                                                 chord=_tail_chords(seq, w) if extends else None)
-    out = _filled(read[0], lines)
+    built = _ungated(seq, read, regime, cap)
+    out = _filled(read[0], built.lines)
     # each value the fill wrote is wrapped once; the others keep the window's ExtReal
     prefix = tuple(v if v.raw is r else ExtReal(r) for v, r in zip(vals, out))
-    slopes = [t for _, t in principal[1:]] + ([] if tail_end is None else [ExtReal(events[-1][0])])
-    indices = [p for p, _ in principal]
-    stopped = tail_end is None and indices[-1] < w - 1
-    # the result is proven once a factorial tail has vetted the sweep to the window
-    # end, or when the chords of a Case 2 tail never dip below the cap it stopped at
-    return _result(regime, w, prefix, indices, slopes, tuple(events),
-                   POS_INF if cap is None else cap, extends and stopped == (cap is not None),
-                   None if cap is None else stopped, tail_end)
-
-
-def _case1(seq: SequenceSpec, window: Optional[int],
-           regime: RegimeClassification) -> MinorantResult:
-    w, vals = _window_values(seq, window)
-    return _result(regime, w, (vals[0],) + (NEG_INF,) * (w - 1), [0], [], (), POS_INF, True,
-                   finite_principal=True)
+    slopes = [t for _, t in built.principal[1:]]
+    if built.tail_end is not None:
+        slopes.append(ExtReal(built.events[-1][0]))
+    return MinorantResult(
+        SequenceSpec(kind=LOG, prefix=prefix, tail=ExplicitOnly(), declared_regime=regime),
+        tuple(p for p, _ in built.principal), tuple(slopes), regime, built.stable,
+        built.stable + 1, w, LOG, None if built.hi.is_pos_inf else built.closed, built.tail_end,
+        _log=prefix, _events=tuple(built.events), _hi=built.hi)
 
 
 def regularize(a: SequenceSpec, window: Optional[int] = None,
@@ -603,13 +609,7 @@ def regularize(a: SequenceSpec, window: Optional[int] = None,
     entries copied at principal indices (where equality is exact).
     """
     seq = to_log_scale(a)
-    regime = classify_regime(seq, window, tol)
-    if regime.regime == CASE1:
-        base = _case1(seq, window, regime)
-    elif regime.regime == CASE2:
-        base = _hull(seq, window, regime, regime.a_iota)
-    else:
-        base = _hull(seq, window, regime, None)
+    base = _minorant(seq, window, classify_regime(seq, window, tol))
     if a.kind == LOG:
         return base
     weights = [v.exp() for v in base.regularized.prefix]
@@ -629,7 +629,7 @@ def convex_minorant(a: SequenceSpec, window: Optional[int] = None,
         raise RegimeMismatch(
             f"{regime.describe()}: convex minorant needs the standard regime "
             f"(use the dedicated case operations)", regime.regime)
-    return _hull(seq, window, regime, None)
+    return _minorant(seq, window, regime)
 
 
 def case1_regularize(a: SequenceSpec, window: Optional[int] = None,
@@ -640,7 +640,7 @@ def case1_regularize(a: SequenceSpec, window: Optional[int] = None,
     if regime.regime != CASE1:
         raise RegimeMismatch(
             f"{regime.describe()}: this operation is only for Case 1", regime.regime)
-    return _case1(seq, window, regime)
+    return _minorant(seq, window, regime)
 
 
 def case2_regularize(a: SequenceSpec, window: Optional[int] = None,
@@ -667,7 +667,7 @@ def case2_regularize(a: SequenceSpec, window: Optional[int] = None,
                 f"a_iota = {cap} contradicts the classified limit slope {regime.a_iota}")
     if regime.regime == INDETERMINATE:
         regime = RegimeClassification(CASE2, cap, regime.evidence_window, "declared")
-    return _hull(seq, window, regime, cap)
+    return _minorant(seq, window, regime, cap)
 
 
 # -- trace API ----------------------------------------------------------------------

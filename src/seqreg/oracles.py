@@ -355,6 +355,7 @@ def brute_phi_sweep(
     t_min: float | None = None,
     t_max: float | None = None,
     tie_tol: float = 1e-9,
+    beyond: Sequence = (),
 ) -> SweepResult:
     """Simulate the stripe construction on a dense grid of slopes.
 
@@ -366,7 +367,10 @@ def brute_phi_sweep(
     grid.  Everything is float; accuracy is bounded by the grid step.
     +inf entries are points that never attain the minimum.  Past the last
     finite entry the sup is +inf when the grid stands for slopes up to +inf
-    (no t_max), and the sup over the grid otherwise.
+    (no t_max), and the sup over the grid otherwise.  ``beyond`` holds
+    (index, value) points past the end of a, such as a far tail point: they
+    take part in every minimum like the others, but the regularized values
+    and the principal indices cover a's indices only.
 
     Precondition: phi is non-decreasing along the grid (axiom I of a
     regularizing function).  Then the grid slopes with phi(t) >= p form a
@@ -380,11 +384,12 @@ def brute_phi_sweep(
     if slope_grid_step <= 0:
         raise ValueError("slope_grid_step must be positive")
     vals = [math.inf if f is None else float(f)
-            for f in _rationalize_allow_pos_inf(a, "sweep input")]
-    n = len(vals)
+            for f in _rationalize_allow_pos_inf([*a, *(v for _, v in beyond)], "sweep input")]
+    n = len(a)
     if not vals or vals[0] == math.inf:
         raise ValueError("sweep input needs a finite anchor a_0")
-    if n == 1:
+    rows = [*range(n), *(q for q, _ in beyond)]  # each value's index
+    if len(vals) == 1:
         t0 = t_min if t_min is not None else 0.0
         return SweepResult(
             regularized=[ext(a[0])],
@@ -399,9 +404,9 @@ def brute_phi_sweep(
             As=np.array([-vals[0]]),
         )
 
-    finite = [p for p in range(n) if vals[p] != math.inf]
-    diffs = [(vals[q] - vals[p]) / (q - p) for p, q in zip(finite, finite[1:])] or [0.0]
-    last_threshold = _phi_threshold_estimate(phi, n - 1, max(diffs))
+    finite = [(rows[i], vals[i]) for i in range(len(vals)) if vals[i] != math.inf]
+    diffs = [(v - u) / (q - p) for (p, u), (q, v) in zip(finite, finite[1:])] or [0.0]
+    last_threshold = _phi_threshold_estimate(phi, rows[-1], max(diffs))
     if t_min is None:
         t_min = min(min(diffs), last_threshold) - 1.0
     unbounded = t_max is None
@@ -417,9 +422,9 @@ def brute_phi_sweep(
     count = math.floor(span) + 1
     ts = t_min + slope_grid_step * np.arange(count)
 
-    starts = _stripe_starts(phi, ts, n)
+    starts = _stripe_starts(phi, ts, rows)
     arr = np.array(vals)
-    idx = np.arange(n)
+    idx = np.array(rows)
     # matrix of a_p - p t, masked where p exceeds the stripe width
     mat = arr[:, None] - idx[:, None] * ts[None, :]
     mat = np.where(np.arange(count)[None, :] >= starts[:, None], mat, np.inf)
@@ -428,7 +433,7 @@ def brute_phi_sweep(
     As = -d
     hit = np.abs(mat - d[None, :]) <= tie_tol * np.maximum(1.0, np.abs(d[None, :]))
     ms = np.where(hit, idx[:, None], -1).max(axis=0)
-    principal = sorted(int(p) for p in np.unique(np.where(hit)[0]))
+    principal = sorted(int(p) for p in np.unique(np.where(hit)[0]) if p < n)
 
     # jumps of the trace: the normal per-cell drift of d is at most
     # (n - 1) * step, anything far beyond that is a discontinuity
@@ -438,13 +443,13 @@ def brute_phi_sweep(
     disc_indices: list[int] = []
     disc_slopes: list[float] = []
     for cell in disc_cells:
-        entrants = np.where(hit[:, cell + 1], idx, n)
+        entrants = np.where(hit[:, cell + 1], idx, rows[-1] + 1)
         disc_indices.append(int(entrants.min()))
         disc_slopes.append(float(ts[cell] + 0.5 * slope_grid_step))
 
     regularized: list[ExtReal] = []
     for p in range(n):
-        if starts[p] == count or (unbounded and p > finite[-1]):
+        if starts[p] == count or (unbounded and p > finite[-1][0]):
             regularized.append(ext(vals[p]))
             continue
         proj = (p * ts - As)[starts[p]:].max()
@@ -464,9 +469,10 @@ def brute_phi_sweep(
     )
 
 
-def _stripe_starts(phi: Callable, ts: np.ndarray, n: int) -> np.ndarray:
-    """For p = 0..n-1 the first grid position j with phi(ts[j]) >= p, or
-    len(ts) when there is none; phi must be non-decreasing on the grid.
+def _stripe_starts(phi: Callable, ts: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """For each p in the increasing rows the first grid position j with
+    phi(ts[j]) >= p, or len(ts) when there is none; phi must be
+    non-decreasing on the grid.
 
     The starts do not decrease in p, so each bisection begins at the
     previous start; phi is evaluated at most once per grid position.
@@ -482,7 +488,7 @@ def _stripe_starts(phi: Callable, ts: np.ndarray, n: int) -> np.ndarray:
 
     starts = []
     lo = 0
-    for p in range(n):
+    for p in rows:
         hi = len(ts)
         while lo < hi:
             mid = (lo + hi) // 2

@@ -30,11 +30,11 @@ the next event.  Each point is pushed and popped at most once, so
 the sweep is linear in the window.
 
 The sweep is minorant._sweep, the one hull kernel, and minorant._run runs it
-and gives the lines that fill the regularized window.  When the sweep ends
-before the window does, stopped by the cap or at trailing +inf entries, a
-finite cap (blowup's T, Case 2's a_iota) closes the window with its line
-through the last principal point: the value that recover_sequence gives
-there.  The record keeps the sweep's raw output: its JSON and the CSV
+and gives the lines that fill the regularized window (a Construction).  When
+the sweep ends before the window does, stopped by the cap or at trailing +inf
+entries, a finite cap (blowup's T, Case 2's a_iota) closes the window with
+its line through the last principal point: the value that recover_sequence
+gives there.  The record keeps the sweep's raw output: its JSON and the CSV
 samples are printed from it, and a value wraps into ExtReal only when the
 library asks for the record's objects.  compare runs the same core (_core)
 for both phis and the ungated one on one read of the window, and fills and
@@ -48,12 +48,16 @@ event (several points tied at the minimum intercept, or every tied point
 when none is below the line) all of them become principal and their
 intervals degenerate to a point.
 
-phi identically +inf is the ungated case: the sweep reduces to the plain
-convex minorant (standard regime), the slope-capped one (bounded quotients,
-cap a_iota), or the degenerate collapse (case 1), and its record is
-minorant.regularize's.  The checks that do not share the kernel are the
-oracles (oracles.brute_minorant and brute_trace) and the recovery identity
-recover_sequence(trace, phi, p) = regularized[p].
+phi identically +inf is the ungated case, built by minorant's own builder
+(minorant._ungated): the plain convex minorant (standard regime), the
+slope-capped one (bounded quotients, cap a_iota), or the degenerate collapse
+(case 1, where J is empty), with the chords into a closed-form tail past the
+window.  So its record has minorant.regularize's values, principal indices,
+trace and provisional indices.  Where the sweep leaves the window by a tail
+chord, the last interval ends at the chord's time, where the counting
+function steps to the tail index.  The checks that do not share the kernel
+are the oracles (oracles.brute_minorant, brute_trace and brute_phi_sweep)
+and the recovery identity recover_sequence(trace, phi, p) = regularized[p].
 """
 
 from __future__ import annotations
@@ -67,13 +71,12 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import AxiomViolation, InfiniteEntryUnsupported, NotComparable, ParseError
-from .extreal import (ExtReal, NEG_INF, ONE, POS_INF, RawNumber, ZERO, _inf_sign, _to_float,
+from .extreal import (ExtReal, NEG_INF, ONE, RawNumber, ZERO, _inf_sign, _to_float,
                       ext, raw_add, raw_div, raw_exp, raw_json, raw_line, raw_mul)
-from .minorant import (Threshold, _filled, _merged, _pair, _raw, _read, _run, _trace,
-                       _trace_payload, _window_values)
+from .minorant import (Construction, Threshold, _filled, _merged, _pair, _raw, _read, _run,
+                       _trace, _trace_payload, _ungated, _window_values)
 from .piecewise import EMPTY_INTERVAL, Interval, PiecewiseLinearFn, StepFunction
-from .sequences import (CASE1, CASE2, RegimeClassification, SequenceSpec, classify_regime,
-                        to_log_scale)
+from .sequences import RegimeClassification, SequenceSpec, classify_regime, to_log_scale
 from .tails import LOG, ExplicitOnly
 
 
@@ -338,10 +341,11 @@ class PhiRegResult:
     window: int
     provisional_from: int
     phi_descriptor: str
-    # the window as read, the principal points (index, entry time; None in Case 1),
-    # the lines (P, slope, end) that fill the window, the events, the declared regime
+    # the window as read, the principal points (index, entry time; none where J is
+    # empty, in Case 1), the lines (P, slope, end) that fill the window, the events,
+    # the declared regime
     _vals: tuple = field(default=(), repr=False)
-    _principal: Optional[tuple] = field(default=None, repr=False)
+    _principal: tuple = field(default=(), repr=False)
     _lines: tuple = field(default=(), repr=False)
     _events: tuple = field(default=(), repr=False)
     _declared: Optional[RegimeClassification] = field(default=None, repr=False)
@@ -358,10 +362,20 @@ class PhiRegResult:
         return SequenceSpec(kind=LOG, prefix=prefix, tail=ExplicitOnly(),
                             declared_regime=self._declared)
 
+    @property
+    def _tail_end(self) -> Optional[int]:
+        """The tail index of the chord (the last event) by which the sweep left the window."""
+        ev = self._events
+        return ev[-1][3] if ev and ev[-1][3] >= self.window else None
+
+    @property
+    def _end(self) -> RawNumber:  # the last interval's: J's, or that tail chord's time
+        return self.J_right.raw if self._tail_end is None else self._events[-1][0]
+
     @cached_property
     def intervals(self) -> tuple[PhiInterval, ...]:
-        times = [t for _, t in self._principal or ()]
-        return tuple(map(PhiInterval, times, times[1:] + [self.J_right]))
+        times = [t for _, t in self._principal]
+        return tuple(map(PhiInterval, times, times[1:] + [ExtReal(self._end)]))
 
     @cached_property
     def segments(self) -> tuple[PhiSegment, ...]:
@@ -371,16 +385,13 @@ class PhiRegResult:
     @cached_property
     def counting(self) -> StepFunction:
         jumps = tuple((tau, top) for tau, _, _, top in self._events)
-        J = Interval(NEG_INF, self.J_right) if self._principal else EMPTY_INTERVAL  # the trace's
+        # the trace's domain J, empty in Case 1 (minorant._domain, not called: the
+        # bench tracer counts jumps from here and wraps the names phireg imports)
+        J = EMPTY_INTERVAL if self.J_right.is_neg_inf else Interval(NEG_INF, self.J_right)
         return StepFunction(jumps=jumps, initial_level=0, domain=J)
 
     @cached_property
     def trace(self) -> PiecewiseLinearFn:
-        if self._principal is None:
-            # every real slope is eventually undercut: J is empty, only the -inf
-            # conventions survive (m(-inf) = 0, A(-inf) = -a_0)
-            return PiecewiseLinearFn(breakpoints=(), domain=EMPTY_INTERVAL, slope_left=ZERO,
-                                     value_at_minus_inf=ZERO - self._vals[0])
         return _trace(self._events, self._vals[0], self.J_right)
 
     @cached_property
@@ -409,23 +420,22 @@ class PhiRegResult:
 
     def to_json(self) -> dict:
         """The record as JSON, printed from the sweep's raw output."""
-        times = [t.to_json() for _, t in self._principal or ()]
-        J, bps = self.J_right.to_json(), self._bps
-        trace = (_trace_payload(bps, self._vals[0], self.J_right) if self._principal
-                 else self.trace.to_json())
+        times = [t.to_json() for _, t in self._principal]
+        trace = _trace_payload(self._bps, self._vals[0], self.J_right)
         ev = self._events  # StepFunction keeps the last of the events at one time
         jumps = [[raw_json(t), top] for k, (t, *_, top) in enumerate(ev)
                  if k + 1 == len(ev) or ev[k + 1][0] != t]
-        counting = {"initial_level": 0, "jumps": jumps,
-                    "domain": dict(trace["domain"])} if self._principal else self.counting.to_json()
+        counting = {"initial_level": 0, "jumps": jumps, "domain": dict(trace["domain"])}
         segments = [{"slope": raw_json(slope), "anchor_index": P, "span": [P, end],
                      "anchor_value": self._vals[P].to_json()} for P, slope, end in self._lines]
         return {"regularized": [raw_json(v) for v in self._out],
                 "principal_indices": list(self.principal_indices),
                 "discontinuity_indices": list(self.discontinuity_indices),
-                "intervals": [{"start": t, "end": u} for t, u in zip(times, times[1:] + [J])],
+                "intervals": [{"start": t, "end": u}
+                              for t, u in zip(times, times[1:] + [raw_json(self._end)])],
                 "segments": segments if self._principal else [], "counting": counting,
-                "trace": trace, "J_right": J, "finite_principal": self.finite_principal,
+                "trace": trace, "J_right": self.J_right.to_json(),
+                "finite_principal": self.finite_principal,
                 "window": self.window, "provisional_from": self.provisional_from,
                 "phi": self.phi_descriptor}
 
@@ -452,30 +462,20 @@ def _thresholds(phi: RegularizingFunction, pts: list) -> list[tuple[int, int, Th
     return ths
 
 
-def _core(seq: SequenceSpec, read: tuple, phi: RegularizingFunction,
-          window: Optional[int], tol: float):
-    """The sweep under phi on the window read once: (regime, cap, principal,
-    disc, events, lines, closed), lines those that fill the window
-    (minorant._run), closed whether the cap's line closes it.  In Case 1
-    there is no sweep (principal None): a line of slope -inf collapses it."""
-    regime = ths = None
-    cap: Optional[ExtReal] = phi.blowup_T
-    raws, pts, _ = read
+def _core(seq: SequenceSpec, read: tuple, phi: RegularizingFunction, window: Optional[int],
+          tol: float) -> tuple[Optional[RegimeClassification], Construction]:
+    """The construction under phi on the window read once, and the regime it
+    classified: under phi = infinite minorant's (minorant._ungated), else the
+    gated sweep (minorant._run) with the cap blowup_T and no regime."""
     if phi.infinite:
         regime = classify_regime(seq, window, tol)
-        if regime.regime == CASE1:
-            return regime, None, None, (), (), [(0, -math.inf, len(raws))], False
-        if regime.regime == CASE2:
-            cap = regime.a_iota
-    else:
-        ths = _thresholds(phi, pts)
-    principal, disc, events, lines, _ = _run(read, None if cap is None else cap.raw, regime, ths)
-    if cap is None and ths is not None and _inf_sign(raws[-1]) > 0:
+        return regime, _ungated(seq, read, regime)
+    built = _run(read, phi.blowup_T, None, _thresholds(phi, read[1]))
+    if phi.blowup_T is None and _inf_sign(read[0][-1]) > 0:
         raise InfiniteEntryUnsupported(
             "window ends in +inf entries; without a blowup point the "
             "regularization of a cofinitely-infinite sequence is undefined")
-    closed = cap is not None and principal[-1][0] < len(raws) - 1
-    return regime, cap, principal, disc, events, lines, closed
+    return None, built
 
 
 def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
@@ -489,34 +489,22 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
     """
     seq = to_log_scale(a)
     w, vals = _window_values(seq, window)
-    read = _read(vals)
-    regime, cap, principal, disc, events, lines, closed = _core(seq, read, phi, window, tol)
-    if principal is None:
-        return PhiRegResult((0,), (), NEG_INF, True, w, w, phi.descriptor,
-                            _vals=tuple(vals), _lines=tuple(lines))
-    return PhiRegResult(tuple(p for p, _ in principal), tuple(disc),
-                        POS_INF if cap is None else cap, closed, w,
-                        _stable_boundary(phi, principal, w), phi.descriptor,
-                        _vals=tuple(vals), _principal=tuple(principal), _lines=tuple(lines),
-                        _events=tuple(events), _declared=regime if phi.infinite else None)
+    regime, built = _core(seq, _read(vals), phi, window, tol)
+    stable = built.stable if phi.infinite else _stable_boundary(phi, built.principal, w)
+    return PhiRegResult(tuple(p for p, _ in built.principal), tuple(built.disc), built.hi,
+                        built.closed, w, stable + 1, phi.descriptor, _vals=tuple(vals),
+                        _principal=() if built.hi.is_neg_inf else tuple(built.principal),
+                        _lines=tuple(built.lines), _events=tuple(built.events), _declared=regime)
 
 
 def _stable_boundary(phi: RegularizingFunction, principal: list[tuple[int, ExtReal]],
                      w: int) -> int:
-    """First index whose value could change if the sequence were extended.
-
-    For gated phi, a point beyond the window only becomes visible at
-    threshold(w), so every event strictly before that time is final.  For the
-    ungated phi the last accepted edge is always at risk (hull semantics).
+    """The last index whose value no extension of the sequence can change under
+    a gated phi: a point beyond the window only becomes visible at
+    threshold(w), so every event strictly before that time is final.
     """
-    if phi.infinite:
-        return principal[-2 if len(principal) >= 2 else -1][0] + 1
-    horizon, stable = phi.threshold(w), 0
-    for p, t in principal[1:]:  # each principal point's entry ends the one before
-        if not t < horizon:
-            break
-        stable = p
-    return stable + 1
+    horizon = phi.threshold(w)  # each principal point's entry ends the one before
+    return max((p for p, t in principal if t < horizon), default=0)
 
 
 # -- evaluation of the stored record ------------------------------------------------
@@ -642,7 +630,7 @@ def compare_regularizations(a: SequenceSpec, phi1: RegularizingFunction,
     x = [(1, 0)] * w
     for q, n, d, _ in read[1]:
         x[q] = n, d
-    x_big, x_small, x_floor = (_pairs(read[0], x, _core(seq, read, phi, window, tol)[5])
+    x_big, x_small, x_floor = (_pairs(read[0], x, _core(seq, read, phi, window, tol)[1].lines)
                                for phi in (big, small, make_phi("infinite")))
     unordered = [p for p in range(w)
                  if not (_leq(x_big[p], x_small[p], tol) and _leq(x_small[p], x[p], tol))]

@@ -19,6 +19,7 @@ They are checked against what they compute:
 """
 
 import itertools
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -344,23 +345,45 @@ def assert_record_identities(seq: SequenceSpec, phi: RegularizingFunction, r) ->
         assert start == seg.span_start and num(out[start]) == num(vals[start])
         for p in range(start + 1, min(seg.span_end, r.window)):
             assert same(out[p], seg.value_at(p), exact), (p, seg)
-    # the intervals abut at the principal indices' entry times, from -inf to J's end
+    # the intervals abut at the principal indices' entry times, from -inf to J's
+    # end; a sweep that leaves the window by a tail chord ends them at the
+    # chord's time, where the counting function steps to the tail index and the
+    # last segment, the chord's line, ends the window
+    chord = r.counting.jumps[-1] if r.counting.jumps and r.counting.jumps[-1][1] >= r.window \
+        else None
     starts = [i.start for i in r.intervals]
     assert len(starts) == len(r.principal_indices)
     if starts:
-        assert starts[0] == NEG_INF and r.intervals[-1].end == r.J_right
+        assert starts[0] == NEG_INF
+        assert r.intervals[-1].end == (r.J_right if chord is None else chord[0])
+    if chord is not None:
+        assert (r.segments[-1].slope, r.segments[-1].span_end) == (chord[0], r.window)
     assert all(i.end == j.start for i, j in zip(r.intervals, r.intervals[1:]))
     entry = dict(zip(r.principal_indices, starts))
     # the counting function steps to the last index entering at each entry
-    # time, and the trace breaks there; it jumps only where a discontinuity
-    # index enters, and on exact entries wherever one does (in floats a jump
-    # can round away, but rounding must not fake one)
-    times = sorted({t for t in starts if not t.is_neg_inf})
+    # time (to the tail index at the chord's), and the trace breaks there; it
+    # jumps only where a discontinuity index enters, and on exact entries
+    # wherever one does (in floats a jump can round away, but rounding must not
+    # fake one)
+    times = sorted({t for t in starts if not t.is_neg_inf} | ({chord[0]} if chord else set()))
     assert [t for t, _ in r.counting.jumps] == times == [b.x for b in r.trace.breakpoints]
-    assert all(m == max(p for p, t in entry.items() if t == tau) for tau, m in r.counting.jumps)
+    level = {tau: max((p for p, t in entry.items() if t == tau), default=None) for tau in times}
+    if chord is not None:
+        level[chord[0]] = chord[1]
+    assert all(m == level[tau] for tau, m in r.counting.jumps)
     jumps = {b.x for b in r.trace.breakpoints if b.left_value != b.right_value}
     entering = {entry[d] for d in r.discontinuity_indices}
     assert jumps == entering if exact else jumps <= entering
+    # equal event times print as one JSON value wherever the record prints them
+    doc = r.to_json()
+    printed = [doc["J_right"], *(s["slope"] for s in doc["segments"]),
+               *(t for t, _ in doc["counting"]["jumps"]),
+               *(b["x"] for b in doc["trace"]["breakpoints"]),
+               *(iv[k] for iv in doc["intervals"] for k in ("start", "end"))]
+    forms: dict = {}
+    for x in printed:
+        forms.setdefault(ExtReal.from_json(x).raw, set()).add(json.dumps(x))
+    assert all(len(f) == 1 for f in forms.values()), forms
     # the trace's own Legendre recovery gives back every value
     for p in range(r.window):
         assert same(recover_sequence(r.trace, phi, p), out[p], exact), p
@@ -489,3 +512,14 @@ def test_a_hand_built_eval_fn_is_read_into_the_value_rule():
     seq = SequenceSpec.from_json(log_doc(JUMPY))
     new = compare_regularizations(seq, phi, make_phi("infinite"))
     assert new == definition(seq, phi, make_phi("infinite")) and new.larger == "phi2"
+
+
+# float rounding gives two events at the time -1/2, one of them as the float
+# -0.5: the trace broke at -0.5 while the counting function jumped at "-1/2"
+ROUNDED_TIES = log_doc([-0.2, -0.7000000000000001, -1.2000000000000002, 2.8000000000000003,
+                        -2.9000000000000004])
+
+
+def test_one_event_time_prints_one_way():
+    seq, phi = SequenceSpec.from_json(ROUNDED_TIES), make_phi("blowup:0")
+    assert_record_identities(seq, phi, regularize_with_phi(seq, phi))

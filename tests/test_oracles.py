@@ -392,7 +392,7 @@ def test_bisected_stripes_match_per_slope_mask(phi, monkeypatch):
     # the reference: phi at every grid slope, p visible where phi(t) >= p
     phi_vals = np.array([oracles._phi_float(phi, t) for t in ts])
     mask = np.arange(n)[:, None] <= phi_vals[None, :]
-    starts = oracles._stripe_starts(phi, ts, n)
+    starts = oracles._stripe_starts(phi, ts, range(n))
     assert (mask == (np.arange(len(ts))[None, :] >= starts[:, None])).all()
 
     # and the oracle built on that mask gives the same sweep

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from seqreg import (
+    AffineLog,
     AxiomViolation,
     ExplicitOnly,
     Expression,
+    FactorialPower,
+    Geometric,
     InconsistentDeclaration,
     InfiniteEntryUnsupported,
     InfinityAtZero,
@@ -307,42 +310,63 @@ def case2(values, a_iota):
 
 
 # the documents on which the minorant and the ungated phireg once disagreed: a
-# float slope that rounds up to the cap, and two windows ending in +inf
-MOTIVATION = [case2([2.6, math.inf, math.inf, math.inf, math.inf, 7.6], 1),
-              case2([1.0, math.inf], Fraction(7, 3)),
-              log_seq([1, math.inf])]
+# float slope that rounds up to the cap, two windows ending in +inf, and two
+# closed-form tails that only the minorant read past the window (phireg took
+# index 3 as principal under a factorial tail, and under an affine-log one
+# closed the window with the cap line 1 + p, above the tail's a_4 = 4)
+MOTIVATION = [(case2([2.6, math.inf, math.inf, math.inf, math.inf, 7.6], 1), None),
+              (case2([1.0, math.inf], Fraction(7, 3)), None),
+              (log_seq([1, math.inf]), None),
+              (SequenceSpec(kind="log", prefix=(0, 5, 1, 3, 9), tail=FactorialPower(1, 1)), 4),
+              (SequenceSpec(kind="log", prefix=(1, 5, 10, 15), tail=AffineLog(1)), 4)]
+
+TAILS = st.one_of(
+    st.builds(FactorialPower, st.fractions(Fraction(1, 4), 3, max_denominator=4),
+              st.fractions(Fraction(1, 4), 4, max_denominator=4)),
+    st.builds(AffineLog, st.fractions(-5, 5, max_denominator=4)),
+    st.builds(Geometric, st.fractions(Fraction(1, 4), 8, max_denominator=4)))
 
 
 @st.composite
 def ungated_windows(draw):
-    """Exact, float or mixed entries with +inf holes; in 40 % of the windows a
-    declared Case 2 cap, exact or one-decimal, and trailing +inf entries."""
+    """(sequence, window): exact, float or mixed entries with +inf holes; in 30 %
+    a closed-form tail (factorial, affine-log or geometric), read past a drawn
+    window, and in 30 % a declared Case 2 cap, exact or one-decimal, and
+    trailing +inf entries."""
     entries = draw(st.sampled_from([exact_entries, float_entries,
                                     st.one_of(exact_entries, float_entries)]))
     a0 = draw(entries.filter(lambda v: v != math.inf))
     values = [a0] + draw(st.lists(entries, min_size=1, max_size=24))
-    if draw(st.integers(0, 9)) < 6:
-        return log_seq(values)
+    kind = draw(st.integers(0, 9))
+    if kind < 4:
+        return log_seq(values), None
+    if kind < 7:
+        seq = SequenceSpec(kind="log", prefix=tuple(values), tail=draw(TAILS))
+        return seq, draw(st.integers(1, len(values) + 4))
     values += [math.inf] * draw(st.integers(0, 3))
     cap = draw(st.one_of(st.fractions(min_value=-5, max_value=5, max_denominator=4),
                          st.integers(-50, 50).map(lambda k: k / 10)))
-    return case2(values, cap)
+    return case2(values, cap), None
 
 
 @given(ungated_windows())
 @example(MOTIVATION[0])
 @example(MOTIVATION[1])
 @example(MOTIVATION[2])
+@example(MOTIVATION[3])
+@example(MOTIVATION[4])
 @settings(max_examples=300, deadline=None)
-def test_infinite_phi_sweep_matches_minorant(a):
-    # the two commands run one kernel: values and trace breakpoints by type and repr
+def test_infinite_phi_sweep_matches_minorant(case):
+    # the two commands run one construction: values and trace breakpoints by
+    # type and repr, principal indices and where the provisional values begin
     def num(x):
         return type(x.raw).__name__, repr(x.raw)
 
-    r = regularize_with_phi(a, make_phi("infinite"))
-    m = regularize(a)
+    a, window = case
+    r = regularize_with_phi(a, make_phi("infinite"), window)
+    m = regularize(a, window)
     assert [num(v) for v in r.regularized.prefix] == [num(v) for v in m.regularized.prefix]
-    assert r.principal_indices == m.principal_indices
+    assert (r.principal_indices, r.provisional_from) == (m.principal_indices, m.provisional_from)
     bps = [[(num(b.x), num(b.left_value), num(b.right_value), num(b.slope_right))
             for b in t.breakpoints] for t in (r.trace, m.trace)]
     assert bps[0] == bps[1]
@@ -387,7 +411,7 @@ def test_recovery_matches_regularized(descriptor):
     if phi.blowup_T is not None or phi.infinite:
         # windows that end in +inf entries: blowup's T or Case 2's a_iota closes them
         windows += [log_seq([1, math.inf]), log_seq([0, 4, math.inf, 3, math.inf, math.inf]),
-                    MOTIVATION[1]]
+                    MOTIVATION[1][0]]
     for a in windows:
         r = regularize_with_phi(a, phi)
         for p in range(r.window):
