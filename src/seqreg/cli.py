@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import click
 
 from .errors import ParseError, SeqRegError
-from .extreal import ExtReal, _inf_sign, _to_float, ext, raw_add, raw_mul
+from .extreal import ExtReal, _inf_sign, _to_float, ext, raw_add, raw_json, raw_mul
 from .minorant import MinorantResult, _real, regularize
 from .oracles import (
     OracleReport,
@@ -103,6 +103,12 @@ def _load_spec(path: str) -> SequenceSpec:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except ValueError:  # an integer literal too long to read
+        raise ParseError(f"{path}: an integer in the document has more than "
+                         f"{sys.get_int_max_str_digits()} digits, Python's limit "
+                         f"for reading an integer") from None
+    except RecursionError:
+        raise ParseError(f"{path}: the document nests arrays or objects too deeply") from None
     try:
         return SequenceSpec.from_json(payload)
     except ParseError as exc:
@@ -216,7 +222,7 @@ def classify(files, window, tol):
 def _minorant_payload(result: MinorantResult) -> dict:
     """The printed keys of ``result.to_json()``, built from the result's fields."""
     return {
-        "regularized": [v.to_json() for v in result.regularized.prefix],
+        "regularized": [raw_json(v) for v in result._out],
         "principal_indices": list(result.principal_indices),
         "slopes": [s.to_json() for s in result.slopes],
         "trace_breakpoints": result._trace_json()["breakpoints"],

@@ -128,15 +128,7 @@ class ExtReal:
         return ExtReal(raw_exp(self._v))
 
     def log(self) -> "ExtReal":
-        if self.is_pos_inf:
-            return POS_INF
-        if self._v == 0:
-            return NEG_INF
-        if self._v < 0:
-            raise ValueError("log of negative value")
-        if isinstance(self._v, Fraction):
-            return ExtReal(log_of_fraction(self._v))
-        return ExtReal(math.log(self._v))
+        return ExtReal(raw_log(self._v))
 
     def root(self, p: int) -> "ExtReal":
         """p-th root for positive values (float result unless trivial)."""
@@ -202,13 +194,17 @@ class ExtReal:
 
     @staticmethod
     def from_json(payload) -> "ExtReal":
-        """A JSON number (an int becomes one Fraction), or a string as _parse_number
-        reads it: "inf", "-inf", "infinity" in any case, or what Fraction(s) reads."""
-        if type(payload) is str:
-            return ExtReal(_parse_number(payload))
-        if isinstance(payload, (int, float, Fraction)) and not isinstance(payload, bool):
-            return ExtReal(payload)
-        raise ValueError(f"cannot parse extended real from {payload!r}")
+        return ExtReal(raw_from_json(payload))
+
+
+def raw_from_json(payload) -> RawNumber:
+    """A JSON number (an int becomes one Fraction), or a string as _parse_number
+    reads it: "inf", "-inf", "infinity" in any case, or what Fraction(s) reads."""
+    if type(payload) is str:
+        return _parse_number(payload)
+    if isinstance(payload, (int, float, Fraction)) and not isinstance(payload, bool):
+        return _coerce(payload)
+    raise ValueError(f"cannot parse extended real from {payload!r}")
 
 
 def raw_json(v: RawNumber):
@@ -337,6 +333,17 @@ def raw_exp(a: RawNumber, d: int = 1) -> RawNumber:
         return math.exp(a / d)
     except OverflowError:  # a/d past the float range (its sign decides), or e^(a/d) > 0
         return 0.0 if a < 0 else _POS
+
+
+def raw_log(a: RawNumber) -> RawNumber:
+    """log a for a >= 0: -inf at 0, +inf at +inf, a float otherwise."""
+    if _inf_sign(a) > 0:
+        return _POS
+    if a == 0:
+        return _NEG
+    if a < 0:
+        raise ValueError("log of negative value")
+    return log_of_fraction(a) if type(a) is Fraction else math.log(a)
 
 
 def _to_float(v: RawNumber) -> float:

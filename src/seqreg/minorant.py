@@ -42,10 +42,13 @@ their regime first, and phireg under phi = +inf (its record, compare's floor)
 calls it too.
 
 The trace k -> sup_p (p*k - a_p) has one breakpoint per distinct event time;
-its conjugate reproduces the minorant values (exact on rationals).  A result
-keeps one slope per edge and the sweep's raw events, and builds its
-SupportLines and its trace only when asked; the CLI prints the trace from
-the raw events.
+its conjugate reproduces the minorant values (exact on rationals).
+
+The window is read once as raw payloads.  A result keeps that window, the
+lines that fill it, one slope per edge and the sweep's raw events, and
+builds regularized, its SupportLines and its trace only when asked.  The CLI
+prints regularized and the trace from the raw payloads, so ``trace`` never
+fills the window.
 """
 
 from __future__ import annotations
@@ -61,10 +64,11 @@ from typing import Callable, Optional, Union
 from .errors import (InconsistentDeclaration, InfiniteEntryUnsupported, InfinityAtZero,
                      RegimeMismatch, UnknownAIota)
 from .extreal import (ExtReal, NEG_INF, POS_INF, ZERO, RawNumber, _inf_sign, ext, raw_add,
-                      raw_div, raw_json, raw_line, raw_mul, raw_slope)
+                      raw_div, raw_exp, raw_json, raw_line, raw_mul, raw_slope)
 from .piecewise import Breakpoint, EMPTY_INTERVAL, Interval, PiecewiseLinearFn
-from .sequences import (CASE1, CASE2, INDETERMINATE, STANDARD, RegimeClassification, SequenceSpec,
-                        classify_regime, resolve_window, slopes_differ, to_log_scale)
+from .sequences import (CASE1, CASE2, INDETERMINATE, STANDARD, OnFirstRead, RegimeClassification,
+                        SequenceSpec, classify_regime, resolve_window, slopes_differ,
+                        to_log_scale)
 from .tails import LOG, WEIGHT, AffineLog, ExplicitOnly, FactorialPower, Geometric
 
 
@@ -89,7 +93,9 @@ class SupportLine:
 
 @dataclass(frozen=True)
 class MinorantResult:
-    regularized: SequenceSpec
+    # None: the window filled in (_out), built on first read
+    regularized: SequenceSpec = OnFirstRead(
+        lambda r: SequenceSpec._of_raws(LOG, tuple(r._out), ExplicitOnly(), r.regime))
     principal_indices: tuple[int, ...]
     # one per edge: from each principal index to the next, and past the window to tail_end
     slopes: tuple[ExtReal, ...]
@@ -101,21 +107,29 @@ class MinorantResult:
     finite_principal: Optional[bool] = None
     # the tail index where the last edge ends, when the sweep took one past the window
     tail_end: Optional[int] = None
-    # the log-scale window values, which the edges pass through
-    _log: tuple[ExtReal, ...] = field(default=(), repr=False)
     # the sweep's events (time, left value, right value, top) as raw payloads,
     # and the right end of the trace's domain (-inf: empty, in Case 1)
     _events: tuple = field(default=(), repr=False)
     _hi: ExtReal = field(default=POS_INF, repr=False)
+    # the log-scale window as read, raw, which the edges pass through, and the
+    # lines (P, slope, end) that fill it in
+    _vals: tuple = field(default=(), repr=False)
+    _lines: tuple = field(default=(), repr=False)
+
+    @cached_property
+    def _out(self) -> list[RawNumber]:
+        """regularized as raw payloads: the given one's, or the window filled in."""
+        given = self.__dict__["regularized"]
+        return list(given._raws) if given is not None else _filled(self._vals, self._lines)
 
     @cached_property
     def trace(self) -> PiecewiseLinearFn:
         """The trace, built from the sweep's events when first asked for."""
-        return _trace(self._events, self._log[0], self._hi)
+        return _trace(self._events, self._vals[0], self._hi)
 
     def _trace_json(self) -> dict:
         """self.trace.to_json(), printed from the raw events."""
-        return _trace_payload(_merged(self._events), self._log[0], self._hi)
+        return _trace_payload(_merged(self._events), self._vals[0], self._hi)
 
     @property
     def edges(self) -> tuple[SupportLine, ...]:
@@ -129,13 +143,13 @@ class MinorantResult:
             touching = tuple(P for _, P, _ in run)
             if run[-1][2] < self.window:
                 touching += (run[-1][2],)
-            lines += [SupportLine(s, ExtReal(raw_line(self._log[P].raw, s.raw, P)(0)), touching)
+            lines += [SupportLine(s, ExtReal(raw_line(self._vals[P], s.raw, P)(0)), touching)
                       for s, P, _ in run]
         return tuple(lines)
 
     def to_json(self) -> dict:
         return {
-            "regularized": [v.to_json() for v in self.regularized.prefix],
+            "regularized": [raw_json(v) for v in self._out],
             "scale": self.scale,
             "principal_indices": list(self.principal_indices),
             "slopes": [s.to_json() for s in self.slopes],
@@ -187,13 +201,13 @@ def _tail_chords(seq: SequenceSpec, w: int):
 
     def value(q: int) -> RawNumber:
         if q not in values:
-            values[q] = tail.value(q, LOG).raw
+            values[q] = tail.raw_values(q, q + 1, LOG)[0]
         return values[q]
 
     def chord(P: int, aP: RawNumber) -> Optional[tuple[RawNumber, int]]:
         if P == w - 1:
             return None
-        start = max(P + 1, w, len(seq.prefix))
+        start = max(P + 1, w, len(seq._raws))
         if isinstance(tail, (AffineLog, Geometric)):
             if raw_add(raw_mul(tail.slope_limit().raw, P), -aP) >= 0:
                 return None
@@ -428,11 +442,11 @@ def _sweep(pts: list[tuple[int, int, int, RawNumber]], ths: list[tuple[int, int,
         lo = i
 
 
-def _read(vals: list[ExtReal]) -> tuple[list[RawNumber], list[tuple], Optional[int]]:
+def _read(raws: list[RawNumber]) -> tuple[list[RawNumber], list[tuple], Optional[int]]:
     """The window read once: its raw payloads, the sweep's points (q, n, d, a_q),
     a_q = n/d, without the +inf entries, which never take over, and the index
     of the first -inf entry, where the points end (refused, or Case 1)."""
-    raws, pts = [v.raw for v in vals], []
+    pts = []
     for q, a in enumerate(raws):
         if type(a) is not Fraction and not -math.inf < a < math.inf:
             if a > 0:
@@ -548,7 +562,7 @@ def _domain(hi: ExtReal) -> Interval:
     return EMPTY_INTERVAL if hi.is_neg_inf else Interval(NEG_INF, hi)
 
 
-def _trace_payload(bps: list[tuple], a0: ExtReal, hi: ExtReal) -> dict:
+def _trace_payload(bps: list[tuple], a0: RawNumber, hi: ExtReal) -> dict:
     """_trace(events, a0, hi).to_json(), printed from bps = _merged(events)."""
     at_minus_inf = (ZERO - a0).to_json()
     points = [{"x": raw_json(x), "left_value": raw_json(left), "right_value": raw_json(right),
@@ -558,7 +572,7 @@ def _trace_payload(bps: list[tuple], a0: ExtReal, hi: ExtReal) -> dict:
     return payload if points or hi.is_neg_inf else {**payload, "constant": at_minus_inf}
 
 
-def _trace(events, a0: ExtReal, hi: ExtReal) -> PiecewiseLinearFn:
+def _trace(events, a0: RawNumber, hi: ExtReal) -> PiecewiseLinearFn:
     """The trace on J = (-inf, hi) from the sweep's events (_merged); on an
     empty J only the convention A(-inf) = -a_0 survives."""
     bps = tuple(Breakpoint(ExtReal(x), ExtReal(left), ExtReal(right), ext(top))
@@ -568,13 +582,13 @@ def _trace(events, a0: ExtReal, hi: ExtReal) -> PiecewiseLinearFn:
                              constant=None if bps or hi.is_neg_inf else ZERO - a0)
 
 
-def _window_values(seq: SequenceSpec, window: Optional[int]) -> tuple[int, list[ExtReal]]:
+def _window_values(seq: SequenceSpec, window: Optional[int]) -> tuple[int, list[RawNumber]]:
     w = resolve_window(seq, window)
-    vals = seq.values(w)
+    vals = seq.raw_values(w)
     if not vals:
         raise InfinityAtZero("empty window")
-    if not vals[0].is_finite:
-        raise InfinityAtZero(f"a_0 must be finite, got {vals[0]}")
+    if _inf_sign(vals[0]):
+        raise InfinityAtZero(f"a_0 must be finite, got {ExtReal(vals[0])}")
     return w, vals
 
 
@@ -585,19 +599,14 @@ def _minorant(seq: SequenceSpec, window: Optional[int], regime: RegimeClassifica
               cap: Optional[ExtReal] = None) -> MinorantResult:
     """The minorant in the regime (_ungated), as a result."""
     w, vals = _window_values(seq, window)
-    read = _read(vals)
-    built = _ungated(seq, read, regime, cap)
-    out = _filled(read[0], built.lines)
-    # each value the fill wrote is wrapped once; the others keep the window's ExtReal
-    prefix = tuple(v if v.raw is r else ExtReal(r) for v, r in zip(vals, out))
+    built = _ungated(seq, _read(vals), regime, cap)
     slopes = [t for _, t in built.principal[1:]]
     if built.tail_end is not None:
         slopes.append(ExtReal(built.events[-1][0]))
     return MinorantResult(
-        SequenceSpec(kind=LOG, prefix=prefix, tail=ExplicitOnly(), declared_regime=regime),
-        tuple(p for p, _ in built.principal), tuple(slopes), regime, built.stable,
+        None, tuple(p for p, _ in built.principal), tuple(slopes), regime, built.stable,
         built.stable + 1, w, LOG, None if built.hi.is_pos_inf else built.closed, built.tail_end,
-        _log=prefix, _events=tuple(built.events), _hi=built.hi)
+        _events=tuple(built.events), _hi=built.hi, _vals=tuple(vals), _lines=tuple(built.lines))
 
 
 def regularize(a: SequenceSpec, window: Optional[int] = None,
@@ -612,11 +621,10 @@ def regularize(a: SequenceSpec, window: Optional[int] = None,
     base = _minorant(seq, window, classify_regime(seq, window, tol))
     if a.kind == LOG:
         return base
-    weights = [v.exp() for v in base.regularized.prefix]
+    weights = list(map(raw_exp, base._out))
     for p in base.principal_indices:
-        weights[p] = a.value(p)
-    regularized = SequenceSpec(kind=WEIGHT, prefix=tuple(weights), tail=ExplicitOnly(),
-                               declared_regime=base.regime)
+        weights[p] = a.value(p).raw
+    regularized = SequenceSpec._of_raws(WEIGHT, tuple(weights), ExplicitOnly(), base.regime)
     return replace(base, regularized=regularized, scale=WEIGHT)
 
 

@@ -341,9 +341,9 @@ class PhiRegResult:
     window: int
     provisional_from: int
     phi_descriptor: str
-    # the window as read, the principal points (index, entry time; none where J is
-    # empty, in Case 1), the lines (P, slope, end) that fill the window, the events,
-    # the declared regime
+    # the window as read (raw payloads), the principal points (index, entry time;
+    # none where J is empty, in Case 1), the lines (P, slope, end) that fill the
+    # window, the events, the declared regime
     _vals: tuple = field(default=(), repr=False)
     _principal: tuple = field(default=(), repr=False)
     _lines: tuple = field(default=(), repr=False)
@@ -353,14 +353,11 @@ class PhiRegResult:
     @cached_property
     def _out(self) -> list[RawNumber]:
         """The regularized window as raw payloads (minorant._filled)."""
-        return _filled([v.raw for v in self._vals], self._lines)
+        return _filled(self._vals, self._lines)
 
     @cached_property
     def regularized(self) -> SequenceSpec:
-        # each value the fill wrote is wrapped once; the others keep the window's ExtReal
-        prefix = tuple(v if v.raw is r else ExtReal(r) for v, r in zip(self._vals, self._out))
-        return SequenceSpec(kind=LOG, prefix=prefix, tail=ExplicitOnly(),
-                            declared_regime=self._declared)
+        return SequenceSpec._of_raws(LOG, tuple(self._out), ExplicitOnly(), self._declared)
 
     @property
     def _tail_end(self) -> Optional[int]:
@@ -379,7 +376,7 @@ class PhiRegResult:
 
     @cached_property
     def segments(self) -> tuple[PhiSegment, ...]:
-        return tuple(PhiSegment(ExtReal(slope), P, self._vals[P], P, end)
+        return tuple(PhiSegment(ExtReal(slope), P, ExtReal(self._vals[P]), P, end)
                      for P, slope, end in self._lines) if self._principal else ()
 
     @cached_property
@@ -427,7 +424,7 @@ class PhiRegResult:
                  if k + 1 == len(ev) or ev[k + 1][0] != t]
         counting = {"initial_level": 0, "jumps": jumps, "domain": dict(trace["domain"])}
         segments = [{"slope": raw_json(slope), "anchor_index": P, "span": [P, end],
-                     "anchor_value": self._vals[P].to_json()} for P, slope, end in self._lines]
+                     "anchor_value": raw_json(self._vals[P])} for P, slope, end in self._lines]
         return {"regularized": [raw_json(v) for v in self._out],
                 "principal_indices": list(self.principal_indices),
                 "discontinuity_indices": list(self.discontinuity_indices),

@@ -17,6 +17,10 @@ regime is decided by the behaviour of a_p / p:
 All operations work on a finite index window [0, W).  Closed-form tails give
 exact answers; explicit-only sequences give window evidence and the results
 say so.
+
+A SequenceSpec stores its prefix as raw payloads (Fraction, or float), read
+from JSON by ExtReal.from_json's rule.  ``prefix``, ``value`` and ``values``
+give ExtReal entries, built on use; the engine reads ``raw_values``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import (
     InconsistentDeclaration,
@@ -35,7 +39,8 @@ from .errors import (
     TruncatedTail,
     WindowTooShort,
 )
-from .extreal import ExtReal, NEG_INF, ONE, POS_INF, ZERO, ext
+from .extreal import (ExtReal, NEG_INF, ONE, POS_INF, ZERO, RawNumber, ext, raw_exp,
+                      raw_from_json, raw_log)
 from .tails import (
     LOG,
     WEIGHT,
@@ -108,27 +113,62 @@ class RegimeClassification:
             raise ParseError(f"bad regime payload {payload!r}: {exc}") from exc
 
 
+class OnFirstRead:
+    """A dataclass field that, while None, is built by build(instance) on its
+    first read and kept.  It has no class-level default, so it stays required."""
+
+    def __init__(self, build: Callable):
+        self.build = build
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        v = obj.__dict__[self.name]
+        if v is None:
+            v = obj.__dict__[self.name] = self.build(obj)
+        return v
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
-    """Prefix + tail rule on a declared scale."""
+    """Prefix + tail rule on a declared scale; the prefix is stored as raw
+    payloads (_raws), and its ExtReal entries are built on first read."""
 
     kind: str
-    prefix: tuple[ExtReal, ...]
+    prefix: tuple[ExtReal, ...] = OnFirstRead(lambda seq: tuple(map(ExtReal, seq._raws)))
     tail: TailRule
     declared_regime: Optional[RegimeClassification] = None
 
     def __post_init__(self):
+        self.__dict__.update(_raws=tuple(ext(v).raw for v in self.__dict__["prefix"]),
+                             prefix=None)
+        self._check()
+
+    @staticmethod
+    def _of_raws(kind: str, raws: tuple, tail: TailRule,
+                 declared_regime: Optional[RegimeClassification] = None) -> "SequenceSpec":
+        """SequenceSpec(kind, raws, tail, declared_regime), without a pass over raws."""
+        spec = object.__new__(SequenceSpec)
+        spec.__dict__.update(kind=kind, prefix=None, tail=tail, declared_regime=declared_regime,
+                             _raws=raws)
+        spec._check()
+        return spec
+
+    def _check(self) -> None:
         if self.kind not in (LOG, WEIGHT):
             raise ValueError(f"kind must be {LOG!r} or {WEIGHT!r}")
-        object.__setattr__(self, "prefix", tuple(
-            v if type(v) is ExtReal else ExtReal(v) for v in self.prefix))
         if self.kind == WEIGHT:
-            for p, v in enumerate(self.prefix):
-                if v.is_finite and v.raw < 0:
-                    raise ValueError(f"weight entry M_{p} must be >= 0")
-                if v.is_neg_inf:
-                    raise ValueError(f"weight entry M_{p} cannot be -inf")
-        if not self.prefix and isinstance(self.tail, ExplicitOnly):
+            for p, v in enumerate(self._raws):
+                if v < 0:
+                    raise ValueError(f"weight entry M_{p} cannot be -inf" if v == -math.inf
+                                     else f"weight entry M_{p} must be >= 0")
+        if not self._raws and isinstance(self.tail, ExplicitOnly):
             raise ValueError("empty explicit sequence")
 
     # -- evaluation -----------------------------------------------------------
@@ -136,17 +176,24 @@ class SequenceSpec:
     def value(self, p: int) -> ExtReal:
         if p < 0:
             raise IndexError("negative index")
-        if p < len(self.prefix):
+        if p < len(self._raws):
             return self.prefix[p]
         if isinstance(self.tail, ExplicitOnly):
-            raise TruncatedTail(p, len(self.prefix))
+            raise TruncatedTail(p, len(self._raws))
         return self.tail.value(p, self.kind)
 
     __getitem__ = value
 
     def values(self, window: int) -> list[ExtReal]:
-        head = list(self.prefix[:max(window, 0)])
-        return head + [self.value(p) for p in range(len(head), window)]
+        return list(map(ExtReal, self.raw_values(window)))
+
+    def raw_values(self, window: int) -> list[RawNumber]:
+        head = list(self._raws[:max(window, 0)])
+        if len(head) < window:
+            if isinstance(self.tail, ExplicitOnly):
+                raise TruncatedTail(len(head), len(self._raws))
+            head += self.tail.raw_values(len(head), window, self.kind)
+        return head
 
     # -- serialization ---------------------------------------------------------
 
@@ -168,11 +215,14 @@ class SequenceSpec:
             kind = payload["kind"]
             if kind not in (LOG, WEIGHT):
                 raise ParseError(f"bad kind {kind!r}")
-            prefix = tuple(ExtReal.from_json(v) for v in payload["prefix"])
+            prefix = payload["prefix"]
+            if not isinstance(prefix, (list, tuple)):
+                raise ParseError("prefix must be a list")
+            raws = tuple(map(raw_from_json, prefix))
             tail = tail_from_json(payload.get("tail", {"type": "explicit_only"}))
             declared = payload.get("declared_regime")
             regime = None if declared is None else RegimeClassification.from_json(declared)
-            return SequenceSpec(kind=kind, prefix=prefix, tail=tail, declared_regime=regime)
+            return SequenceSpec._of_raws(kind, raws, tail, regime)
         except ParseError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -184,7 +234,7 @@ def resolve_window(seq: SequenceSpec, window: Optional[int]) -> int:
     if window is not None and window < 1:
         raise ValueError("window must be >= 1")
     if isinstance(seq.tail, ExplicitOnly):
-        n = len(seq.prefix)
+        n = len(seq._raws)
         return n if window is None else min(window, n)
     return DEFAULT_WINDOW if window is None else window
 
@@ -196,24 +246,16 @@ def to_log_scale(seq: SequenceSpec) -> SequenceSpec:
     """Elementwise log of the prefix; the tail rule is scale-aware and unchanged."""
     if seq.kind == LOG:
         return seq
-    return SequenceSpec(
-        kind=LOG,
-        prefix=tuple(v.log() for v in seq.prefix),
-        tail=seq.tail,
-        declared_regime=seq.declared_regime,
-    )
+    return SequenceSpec._of_raws(LOG, tuple(map(raw_log, seq._raws)), seq.tail,
+                                 seq.declared_regime)
 
 
 def to_weight_scale(seq: SequenceSpec) -> SequenceSpec:
     """Elementwise exp of the prefix; -inf maps to the exact weight 0."""
     if seq.kind == WEIGHT:
         return seq
-    return SequenceSpec(
-        kind=WEIGHT,
-        prefix=tuple(v.exp() for v in seq.prefix),
-        tail=seq.tail,
-        declared_regime=seq.declared_regime,
-    )
+    return SequenceSpec._of_raws(WEIGHT, tuple(map(raw_exp, seq._raws)), seq.tail,
+                                 seq.declared_regime)
 
 
 # -- quotients and convexity ----------------------------------------------------
@@ -332,13 +374,14 @@ def classify_regime(seq: SequenceSpec, window: Optional[int] = None,
 
     # one read of indices 1..w-1 (index 0 stays unread): -inf entries collapse
     # the construction exactly like case1 does, finite ones give slopes
-    finite = []
+    finite, n = [], len(a._raws)
     for p in range(1, w):
-        v = a.value(p)
-        if v.is_neg_inf:
-            return RegimeClassification(CASE1, None, evidence, "window")
-        if v.is_finite:
-            finite.append((p, v.raw))
+        x = a._raws[p] if p < n else a.tail.value(p, LOG).raw
+        if type(x) is not Fraction and not -math.inf < x < math.inf:
+            if x < 0:
+                return RegimeClassification(CASE1, None, evidence, "window")
+            continue
+        finite.append((p, x))
 
     if isinstance(a.tail, Expression):
         return _classify_expression(a, w, evidence)

@@ -9,7 +9,9 @@ limits that the regime classifier and the growth indicators need:
 
 The evaluation is scale-aware so a converted sequence keeps the same rule
 object: ``FactorialPower(s, c)`` produces c*(p!)^s on the weight scale and
-log c + s*log(p!) on the log scale.
+log c + s*log(p!) on the log scale.  ``raw_values(start, stop, kind)`` gives
+``value(p, kind).raw`` for a stretch of indices; on the log scale the closed
+forms compute their constants once per stretch, and ``value`` reads it.
 """
 
 from __future__ import annotations
@@ -22,13 +24,18 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import ParseError, TruncatedTail, WindowTooShort
-from .extreal import ExtReal, POS_INF, ZERO, ext, log_of_fraction
+from .extreal import ExtReal, POS_INF, RawNumber, ZERO, ext, log_of_fraction
 
 LOG = "log"
 WEIGHT = "weight"
 
 # how many indices past its start a search over a factorial tail may test
 TAIL_SEARCH_CAP = 200_000
+
+
+class _Rule:
+    def raw_values(self, start: int, stop: int, kind: str) -> list[RawNumber]:
+        return [self.value(p, kind).raw for p in range(start, stop)]
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,7 @@ class ExplicitOnly:
 
 
 @dataclass(frozen=True)
-class FactorialPower:
+class FactorialPower(_Rule):
     """Weight-scale rule M_p = c * (p!)^s with s > 0, c > 0."""
 
     s: Fraction
@@ -60,16 +67,18 @@ class FactorialPower:
             raise ValueError("FactorialPower needs s > 0 and c > 0")
 
     def value(self, p: int, kind: str) -> ExtReal:
-        if kind == WEIGHT:
-            if self.s.denominator == 1:
-                self._check_bits(math.lgamma(p + 1), f"M_{p}")
-                return ext(self.c * Fraction(math.factorial(p)) ** int(self.s))
-            return ext(self._log_at(p)).exp()  # +inf once the float overflows
-        return ext(self._log_at(p))
+        if kind == WEIGHT and self.s.denominator == 1:
+            self._check_bits(math.lgamma(p + 1), f"M_{p}")
+            return ext(self.c * Fraction(math.factorial(p)) ** int(self.s))
+        v = ext(self.raw_values(p, p + 1, LOG)[0])
+        return v.exp() if kind == WEIGHT else v  # +inf once the float overflows
 
-    def _log_at(self, p: int) -> float:
-        lg = math.lgamma(p + 1)  # 0 at p = 0 and 1, where an s past the float range adds 0
-        return log_of_fraction(self.c) + (float(ext(self.s)) * lg if lg else 0.0)
+    def raw_values(self, start: int, stop: int, kind: str) -> list[RawNumber]:
+        if kind != LOG:
+            return super().raw_values(start, stop, kind)
+        c, s = log_of_fraction(self.c), float(ext(self.s))
+        # lgamma is 0 at p = 0 and 1, where an s past the float range adds 0
+        return [c + (s * lg if (lg := math.lgamma(p + 1)) else 0.0) for p in range(start, stop)]
 
     def _check_bits(self, log_base: float, what: str) -> None:
         """Refuse an exact power base^s of more than _EXACT_BITS bits, which
@@ -85,7 +94,8 @@ class FactorialPower:
             return ext(Fraction(q) ** int(self.s))
         hi = self.value(q, WEIGHT)
         if hi.is_pos_inf:  # the weights overflowed: exp of the log increment
-            return ext(self._log_at(q) - self._log_at(q - 1)).exp()
+            before, at = self.raw_values(q - 1, q + 1, LOG)
+            return ext(at - before).exp()
         return hi / self.value(q - 1, WEIGHT)
 
     def search(self, test: Callable[[int], bool], start: int) -> int:
@@ -113,7 +123,7 @@ class FactorialPower:
 
 
 @dataclass(frozen=True)
-class Geometric:
+class Geometric(_Rule):
     """Weight-scale rule M_p = d^p with d > 0."""
 
     d: Fraction
@@ -125,9 +135,15 @@ class Geometric:
     def value(self, p: int, kind: str) -> ExtReal:
         if kind == WEIGHT:
             return ext(self.d**p)
+        return ext(self.raw_values(p, p + 1, LOG)[0])
+
+    def raw_values(self, start: int, stop: int, kind: str) -> list[RawNumber]:
+        if kind != LOG:
+            return super().raw_values(start, stop, kind)
         if self.d == 1:
-            return ext(Fraction(0))
-        return ext(p * log_of_fraction(self.d))
+            return [Fraction(0)] * (stop - start)
+        d = log_of_fraction(self.d)
+        return [p * d for p in range(start, stop)]
 
     def slope_limit(self) -> Optional[ExtReal]:
         if self.d == 1:
@@ -142,15 +158,20 @@ class Geometric:
 
 
 @dataclass(frozen=True)
-class AffineLog:
+class AffineLog(_Rule):
     """Log-scale rule a_p = c * p (so M_p = e^{cp})."""
 
     c: Fraction
 
     def value(self, p: int, kind: str) -> ExtReal:
-        if kind == LOG:
-            return ext(self.c * p)
-        return ext(self.c * p).exp()
+        v = ext(self.raw_values(p, p + 1, LOG)[0])
+        return v if kind == LOG else v.exp()
+
+    def raw_values(self, start: int, stop: int, kind: str) -> list[RawNumber]:
+        if kind != LOG:
+            return super().raw_values(start, stop, kind)
+        c = ext(self.c).raw  # an int c gives exact values
+        return [c * p for p in range(start, stop)]
 
     def slope_limit(self) -> Optional[ExtReal]:
         return ext(self.c)
@@ -163,7 +184,7 @@ class AffineLog:
 
 
 @dataclass(frozen=True)
-class Expression:
+class Expression(_Rule):
     """Arbitrary index -> value rule, natively on one scale.
 
     ``fn`` returns the entry on ``native`` scale; the other scale is obtained

@@ -426,9 +426,10 @@ def test_tail_values_are_read_once_per_walk(monkeypatch):
     w = 40
     reads: list[int] = []
     searches: list[int] = []
-    real, search = FactorialPower.value, FactorialPower.search
-    monkeypatch.setattr(FactorialPower, "value",
-                        lambda self, p, kind: reads.append(p) or real(self, p, kind))
+    real, search = FactorialPower.raw_values, FactorialPower.search
+    # value(p, kind) on the log scale reads raw_values(p, p + 1, kind) too
+    monkeypatch.setattr(FactorialPower, "raw_values", lambda self, start, stop, kind:
+                        reads.extend(range(start, stop)) or real(self, start, stop, kind))
     monkeypatch.setattr(FactorialPower, "search",
                         lambda self, test, start: searches.append(start) or search(self, test, start))
     assert regularize(seq, w).principal_indices == tuple(range(w))

@@ -298,9 +298,9 @@ def test_first_chord_ends_the_search_after_two_chords(monkeypatch):
     tail = FactorialPower(s=Fraction(1), c=Fraction(1))
     seq = SequenceSpec(kind=LOG, prefix=(0, 1, 3), tail=tail)
     taken = []
-    real = FactorialPower.value
-    monkeypatch.setattr(FactorialPower, "value",
-                        lambda self, p, kind: taken.append(p) or real(self, p, kind))
+    real = FactorialPower.raw_values
+    monkeypatch.setattr(FactorialPower, "raw_values", lambda self, start, stop, kind:
+                        taken.extend(range(start, stop)) or real(self, start, stop, kind))
     assert _tail_chord(seq, 2, ext(3), 4)[2] == 4
     assert sorted(taken) == [4, 5]
 
