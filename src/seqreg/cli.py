@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import click
 
 from .errors import ParseError, SeqRegError
-from .extreal import ExtReal, _inf_sign, _to_float, ext, raw_add, raw_json, raw_mul
+from .extreal import ExtReal, _inf_sign, _to_float, ext, raw_add, raw_mul
 from .minorant import MinorantResult, _real, regularize
 from .oracles import (
     OracleReport,
@@ -93,14 +93,32 @@ def _canonical(payload) -> str:
                          f"for printing an integer") from exc
 
 
+def _float_literal(text: str) -> float:
+    """A float literal or a constant (NaN, Infinity, -Infinity), refused past the float range."""
+    x = float(text)
+    if math.isinf(x):
+        raise ParseError(f"the number literal {text} is past the float range; "
+                         f"a string such as \"1e400\" reads exactly")
+    return x
+
+
+# a module-level decoder: json.loads with keyword arguments builds one per call
+_DECODER = json.JSONDecoder(parse_float=_float_literal, parse_constant=_float_literal)
+
+
 def _load_spec(path: str) -> SequenceSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                         f"at offset {exc.start}") from None
     try:
-        payload = json.loads(raw)
+        payload = _DECODER.decode(raw)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     except ValueError:  # an integer literal too long to read
@@ -220,18 +238,8 @@ def classify(files, window, tol):
 
 
 def _minorant_payload(result: MinorantResult) -> dict:
-    """The printed keys of ``result.to_json()``, built from the result's fields."""
-    return {
-        "regularized": [raw_json(v) for v in result._out],
-        "principal_indices": list(result.principal_indices),
-        "slopes": [s.to_json() for s in result.slopes],
-        "trace_breakpoints": result._trace_json()["breakpoints"],
-        "regime": result.regime.to_json(),
-        "stable_prefix": result.stable_prefix,
-        "provisional_from": result.provisional_from,
-        "scale": result.scale,
-        "window": result.window,
-    }
+    """The keys of ``result.to_json()`` that ``minorant`` prints; the trace's breakpoints."""
+    return {**result._printed(), "trace_breakpoints": result._trace_json()["breakpoints"]}
 
 
 def _verify_minorant(seq: SequenceSpec, result: MinorantResult,
@@ -407,9 +415,7 @@ def assoc(files, window, tol, grid_spec, loggrid_spec, emit, verify):
 @main.command()
 @_common
 @click.option("--verify", is_flag=True, help="Cross-check against the direct sup.")
-@click.option("--extended", is_flag=True,
-              help="Evaluate outside the natural domain as +inf.")
-def trace(files, window, tol, verify, extended):
+def trace(files, window, tol, verify):
     """Trace function A(k) = sup_p (p k - a_p) as breakpoint JSON."""
 
     def worker(path: str):
@@ -426,7 +432,7 @@ def trace(files, window, tol, verify, extended):
             beyond = _tail_point(result.tail_end, log_seq)
             for k, direct in zip(slopes, brute_trace(log_seq.values(result.window), slopes, beyond)):
                 try:
-                    engine = fn.evaluate(k, extended=extended)
+                    engine = fn.evaluate(k)
                 except SeqRegError:
                     continue
                 pairs.append((engine, direct))
@@ -554,7 +560,7 @@ def _verify_phireg(seq: SequenceSpec, phi, result, window: int, tol: float):
     t_max = None if phi.blowup_T is None else float(phi.blowup_T) - _SWEEP_STEP / 2
     try:
         sweep = brute_phi_sweep(vals, phi, _SWEEP_STEP, t_max=t_max,
-                                beyond=_tail_point(result._tail_end, log_seq))
+                                beyond=_tail_point(result.tail_end, log_seq))
     except (ValueError, OverflowError) as exc:  # OverflowError: an entry past the float range
         raise SeqRegError(f"phireg --verify: the sweep oracle refused the input: {exc}") from exc
     pairs = list(zip(result.regularized.prefix, sweep.regularized))

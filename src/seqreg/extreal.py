@@ -16,7 +16,7 @@ rationals remain exact.  ``nan`` is rejected everywhere.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
 from typing import Union
 
 RawNumber = Union[int, float, Fraction]
@@ -24,6 +24,13 @@ RawNumber = Union[int, float, Fraction]
 _POS = float("inf")
 _NEG = float("-inf")
 _ZERO = Fraction(0)
+
+# largest integer, in bits, that one literal, one ** or factorial in a formula,
+# or one exact factorial-tail weight may build; beyond it a single read or
+# evaluation could take unbounded time and memory
+_EXACT_BITS = 1 << 20
+# the largest decimal exponent of a literal whose power of ten fits in them
+_MAX_EXP10 = int(_EXACT_BITS / math.log2(10))
 
 
 def log_of_fraction(fr: Fraction) -> float:
@@ -227,10 +234,15 @@ def _parse_number(text: str) -> RawNumber:
             return _POS
         if low in ("-inf", "-infinity"):
             return _NEG
-        # Fraction handles both "p/q" and exact decimal strings like "1.5"
-        return Fraction(s)
+        # Fraction builds 10**|exponent| exactly, so past _MAX_EXP10 a literal that
+        # its own grammar reads is refused below
+        m = "e" in low and _RATIONAL_FORMAT.match(s)
+        if not (m and m["exp"] and abs(int(m["exp"])) > _MAX_EXP10):
+            # Fraction handles both "p/q" and exact decimal strings like "1.5"
+            return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad number literal {text!r}") from exc
+    raise ValueError(f"bad number literal {text!r}: its power of ten exceeds {_EXACT_BITS} bits")
 
 
 # -- the arithmetic on raw payloads ---------------------------------------------------

@@ -44,11 +44,11 @@ calls it too.
 The trace k -> sup_p (p*k - a_p) has one breakpoint per distinct event time;
 its conjugate reproduces the minorant values (exact on rationals).
 
-The window is read once as raw payloads.  A result keeps that window, the
-lines that fill it, one slope per edge and the sweep's raw events, and
-builds regularized, its SupportLines and its trace only when asked.  The CLI
-prints regularized and the trace from the raw payloads, so ``trace`` never
-fills the window.
+The window is read once as raw payloads.  MinorantResult and phireg's
+PhiRegResult keep it and the Construction as built, the record core (_Swept)
+from which each view is derived once, when first asked for.  The CLI prints
+regularized and the trace from the raw payloads, so ``trace`` never fills
+the window.
 """
 
 from __future__ import annotations
@@ -92,7 +92,72 @@ class SupportLine:
 
 
 @dataclass(frozen=True)
-class MinorantResult:
+class _Swept:
+    """The record core: the log-scale window as read, raw, and the sweep's
+    Construction as built.  The filled window, the trace's breakpoints, its
+    domain J, the trace and the tail index are derived from it here only."""
+
+    _vals: tuple = field(repr=False, kw_only=True)
+    _built: Construction = field(repr=False, kw_only=True)
+
+    @cached_property
+    def _out(self) -> list[RawNumber]:
+        """regularized as raw payloads: a given one's, or the window filled in."""
+        given = self.__dict__.get("regularized")
+        return list(given._raws) if given is not None else _filled(self._vals, self._built.lines)
+
+    @property
+    def tail_end(self) -> Optional[int]:
+        """The tail index where the last edge ends, when the sweep took one past the window."""
+        return self._built.tail_end
+
+    @cached_property
+    def _bps(self) -> list[tuple]:
+        """The trace's breakpoints from the sweep's events, as raw (x, left, right,
+        top): one per distinct event time, the value left of it from the first
+        event at that time, and top from the last, where the counting function
+        m = A' steps.  A later event there without a jump keeps the value right
+        of it, which it equals in exact arithmetic, so float rounding cannot
+        fake a jump."""
+        bps: list[tuple] = []
+        for tau, left, right, top in self._built.events:
+            if bps and bps[-1][0] == tau:
+                x, before, after, _ = bps[-1]
+                bps[-1] = (x, before, after if right == left else right, top)
+            else:
+                bps.append((tau, left, right, top))
+        return bps
+
+    @cached_property
+    def _J(self) -> Interval:
+        """J = (-inf, hi), the trace's domain: empty for hi = -inf (Case 1)."""
+        hi = self._built.hi
+        return EMPTY_INTERVAL if hi.is_neg_inf else Interval(NEG_INF, hi)
+
+    @cached_property
+    def trace(self) -> PiecewiseLinearFn:
+        """The trace on J from its breakpoints; on an empty J only the
+        convention A(-inf) = -a_0 survives."""
+        bps = tuple(Breakpoint(ExtReal(x), ExtReal(left), ExtReal(right), ext(top))
+                    for x, left, right, top in self._bps)
+        at_minus_inf = ZERO - self._vals[0]
+        return PiecewiseLinearFn(breakpoints=bps, domain=self._J, slope_left=ZERO,
+                                 value_at_minus_inf=at_minus_inf,
+                                 constant=None if bps or self._J.is_empty else at_minus_inf)
+
+    def _trace_json(self) -> dict:
+        """self.trace.to_json(), printed from the raw breakpoints."""
+        at_minus_inf = (ZERO - self._vals[0]).to_json()
+        points = [{"x": raw_json(x), "left_value": raw_json(left),
+                   "right_value": raw_json(right), "slope_right": top}
+                  for x, left, right, top in self._bps]
+        payload = {"breakpoints": points, "domain": self._J.to_json(),
+                   "slope_left": 0, "value_at_minus_inf": at_minus_inf}
+        return payload if points or self._J.is_empty else {**payload, "constant": at_minus_inf}
+
+
+@dataclass(frozen=True)
+class MinorantResult(_Swept):
     # None: the window filled in (_out), built on first read
     regularized: SequenceSpec = OnFirstRead(
         lambda r: SequenceSpec._of_raws(LOG, tuple(r._out), ExplicitOnly(), r.regime))
@@ -105,31 +170,6 @@ class MinorantResult:
     window: int
     scale: str
     finite_principal: Optional[bool] = None
-    # the tail index where the last edge ends, when the sweep took one past the window
-    tail_end: Optional[int] = None
-    # the sweep's events (time, left value, right value, top) as raw payloads,
-    # and the right end of the trace's domain (-inf: empty, in Case 1)
-    _events: tuple = field(default=(), repr=False)
-    _hi: ExtReal = field(default=POS_INF, repr=False)
-    # the log-scale window as read, raw, which the edges pass through, and the
-    # lines (P, slope, end) that fill it in
-    _vals: tuple = field(default=(), repr=False)
-    _lines: tuple = field(default=(), repr=False)
-
-    @cached_property
-    def _out(self) -> list[RawNumber]:
-        """regularized as raw payloads: the given one's, or the window filled in."""
-        given = self.__dict__["regularized"]
-        return list(given._raws) if given is not None else _filled(self._vals, self._lines)
-
-    @cached_property
-    def trace(self) -> PiecewiseLinearFn:
-        """The trace, built from the sweep's events when first asked for."""
-        return _trace(self._events, self._vals[0], self._hi)
-
-    def _trace_json(self) -> dict:
-        """self.trace.to_json(), printed from the raw events."""
-        return _trace_payload(_merged(self._events), self._vals[0], self._hi)
 
     @property
     def edges(self) -> tuple[SupportLine, ...]:
@@ -147,18 +187,24 @@ class MinorantResult:
                       for s, P, _ in run]
         return tuple(lines)
 
-    def to_json(self) -> dict:
+    def _printed(self) -> dict:
+        """The keys that ``minorant`` prints, besides the trace's breakpoints."""
         return {
             "regularized": [raw_json(v) for v in self._out],
             "scale": self.scale,
             "principal_indices": list(self.principal_indices),
             "slopes": [s.to_json() for s in self.slopes],
-            "edges": [e.to_json() for e in self.edges],
-            "trace": self.trace.to_json(),
             "regime": self.regime.to_json(),
             "stable_prefix": self.stable_prefix,
             "provisional_from": self.provisional_from,
             "window": self.window,
+        }
+
+    def to_json(self) -> dict:
+        return {
+            **self._printed(),
+            "edges": [e.to_json() for e in self.edges],
+            "trace": self._trace_json(),
             "finite_principal": self.finite_principal,
         }
 
@@ -541,47 +587,6 @@ def _fill(out: list[RawNumber], P: int, slope: RawNumber, end: int) -> None:
         out[p] = at(p)
 
 
-def _merged(events) -> list[tuple]:
-    """The trace's breakpoints from the sweep's events, as raw (x, left, right,
-    top): one per distinct event time, the value left of it from the first
-    event at that time.  A later event there without a jump keeps the value
-    right of it, which it equals in exact arithmetic, so float rounding cannot
-    fake a jump."""
-    bps: list[tuple] = []
-    for tau, left, right, top in events:
-        if bps and bps[-1][0] == tau:
-            x, before, after, _ = bps[-1]
-            bps[-1] = (x, before, after if right == left else right, top)
-        else:
-            bps.append((tau, left, right, top))
-    return bps
-
-
-def _domain(hi: ExtReal) -> Interval:
-    """J = (-inf, hi), the trace's domain: empty for hi = -inf (Case 1)."""
-    return EMPTY_INTERVAL if hi.is_neg_inf else Interval(NEG_INF, hi)
-
-
-def _trace_payload(bps: list[tuple], a0: RawNumber, hi: ExtReal) -> dict:
-    """_trace(events, a0, hi).to_json(), printed from bps = _merged(events)."""
-    at_minus_inf = (ZERO - a0).to_json()
-    points = [{"x": raw_json(x), "left_value": raw_json(left), "right_value": raw_json(right),
-               "slope_right": top} for x, left, right, top in bps]
-    payload = {"breakpoints": points, "domain": _domain(hi).to_json(),
-               "slope_left": 0, "value_at_minus_inf": at_minus_inf}
-    return payload if points or hi.is_neg_inf else {**payload, "constant": at_minus_inf}
-
-
-def _trace(events, a0: RawNumber, hi: ExtReal) -> PiecewiseLinearFn:
-    """The trace on J = (-inf, hi) from the sweep's events (_merged); on an
-    empty J only the convention A(-inf) = -a_0 survives."""
-    bps = tuple(Breakpoint(ExtReal(x), ExtReal(left), ExtReal(right), ext(top))
-                for x, left, right, top in _merged(events))
-    return PiecewiseLinearFn(breakpoints=bps, domain=_domain(hi),
-                             slope_left=ZERO, value_at_minus_inf=ZERO - a0,
-                             constant=None if bps or hi.is_neg_inf else ZERO - a0)
-
-
 def _window_values(seq: SequenceSpec, window: Optional[int]) -> tuple[int, list[RawNumber]]:
     w = resolve_window(seq, window)
     vals = seq.raw_values(w)
@@ -605,8 +610,8 @@ def _minorant(seq: SequenceSpec, window: Optional[int], regime: RegimeClassifica
         slopes.append(ExtReal(built.events[-1][0]))
     return MinorantResult(
         None, tuple(p for p, _ in built.principal), tuple(slopes), regime, built.stable,
-        built.stable + 1, w, LOG, None if built.hi.is_pos_inf else built.closed, built.tail_end,
-        _events=tuple(built.events), _hi=built.hi, _vals=tuple(vals), _lines=tuple(built.lines))
+        built.stable + 1, w, LOG, None if built.hi.is_pos_inf else built.closed,
+        _vals=tuple(vals), _built=built)
 
 
 def regularize(a: SequenceSpec, window: Optional[int] = None,

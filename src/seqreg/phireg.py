@@ -34,11 +34,14 @@ and gives the lines that fill the regularized window (a Construction).  When
 the sweep ends before the window does, stopped by the cap or at trailing +inf
 entries, a finite cap (blowup's T, Case 2's a_iota) closes the window with
 its line through the last principal point: the value that recover_sequence
-gives there.  The record keeps the sweep's raw output: its JSON and the CSV
-samples are printed from it, and a value wraps into ExtReal only when the
-library asks for the record's objects.  compare runs the same core (_core)
-for both phis and the ungated one on one read of the window, and fills and
-compares integer pairs: it builds no record.
+gives there.  The record is built on minorant's record core (minorant._Swept),
+which MinorantResult shares: the window as read and the Construction as
+built.  Its JSON and the CSV samples are printed from the core, the counting
+function m = A' is read off the trace's breakpoints (a step to each one's
+slope_right), and a value wraps into ExtReal only when the library asks for
+the record's objects.  compare runs the same core (_core) for both phis and
+the ungated one on one read of the window, and fills and compares integer
+pairs: it builds no record.
 
 Events where the entering point sits strictly below the old line are the
 indices of discontinuity: visibility arrived later than tangency, so the trace
@@ -73,9 +76,9 @@ from typing import Callable, Optional
 from .errors import AxiomViolation, InfiniteEntryUnsupported, NotComparable, ParseError
 from .extreal import (ExtReal, NEG_INF, ONE, RawNumber, ZERO, _inf_sign, _to_float,
                       ext, raw_add, raw_div, raw_exp, raw_json, raw_line, raw_mul)
-from .minorant import (Construction, Threshold, _filled, _merged, _pair, _raw, _read, _run,
-                       _trace, _trace_payload, _ungated, _window_values)
-from .piecewise import EMPTY_INTERVAL, Interval, PiecewiseLinearFn, StepFunction
+from .minorant import (Construction, Threshold, _Swept, _pair, _raw, _read, _run, _ungated,
+                       _window_values)
+from .piecewise import PiecewiseLinearFn, StepFunction
 from .sequences import RegimeClassification, SequenceSpec, classify_regime, to_log_scale
 from .tails import LOG, ExplicitOnly
 
@@ -329,10 +332,10 @@ def _line_float(r: RawNumber, s: int, b: RawNumber, t: RawNumber) -> float:
 
 
 @dataclass(frozen=True)
-class PhiRegResult:
-    """The regularization record: the sweep's raw output, from which to_json and
-    _samples print, and regularized, intervals, segments, counting and trace,
-    built when first asked for."""
+class PhiRegResult(_Swept):
+    """The regularization record on the record core (minorant._Swept), from
+    which to_json and _samples print; regularized, intervals, segments,
+    counting and trace are built when first asked for."""
 
     principal_indices: tuple[int, ...]
     discontinuity_indices: tuple[int, ...]
@@ -341,60 +344,36 @@ class PhiRegResult:
     window: int
     provisional_from: int
     phi_descriptor: str
-    # the window as read (raw payloads), the principal points (index, entry time;
-    # none where J is empty, in Case 1), the lines (P, slope, end) that fill the
-    # window, the events, the declared regime
-    _vals: tuple = field(default=(), repr=False)
-    _principal: tuple = field(default=(), repr=False)
-    _lines: tuple = field(default=(), repr=False)
-    _events: tuple = field(default=(), repr=False)
     _declared: Optional[RegimeClassification] = field(default=None, repr=False)
-
-    @cached_property
-    def _out(self) -> list[RawNumber]:
-        """The regularized window as raw payloads (minorant._filled)."""
-        return _filled(self._vals, self._lines)
 
     @cached_property
     def regularized(self) -> SequenceSpec:
         return SequenceSpec._of_raws(LOG, tuple(self._out), ExplicitOnly(), self._declared)
 
     @property
-    def _tail_end(self) -> Optional[int]:
-        """The tail index of the chord (the last event) by which the sweep left the window."""
-        ev = self._events
-        return ev[-1][3] if ev and ev[-1][3] >= self.window else None
+    def _entries(self) -> list[tuple[int, ExtReal]]:
+        """The principal points (index, entry time): none where J is empty, in Case 1."""
+        return [] if self.J_right.is_neg_inf else self._built.principal
 
     @property
-    def _end(self) -> RawNumber:  # the last interval's: J's, or that tail chord's time
-        return self.J_right.raw if self._tail_end is None else self._events[-1][0]
+    def _end(self) -> RawNumber:  # the last interval's: J's, or the tail chord's time
+        return self.J_right.raw if self.tail_end is None else self._built.events[-1][0]
 
     @cached_property
     def intervals(self) -> tuple[PhiInterval, ...]:
-        times = [t for _, t in self._principal]
+        times = [t for _, t in self._entries]
         return tuple(map(PhiInterval, times, times[1:] + [ExtReal(self._end)]))
 
     @cached_property
     def segments(self) -> tuple[PhiSegment, ...]:
         return tuple(PhiSegment(ExtReal(slope), P, ExtReal(self._vals[P]), P, end)
-                     for P, slope, end in self._lines) if self._principal else ()
+                     for P, slope, end in self._built.lines) if self._entries else ()
 
     @cached_property
     def counting(self) -> StepFunction:
-        jumps = tuple((tau, top) for tau, _, _, top in self._events)
-        # the trace's domain J, empty in Case 1 (minorant._domain, not called: the
-        # bench tracer counts jumps from here and wraps the names phireg imports)
-        J = EMPTY_INTERVAL if self.J_right.is_neg_inf else Interval(NEG_INF, self.J_right)
-        return StepFunction(jumps=jumps, initial_level=0, domain=J)
-
-    @cached_property
-    def trace(self) -> PiecewiseLinearFn:
-        return _trace(self._events, self._vals[0], self.J_right)
-
-    @cached_property
-    def _bps(self) -> list[tuple]:
-        """The trace's breakpoints as raw (x, left, right, top) (minorant._merged)."""
-        return _merged(self._events)
+        """m = A': a step at each of the trace's breakpoints to its slope_right."""
+        return StepFunction(jumps=tuple((x, top) for x, *_, top in self._bps),
+                            initial_level=0, domain=self._J)
 
     def _samples(self, ts: list, extended: bool) -> list[tuple]:
         """(m(t), float A(t)) at the sorted raw slopes ts, by one pointer over the
@@ -416,21 +395,20 @@ class PhiRegResult:
         return rows
 
     def to_json(self) -> dict:
-        """The record as JSON, printed from the sweep's raw output."""
-        times = [t.to_json() for _, t in self._principal]
-        trace = _trace_payload(self._bps, self._vals[0], self.J_right)
-        ev = self._events  # StepFunction keeps the last of the events at one time
-        jumps = [[raw_json(t), top] for k, (t, *_, top) in enumerate(ev)
-                 if k + 1 == len(ev) or ev[k + 1][0] != t]
+        """The record as JSON, printed from the record core."""
+        times = [t.to_json() for _, t in self._entries]
+        trace = self._trace_json()
+        jumps = [[raw_json(x), top] for x, *_, top in self._bps]
         counting = {"initial_level": 0, "jumps": jumps, "domain": dict(trace["domain"])}
         segments = [{"slope": raw_json(slope), "anchor_index": P, "span": [P, end],
-                     "anchor_value": raw_json(self._vals[P])} for P, slope, end in self._lines]
+                     "anchor_value": raw_json(self._vals[P])}
+                    for P, slope, end in (self._built.lines if self._entries else ())]
         return {"regularized": [raw_json(v) for v in self._out],
                 "principal_indices": list(self.principal_indices),
                 "discontinuity_indices": list(self.discontinuity_indices),
                 "intervals": [{"start": t, "end": u}
                               for t, u in zip(times, times[1:] + [raw_json(self._end)])],
-                "segments": segments if self._principal else [], "counting": counting,
+                "segments": segments, "counting": counting,
                 "trace": trace, "J_right": self.J_right.to_json(),
                 "finite_principal": self.finite_principal,
                 "window": self.window, "provisional_from": self.provisional_from,
@@ -489,9 +467,8 @@ def regularize_with_phi(a: SequenceSpec, phi: RegularizingFunction,
     regime, built = _core(seq, _read(vals), phi, window, tol)
     stable = built.stable if phi.infinite else _stable_boundary(phi, built.principal, w)
     return PhiRegResult(tuple(p for p, _ in built.principal), tuple(built.disc), built.hi,
-                        built.closed, w, stable + 1, phi.descriptor, _vals=tuple(vals),
-                        _principal=() if built.hi.is_neg_inf else tuple(built.principal),
-                        _lines=tuple(built.lines), _events=tuple(built.events), _declared=regime)
+                        built.closed, w, stable + 1, phi.descriptor, regime,
+                        _vals=tuple(vals), _built=built)
 
 
 def _stable_boundary(phi: RegularizingFunction, principal: list[tuple[int, ExtReal]],

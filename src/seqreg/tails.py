@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import ParseError, TruncatedTail, WindowTooShort
-from .extreal import ExtReal, POS_INF, RawNumber, ZERO, ext, log_of_fraction
+from .extreal import _EXACT_BITS, ExtReal, POS_INF, RawNumber, ZERO, ext, log_of_fraction
 
 LOG = "log"
 WEIGHT = "weight"
@@ -217,12 +217,6 @@ class Expression(_Rule):
 
 
 TailRule = ExplicitOnly | FactorialPower | Geometric | AffineLog | Expression
-
-
-# largest integer, in bits, that ** or factorial may build inside a formula,
-# or a factorial tail as an exact weight; beyond it one evaluation could take
-# unbounded time and memory
-_EXACT_BITS = 1 << 20
 
 
 def _bounded_pow(base, exponent):

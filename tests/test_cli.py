@@ -489,7 +489,7 @@ def test_minorant_verify_passes_on_an_overflowing_slope(tmp_path, prefix):
       "tail": {"type": "factorial_power", "s": 1, "c": "1/2"}}, ("--window", "4")),
     # no finite breakpoint, and +inf past a_iota = log 3
     ({"kind": "log", "prefix": ["-392", "inf", "278/9", "inf"],
-      "tail": {"type": "geometric", "d": 3}}, ("--extended",)),
+      "tail": {"type": "geometric", "d": 3}}, ()),
 ])
 def test_trace_verify_accepts_correct_traces(tmp_path, doc, args):
     res = run_cli(tmp_path, doc, "trace", "--verify", *args)

@@ -3,16 +3,17 @@
 `ExtReal.from_json` reads "[-]n/d" strings without Fraction's regular
 expression, `ExtReal.to_json` writes the canonical number forms, and
 `cli._minorant_payload` builds only the keys `minorant` prints, from the
-result's fields.  Each is checked against what it must equal: a string reads
-as the inf spellings or as `Fraction` reads it after stripping, with every
-error a ValueError; a number writes as an int, "n/d", a float or "inf"; and
-the printed payload is the selection of those keys from `to_json()`.  The
-minorant behind the payload runs against the hull kernel's reference walk
-(`test_hull_kernel.check_walk`) on documents parsed from JSON.
+result's record core.  Each is checked against what it must equal: a string
+reads as the inf spellings or as `Fraction` reads it after stripping, short
+of a power of ten past 2^20 bits, with every error a ValueError; a number
+writes as an int, "n/d", a float or "inf"; and the printed payload is the
+selection of those keys from `to_json()`.  The minorant behind the payload
+runs against the hull kernel's reference walk (`test_hull_kernel.check_walk`)
+on documents parsed from JSON.
 """
 
 import math
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +29,8 @@ _POS, _NEG = math.inf, -math.inf
 
 def fraction_route(payload) -> ExtReal:
     """ExtReal.from_json as specified: an int, float or Fraction as itself, a
-    string as the inf spellings or what Fraction reads after stripping."""
+    string as the inf spellings or what Fraction reads after stripping, except
+    that a literal whose power of ten would exceed 2^20 bits is refused."""
     if isinstance(payload, (int, float, Fraction)) and not isinstance(payload, bool):
         return ExtReal(payload)
     if not isinstance(payload, str):
@@ -39,9 +41,13 @@ def fraction_route(payload) -> ExtReal:
     if s.lower() in ("-inf", "-infinity"):
         return ExtReal(_NEG)
     try:
-        return ExtReal(Fraction(s))
+        m = _RATIONAL_FORMAT.match(s)  # Fraction's own grammar
+        huge = m is not None and m["exp"] is not None and abs(int(m["exp"])) * math.log2(10) > 2**20
+        if not huge:
+            return ExtReal(Fraction(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad number literal {payload!r}") from exc
+    raise ValueError(f"bad number literal {payload!r}: its power of ten exceeds {2**20} bits")
 
 
 def json_number(x: ExtReal):
@@ -68,7 +74,8 @@ def num(x):
 
 SPELLINGS = [" 3/4", "+3/4", "-0/7", "1_000/3", "3 /4", "3/-4", "4/0", "٣/4", "1.5", "1e3",
              "3/4", "-3/4", "03/4", "3/04", "-/4", "3/", "/4", "--3/4", "3/4/5", "-3/4 ",
-             "inf", "-Infinity", "", "1/" + "9" * 5000, "7"]
+             "inf", "-Infinity", "", "1/" + "9" * 5000, "7", "1e315652", "-1E-315_652",
+             "1e315653", " 1.5E-0400000 ", "e1000000", "1/2e1000000", "1e" + "9" * 5000]
 
 
 def parse_key(parse, payload):
@@ -88,6 +95,7 @@ def test_parse_matches_the_fraction_route(text):
     st.text(alphabet="0123456789-+/_ .e٣", max_size=10),
     st.integers(-10**30, 10**30), st.fractions(), st.floats(allow_nan=False), st.booleans()))
 @example("1e10000")  # a Fraction of 10,001 digits
+@example("e1000000")  # no mantissa: malformed, whatever the exponent
 @settings(max_examples=500, deadline=None)
 def test_parse_matches_the_fraction_route_on_drawn_forms(payload):
     assert parse_key(ExtReal.from_json, payload) == parse_key(fraction_route, payload)

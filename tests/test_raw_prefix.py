@@ -8,8 +8,11 @@ each index.  A minorant result fills its window in only when `regularized`
 is asked for or printed, so `trace` never fills it.  Each is checked
 against what it must equal: the entry-by-entry parse through the
 constructor, the tail's single values, and the printed bytes of an
-unpatched run.  The parse errors of whole documents (integers too long to
-read, nesting too deep, a prefix that is not an array) exit 1 with one line.
+unpatched run; and no subcommand builds the trace, counting, interval or
+segment objects to print.  The parse errors of whole documents (integers too
+long to read, nesting too deep, a prefix that is not an array, a number that
+cannot be read exactly or is past the float range, bytes that are not UTF-8)
+exit 1 with one line.
 """
 
 import json
@@ -23,6 +26,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import seqreg.minorant as minorant_mod
+import seqreg.phireg as phireg_mod
 from seqreg import SequenceSpec
 from seqreg.cli import _minorant_payload, main
 from seqreg.errors import ParseError
@@ -229,6 +233,38 @@ def test_trace_does_not_fill_the_window(tmp_path, monkeypatch, doc):
         CliRunner().invoke(main, ["minorant", "--window", "64", path], catch_exceptions=False)
 
 
+# each subcommand that prints from the record core, with its phis and formats
+PRINTING = ([["phireg", "--phi", phi, *emit] for phi in ("exp", "blowup:3", "infinite")
+             for emit in ([], ["--emit", "csv"])]
+            + [["compare", "--phi", "exp", "--phi2", "expaffine:1,1"], ["minorant"], ["trace"]])
+COLLAPSING = {"kind": "log", "prefix": [0, 5, "-inf", 2], "tail": {"type": "explicit_only"}}
+
+
+@pytest.mark.parametrize("doc", DOCUMENTS[:4] + [COLLAPSING])
+def test_printing_builds_no_record_objects(tmp_path, monkeypatch, doc):
+    """phireg, compare, minorant and trace print from the raw record core: with
+    the trace, counting, interval and segment types refusing to be built, each
+    run exits as before with the same bytes."""
+    path = write(tmp_path, doc)
+    runs = [[*args, "--window", "16", path] for args in PRINTING]
+    unpatched = [CliRunner().invoke(main, args) for args in runs]
+
+    def refuse(*_, **__):
+        raise AssertionError("a record object was built to print")
+
+    monkeypatch.setattr(minorant_mod, "PiecewiseLinearFn", refuse)
+    for name in ("StepFunction", "PhiInterval", "PhiSegment"):
+        monkeypatch.setattr(phireg_mod, name, refuse)
+    for args, before in zip(runs, unpatched):
+        after = CliRunner().invoke(main, args)
+        assert (after.exit_code, after.stdout_bytes) == (before.exit_code, before.stdout_bytes), \
+            (args, after.output)
+    if doc is not COLLAPSING:  # the guard does guard: --verify reads the objects
+        for args in (["phireg", "--verify"], ["trace", "--verify"]):
+            with pytest.raises(AssertionError, match="record object"):
+                CliRunner().invoke(main, [*args, "--window", "16", path], catch_exceptions=False)
+
+
 def test_a_field_built_on_first_read_keeps_its_build_errors():
     """The build's own AttributeError surfaces as is, not as a missing field;
     a given value is kept, and the field stays a required one."""
@@ -254,10 +290,17 @@ DEEP = "[" * 100_000
     (DEEP, "nest"),
     ('{"kind":"weight","prefix":"1234"}', "prefix must be a list"),
     ('{"kind":"log","prefix":{"0":1,"5":2,"1":3}}', "prefix must be a list"),
-], ids=["long-integer", "deep-nesting", "string-prefix", "object-prefix"])
+    # a string's exponent past 2^20 bits of power of ten: refused, not built
+    ('{"kind":"log","prefix":[0,"1e400000",5,9]}', "power of ten exceeds 1048576 bits"),
+    # float literals past the float range and the non-JSON constants
+    ('{"kind":"log","prefix":[0,1e400,5,9]}', 'such as "1e400" reads exactly'),
+    ('{"kind":"log","prefix":[0,Infinity,5,9]}', "literal Infinity"),
+    (b'{"kind":"log","prefix":[0,\xff5,9]}', "not UTF-8: byte 0xff at offset 26"),
+], ids=["long-integer", "deep-nesting", "string-prefix", "object-prefix", "long-exponent",
+        "float-overflow", "infinity-constant", "not-utf8"])
 def test_document_parse_errors_exit_1_in_one_line(tmp_path, text, message):
     bad = tmp_path / "bad.json"
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
     good = write(tmp_path, DOCUMENTS[1], "good.json")
     res = run_cli(tmp_path, DOCUMENTS[1], "minorant", str(bad))  # input.json is good.json
     assert res.returncode == 1
