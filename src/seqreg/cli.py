@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import click
 
-from .errors import ParseError, SeqRegError
+from .errors import ParseError, SeqRegError, Unprintable
 from .extreal import ExtReal, _inf_sign, _to_float, ext, raw_add, raw_mul
 from .minorant import MinorantResult, _real, regularize
 from .oracles import (
@@ -54,6 +54,7 @@ EXIT_PRECONDITION = 2
 EXIT_VERIFY = 3
 
 _SWEEP_STEP = 1e-3  # grid step used by the phireg verify oracle
+_SWEEP_TIE = 1e-9  # and its tie tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +88,8 @@ def _common(fn):
 def _canonical(payload) -> str:
     try:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    except ValueError as exc:  # an exact integer too long to print
-        raise ParseError(f"an exact value in the output has more than "
-                         f"{sys.get_int_max_str_digits()} digits, Python's limit "
-                         f"for printing an integer") from exc
+    except ValueError:  # an exact integer too long to print
+        raise Unprintable() from None
 
 
 def _float_literal(text: str) -> float:
@@ -517,13 +516,11 @@ def phireg(files, window, tol, phi_descriptor, emit, grid_spec, extended, verify
         diagnostics: list[str] = []
         reports: list[OracleReport] = []
         if verify:
-            report, ok = _verify_phireg(seq, phi, result, window, tol)
+            report, failed = _verify_phireg(seq, phi, result, window, tol)
             reports.append(report)
-            if not ok:
+            if failed:
                 status = EXIT_VERIFY
-                diagnostics.append(
-                    f"{path}: verify deviation {report.max_abs_deviation} "
-                    "exceeds the sweep resolution bound")
+                diagnostics += [f"{path}: {line}" for line in failed]
         if emit == "json":
             payload = result.to_json()
             if verify:
@@ -548,34 +545,52 @@ def phireg(files, window, tol, phi_descriptor, emit, grid_spec, extended, verify
     _run_files(files, worker)
 
 
-def _verify_phireg(seq: SequenceSpec, phi, result, window: int, tol: float):
+def _verify_phireg(seq: SequenceSpec, phi, result, window: int,
+                   tol: float) -> tuple[OracleReport, list[str]]:
+    """The sweep oracle's report, and one line for each check that failed."""
     log_seq = to_log_scale(seq)
     w = resolve_window(log_seq, window)
     vals = log_seq.values(w)
     if (phi.infinite and result.J_right.is_finite) or result.J_right.is_neg_inf:
         # slope-capped and collapsing runs have no uncapped sweep analogue
         report = compare_values("phireg vs sweep oracle (skipped: capped regime)", [])
-        return report, True
+        return report, []
     # at slopes t >= T a blow-up phi admits every point, which J = (-inf, T) never does
     t_max = None if phi.blowup_T is None else float(phi.blowup_T) - _SWEEP_STEP / 2
     try:
-        sweep = brute_phi_sweep(vals, phi, _SWEEP_STEP, t_max=t_max,
+        sweep = brute_phi_sweep(vals, phi, _SWEEP_STEP, t_max=t_max, tie_tol=_SWEEP_TIE,
                                 beyond=_tail_point(result.tail_end, log_seq))
     except (ValueError, OverflowError) as exc:  # OverflowError: an entry past the float range
         raise SeqRegError(f"phireg --verify: the sweep oracle refused the input: {exc}") from exc
     pairs = list(zip(result.regularized.prefix, sweep.regularized))
     report = compare_values("phireg regularized vs sweep oracle", pairs)
+    failed = []
     # the sweep is exact only up to its grid resolution
-    bound = max(tol, 8.0 * w * _SWEEP_STEP)
-    ok = report.max_abs_deviation <= bound
-    engine_set = set(result.principal_indices)
-    if not set(sweep.principal_indices) <= engine_set:
-        ok = False
+    if not report.max_abs_deviation <= max(tol, 8.0 * w * _SWEEP_STEP):
+        failed.append(f"verify deviation {report.max_abs_deviation} "
+                      "exceeds the sweep resolution bound")
+    # the grid ties within _SWEEP_TIE, so it may add an index lying just above
+    # the engine's line; it must not miss one that stays on top for long
     wide = ext(2 * _SWEEP_STEP)
-    for p, interval in zip(result.principal_indices, result.intervals):
-        if interval.end - interval.start > wide and p not in sweep.principal_indices:
-            ok = False
-    return report, ok
+    extra = set(sweep.principal_indices) - set(result.principal_indices)
+    if not all(_near_tie(vals[p], p, result.segments) for p in extra) or any(
+            interval.end - interval.start > wide and p not in sweep.principal_indices
+            for p, interval in zip(result.principal_indices, result.intervals)):
+        failed.append(f"verify: principal indices {list(result.principal_indices)} "
+                      f"differ from the sweep oracle's {sweep.principal_indices}")
+    return report, failed
+
+
+def _near_tie(a: ExtReal, p: int, segments) -> bool:
+    """Whether a_p, at its binary value, lies strictly above the engine's fill
+    line over p, and by at most the oracle's tie tolerance scaled as the
+    oracle scales it: by the line's value at index 0, or 1 if that is smaller."""
+    seg = next((s for s in segments if s.span_start <= p < s.span_end), None)
+    if seg is None or not (a.is_finite and seg.slope.is_finite):
+        return False
+    slope, anchor = Fraction(seg.slope.raw), Fraction(seg.anchor_value.raw)
+    above = Fraction(a.raw) - anchor - slope * (p - seg.anchor_index)
+    return 0 < above <= Fraction(_SWEEP_TIE) * max(1, abs(anchor - slope * seg.anchor_index))
 
 
 # ---------------------------------------------------------------------------

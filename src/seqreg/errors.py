@@ -5,6 +5,8 @@ maps them onto its exit codes (1 for parse problems, 2 for domain/regime
 problems, 3 for verify-mode deviations).
 """
 
+import sys
+
 
 class SeqRegError(Exception):
     """Base class for all package errors."""
@@ -12,6 +14,15 @@ class SeqRegError(Exception):
 
 class ParseError(SeqRegError):
     """Malformed input file, number literal, or descriptor string."""
+
+
+class Unprintable(ParseError):
+    """An exact value to be printed has an integer longer than Python prints."""
+
+    def __init__(self):
+        super().__init__(f"an exact value in the output has more than "
+                         f"{sys.get_int_max_str_digits()} digits, Python's limit "
+                         f"for printing an integer")
 
 
 class NonFiniteEntry(SeqRegError):

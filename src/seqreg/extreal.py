@@ -19,6 +19,8 @@ import math
 from fractions import _RATIONAL_FORMAT, Fraction
 from typing import Union
 
+from .errors import Unprintable
+
 RawNumber = Union[int, float, Fraction]
 
 _POS = float("inf")
@@ -218,7 +220,12 @@ def raw_json(v: RawNumber):
     """The canonical JSON payload of a raw payload (ExtReal.to_json)."""
     if type(v) is not Fraction and isinstance(v, float):
         return "inf" if v == _POS else "-inf" if v == _NEG else v
-    return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    if v.denominator == 1:
+        return v.numerator  # json.dumps prints it (cli._canonical)
+    try:
+        return f"{v.numerator}/{v.denominator}"
+    except ValueError:  # an integer past Python's limit for printing one
+        raise Unprintable() from None
 
 
 def _parse_number(text: str) -> RawNumber:

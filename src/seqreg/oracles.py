@@ -9,6 +9,12 @@ The minorant oracle's two routes and the trace's direct sup stay pairwise
 and cubic, but run on integers: the exact values are scaled once by the lcm
 of their denominators, every comparison is a cross-multiplication, and only
 the outputs are built as Fractions.
+
+The stripe oracle's dense grid is built one index at a time: the row
+a_p - p t exists only on that index's stripe, the grid slopes where
+phi(t) >= p, and the rows are folded into a running minimum, then read once
+more for the ties and the recovered values; the n x grid matrix is never
+built.  The deviation report compares each pair on integer ratios.
 """
 
 from __future__ import annotations
@@ -86,12 +92,16 @@ def _pair_deviation(main, oracle) -> float:
 
 def _scaled_deviation(main, oracle) -> float:
     """|main - oracle| / max(1, |main|, |oracle|), exact on finite values:
-    floats near the float range neither overflow nor lose the ratio."""
+    floats near the float range neither overflow nor lose the ratio.
+
+    On main = a/b and oracle = c/d (b, d > 0) that is |ad - cb| / max(bd,
+    |a|d, |c|b), one integer division, which Python rounds correctly, so
+    the float equals the Fraction's."""
     x, y = ext(main), ext(oracle)
     if not x.is_finite or not y.is_finite:
         return 0.0 if x == y else math.inf
-    fx, fy = Fraction(x.raw), Fraction(y.raw)
-    return float(abs(fx - fy) / max(1, abs(fx), abs(fy)))
+    (a, b), (c, d) = x.raw.as_integer_ratio(), y.raw.as_integer_ratio()
+    return abs(a * d - c * b) / max(b * d, abs(a) * d, abs(c) * b)
 
 
 def compare_values(quantity: str, pairs, witnesses=None) -> OracleReport:
@@ -374,10 +384,10 @@ def brute_phi_sweep(
 
     Precondition: phi is non-decreasing along the grid (axiom I of a
     regularizing function).  Then the grid slopes with phi(t) >= p form a
-    suffix of the grid, and the start of each of the n suffixes is found by
-    bisection over the grid instead of evaluating phi at every grid slope.
-    The mask is the same as the per-slope one whenever the precondition
-    holds.
+    suffix of the grid, its stripe, and the start of each of the n stripes
+    is found by bisection over the grid instead of evaluating phi at every
+    grid slope.  The stripes are the per-slope visibility whenever the
+    precondition holds.
     """
     import numpy as np  # only this oracle needs it; importing it costs the CLI start-up
 
@@ -422,44 +432,47 @@ def brute_phi_sweep(
     count = math.floor(span) + 1
     ts = t_min + slope_grid_step * np.arange(count)
 
-    starts = _stripe_starts(phi, ts, rows)
-    arr = np.array(vals)
-    idx = np.array(rows)
-    # matrix of a_p - p t, masked where p exceeds the stripe width
-    mat = arr[:, None] - idx[:, None] * ts[None, :]
-    mat = np.where(np.arange(count)[None, :] >= starts[:, None], mat, np.inf)
-
-    d = mat.min(axis=0)
+    # each value's row a_p - p t exists on its stripe ts[s:] only, where s is
+    # the first grid slope with phi(t) >= p; off it the point is not visible
+    starts = [int(s) for s in _stripe_starts(phi, ts, rows)]
+    stripes = [(i, v, p, s) for i, (v, p, s) in enumerate(zip(vals, rows, starts))
+               if s < count]
+    # pass one: the supporting value d(t), the rows folded into a running minimum
+    d = np.full(count, np.inf)
+    for _, v, p, s in stripes:
+        if v != math.inf:  # an infinite row never lowers the minimum
+            np.minimum(d[s:], v - p * ts[s:], out=d[s:])
     As = -d
-    hit = np.abs(mat - d[None, :]) <= tie_tol * np.maximum(1.0, np.abs(d[None, :]))
-    ms = np.where(hit, idx[:, None], -1).max(axis=0)
-    principal = sorted(int(p) for p in np.unique(np.where(hit)[0]) if p < n)
-
+    tie = tie_tol * np.maximum(1.0, np.abs(d))
     # jumps of the trace: the normal per-cell drift of d is at most
-    # (n - 1) * step, anything far beyond that is a discontinuity
-    drop = d[:-1] - d[1:]
+    # (n - 1) * step, anything far beyond that is a discontinuity; the
+    # index entering at one is the least index tied at the grid slope after it
     gap = max(16.0 * n * slope_grid_step, 1e-9)
-    disc_cells = np.nonzero(drop > gap)[0]
-    disc_indices: list[int] = []
-    disc_slopes: list[float] = []
-    for cell in disc_cells:
-        entrants = np.where(hit[:, cell + 1], idx, rows[-1] + 1)
-        disc_indices.append(int(entrants.min()))
-        disc_slopes.append(float(ts[cell] + 0.5 * slope_grid_step))
+    after = [int(cell) + 1 for cell in np.nonzero(d[:-1] - d[1:] > gap)[0]]
+    entrants = [rows[-1] + 1] * len(after)
 
-    regularized: list[ExtReal] = []
-    for p in range(n):
-        if starts[p] == count or (unbounded and p > finite[-1][0]):
-            regularized.append(ext(vals[p]))
-            continue
-        proj = (p * ts - As)[starts[p]:].max()
-        regularized.append(ext(min(float(proj), vals[p])))
+    # pass two: each row again, its ties with the minimum and the recovered value
+    ms = np.full(count, -1)
+    principal: list[int] = []
+    regularized = [ext(v) for v in vals[:n]]
+    for i, v, p, s in stripes:
+        pt = p * ts[s:]
+        hit = v - pt - d[s:] <= tie[s:]  # a row never lies below the minimum
+        if hit.any():
+            ms[s:][hit] = p  # the rows increase, so the last tie is the largest index
+            if i < n:
+                principal.append(p)
+            for k, c in enumerate(after):
+                if c >= s and hit[c - s]:
+                    entrants[k] = min(entrants[k], p)
+        if i < n and not (unbounded and p > finite[-1][0]):
+            regularized[i] = ext(min(float((pt - As[s:]).max()), v))
 
     return SweepResult(
         regularized=regularized,
         principal_indices=principal,
-        discontinuity_indices=disc_indices,
-        discontinuity_slopes=disc_slopes,
+        discontinuity_indices=entrants,
+        discontinuity_slopes=[float(ts[c - 1] + 0.5 * slope_grid_step) for c in after],
         grid_start=float(ts[0]),
         grid_stop=float(ts[-1]),
         grid_step=slope_grid_step,
@@ -523,6 +536,8 @@ def _phi_threshold_estimate(phi: Callable, p: int, fallback: float) -> float:
         return fallback
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: no later step moves either end
+            break
         if _phi_float(phi, mid) >= p:
             hi = mid
         else:

@@ -73,9 +73,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
 
-from .errors import AxiomViolation, InfiniteEntryUnsupported, NotComparable, ParseError
+from .errors import (AxiomViolation, InfiniteEntryUnsupported, NotComparable, ParseError,
+                     Unprintable)
 from .extreal import (ExtReal, NEG_INF, ONE, RawNumber, ZERO, _inf_sign, _to_float,
-                      ext, raw_add, raw_div, raw_exp, raw_json, raw_line, raw_mul)
+                      _parse_number, ext, raw_add, raw_div, raw_exp, raw_json, raw_line,
+                      raw_mul)
 from .minorant import (Construction, Threshold, _Swept, _pair, _raw, _read, _run, _ungated,
                        _window_values)
 from .piecewise import PiecewiseLinearFn, StepFunction
@@ -143,10 +145,20 @@ def _builtin(tag: str, value, rule: Callable[[int], Threshold], **kw) -> Regular
 
 
 def _parse_frac(text: str, what: str) -> Fraction:
+    """A finite parameter, read as a number literal is (extreal._parse_number,
+    whose exponent bound refuses a huge power of ten at once); the record
+    prints it, so its integers must be within Python's limit for printing one."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
+        v = _parse_number(text)
+    except ValueError as e:
         raise ParseError(f"cannot read {what} from {text!r}: {e}") from None
+    if type(v) is not Fraction:
+        raise ParseError(f"cannot read {what} from {text!r}: it is not finite")
+    try:
+        str(v)
+    except ValueError:
+        raise ParseError(f"cannot read {what} from {text!r}: {Unprintable()}") from None
+    return v
 
 
 def _read_knots(raw) -> list[tuple[Fraction, Fraction]]:

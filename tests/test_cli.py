@@ -629,6 +629,64 @@ def test_phireg_verify_runs_the_oracle_on_inf_entries(tmp_path, runner, monkeypa
     assert "verify deviation" in res.stderr
 
 
+# a_5 = -10.0 lies 2^-51 above the float hull edge from index 2 to index 6: the
+# grid oracle, which ties within 1e-9, calls 5 principal, the engine does not
+NEAR_TIE = {"kind": "log", "prefix": [-2.0, -6.8, -10.6, -8.4, -10.0, -10.0, -9.8, "inf", -5.0,
+                                      -1.8, -2.2, 1.0, 12.8, 15.8],
+            "tail": {"type": "explicit_only"}}
+COLLINEAR = {"kind": "log", "prefix": [0, 1, 2, 3, 5, 9], "tail": {"type": "explicit_only"}}
+
+
+def drop_principal(monkeypatch, index):
+    """Make phireg's engine leave index out of its principal indices."""
+    engine = cli_mod.regularize_with_phi
+
+    def dropped(*args, **kwargs):
+        result = engine(*args, **kwargs)
+        kept = tuple(p for p in result.principal_indices if p != index)
+        object.__setattr__(result, "principal_indices", kept)
+        return result
+
+    monkeypatch.setattr(cli_mod, "regularize_with_phi", dropped)
+
+
+def test_phireg_verify_accepts_a_float_near_tie(tmp_path):
+    res = run_cli(tmp_path, NEAR_TIE, "phireg", "--verify", "--phi", "infinite")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["principal_indices"] == [0, 1, 2, 6, 10, 11, 13]
+
+
+@pytest.mark.parametrize("doc, phi, index", [
+    (NEAR_TIE, "infinite", 6),  # a hull vertex
+    (NEAR_TIE, "infinite", 2),
+    (COLLINEAR, "infinite", 2),  # a_2 lies on the engine's line, exactly
+    (COLLINEAR, "exp", 1),
+], ids=["near-tie-vertex", "near-tie-edge-end", "collinear-infinite", "collinear-exp"])
+def test_phireg_verify_rejects_a_dropped_principal_index(tmp_path, runner, monkeypatch, doc,
+                                                         phi, index):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    args = ["phireg", "--verify", "--phi", phi, str(path)]
+    assert runner.invoke(main, args).exit_code == 0
+    drop_principal(monkeypatch, index)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    # the values are right: the message names the principal set, not a deviation
+    (line,) = res.stderr.splitlines()
+    assert "principal indices" in line and "verify deviation" not in line
+
+
+def test_phireg_verify_names_each_failed_check(tmp_path, runner, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(COLLINEAR))
+    perturb_phireg(monkeypatch, 2)
+    drop_principal(monkeypatch, 4)
+    res = runner.invoke(main, ["phireg", "--verify", "--phi", "infinite", str(path)])
+    assert res.exit_code == 3
+    deviation, principal = res.stderr.splitlines()
+    assert "verify deviation" in deviation and "principal indices" in principal
+
+
 @pytest.mark.parametrize("prefix, reason", [
     ([0, 1, 3, 10000, 40000], "grid of 30001001 points"),
     ([0, 1e308, -1e308, 1e308], "grid of unbounded size"),
@@ -962,6 +1020,27 @@ def test_phireg_infinite_float_rounding_is_no_jump(runner, tmp_path):
 def test_phireg_bad_phi_descriptor(runner, jumpy_file):
     res = runner.invoke(main, ["phireg", jumpy_file, "--phi", "tanh"])
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    # a power of ten past 2^20 bits is refused before it is built
+    (("phireg", "--phi", "blowup:1e3000000"), "power of ten exceeds 1048576 bits"),
+    (("phireg", "--phi", "expaffine:1,1e-400000"), "power of ten exceeds 1048576 bits"),
+    # a parameter the record could not print
+    (("phireg", "--phi", "blowup:1e5000"), "Python's limit for printing"),
+    (("phireg", "--emit", "csv", "--phi", "blowup:1e5000"), "Python's limit for printing"),
+    (("phireg", "--phi", "expaffine:-1e5000,0"), "Python's limit for printing"),
+    (("compare", "--phi", "exp", "--phi2", "expaffine:1,1e-5000"), "Python's limit for printing"),
+    (("phireg", "--phi", 'piecewise:[[0,0],["1e5000",1]]'), "Python's limit for printing"),
+    (("phireg", "--phi", "blowup:inf"), "it is not finite"),
+], ids=["blowup-exponent", "expaffine-exponent", "blowup-digits", "blowup-digits-csv",
+        "expaffine-digits", "compare-digits", "piecewise-digits", "blowup-inf"])
+def test_phi_parameters_past_the_limits_exit_1_in_one_line(tmp_path, args, message):
+    res = run_cli(tmp_path, {"kind": "log", "prefix": [0, 5, 1, 3, 9]}, *args, timeout=20)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("bad --phi descriptor: cannot read") and message in line
 
 
 def test_phireg_axiom_violation_exits_two(runner, jumpy_file):

@@ -372,6 +372,178 @@ def test_sweep_explicit_range():
     assert res.principal_indices == [0, 1, 2]
 
 
+# -- brute_phi_sweep against the per-slope definition ------------------------------
+#
+# The sweep on a given grid, one slope at a time, with the oracle's float
+# operations: the result must be the same bit for bit, the arrays included.
+
+
+def per_slope_sweep(a, phi, step, t_min, t_max, tie_tol=1e-9, beyond=()):
+    """brute_phi_sweep's result fields on the grid t_min + step k, slope by
+    slope: the visible points p <= phi(t), their minimum d of a_p - p t, the
+    ties within tie_tol max(1, |d|), and the largest p t - A(t) per index."""
+    vals = [math.inf if v == math.inf else float(Fraction(v)) for v in [*a, *(v for _, v in beyond)]]
+    rows = [*range(len(a)), *(q for q, _ in beyond)]
+    n = len(a)
+    ts = [t_min + step * k for k in range(math.floor((t_max - t_min) / step) + 1)]
+    ds, ms, ties = [], [], []
+    for t in ts:
+        width = oracles._phi_float(phi, t)
+        seen = [(i, v - p * t) for i, (v, p) in enumerate(zip(vals, rows)) if p <= width]
+        d = min([x for _, x in seen], default=math.inf)
+        tied = [i for i, x in seen if abs(x - d) <= tie_tol * max(1.0, abs(d))]
+        ds.append(d)
+        ties.append(tied)
+        ms.append(max((rows[i] for i in tied), default=-1))
+    As = [-d for d in ds]
+    gap = max(16.0 * n * step, 1e-9)
+    cells = [j for j in range(len(ts) - 1) if ds[j] - ds[j + 1] > gap]
+    regularized = []
+    for p in range(n):
+        seen = [p * t - A for t, A in zip(ts, As) if p <= oracles._phi_float(phi, t)]
+        regularized.append(ext(min(max(seen), vals[p]) if seen else vals[p]))
+    return {
+        "regularized": [repr(v) for v in regularized],
+        "principal": sorted({i for tied in ties for i in tied if i < n}),
+        "disc_indices": [min((rows[i] for i in ties[j + 1]), default=rows[-1] + 1) for j in cells],
+        "disc_slopes": [(ts[j] + 0.5 * step).hex() for j in cells],
+        "grid": [ts[0].hex(), ts[-1].hex()],
+        "ts": [t.hex() for t in ts],
+        "ms": ms,
+        "As": [A.hex() for A in As],
+    }
+
+
+def sweep_fields(res):
+    return {
+        "regularized": [repr(v) for v in res.regularized],
+        "principal": res.principal_indices,
+        "disc_indices": res.discontinuity_indices,
+        "disc_slopes": [t.hex() for t in res.discontinuity_slopes],
+        "grid": [res.grid_start.hex(), res.grid_stop.hex()],
+        "ts": [float(t).hex() for t in res.ts],
+        "ms": [int(m) for m in res.ms],
+        "As": [float(A).hex() for A in res.As],
+    }
+
+
+SWEEP_PHIS = {
+    "exp": (make_phi("exp"), 3.0),
+    "infinite": (make_phi("infinite"), 3.0),
+    "blowup": (make_phi("blowup:2"), 2 - 0.025),  # t_max short of T, as phireg --verify
+    "expaffine": (make_phi("expaffine:1/2,0"), 3.0),
+    "piecewise-flat": (make_phi("piecewise:[[-2,0],[-1,2],[0,2],[1,5]]"), 3.0),
+}
+
+
+@pytest.mark.parametrize("phi_id", sorted(SWEEP_PHIS))
+@pytest.mark.parametrize("a, beyond", [
+    ([0, 4, math.inf, 3, math.inf, math.inf], []),  # +inf entries
+    ([0, 10, 10, 0, 10], []),  # a jump under exp
+    ([0, 1, 2, 3, 5, 9], []),  # collinear: the grid holds the slope 1
+    ([-2.0, -6.8, -10.6, -8.4, -10.0, -10.0, -9.8], []),  # a float near tie
+    ([0.25, 0.5, 0.7500000005, 1.0], []),  # a tie within 1e-9 where |d| < 1
+    ([0, "1/3", 5, "-7/2", 4], [(7, 20)]),  # exact values and a point past the window
+    ([5], [(3, 9)]),  # a single entry with a far point
+    ([0, math.inf], [(4, 1)]),
+], ids=["inf-entries", "jump", "collinear", "near-tie", "small-near-tie", "exact-beyond",
+        "single-beyond", "inf-beyond"])
+def test_sweep_is_the_per_slope_definition(phi_id, a, beyond):
+    phi, t_max = SWEEP_PHIS[phi_id]
+    res = brute_phi_sweep([ext(v) for v in a], phi, 0.05, t_min=-3.0, t_max=t_max,
+                          beyond=[(q, ext(v)) for q, v in beyond])
+    assert sweep_fields(res) == per_slope_sweep(a, phi, 0.05, -3.0, t_max, beyond=beyond)
+    assert res.ms.dtype == np.array([0]).dtype
+
+
+@settings(max_examples=60, deadline=None)
+# under exp, 8 and 9 enter together at the grid slope 2.3, tied there: the
+# entrant is the least
+@example([5, 5, 5, 5, 5, 5, 5, -100, -97.7], "exp", 0.3)
+@given(st.lists(st.one_of(st.integers(-20, 20), st.integers(-200, 200).map(lambda k: k / 8),
+                          st.just(math.inf)), min_size=2, max_size=8),
+       st.sampled_from(sorted(SWEEP_PHIS)), st.sampled_from([0.05, 0.125, 0.3]))
+def test_drawn_sweeps_are_the_per_slope_definition(tail, phi_id, step):
+    a = [0, *tail]
+    phi, t_max = SWEEP_PHIS[phi_id]
+    res = brute_phi_sweep([ext(v) for v in a], phi, step, t_min=-2.5, t_max=t_max)
+    assert sweep_fields(res) == per_slope_sweep(a, phi, step, -2.5, t_max)
+
+
+def test_single_entry_sweep():
+    res = brute_phi_sweep([ext(5)], make_phi("exp"), 0.05, t_min=-3.0, t_max=3.0)
+    assert sweep_fields(res) == {
+        "regularized": [repr(ext(5))], "principal": [0], "disc_indices": [], "disc_slopes": [],
+        "grid": [(-3.0).hex()] * 2, "ts": [(-3.0).hex()], "ms": [0], "As": [(-5.0).hex()]}
+
+
+def plain_threshold_bisection(phi, p, fallback):
+    """Doubling, then all 100 bisection steps."""
+    lo, hi = -1.0, 1.0
+    for _ in range(200):
+        if oracles._phi_float(phi, hi) >= p:
+            break
+        hi *= 2.0
+    else:
+        return fallback
+    for _ in range(200):
+        if oracles._phi_float(phi, lo) < p:
+            break
+        lo *= 2.0
+    else:
+        return fallback
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if oracles._phi_float(phi, mid) >= p:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("descriptor", [
+    "exp", "expaffine:2,-1", "expaffine:1/1000,0", "blowup:1", "blowup:-1/3", "infinite",
+    "piecewise:[[-2,0],[-1,2],[0,2],[1,5]]"])
+@pytest.mark.parametrize("p", [1, 2, 7, 20, 257, 10**6])
+def test_threshold_estimate_is_plain_bisection(descriptor, p):
+    phi = make_phi(descriptor)
+    got = oracles._phi_threshold_estimate(phi, p, -7.5)
+    assert got.hex() == plain_threshold_bisection(phi, p, -7.5).hex()
+
+
+# -- compare_values against the Fraction definition ----------------------------------
+
+
+def fraction_scaled_deviation(main, oracle):
+    """|main - oracle| / max(1, |main|, |oracle|) on Fractions, as a float."""
+    x, y = ext(main), ext(oracle)
+    if not x.is_finite or not y.is_finite:
+        return 0.0 if x == y else math.inf
+    fx, fy = Fraction(x.raw), Fraction(y.raw)
+    return float(abs(fx - fy) / max(1, abs(fx), abs(fy)))
+
+
+COMPARED = st.one_of(
+    EXACT, FLOATS, st.floats(allow_nan=False),
+    st.sampled_from([1.7e308, -1.7e308, math.inf, -math.inf]),
+    st.fractions(min_value=-100, max_value=100, max_denominator=97).map(
+        lambda x: x * Fraction(10**330, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(COMPARED, COMPARED), max_size=6))
+def test_compare_values_is_the_fraction_definition(pairs):
+    pairs = [(ext(x), ext(y)) for x, y in pairs]
+    report = compare_values("demo", pairs)
+    expected = max((fraction_scaled_deviation(x, y) for x, y in pairs), default=0.0)
+    assert repr(report.max_scaled_deviation) == repr(expected)
+    for x, y in pairs:
+        single = compare_values("demo", [(x, y)]).max_scaled_deviation
+        assert repr(single) == repr(fraction_scaled_deviation(x, y))
+        assert repr(compare_values("demo", [(y, x)]).max_scaled_deviation) == repr(single)
+
+
 # -- stripe edges by bisection ------------------------------------------------------
 
 

@@ -319,6 +319,35 @@ def test_long_integer_names_the_limit(tmp_path):
     assert f"{sys.get_int_max_str_digits()} digits" in res.stderr
 
 
+# 10^-5000 reads exactly, but its denominator has more digits than Python prints
+UNPRINTABLE = {"kind": "log", "prefix": [0, "1e-5000", 5, 9, "1e-5000"],
+               "tail": {"type": "explicit_only"}}
+
+
+@pytest.mark.parametrize("args", [
+    ("minorant",), ("minorant", "--verify"), ("trace",), ("trace", "--verify"),
+    ("phireg",), ("phireg", "--phi", "infinite", "--verify"),
+    ("phireg", "--emit", "csv", "--verify"),
+], ids=["minorant", "minorant-verify", "trace", "trace-verify", "phireg", "phireg-verify",
+        "phireg-csv-verify"])
+def test_an_unprintable_exact_value_is_one_parse_error(tmp_path, args):
+    bad = write(tmp_path, UNPRINTABLE, "bad.json")
+    good = write(tmp_path, DOCUMENTS[1], "good.json")
+    res = CliRunner().invoke(main, [*args, bad, good])
+    assert res.exit_code == 1
+    assert "Traceback" not in res.stderr and res.exception is not None
+    (line,) = res.stderr.splitlines()
+    assert f"{bad}: parse error:" in line
+    assert f"{sys.get_int_max_str_digits()} digits, Python's limit for printing" in line
+    assert res.stdout == CliRunner().invoke(main, [*args, good]).stdout
+
+
+def test_an_unprintable_value_in_json_raises_a_parse_error():
+    with pytest.raises(ParseError, match="limit for printing"):
+        ExtReal("1e-5000").to_json()
+    assert ExtReal("1e-4000").to_json() == "1/1" + "0" * 4000
+
+
 def test_a_prefix_tuple_still_parses():
     spec = SequenceSpec.from_json({"kind": "log", "prefix": (0, "1/2", 1.5, math.inf)})
     assert [num(v) for v in spec.prefix] == \
