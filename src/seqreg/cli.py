@@ -6,8 +6,12 @@ one document per input file) or as CSV plot data; diagnostics go to
 stderr.  Exit codes: 0 success, 1 parse failure, 2 regime or precondition
 failure, 3 verify-mode deviation beyond the tolerance.
 
-Multiple input files are processed one after another; outputs appear in
-input order and the exit code is the worst over all files.
+Each subcommand computes, per parsed document, its output body (a JSON
+payload or a list of CSV lines) and its ``--verify`` checks, each an oracle
+report with the lines of the checks that failed; ``_run_files`` attaches the
+reports, prints and exits for all of them.  Multiple input files are
+processed one after another; outputs appear in input order and the exit
+code is the worst over all files.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Callable, Optional
 import click
 
 from .errors import ParseError, SeqRegError, Unprintable
-from .extreal import ExtReal, _inf_sign, _to_float, ext, raw_add, raw_mul
+from .extreal import ExtReal, _inf_sign, _parse_number, _to_float, ext, raw_add, raw_mul
 from .minorant import MinorantResult, _real, regularize
 from .oracles import (
     OracleReport,
@@ -55,6 +59,10 @@ EXIT_VERIFY = 3
 
 _SWEEP_STEP = 1e-3  # grid step used by the phireg verify oracle
 _SWEEP_TIE = 1e-9  # and its tie tolerance
+_MAX_GRID_POINTS = 1_000_000  # of --grid and --loggrid
+
+# a --verify check: the oracle report, and one line for each check that failed
+Check = tuple[OracleReport, list[str]]
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +140,28 @@ def _load_spec(path: str) -> SequenceSpec:
         raise ParseError(f"{path}: {exc}")
 
 
-def _run_files(files, worker: Callable[[str], tuple[str, int, list[str]]]) -> None:
-    """Run worker per file, emit outputs in input order."""
+def _run_files(files, compute: Callable[[SequenceSpec], tuple[dict | list[str], list[Check]]]) -> None:
+    """Parse each file and compute its output body and checks; print the bodies
+    in input order, each with its reports, and exit with the worst status."""
 
-    def guarded(path: str) -> tuple[str, int, list[str]]:
+    def run(path: str) -> tuple[str, int, list[str]]:
         try:
-            return worker(path)
+            body, checks = compute(_load_spec(path))
+            reports = [report.to_json() for report, _ in checks]
+            if isinstance(body, list):  # CSV lines
+                text = "\n".join(body + ["# verify: " + _canonical(r) for r in reports])
+            else:
+                if checks:
+                    body["verify"] = reports
+                text = _canonical(body)
         except ParseError as exc:
             return "", EXIT_PARSE, [f"{path}: parse error: {exc}"]
         except SeqRegError as exc:
             return "", EXIT_PRECONDITION, [f"{path}: {exc}"]
+        failed = [f"{path}: {line}" for _, lines in checks for line in lines]
+        return text + "\n", EXIT_VERIFY if failed else EXIT_OK, failed
 
-    results = [guarded(p) for p in files]
+    results = [run(p) for p in files]
     code = EXIT_OK
     out = click.get_text_stream("stdout")
     for text, status, diagnostics in results:
@@ -157,35 +175,54 @@ def _run_files(files, worker: Callable[[str], tuple[str, int, list[str]]]) -> No
         raise SystemExit(code)
 
 
+def _deviation(report: OracleReport, tol: float) -> list[str]:
+    """The check's failed lines: one if the report's pairs deviate beyond tol."""
+    return [] if report.within(tol) else [
+        f"verify deviation {report.max_abs_deviation} exceeds tolerance {tol}"]
+
+
+def _grid_number(text: str, spec: str, name: str) -> Fraction:
+    """A finite number read as a document's number literal is, so that a huge
+    power of ten is refused at once."""
+    try:
+        x = _parse_number(text)
+    except ValueError:
+        x = None
+    if type(x) is not Fraction:  # unreadable, or an infinity
+        raise click.BadParameter(f"bad {name} numbers in {spec!r}")
+    return x
+
+
+def _check_points(count: int) -> None:
+    if count > _MAX_GRID_POINTS:
+        size = f"{count} points" if count <= 10**15 else "more than 10**15 points"
+        raise click.BadParameter(f"a grid of {size} exceeds the limit of {_MAX_GRID_POINTS}")
+
+
 def _parse_grid(spec: str) -> list[Fraction]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise click.BadParameter("grid must look like start:stop:step")
-    try:
-        start, stop, step = (Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError):
-        raise click.BadParameter(f"bad grid numbers in {spec!r}")
+    start, stop, step = (_grid_number(p, spec, "grid") for p in parts)
     if step <= 0 or stop < start:
         raise click.BadParameter("grid needs step > 0 and stop >= start")
-    ts = []
-    t = start
-    while t <= stop:
-        ts.append(t)
-        t += step
-    return ts
+    count = math.floor((stop - start) / step) + 1
+    _check_points(count)  # before any point is built
+    return [start + step * i for i in range(count)]
 
 
 def _parse_loggrid(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise click.BadParameter("loggrid must look like start:stop:count")
+    start, stop = (_grid_number(p, spec, "loggrid") for p in parts[:2])
     try:
-        start, stop = Fraction(parts[0]), Fraction(parts[1])
         count = int(parts[2])
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise click.BadParameter(f"bad loggrid numbers in {spec!r}")
     if start <= 0 or stop < start or count < 2:
         raise click.BadParameter("loggrid needs 0 < start <= stop and count >= 2")
+    _check_points(count)
     try:
         lo, hi = math.log(float(start)), math.log(float(stop))
     except (OverflowError, ValueError):  # an end past the float range, or rounding to 0.0
@@ -218,18 +255,16 @@ def main() -> None:
 def classify(files, window, tol):
     """Report the growth regime and convexity of each sequence."""
 
-    def worker(path: str):
-        seq = _load_spec(path)
+    def compute(seq: SequenceSpec):
         regime = classify_regime(seq, window=window, tol=tol)
         convexity = is_log_convex(seq, window=window, tol=tol)
-        payload = {
+        return {
             "classification": regime.to_json(),
             "convexity": convexity.to_json(),
             "window": resolve_window(to_log_scale(seq), window),
-        }
-        return _canonical(payload) + "\n", EXIT_OK, []
+        }, []
 
-    _run_files(files, worker)
+    _run_files(files, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +276,14 @@ def _minorant_payload(result: MinorantResult) -> dict:
     return {**result._printed(), "trace_breakpoints": result._trace_json()["breakpoints"]}
 
 
-def _verify_minorant(seq: SequenceSpec, result: MinorantResult,
-                     tol: float) -> tuple[OracleReport, bool]:
+def _verify_minorant(seq: SequenceSpec, result: MinorantResult, tol: float) -> Check:
     log_in = to_log_scale(seq)
     if result.regime.regime == CASE1:
         # degenerate output; only the anchor is comparable
         report = compare_values(
             "minorant anchor vs input",
             [(to_log_scale(result.regularized).prefix[0], log_in.value(0))])
-        return report, report.within(tol)
+        return report, _deviation(report, tol)
     original = log_in.values(result.window)
     engine = to_log_scale(result.regularized).prefix
     cap = result.regime.a_iota if result.regime.regime == CASE2 else None
@@ -264,8 +298,13 @@ def _verify_minorant(seq: SequenceSpec, result: MinorantResult,
     # principal index, and misses no principal index of the oracle's
     off = [(x, a) for x, a in zip(engine, original) if x > a]
     off += [(engine[p], original[p]) for p in result.principal_indices]
-    return report, (report.within(tol) and compare_values("", off).within(tol)
-                    and not _misses_principal(result.principal_indices, original, oracle, cap))
+    if not report.within(tol):
+        return report, _deviation(report, tol)
+    if compare_values("", off).within(tol) and not _misses_principal(
+            result.principal_indices, original, oracle, cap):
+        return report, []
+    return report, ["the minorant lies above the input, off it at a principal index, "
+                    "or on it at an index that is not principal"]
 
 
 def _misses_principal(principal: tuple[int, ...], original: list[ExtReal],
@@ -292,24 +331,12 @@ def _tail_point(tail_end: Optional[int], log_seq: SequenceSpec) -> list:
 def minorant(files, window, tol, verify):
     """Largest convex (log-convex) minorant, regime-dispatched."""
 
-    def worker(path: str):
-        seq = _load_spec(path)
+    def compute(seq: SequenceSpec):
         result = regularize(seq, window=window, tol=tol)
         payload = _minorant_payload(result)
-        status = EXIT_OK
-        diagnostics: list[str] = []
-        if verify:
-            report, ok = _verify_minorant(seq, result, tol)
-            payload["verify"] = [report.to_json()]
-            if not ok:
-                status = EXIT_VERIFY
-                diagnostics.append(
-                    f"{path}: verify deviation {report.max_abs_deviation} exceeds tolerance {tol}"
-                    if not report.within(tol) else f"{path}: the minorant lies above the input, "
-                    "off it at a principal index, or on it at an index that is not principal")
-        return _canonical(payload) + "\n", status, diagnostics
+        return payload, [_verify_minorant(seq, result, tol)] if verify else []
 
-    _run_files(files, worker)
+    _run_files(files, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +365,27 @@ def _assoc_row(table: OmegaTable, t) -> list[Optional[ExtReal]]:
     return row
 
 
+def _verify_assoc(table: OmegaTable, rows: list[list[Optional[ExtReal]]], tol: float) -> Check:
+    mvals = table.weight_view.values(table.w)
+    finite_end = next((i for i, m in enumerate(mvals) if not m.is_finite), len(mvals))
+    pairs = []
+    witnesses = []
+    for row in rows:
+        t = row[0]
+        # the truncated loop cannot see analytic divergence, so +inf
+        # engine values are outside the comparison domain
+        if row[1] is None or row[1].is_pos_inf:
+            continue
+        try:
+            oracle = brute_omega(mvals[:finite_end], t, p_max=finite_end - 1)
+        except ValueError:
+            continue
+        pairs.append((row[1], oracle))
+        witnesses.append(float(t))
+    report = compare_values("omega_direct vs plain-loop oracle", pairs, witnesses)
+    return report, _deviation(report, tol)
+
+
 @main.command()
 @_common
 @click.option("--grid", "grid_spec", default="0:10:1/2", show_default=True,
@@ -355,56 +403,22 @@ def assoc(files, window, tol, grid_spec, loggrid_spec, emit, verify):
     else:
         ts = _parse_grid(grid_spec)
 
-    def worker(path: str):
-        seq = _load_spec(path)
+    def compute(seq: SequenceSpec):
         table = OmegaTable(seq, window, tol)
         rows = [_assoc_row(table, t) for t in ts]
-        status = EXIT_OK
-        diagnostics: list[str] = []
-        reports: list[OracleReport] = []
-        if verify:
-            mvals = table.weight_view.values(table.w)
-            finite_end = next((i for i, m in enumerate(mvals) if not m.is_finite), len(mvals))
-            pairs = []
-            witnesses = []
-            for row in rows:
-                t = row[0]
-                # the truncated loop cannot see analytic divergence, so +inf
-                # engine values are outside the comparison domain
-                if row[1] is None or row[1].is_pos_inf:
-                    continue
-                try:
-                    oracle = brute_omega(mvals[:finite_end], t, p_max=finite_end - 1)
-                except ValueError:
-                    continue
-                pairs.append((row[1], oracle))
-                witnesses.append(float(t))
-            report = compare_values("omega_direct vs plain-loop oracle", pairs, witnesses)
-            reports.append(report)
-            if not report.within(tol):
-                status = EXIT_VERIFY
-                diagnostics.append(
-                    f"{path}: verify deviation {report.max_abs_deviation} "
-                    f"exceeds tolerance {tol}")
+        checks = [_verify_assoc(table, rows, tol)] if verify else []
         if emit == "json":
-            payload = {
+            return {
                 "columns": list(_ASSOC_COLUMNS),
                 "rows": [
                     [None if v is None else v.to_json() for v in row] for row in rows
                 ],
                 "window": window,
-            }
-            if verify:
-                payload["verify"] = [r.to_json() for r in reports]
-            return _canonical(payload) + "\n", status, diagnostics
-        lines = [",".join(_ASSOC_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
-        for r in reports:
-            lines.append("# verify: " + _canonical(r.to_json()))
-        return "\n".join(lines) + "\n", status, diagnostics
+            }, checks
+        return [",".join(_ASSOC_COLUMNS)] + [
+            ",".join(_csv_cell(v) for v in row) for row in rows], checks
 
-    _run_files(files, worker)
+    _run_files(files, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -417,35 +431,30 @@ def assoc(files, window, tol, grid_spec, loggrid_spec, emit, verify):
 def trace(files, window, tol, verify):
     """Trace function A(k) = sup_p (p k - a_p) as breakpoint JSON."""
 
-    def worker(path: str):
-        log_seq = to_log_scale(_load_spec(path))
+    def compute(seq: SequenceSpec):
+        log_seq = to_log_scale(seq)
         result = _real(regularize(log_seq, window=window, tol=tol))  # refuses Case 1
         payload = {"trace": result._trace_json(), "regime": result.regime.to_json()}
-        status = EXIT_OK
-        diagnostics: list[str] = []
-        if verify:
-            fn = result.trace
-            slopes = _trace_sample_slopes(fn)
-            pairs = []
-            witnesses = []
-            beyond = _tail_point(result.tail_end, log_seq)
-            for k, direct in zip(slopes, brute_trace(log_seq.values(result.window), slopes, beyond)):
-                try:
-                    engine = fn.evaluate(k)
-                except SeqRegError:
-                    continue
-                pairs.append((engine, direct))
-                witnesses.append(float(k))
-            report = compare_values("trace vs direct sup", pairs, witnesses)
-            payload["verify"] = [report.to_json()]
-            if not report.within(tol):
-                status = EXIT_VERIFY
-                diagnostics.append(
-                    f"{path}: verify deviation {report.max_abs_deviation} "
-                    f"exceeds tolerance {tol}")
-        return _canonical(payload) + "\n", status, diagnostics
+        return payload, [_verify_trace(log_seq, result, tol)] if verify else []
 
-    _run_files(files, worker)
+    _run_files(files, compute)
+
+
+def _verify_trace(log_seq: SequenceSpec, result: MinorantResult, tol: float) -> Check:
+    fn = result.trace
+    slopes = _trace_sample_slopes(fn)
+    pairs = []
+    witnesses = []
+    beyond = _tail_point(result.tail_end, log_seq)
+    for k, direct in zip(slopes, brute_trace(log_seq.values(result.window), slopes, beyond)):
+        try:
+            engine = fn.evaluate(k)
+        except SeqRegError:
+            continue
+        pairs.append((engine, direct))
+        witnesses.append(float(k))
+    report = compare_values("trace vs direct sup", pairs, witnesses)
+    return report, _deviation(report, tol)
 
 
 def _trace_sample_slopes(fn) -> list[ExtReal]:
@@ -469,27 +478,21 @@ def _trace_sample_slopes(fn) -> list[ExtReal]:
 
 
 def _resolve_phi_or_exit(descriptor: str):
+    """The regularizing function a --phi descriptor names (``piecewise:`` may
+    name a file of knots), or its error line and exit 1 or 2."""
     try:
-        return _resolve_phi(descriptor)
-    except ParseError as exc:
-        click.echo(f"bad --phi descriptor: {exc}", err=True)
-        raise SystemExit(EXIT_PARSE)
-    except SeqRegError as exc:
-        click.echo(f"bad --phi descriptor: {exc}", err=True)
-        raise SystemExit(EXIT_PRECONDITION)
-
-
-def _resolve_phi(descriptor: str):
-    if descriptor.startswith("piecewise:"):
-        payload = descriptor.split(":", 1)[1]
-        if os.path.isfile(payload):
+        text = descriptor
+        kind, _, path = descriptor.partition(":")
+        if kind == "piecewise" and os.path.isfile(path):
             try:
-                with open(payload, "r", encoding="utf-8") as fh:
-                    payload = fh.read()
+                with open(path, "r", encoding="utf-8") as fh:
+                    text = "piecewise:" + fh.read()
             except OSError as exc:
                 raise ParseError(f"{descriptor}: {exc.strerror or exc}")
-        return make_phi("piecewise:" + payload)
-    return make_phi(descriptor)
+        return make_phi(text)
+    except SeqRegError as exc:
+        click.echo(f"bad --phi descriptor: {exc}", err=True)
+        raise SystemExit(EXIT_PARSE if isinstance(exc, ParseError) else EXIT_PRECONDITION)
 
 
 @main.command()
@@ -509,23 +512,11 @@ def phireg(files, window, tol, phi_descriptor, emit, grid_spec, extended, verify
     phi = _resolve_phi_or_exit(phi_descriptor)
     grid = _parse_grid(grid_spec) if grid_spec else None
 
-    def worker(path: str):
-        seq = _load_spec(path)
+    def compute(seq: SequenceSpec):
         result = regularize_with_phi(seq, phi, window=window, tol=tol)
-        status = EXIT_OK
-        diagnostics: list[str] = []
-        reports: list[OracleReport] = []
-        if verify:
-            report, failed = _verify_phireg(seq, phi, result, window, tol)
-            reports.append(report)
-            if failed:
-                status = EXIT_VERIFY
-                diagnostics += [f"{path}: {line}" for line in failed]
+        checks = [_verify_phireg(seq, phi, result, tol)] if verify else []
         if emit == "json":
-            payload = result.to_json()
-            if verify:
-                payload["verify"] = [r.to_json() for r in reports]
-            return _canonical(payload) + "\n", status, diagnostics
+            return result.to_json(), checks
         # the sample slopes as raw payloads, by ExtReal's rules (raw_add, raw_mul)
         ts = [x for x, *_ in result._bps if not _inf_sign(x)]
         if grid is not None:
@@ -535,21 +526,17 @@ def phireg(files, window, tol, phi_descriptor, emit, grid_spec, extended, verify
             span = raw_add(hi, -lo) if hi > lo else Fraction(1)
             ts.extend(raw_add(lo, raw_mul(span, Fraction(i, 16))) for i in range(-4, 21))
         ts = sorted(set(ts))
-        lines = ["t,m,A"]
-        for t, (m, a) in zip(ts, result._samples(ts, extended)):
-            lines.append(f"{_csv_cell(t)},{'' if m is None else m},{'' if a is None else repr(a)}")
-        for r in reports:
-            lines.append("# verify: " + _canonical(r.to_json()))
-        return "\n".join(lines) + "\n", status, diagnostics
+        return ["t,m,A"] + [
+            f"{_csv_cell(t)},{'' if m is None else m},{'' if a is None else repr(a)}"
+            for t, (m, a) in zip(ts, result._samples(ts, extended))], checks
 
-    _run_files(files, worker)
+    _run_files(files, compute)
 
 
-def _verify_phireg(seq: SequenceSpec, phi, result, window: int,
-                   tol: float) -> tuple[OracleReport, list[str]]:
+def _verify_phireg(seq: SequenceSpec, phi, result, tol: float) -> Check:
     """The sweep oracle's report, and one line for each check that failed."""
     log_seq = to_log_scale(seq)
-    w = resolve_window(log_seq, window)
+    w = result.window
     vals = log_seq.values(w)
     if (phi.infinite and result.J_right.is_finite) or result.J_right.is_neg_inf:
         # slope-capped and collapsing runs have no uncapped sweep analogue
@@ -609,12 +596,10 @@ def compare(files, window, tol, phi_descriptor, phi2_descriptor):
     phi1 = _resolve_phi_or_exit(phi_descriptor)
     phi2 = _resolve_phi_or_exit(phi2_descriptor)
 
-    def worker(path: str):
-        seq = _load_spec(path)
-        report = compare_regularizations(seq, phi1, phi2, window=window, tol=tol)
-        return _canonical(report.to_json()) + "\n", EXIT_OK, []
+    def compute(seq: SequenceSpec):
+        return compare_regularizations(seq, phi1, phi2, window=window, tol=tol).to_json(), []
 
-    _run_files(files, worker)
+    _run_files(files, compute)
 
 
 if __name__ == "__main__":

@@ -488,7 +488,8 @@ def _stripe_starts(phi: Callable, ts: np.ndarray, rows: Sequence[int]) -> np.nda
     non-decreasing on the grid.
 
     The starts do not decrease in p, so each bisection begins at the
-    previous start; phi is evaluated at most once per grid position.
+    previous start and ends at the nearest position already probed whose
+    value reaches p; phi is evaluated at most once per grid position.
     """
     import numpy as np
 
@@ -502,7 +503,7 @@ def _stripe_starts(phi: Callable, ts: np.ndarray, rows: Sequence[int]) -> np.nda
     starts = []
     lo = 0
     for p in rows:
-        hi = len(ts)
+        hi = min((j for j, v in seen.items() if j >= lo and v >= p), default=len(ts))
         while lo < hi:
             mid = (lo + hi) // 2
             if at(mid) >= p:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -772,6 +773,76 @@ def test_exit_code_is_max_over_files(runner, rough_file, tmp_path):
     assert parse_line(res.stdout)["scale"] == "log"  # good file still emitted
 
 
+def test_trace_verify_failure_exits_three(runner, rough_file, monkeypatch):
+    direct = cli_mod.brute_trace
+    monkeypatch.setattr(cli_mod, "brute_trace",
+                        lambda *args: [v + ext(1) for v in direct(*args)])
+    res = runner.invoke(main, ["trace", "--verify", rough_file])
+    assert res.exit_code == 3
+    (line,) = res.stderr.splitlines()
+    assert line.startswith(f"{rough_file}: verify deviation ")
+    assert line.endswith(" exceeds tolerance 1e-09")
+    (report,) = parse_line(res.stdout)["verify"]
+    assert report["max_abs_deviation"] == 1.0
+
+
+def _shifted(values, failing):
+    """The oracle's values, one higher on the failing file."""
+    return [v + ext(1) for v in values] if failing else values
+
+
+# each check's oracle, patched to fail on the failing file's window only: it
+# has 8 entries (6 weights for assoc), the good file's 6 (8 weights)
+SHIFTED_ORACLES = {
+    "brute_minorant": lambda fn: lambda a, *rest: _shifted(fn(a, *rest), len(a) == 8),
+    "brute_trace": lambda fn: lambda vals, *rest: _shifted(fn(vals, *rest), len(vals) == 8),
+    "brute_omega": lambda fn: lambda M, t, p_max: _shifted([fn(M, t, p_max)], len(M) == 6)[0],
+    "brute_phi_sweep": lambda fn: lambda vals, *rest, **kw: dataclasses.replace(
+        sweep := fn(vals, *rest, **kw), regularized=_shifted(sweep.regularized, len(vals) == 8)),
+}
+
+
+@pytest.mark.parametrize("args, oracle, csv, deviation", [
+    (["minorant"], "brute_minorant", False, "tolerance 1e-09"),
+    (["trace"], "brute_trace", False, "tolerance 1e-09"),
+    (["assoc", "--grid", "1:3:1"], "brute_omega", True, "tolerance 1e-09"),
+    (["assoc", "--grid", "1:3:1", "--emit", "json"], "brute_omega", False, "tolerance 1e-09"),
+    (["phireg"], "brute_phi_sweep", False, "the sweep resolution bound"),
+    (["phireg", "--emit", "csv"], "brute_phi_sweep", True, "the sweep resolution bound"),
+], ids=["minorant", "trace", "assoc-csv", "assoc-json", "phireg-json", "phireg-csv"])
+def test_verify_failure_among_files(runner, tmp_path, monkeypatch, args, oracle, csv, deviation):
+    # a good file, one whose check fails and one that is not JSON: the two
+    # outputs print in input order, each with its report, and stderr has the
+    # failed check's line, then the parse error's
+    if args[0] == "assoc":
+        docs = [{"kind": "weight", "prefix": p, "tail": {"type": "explicit_only"}}
+                for p in ([1, 1, 2, 6, 24, 120, 720, 5040], [1, 1, 2, 6, 24, 120])]
+    else:
+        docs = [{"kind": "log", "prefix": p, "tail": {"type": "explicit_only"}}
+                for p in ([0, 5, 1, 3, 9, 20], [0, 5, 1, 3, 9, 20, 28, 40])]
+    paths = [tmp_path / name for name in ("good.json", "failing.json", "bad.json")]
+    for path, doc in zip(paths, docs):
+        path.write_text(json.dumps(doc))
+    paths[2].write_text("not json")
+    monkeypatch.setattr(cli_mod, oracle, SHIFTED_ORACLES[oracle](getattr(cli_mod, oracle)))
+    res = runner.invoke(main, [*args, "--verify", *map(str, paths)])
+    assert res.exit_code == 3
+    lines = res.stdout.splitlines()
+    if csv:  # each output is a header, its rows and its report
+        starts = [i for i, line in enumerate(lines) if line.startswith("t,")]
+        ends = [i for i, line in enumerate(lines) if line.startswith("# verify: ")]
+        assert starts == [0, ends[0] + 1] and ends[1] == len(lines) - 1
+        reports = [json.loads(lines[i][len("# verify: "):]) for i in ends]
+    else:
+        assert len(lines) == 2
+        reports = [report for line in lines for report in json.loads(line)["verify"]]
+    # the sweep oracle is exact to its grid only; the shift is 1
+    assert [r["max_abs_deviation"] < 0.5 for r in reports] == [True, False]
+    check, parse = res.stderr.splitlines()
+    assert check.startswith(f"{paths[1]}: verify deviation ") and check.endswith(deviation)
+    assert parse.startswith(f"{paths[2]}: parse error: ")
+
+
 # -- assoc ------------------------------------------------------------------------
 
 
@@ -813,6 +884,30 @@ def test_integral_route_at_large_t_is_fast(tmp_path):
     rows = [line.split(",") for line in res.stdout.splitlines()[1:]]
     assert len(rows) == 2
     assert all(row[3] == row[2] != "" for row in rows)  # integral equals piecewise
+
+
+@pytest.mark.parametrize("args, message", [
+    (["assoc", "--grid", "0:1e300000:1e299990"], "a grid of 10000000001 points"),
+    (["assoc", "--loggrid", "1:2:1000000000"], "a grid of 1000000000 points"),
+    (["assoc", "--grid", "0:1e400000:1"], "bad grid numbers"),
+    (["assoc", "--grid", "0:10000000:1"], "a grid of 10000001 points"),
+    (["phireg", "--emit", "csv", "--grid", "0:10000000:1"], "a grid of 10000001 points"),
+])
+def test_grid_past_the_limits_exits_two(tmp_path, args, message):
+    # grids were built point by point, and 10**400000 exactly, before the
+    # limits: a MemoryError traceback or a hang
+    doc = {"kind": "weight", "prefix": [1, 2, 6, 24], "tail": {"type": "explicit_only"}}
+    res = run_cli(tmp_path, doc, *args, timeout=10)
+    assert res.returncode == 2
+    assert message in res.stderr and "Traceback" not in res.stderr
+
+
+def test_grid_point_limit():
+    assert len(cli_mod._parse_grid("0:999999:1")) == 1_000_000
+    assert len(cli_mod._parse_loggrid("1:2:1000000")) == 1_000_000
+    for parse, spec in [(cli_mod._parse_grid, "0:1000000:1"), (cli_mod._parse_loggrid, "1:2:1000001")]:
+        with pytest.raises(click.BadParameter, match="a grid of 1000001 points"):
+            parse(spec)
 
 
 @pytest.mark.parametrize("prefix", [
