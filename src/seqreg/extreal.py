@@ -216,14 +216,21 @@ def raw_from_json(payload) -> RawNumber:
     raise ValueError(f"cannot parse extended real from {payload!r}")
 
 
-def raw_json(v: RawNumber):
-    """The canonical JSON payload of a raw payload (ExtReal.to_json)."""
-    if type(v) is not Fraction and isinstance(v, float):
+def raw_json(v: "RawNumber | tuple[int, int]"):
+    """The canonical JSON payload of a raw payload (ExtReal.to_json), or of the
+    integer pair (n, d), d > 0, for n/d after one gcd."""
+    if type(v) is tuple:
+        n, d = v
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+    elif type(v) is not Fraction and isinstance(v, float):
         return "inf" if v == _POS else "-inf" if v == _NEG else v
-    if v.denominator == 1:
-        return v.numerator  # json.dumps prints it (cli._canonical)
+    else:
+        n, d = v.as_integer_ratio()
+    if d == 1:
+        return n  # json.dumps prints it (cli._canonical)
     try:
-        return f"{v.numerator}/{v.denominator}"
+        return f"{n}/{d}"
     except ValueError:  # an integer past Python's limit for printing one
         raise Unprintable() from None
 

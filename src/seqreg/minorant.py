@@ -8,9 +8,9 @@ chain, collinear points kept, so every point on a hull edge is principal),
 followed from the anchor (0, a_0) until a slope reaches the cap.  Each value,
 threshold and the cap is read once as an integer ratio (a float at its exact
 binary value), and every decision is one comparison of integer products.
-Slopes, line values and trace values are computed on raw payloads by
-ExtReal's rules (extreal.raw_slope, raw_line): one Fraction between exact
-values, and exact where a float would overflow from finite operands.
+Between exact values an event's time and trace values are one Fraction each
+from those integers; else they follow ExtReal's rules (extreal.raw_slope,
+raw_line), exact where a float would overflow from finite operands.
 
 A closed-form tail is the only thing the ungated sweep adds: a strictly lower
 chord past the window (_tail_chords) is the sweep's last event.  A tail point
@@ -21,7 +21,7 @@ So the tail is asked there once, and at each event only when it wins there
 (the departure rule, _sweep).  _run gives the lines that fill the window
 between principal indices, and past the last one the tail chord's line or,
 when the sweep ends before the window does and the cap is finite, the line
-of slope cap; _filled fills them in.
+of slope cap; _integer_fill fills them in.
 +inf points project down onto those lines (and stay +inf past the last
 finite point when there is no cap).
 
@@ -46,9 +46,10 @@ its conjugate reproduces the minorant values (exact on rationals).
 
 The window is read once as raw payloads.  MinorantResult and phireg's
 PhiRegResult keep it and the Construction as built, the record core (_Swept)
-from which each view is derived once, when first asked for.  The CLI prints
-regularized and the trace from the raw payloads, so ``trace`` never fills
-the window.
+from which each view is derived once, when first asked for.  The one fill
+(_integer_fill) keeps an exact line's values as integer pairs, which the CLI
+prints after one gcd, compare reads, and regularized makes Fractions of when
+asked; ``trace`` prints from the raw breakpoints and never fills the window.
 """
 
 from __future__ import annotations
@@ -101,10 +102,16 @@ class _Swept:
     _built: Construction = field(repr=False, kw_only=True)
 
     @cached_property
-    def _out(self) -> list[RawNumber]:
-        """regularized as raw payloads: a given one's, or the window filled in."""
+    def _cells(self) -> list:
+        """regularized as a given one's raw payloads, or the window filled in
+        (_integer_fill), which raw_json prints from its integer pairs."""
         given = self.__dict__.get("regularized")
-        return list(given._raws) if given is not None else _filled(self._vals, self._built.lines)
+        return _integer_fill(self._vals, self._built.lines) if given is None else list(given._raws)
+
+    @cached_property
+    def _out(self) -> list[RawNumber]:
+        """regularized as raw payloads: one Fraction from each pair of the cells."""
+        return [Fraction(*v) if type(v) is tuple else v for v in self._cells]
 
     @property
     def tail_end(self) -> Optional[int]:
@@ -190,7 +197,7 @@ class MinorantResult(_Swept):
     def _printed(self) -> dict:
         """The keys that ``minorant`` prints, besides the trace's breakpoints."""
         return {
-            "regularized": [raw_json(v) for v in self._out],
+            "regularized": list(map(raw_json, self._cells)),
             "scale": self.scale,
             "principal_indices": list(self.principal_indices),
             "slopes": [s.to_json() for s in self.slopes],
@@ -296,12 +303,10 @@ def _pair(x: Optional[RawNumber]) -> tuple[int, int]:
 
 
 def _trace_value(a: RawNumber, tau: RawNumber, q: int) -> RawNumber:
-    """q*tau - a, the trace at tau of the line of slope tau through (q, a): one
-    Fraction between exact values, else 0 - c for its intercept c from
-    extreal.raw_line (0 - c, not -c: the trace of c = 0.0 is 0.0, never -0.0)."""
-    if type(a) is Fraction and type(tau) is Fraction:
-        return Fraction(q * tau.numerator * a.denominator - a.numerator * tau.denominator,
-                        tau.denominator * a.denominator)
+    """q*tau - a, the trace at tau of the line of slope tau through (q, a), where
+    a or tau is a float (_sweep reads an exact one off its pairs): 0 - c for
+    its intercept c from extreal.raw_line (0 - c, not -c: the trace of c = 0.0
+    is 0.0, never -0.0)."""
     if type(a) is float is type(tau):  # raw_line's c on two floats, unless it overflows
         c = a - tau * q
         if -math.inf < c < math.inf:
@@ -356,11 +361,11 @@ def _sweep(pts: list[tuple[int, int, int, RawNumber]], ths: list[tuple[int, int,
     is x_num*y_den < y_num*x_den.  The turn test drops the middle point j of
     i < j < q only when it lies strictly above the chord from i to q.  An
     event emits the raw value of what set its time (a threshold, a chord, or
-    extreal.raw_slope from P, exact where the float rounds up to the cap),
-    held at the last event's time against float rounding, and its trace
-    values by _trace_value: on exact values, one Fraction for the time and
-    one per trace value.  A float slope that rounds up past a threshold it
-    must not pass is held at that threshold.
+    the slope from P, exact where the float rounds up to the cap), held at
+    the last event's time against float rounding, and its trace values: on
+    exact values one Fraction each from the pairs compared, else by
+    extreal.raw_slope and _trace_value.  A float slope that rounds up past a
+    threshold it must not pass is held at that threshold.
     """
     gated = ths[-1][2] is not None  # thresholds never fall: one above -inf makes the last so
     cn, cd = (1, 0) if cap is None else _pair(cap)
@@ -368,7 +373,7 @@ def _sweep(pts: list[tuple[int, int, int, RawNumber]], ths: list[tuple[int, int,
     disc: list[int] = []
     events: list[tuple[RawNumber, RawNumber, RawNumber, int]] = []
     hull = [0]  # positions in pts
-    lo = 0
+    lo, npts = 0, len(pts)
     m = 1  # the next point to admit
     last: RawNumber = -math.inf  # the last event's time as emitted
     run = None  # (P, a_P, bn, bd) at the start of the last run, for the departure rule
@@ -388,18 +393,21 @@ def _sweep(pts: list[tuple[int, int, int, RawNumber]], ths: list[tuple[int, int,
         if len(hull) > lo + 1:
             src = hull[lo + 1]
             bn, bd = slope(src)
-        while m < len(pts):
+        while m < npts:
             q, ny, dy, _ = pts[m]
             if gated:
                 tn, td, _ = ths[m]
                 if tn * bd > bn * td:
                     break
-            while len(hull) > lo + 1:
-                i, ni, di, _ = pts[hull[-2]]
-                j, nj, dj, _ = pts[hull[-1]]
+            k = len(hull) - 1  # the chain's last point j, and i before it
+            j, nj, dj, _ = pts[hull[k]]
+            while k > lo:
+                i, ni, di, _ = pts[hull[k - 1]]
                 if (nj * di - ni * dj) * dy * (q - j) <= (ny * dj - nj * dy) * di * (j - i):
                     break
                 hull.pop()
+                k -= 1
+                j, nj, dj = i, ni, di
             hull.append(m)
             if gated:
                 j = hull[lo + 1]
@@ -408,7 +416,7 @@ def _sweep(pts: list[tuple[int, int, int, RawNumber]], ths: list[tuple[int, int,
                     en, ed, j = tn, td, ~m
                 if en * bd < bn * ed:
                     bn, bd, src = en, ed, j
-            elif m + 1 == len(pts):
+            elif m + 1 == npts:
                 # the chain is complete; its first edge's slope only fell as it grew
                 src = hull[lo + 1]
                 bn, bd = slope(src)
@@ -425,7 +433,10 @@ def _sweep(pts: list[tuple[int, int, int, RawNumber]], ths: list[tuple[int, int,
                     if _lower(tail, *at[2:], cn, cd):
                         return _sweep(pts, ths, cap, chord, True)
                 return principal, disc, events, bd != 0
-            tau = raw_slope(aP, pts[src][3], pts[src][0] - P) if src >= 0 else _raw(ths[~src][2])
+            # a slope between exact points is the pair just compared
+            tau = (_raw(ths[~src][2]) if src < 0
+                   else Fraction(bn, bd) if type(aP) is type(pts[src][3]) is Fraction
+                   else raw_slope(aP, pts[src][3], pts[src][0] - P))
             if type(tau) is float and cap is not None and not tau < cap:
                 tau = Fraction(bn, bd)  # a float slope that rounds up to the cap is taken exactly
             # a float slope rounded up past a threshold would put that point's
@@ -439,14 +450,17 @@ def _sweep(pts: list[tuple[int, int, int, RawNumber]], ths: list[tuple[int, int,
                     tau = min(tau, _raw(thr))
             if type(tau) is Fraction:
                 bn, bd = tau.numerator, tau.denominator  # the same time, reduced
-            elif m < len(pts):
+            elif m < npts:
                 tau = min(tau, _raw(ths[m][2]))
         if not (type(tau) is type(last) is Fraction) and tau <= last:
             tau = last  # float rounding cannot take the events back in time, nor print one twice
         last = tau
 
-        # the trace value P*tau - a_P, and at a jump that of the lowest line
-        left = right = _trace_value(aP, tau, P)
+        # the trace value P*tau - a_P, and at a jump that of the lowest line:
+        # one Fraction each from the integer pairs (ud > 0) where both are exact
+        un, ud = tau.as_integer_ratio() if type(tau) is Fraction else (0, 0)
+        left = right = Fraction(P * un * dP - nP * ud, ud * dP) if ud and type(
+            aP) is Fraction else _trace_value(aP, tau, P)
         if tail is not None:
             events.append((tau, left, right, tail[1]))
             return principal, disc, events, False
@@ -471,9 +485,10 @@ def _sweep(pts: list[tuple[int, int, int, RawNumber]], ths: list[tuple[int, int,
                 if x_n * c_d != c_n * x_d:
                     break
                 i += 1
-            q, _, _, a = pts[hull[first]]
+            q, n, d, a = pts[hull[first]]
             disc.append(q)
-            right = _trace_value(a, tau, q)
+            right = Fraction(q * un * d - n * ud, ud * d) if ud and type(a) is Fraction \
+                else _trace_value(a, tau, q)
         else:
             while i + 1 < len(hull):
                 sn, sd = slope(hull[i + 1])
@@ -572,19 +587,22 @@ def _ungated(seq: SequenceSpec, read: tuple, regime: RegimeClassification,
     return _run(read, cap, regime, chord=_tail_chords(seq, w) if extends else None)
 
 
-def _filled(raws: list[RawNumber], lines: list[tuple[int, RawNumber, int]]) -> list[RawNumber]:
-    """The window raws with each line (P, slope, end) filled in (_fill)."""
+def _integer_fill(raws: list[RawNumber], lines: list[tuple[int, RawNumber, int]]) -> list:
+    """The window raws with each line (P, slope, end) filled in: out[p] = out[P] +
+    slope * (p - P) for P < p < end.  An exact line's values are unreduced pairs
+    (n, d), d > 0: numerators base + step * (p - P) over one denominator, with no
+    Fraction per value; another line's are raw payloads (extreal.raw_line)."""
     out = list(raws)
     for P, slope, end in lines:
-        _fill(out, P, slope, end)
+        a = out[P]
+        if type(a) is type(slope) is Fraction:
+            (n, d), (sn, sd) = a.as_integer_ratio(), slope.as_integer_ratio()
+            base, step, den = n * sd, sn * d, d * sd
+            out[P + 1:end] = [(base + step * k, den) for k in range(1, end - P)]
+        else:
+            at = raw_line(a, slope, P)
+            out[P + 1:end] = [at(p) for p in range(P + 1, end)]
     return out
-
-
-def _fill(out: list[RawNumber], P: int, slope: RawNumber, end: int) -> None:
-    """out[p] = out[P] + slope * (p - P) for P < p < end (extreal.raw_line)."""
-    at = raw_line(out[P], slope, P)
-    for p in range(P + 1, end):
-        out[p] = at(p)
 
 
 def _window_values(seq: SequenceSpec, window: Optional[int]) -> tuple[int, list[RawNumber]]:

@@ -520,8 +520,10 @@ def _phi_float(phi: Callable, t: float) -> float:
 
 
 def _phi_threshold_estimate(phi: Callable, p: int, fallback: float) -> float:
-    """Smallest grid-relevant t with phi(t) >= p, by doubling then bisection."""
-
+    """Smallest grid-relevant t with phi(t) >= p, by doubling then bisection;
+    fallback where phi reaches p at every slope (infinite) or at none probed."""
+    if getattr(phi, "infinite", False):
+        return fallback
     lo, hi = -1.0, 1.0
     for _ in range(200):
         if _phi_float(phi, hi) >= p:

@@ -76,10 +76,9 @@ from typing import Callable, Optional
 from .errors import (AxiomViolation, InfiniteEntryUnsupported, NotComparable, ParseError,
                      Unprintable)
 from .extreal import (ExtReal, NEG_INF, ONE, RawNumber, ZERO, _inf_sign, _to_float,
-                      _parse_number, ext, raw_add, raw_div, raw_exp, raw_json, raw_line,
-                      raw_mul)
-from .minorant import (Construction, Threshold, _Swept, _pair, _raw, _read, _run, _ungated,
-                       _window_values)
+                      _parse_number, ext, raw_add, raw_div, raw_exp, raw_json, raw_mul)
+from .minorant import (Construction, Threshold, _Swept, _integer_fill, _pair, _raw, _read,
+                       _run, _ungated, _window_values)
 from .piecewise import PiecewiseLinearFn, StepFunction
 from .sequences import RegimeClassification, SequenceSpec, classify_regime, to_log_scale
 from .tails import LOG, ExplicitOnly
@@ -415,7 +414,7 @@ class PhiRegResult(_Swept):
         segments = [{"slope": raw_json(slope), "anchor_index": P, "span": [P, end],
                      "anchor_value": raw_json(self._vals[P])}
                     for P, slope, end in (self._built.lines if self._entries else ())]
-        return {"regularized": [raw_json(v) for v in self._out],
+        return {"regularized": list(map(raw_json, self._cells)),
                 "principal_indices": list(self.principal_indices),
                 "discontinuity_indices": list(self.discontinuity_indices),
                 "intervals": [{"start": t, "end": u}
@@ -566,27 +565,9 @@ def _larger(phi1: RegularizingFunction, phi2: RegularizingFunction) -> str:
                         "on the probe grid")
 
 
-def _pairs(raws: list[RawNumber], window: list[tuple[int, int]],
-           lines: list[tuple[int, RawNumber, int]]) -> list[tuple[int, int]]:
-    """minorant._filled on the window as integer pairs (n, d), d > 0, or (+-1, 0)
-    for +-inf: an exact line's values share one denominator, with no Fraction
-    per value, and another line's raw_line value is read at its exact value."""
-    out = list(window)
-    for P, slope, end in lines:
-        a = raws[P]
-        if type(a) is type(slope) is Fraction:
-            (n, d), (sn, sd) = window[P], slope.as_integer_ratio()
-            base, step, den = n * sd, sn * d, d * sd
-            out[P + 1:end] = [(base + step * k, den) for k in range(1, end - P)]
-        else:
-            at = raw_line(a, slope, P)
-            out[P + 1:end] = [_pair(at(p)) for p in range(P + 1, end)]
-    return out
-
-
 def _leq(x: tuple[int, int], y: tuple[int, int], tol: float) -> bool:
-    """x <= y on integer pairs (_pairs), cross-multiplied (two infinities by
-    sign), or within tol as floats when both are finite."""
+    """x <= y on integer pairs (n, d), d > 0, or (+-1, 0) for +-inf, cross-multiplied
+    (two infinities by sign), or within tol as floats when both are finite."""
     (xn, xd), (yn, yd) = x, y
     if (xn * yd <= yn * xd) if xd or yd else xn <= yn:
         return True
@@ -616,8 +597,10 @@ def compare_regularizations(a: SequenceSpec, phi1: RegularizingFunction,
     x = [(1, 0)] * w
     for q, n, d, _ in read[1]:
         x[q] = n, d
-    x_big, x_small, x_floor = (_pairs(read[0], x, _core(seq, read, phi, window, tol)[1].lines)
-                               for phi in (big, small, make_phi("infinite")))
+    x_big, x_small, x_floor = (
+        [v if type(v) is tuple else _pair(v)
+         for v in _integer_fill(read[0], _core(seq, read, phi, window, tol)[1].lines)]
+        for phi in (big, small, make_phi("infinite")))
     unordered = [p for p in range(w)
                  if not (_leq(x_big[p], x_small[p], tol) and _leq(x_small[p], x[p], tol))]
     unfloored = [p for p in range(w)

@@ -39,8 +39,8 @@ from .errors import (
     TruncatedTail,
     WindowTooShort,
 )
-from .extreal import (ExtReal, NEG_INF, ONE, POS_INF, ZERO, RawNumber, ext, raw_exp,
-                      raw_from_json, raw_log)
+from .extreal import (ExtReal, NEG_INF, ONE, POS_INF, ZERO, RawNumber, _parse_number, ext,
+                      raw_exp, raw_from_json, raw_log)
 from .tails import (
     LOG,
     WEIGHT,
@@ -218,7 +218,8 @@ class SequenceSpec:
             prefix = payload["prefix"]
             if not isinstance(prefix, (list, tuple)):
                 raise ParseError("prefix must be a list")
-            raws = tuple(map(raw_from_json, prefix))
+            raws = tuple([Fraction(v) if type(v) is int else _parse_number(v) if type(v) is str
+                          else raw_from_json(v) for v in prefix])
             tail = tail_from_json(payload.get("tail", {"type": "explicit_only"}))
             declared = payload.get("declared_regime")
             regime = None if declared is None else RegimeClassification.from_json(declared)
@@ -386,14 +387,13 @@ def classify_regime(seq: SequenceSpec, window: Optional[int] = None,
     if isinstance(a.tail, Expression):
         return _classify_expression(a, w, evidence)
 
-    try:  # a_p / p; on n / d, n / (d p) is float(Fraction(n, d p)), correctly rounded
-        slopes = [x.numerator / (x.denominator * p) if type(x) is Fraction else x / p
-                  for p, x in finite]
-    except OverflowError:  # an exact slope past the float range
-        slopes = [float(ext(x) / p) for p, x in finite]
-    if len(slopes) >= 4:
-        q = max(2, len(slopes) // 4)
-        tail_part = slopes[-q:]
+    if len(finite) >= 4:  # a_p / p over the last quarter; n / (d p) is correctly rounded
+        last = finite[-max(2, len(finite) // 4):]
+        try:
+            tail_part = [x.numerator / (x.denominator * p) if type(x) is Fraction else x / p
+                         for p, x in last]
+        except OverflowError:  # an exact slope past the float range
+            tail_part = [float(ext(x) / p) for p, x in last]
         rising = all(x <= y for x, y in zip(tail_part, tail_part[1:]))
         if rising and tail_part[-1] >= tail_part[0] + 1.0:
             return RegimeClassification(STANDARD, None, evidence, "window")

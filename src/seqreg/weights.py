@@ -280,17 +280,25 @@ class OmegaTable:
 
         boundary = False
         if isinstance(tail, FactorialPower):
-            # terms rise until a_p - a_{p-1} > log t; all but the last two rise by
-            # about s/p a step, far beyond rounding, so only those two can tie
-            a = self.log_view
+            # terms rise until M_p / M_{p-1} > t; only the last two can tie.  On the
+            # exact path with an integer s and t below the power cap (so that p is),
+            # quotients p^s and terms t^p / M_p compare exactly; the value is its log
+            a, whole = self.log_view, exact and tail.s.denominator == 1 and t.raw < _EXACT_POWER_CAP
+            rises = (lambda p: tail.quotient(p) > t) if whole else (
+                lambda p: float(a.value(p) - a.value(p - 1)) > log_t)
             try:
-                end = tail.search(lambda p: float(a.value(p) - a.value(p - 1)) > log_t, base_end)
+                end = tail.search(rises, base_end)
             except WindowTooShort:
                 end, boundary = base_end + TAIL_SEARCH_CAP, True  # terms could still rise
+            top = whole and t.raw ** best_p / wvals[best_p].raw
             for p in range(max(base_end, end - 2), end):
-                term = off + p * log_t - float(a.value(p))
-                if term >= float(best_val):
-                    best_val, best_p = ext(term), p
+                if not whole:
+                    term = off + p * log_t - float(a.value(p))
+                    if term >= float(best_val):
+                        best_val, best_p = ext(term), p
+                elif (term := t.raw ** p / self._weight(p).raw) >= top:
+                    top, best_p = term, p
+                    best_val = ext(term * (wvals[0].raw if with_coeff else 1)).log()
         elif isinstance(tail, (Geometric, AffineLog)):
             if root is not None and t == root:
                 # beyond the prefix the terms are constant: log coeff exactly

@@ -511,6 +511,15 @@ def test_threshold_estimate_is_plain_bisection(descriptor, p):
     assert got.hex() == plain_threshold_bisection(phi, p, -7.5).hex()
 
 
+def test_threshold_estimate_under_infinite_returns_the_fallback_at_once(monkeypatch):
+    probes = []
+    probe = oracles._phi_float
+    monkeypatch.setattr(oracles, "_phi_float", lambda phi, t: probes.append(t) or probe(phi, t))
+    for p in (1, 7, 10**6):
+        assert oracles._phi_threshold_estimate(make_phi("infinite"), p, -7.5) == -7.5
+    assert len(probes) <= 1
+
+
 # -- compare_values against the Fraction definition ----------------------------------
 
 

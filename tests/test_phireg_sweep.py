@@ -26,7 +26,7 @@ from seqreg import (CASE2, ExplicitOnly, ExtReal, RegimeClassification, Regulari
                     SeqRegError, SequenceSpec, ext, make_phi, recover_sequence,
                     regularize_with_phi)
 from seqreg import minorant, phireg
-from seqreg.extreal import NEG_INF, POS_INF, ZERO
+from seqreg.extreal import NEG_INF, POS_INF, ZERO, raw_json
 from seqreg.minorant import _sweep
 
 
@@ -430,11 +430,22 @@ def test_integer_sweep_builds_three_fractions_per_event_at_most():
         (principal, disc, events, _), built = count_fractions(_sweep, *rows(pts), cap)
         assert key((principal, disc, events, _)) == key(ref_sweep(pts, cap))
         assert len(events) >= 10 and disc
-        assert built <= 3 * len(events)
+        # one for the time, one for the trace value and one more at a jump
+        assert built <= 2 * len(events) + len(disc)
 
 
-def test_fill_builds_one_fraction_per_value():
-    out = [Fraction(1, 3)] + [math.inf] * 9
-    _, built = count_fractions(minorant._fill, out, 0, Fraction(2, 7), 10)
-    assert built == 9
-    assert out[9] == Fraction(1, 3) + 9 * Fraction(2, 7)
+def test_printed_fill_builds_no_fraction():
+    # an exact line crossing 0, and one whose common denominator 4 divides
+    # every other numerator
+    raws = [Fraction(-7, 3)] + [math.inf] * 9 + [Fraction(1, 2)] + [math.inf] * 4 + [Fraction(3)]
+    lines = [(0, Fraction(2, 7), 10), (10, Fraction(1, 2), 15)]
+    cells, built = count_fractions(minorant._integer_fill, raws, lines)
+    assert built == 0
+    record = minorant._Swept(_vals=tuple(raws),
+                             _built=minorant.Construction(*[None] * 3, lines, *[None] * 4))
+    printed, built = count_fractions(lambda: list(map(raw_json, record._cells)))
+    assert built == 0
+    want = raws[:1] + [Fraction(-7, 3) + k * Fraction(2, 7) for k in range(1, 10)] + \
+        raws[10:11] + [Fraction(1 + k, 2) for k in range(1, 5)] + raws[15:]
+    assert record._out == want
+    assert printed == [raw_json(v) for v in want]

@@ -225,7 +225,7 @@ def test_trace_does_not_fill_the_window(tmp_path, monkeypatch, doc):
     def refuse(*_):
         raise AssertionError("trace filled the window")
 
-    monkeypatch.setattr(minorant_mod, "_filled", refuse)
+    monkeypatch.setattr(minorant_mod, "_integer_fill", refuse)
     patched = CliRunner().invoke(main, args)
     assert patched.exit_code == 0, patched.output
     assert patched.stdout_bytes == unpatched.stdout_bytes

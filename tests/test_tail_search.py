@@ -89,7 +89,17 @@ def ref_sup_scan(self, t: ExtReal, include_zero: bool, with_coeff: bool) -> Omeg
         return OmegaValue(NEG_INF, None, False)
 
     boundary = False
-    if isinstance(tail, FactorialPower):
+    if isinstance(tail, FactorialPower) and exact_ok and tail.s.denominator == 1 \
+            and t.raw < _EXACT_POWER_CAP:
+        # exact weights past the window: exact terms while the quotient is at most t
+        p = base_end
+        while tail.quotient(p) <= t:
+            r = coeff * t.raw ** p / self._weight(p).raw
+            if r >= best_r:
+                best_r, best_p = r, p
+            p += 1
+        best_val = ext(best_r).log()
+    elif isinstance(tail, FactorialPower):
         a = self.log_view
         off = float(avals[0]) if with_coeff else 0.0
         log_t = float(t.log())
