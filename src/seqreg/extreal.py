@@ -209,6 +209,8 @@ class ExtReal:
 def raw_from_json(payload) -> RawNumber:
     """A JSON number (an int becomes one Fraction), or a string as _parse_number
     reads it: "inf", "-inf", "infinity" in any case, or what Fraction(s) reads."""
+    if type(payload) is int:
+        return Fraction(payload)
     if type(payload) is str:
         return _parse_number(payload)
     if isinstance(payload, (int, float, Fraction)) and not isinstance(payload, bool):

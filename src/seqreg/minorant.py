@@ -302,11 +302,15 @@ def _pair(x: Optional[RawNumber]) -> tuple[int, int]:
     return (s, 0) if s else x.as_integer_ratio()
 
 
-def _trace_value(a: RawNumber, tau: RawNumber, q: int) -> RawNumber:
-    """q*tau - a, the trace at tau of the line of slope tau through (q, a), where
-    a or tau is a float (_sweep reads an exact one off its pairs): 0 - c for
-    its intercept c from extreal.raw_line (0 - c, not -c: the trace of c = 0.0
-    is 0.0, never -0.0)."""
+def _trace_value(pt: tuple[int, int, int, RawNumber], tau: RawNumber) -> RawNumber:
+    """q*tau - a, the trace at tau of the line of slope tau through the point
+    pt = (q, n, d, a) of _read: one Fraction from the pairs between exact
+    values, else 0 - c for its intercept c from extreal.raw_line (0 - c, not
+    -c: the trace of c = 0.0 is 0.0, never -0.0)."""
+    q, n, d, a = pt
+    if type(a) is type(tau) is Fraction:
+        un, ud = tau.as_integer_ratio()
+        return Fraction(q * un * d - n * ud, ud * d)
     if type(a) is float is type(tau):  # raw_line's c on two floats, unless it overflows
         c = a - tau * q
         if -math.inf < c < math.inf:
@@ -362,10 +366,10 @@ def _sweep(pts: list[tuple[int, int, int, RawNumber]], ths: list[tuple[int, int,
     i < j < q only when it lies strictly above the chord from i to q.  An
     event emits the raw value of what set its time (a threshold, a chord, or
     the slope from P, exact where the float rounds up to the cap), held at
-    the last event's time against float rounding, and its trace values: on
-    exact values one Fraction each from the pairs compared, else by
-    extreal.raw_slope and _trace_value.  A float slope that rounds up past a
-    threshold it must not pass is held at that threshold.
+    the last event's time against float rounding, and its trace values by
+    _trace_value: on exact values one Fraction for the time and one per
+    trace value.  A float slope that rounds up past a threshold it must not
+    pass is held at that threshold.
     """
     gated = ths[-1][2] is not None  # thresholds never fall: one above -inf makes the last so
     cn, cd = (1, 0) if cap is None else _pair(cap)
@@ -456,11 +460,8 @@ def _sweep(pts: list[tuple[int, int, int, RawNumber]], ths: list[tuple[int, int,
             tau = last  # float rounding cannot take the events back in time, nor print one twice
         last = tau
 
-        # the trace value P*tau - a_P, and at a jump that of the lowest line:
-        # one Fraction each from the integer pairs (ud > 0) where both are exact
-        un, ud = tau.as_integer_ratio() if type(tau) is Fraction else (0, 0)
-        left = right = Fraction(P * un * dP - nP * ud, ud * dP) if ud and type(
-            aP) is Fraction else _trace_value(aP, tau, P)
+        # the trace value P*tau - a_P, and at a jump that of the lowest line
+        left = right = _trace_value(pts[hull[lo]], tau)
         if tail is not None:
             events.append((tau, left, right, tail[1]))
             return principal, disc, events, False
@@ -485,10 +486,8 @@ def _sweep(pts: list[tuple[int, int, int, RawNumber]], ths: list[tuple[int, int,
                 if x_n * c_d != c_n * x_d:
                     break
                 i += 1
-            q, n, d, a = pts[hull[first]]
-            disc.append(q)
-            right = Fraction(q * un * d - n * ud, ud * d) if ud and type(a) is Fraction \
-                else _trace_value(a, tau, q)
+            disc.append(pts[hull[first]][0])
+            right = _trace_value(pts[hull[first]], tau)
         else:
             while i + 1 < len(hull):
                 sn, sd = slope(hull[i + 1])

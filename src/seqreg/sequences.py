@@ -39,8 +39,8 @@ from .errors import (
     TruncatedTail,
     WindowTooShort,
 )
-from .extreal import (ExtReal, NEG_INF, ONE, POS_INF, ZERO, RawNumber, _parse_number, ext,
-                      raw_exp, raw_from_json, raw_log)
+from .extreal import (ExtReal, NEG_INF, ONE, POS_INF, ZERO, RawNumber, ext, raw_exp,
+                      raw_from_json, raw_log)
 from .tails import (
     LOG,
     WEIGHT,
@@ -218,8 +218,7 @@ class SequenceSpec:
             prefix = payload["prefix"]
             if not isinstance(prefix, (list, tuple)):
                 raise ParseError("prefix must be a list")
-            raws = tuple([Fraction(v) if type(v) is int else _parse_number(v) if type(v) is str
-                          else raw_from_json(v) for v in prefix])
+            raws = tuple(map(raw_from_json, prefix))
             tail = tail_from_json(payload.get("tail", {"type": "explicit_only"}))
             declared = payload.get("declared_regime")
             regime = None if declared is None else RegimeClassification.from_json(declared)

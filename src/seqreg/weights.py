@@ -281,18 +281,20 @@ class OmegaTable:
         boundary = False
         if isinstance(tail, FactorialPower):
             # terms rise until M_p / M_{p-1} > t; only the last two can tie.  On the
-            # exact path with an integer s and t below the power cap (so that p is),
-            # quotients p^s and terms t^p / M_p compare exactly; the value is its log
-            a, whole = self.log_view, exact and tail.s.denominator == 1 and t.raw < _EXACT_POWER_CAP
+            # exact path with an integer s the quotients p^s compare with t exactly,
+            # so the tail's terms rise to end - 1, its one candidate; below the power
+            # cap it meets best as the exact term t^p / M_p, whose log is the value
+            a, whole = self.log_view, exact and tail.s.denominator == 1
             rises = (lambda p: tail.quotient(p) > t) if whole else (
                 lambda p: float(a.value(p) - a.value(p - 1)) > log_t)
             try:
                 end = tail.search(rises, base_end)
             except WindowTooShort:
                 end, boundary = base_end + TAIL_SEARCH_CAP, True  # terms could still rise
-            top = whole and t.raw ** best_p / wvals[best_p].raw
-            for p in range(max(base_end, end - 2), end):
-                if not whole:
+            terms = whole and end <= _EXACT_POWER_CAP
+            top = terms and t.raw ** best_p / wvals[best_p].raw
+            for p in range(max(base_end, end - 2 + whole), end):
+                if not terms:
                     term = off + p * log_t - float(a.value(p))
                     if term >= float(best_val):
                         best_val, best_p = ext(term), p

@@ -294,16 +294,20 @@ def test_factorial_tails_past_the_window(k, shift, s):
     assert num(table.piecewise(t)) == num(table.integral(t))
 
 
-@pytest.mark.parametrize("window, t, argmax", [(5, 5, 5), (5, 6, 6), (6, 6, 6), (8, 6, 6)])
-def test_factorial_tie_at_the_window_edge_goes_to_the_larger_index(window, t, argmax):
-    # M_p = p!: at t = 5 the terms of p = 4 and 5 tie, at t = 6 those of 5 and 6,
-    # in the window or past it; the tie goes to the larger index and the value
-    # is that exact term's log at every window
+@pytest.mark.parametrize("s, window, t, argmax", [(1, 5, 5, 5), (1, 5, 6, 6), (1, 6, 6, 6),
+                                                  (1, 8, 6, 6), (1, 64, 1000, 1000),
+                                                  (1, 64, 100000, 100000), (2, 64, 4096, 64)])
+def test_factorial_tie_goes_to_the_larger_index(s, window, t, argmax):
+    # M_p = (p!)^s: the terms of argmax - 1 and argmax tie, as argmax^s = t, in
+    # the window or past it; the tie goes to the larger index, and the value
+    # is that exact term's log below index 512 (a float term from there up)
     M = SequenceSpec(kind="weight", prefix=(Fraction(1),),
-                     tail=FactorialPower(s=Fraction(1), c=Fraction(1)))
+                     tail=FactorialPower(s=Fraction(s), c=Fraction(1)))
     r = OmegaTable(M, window).direct(Fraction(t))
     assert r.argmax_index == argmax
-    assert num(r.value) == num(ext(Fraction(t ** argmax, math.factorial(argmax))).log())
+    if argmax < 512:
+        exact = Fraction(t ** argmax, math.factorial(argmax) ** s)
+        assert num(r.value) == num(ext(exact).log())
     assert num(OmegaTable(M, window).tilde(Fraction(t))) == num(r.value)  # M_0 = 1
 
 

@@ -89,16 +89,24 @@ def ref_sup_scan(self, t: ExtReal, include_zero: bool, with_coeff: bool) -> Omeg
         return OmegaValue(NEG_INF, None, False)
 
     boundary = False
-    if isinstance(tail, FactorialPower) and exact_ok and tail.s.denominator == 1 \
-            and t.raw < _EXACT_POWER_CAP:
-        # exact weights past the window: exact terms while the quotient is at most t
-        p = base_end
-        while tail.quotient(p) <= t:
-            r = coeff * t.raw ** p / self._weight(p).raw
-            if r >= best_r:
-                best_r, best_p = r, p
-            p += 1
-        best_val = ext(best_r).log()
+    if isinstance(tail, FactorialPower) and exact_ok and tail.s.denominator == 1:
+        # exact weights past the window: the tail's terms rise while the exact
+        # quotient is at most t; they are exact terms up to the power cap, and
+        # past it only the last, the largest, is taken, as a float term
+        end = base_end
+        while tail.quotient(end) <= t:
+            end += 1
+        if end <= _EXACT_POWER_CAP:
+            for p in range(base_end, end):
+                r = coeff * t.raw ** p / self._weight(p).raw
+                if r >= best_r:
+                    best_r, best_p = r, p
+            best_val = ext(best_r).log()
+        elif end > base_end:
+            off = float(avals[0]) if with_coeff else 0.0
+            term = off + (end - 1) * float(t.log()) - float(self.log_view.value(end - 1))
+            if term >= float(best_val):
+                best_val, best_p = ext(term), end - 1
     elif isinstance(tail, FactorialPower):
         a = self.log_view
         off = float(avals[0]) if with_coeff else 0.0
