@@ -111,6 +111,7 @@ from .oracles import (
     SweepResult,
     brute_minorant,
     brute_omega,
+    brute_omega_grid,
     brute_phi_sweep,
     brute_trace,
     compare_values,

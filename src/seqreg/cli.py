@@ -31,7 +31,7 @@ from .minorant import MinorantResult, _real, regularize
 from .oracles import (
     OracleReport,
     brute_minorant,
-    brute_omega,
+    brute_omega_grid,
     brute_phi_sweep,
     brute_trace,
     compare_values,
@@ -343,7 +343,7 @@ def minorant(files, window, tol, verify):
 # assoc
 
 
-_ASSOC_COLUMNS = (
+_ASSOC_COLUMNS = (  # OmegaTable.rows gives them in this order
     "t",
     "omega_direct",
     "omega_piecewise",
@@ -353,36 +353,17 @@ _ASSOC_COLUMNS = (
 )
 
 
-def _assoc_row(table: OmegaTable, t) -> list[Optional[ExtReal]]:
-    te = ext(t)
-    row: list[Optional[ExtReal]] = [te]
-    for route in (lambda t: table.direct(t).value, table.piecewise, table.integral,
-                  table.tilde, table.double_tilde):
-        try:
-            row.append(route(te))
-        except SeqRegError:
-            row.append(None)
-    return row
-
-
 def _verify_assoc(table: OmegaTable, rows: list[list[Optional[ExtReal]]], tol: float) -> Check:
     mvals = table.weight_view.values(table.w)
     finite_end = next((i for i, m in enumerate(mvals) if not m.is_finite), len(mvals))
-    pairs = []
-    witnesses = []
-    for row in rows:
-        t = row[0]
-        # the truncated loop cannot see analytic divergence, so +inf
-        # engine values are outside the comparison domain
-        if row[1] is None or row[1].is_pos_inf:
-            continue
-        try:
-            oracle = brute_omega(mvals[:finite_end], t, p_max=finite_end - 1)
-        except ValueError:
-            continue
-        pairs.append((row[1], oracle))
-        witnesses.append(float(t))
-    report = compare_values("omega_direct vs plain-loop oracle", pairs, witnesses)
+    # the truncated loop cannot see analytic divergence, so +inf
+    # engine values are outside the comparison domain
+    rows = [row for row in rows if row[1] is not None and not row[1].is_pos_inf]
+    oracle = brute_omega_grid(mvals[:finite_end], [row[0] for row in rows], p_max=finite_end - 1)
+    checked = [(row, value) for row, value in zip(rows, oracle) if value is not None]
+    report = compare_values("omega_direct vs plain-loop oracle",
+                            [(row[1], value) for row, value in checked],
+                            [float(row[0]) for row, _ in checked])
     return report, _deviation(report, tol)
 
 
@@ -405,7 +386,7 @@ def assoc(files, window, tol, grid_spec, loggrid_spec, emit, verify):
 
     def compute(seq: SequenceSpec):
         table = OmegaTable(seq, window, tol)
-        rows = [_assoc_row(table, t) for t in ts]
+        rows = table.rows(ts)
         checks = [_verify_assoc(table, rows, tol)] if verify else []
         if emit == "json":
             return {

@@ -10,6 +10,9 @@ and cubic, but run on integers: the exact values are scaled once by the lcm
 of their denominators, every comparison is a cross-multiplication, and only
 the outputs are built as Fractions.
 
+The associated function's plain loop runs every index at every t; over a
+grid (`brute_omega_grid`) it checks the weights once and then loops per t.
+
 The stripe oracle's dense grid is built one index at a time: the row
 a_p - p t exists only on that index's stripe, the grid slopes where
 phi(t) >= p, and the rows are folded into a running minimum, then read once
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .extreal import ExtReal, POS_INF, ZERO, ext
 
@@ -34,6 +37,7 @@ __all__ = [
     "SweepResult",
     "brute_minorant",
     "brute_omega",
+    "brute_omega_grid",
     "brute_phi_sweep",
     "brute_trace",
     "compare_values",
@@ -297,6 +301,28 @@ def brute_omega(M: Sequence, t, p_max: int) -> ExtReal:
     te = ext(t)
     if te < ZERO:
         raise ValueError("brute_omega needs t >= 0")
+    return _omega_loop(_oracle_weights(M), te, p_max)
+
+
+def brute_omega_grid(M: Sequence, ts: Sequence, p_max: int) -> list[Optional[ExtReal]]:
+    """brute_omega at each t of ts, or None where it raises ValueError.  The
+    weights are checked once for the grid; each t runs the same loop."""
+
+    try:
+        weights = _oracle_weights(M)
+    except ValueError:
+        return [None] * len(ts)
+    out: list[Optional[ExtReal]] = []
+    for t in ts:
+        te = ext(t)
+        try:
+            out.append(None if te < ZERO else _omega_loop(weights, te, p_max))
+        except ValueError:
+            out.append(None)
+    return out
+
+
+def _oracle_weights(M: Sequence) -> list[ExtReal]:
     weights = []
     for i, v in enumerate(M):
         e = ext(v)
@@ -305,6 +331,10 @@ def brute_omega(M: Sequence, t, p_max: int) -> ExtReal:
         weights.append(e)
     if not weights:
         raise ValueError("empty weight list")
+    return weights
+
+
+def _omega_loop(weights: list[ExtReal], te: ExtReal, p_max: int) -> ExtReal:
     last = min(p_max, len(weights) - 1)
     if te == ZERO:
         return ZERO  # the p = 0 term is log 1, every other term is log 0

@@ -7,17 +7,23 @@ winning index is p, which gives the piecewise closed form and, after
 telescoping the quotients, the counting-function integral.  The three routes
 are kept as separate code paths; the piecewise and integral forms both reduce
 to one log of an exact rational for exact inputs, so their agreement is exact
-there (they arrange the same ratio differently), while the direct form scans
-terms and cross-checks them.
+there (they arrange the same ratio differently), while the direct form takes
+the sup of the terms themselves and cross-checks them.
 
 Everything the routes need from the sequence alone (the two scale views, the
 window values, the quotients, the log-convexity report, the regime and the
 limit root) sits in an OmegaTable, built lazily and at most once per
 (sequence, window, tol).  The public omega_* functions evaluate through a
-fresh table; a caller evaluating a grid of t (the CLI's assoc) builds one
-table and evaluates every t through it.  Per t, the three direct forms share
-one argmax, found on integers for exact t, and the integral route extends the
-table's prefix product.  Nothing is cached beyond a table's lifetime.
+fresh table; a caller evaluating a grid of t (the CLI's assoc) hands the grid
+to one table's rows, which evaluates every route at every t in one pass.  On
+exact t the three direct forms read their argmax off the lower hulls of
+(p, log M_p), built once per table: the largest maximizer never moves back as
+t rises, so a pointer per hull walks forward along a sorted grid, and the
+whole grid costs one hull and O(n + m) pointer steps instead of O(n m) terms.
+On float t they take one max over the table's float logs per t.  The
+piecewise route bisects the quotient floor and the integral route extends the
+table's prefix product; they never read the hull pointer.  Nothing is cached
+beyond a table's lifetime.
 
 The Young conjugate is computed geometrically: s -> omega(e^s) is piecewise
 linear (the trace of the log sequence shifted by log M_0), so the conjugate
@@ -30,7 +36,6 @@ import math
 from bisect import bisect_right
 from itertools import accumulate
 from dataclasses import dataclass
-from functools import cmp_to_key
 from fractions import Fraction
 from typing import Optional
 
@@ -42,7 +47,7 @@ from .errors import (
     Unbounded,
     WindowTooShort,
 )
-from .extreal import ExtReal, NEG_INF, POS_INF, ZERO, ext
+from .extreal import _EXACT_BITS, ExtReal, NEG_INF, POS_INF, ZERO, ext
 from .minorant import regularize
 from .piecewise import Breakpoint, Interval, PiecewiseLinearFn, StepFunction
 from .sequences import (
@@ -100,6 +105,19 @@ def _once(build):
     return property(read, doc=build.__doc__)
 
 
+def _lower_hull(points: list) -> list:
+    """Andrew's lower chain over (p, n_p, d_p), p ascending, in log M_p = log(n_p / d_p)."""
+    hull: list = []
+    for k, nk, dk in points:
+        while len(hull) > 1:
+            (i, ni, di), (j, nj, dj) = hull[-2], hull[-1]
+            if nj ** (k - i) * di ** (k - j) * dk ** (j - i) <= ni ** (k - j) * nk ** (j - i) * dj ** (k - i):
+                break
+            hull.pop()
+        hull.append((k, nk, dk))
+    return hull
+
+
 class OmegaTable:
     """What the omega routes read off one (sequence, window, tol), built once.
 
@@ -111,7 +129,8 @@ class OmegaTable:
     a route fails at the same step, with the same error, at every t.  The
     routes stay separate code paths over the table.  Besides, the table keeps
     the argmax of the last t, which the direct, tilde and double-tilde forms
-    share, and the integral route's partial products.
+    share, a pointer into each hull of the direct forms, and the integral
+    route's partial products.
     """
 
     def __init__(self, M: SequenceSpec, window: Optional[int] = None, tol: float = 1e-9):
@@ -120,6 +139,7 @@ class OmegaTable:
         self.tol = tol
         self._memo: dict = {}
         self._t = self._argmax = None  # the last t of the direct forms, and their argmax
+        self._pointers = [(None, 0), (None, 0)]  # per hull: the last exact t and its vertex index
         self._prods = [Fraction(1)]  # _prods[k - 1] = prod_{q<k} (mu_{q+1}/mu_q)^q
 
     @_once
@@ -154,6 +174,11 @@ class OmegaTable:
     def wvals_exact(self) -> bool:
         # +inf only where the log view is: a finite weight past the float range takes the float path
         return all(v.is_exact or a.is_pos_inf for v, a in zip(self.wvals, self.avals))
+
+    @_once
+    def exact_end(self) -> int:
+        """The first index of an inexact weight in the examined range, or its end."""
+        return next((p for p, m in enumerate(self.wvals) if not m.is_exact), self.base_end)
 
     @_once
     def quotients(self) -> list[ExtReal]:
@@ -205,31 +230,67 @@ class OmegaTable:
 
     # -- direct forms -----------------------------------------------------------
 
+    @_once
+    def hulls(self) -> tuple[list, list]:
+        """The lower hulls of the points (p, log M_p) over the exact positive
+        weights, for p >= 0 and for p >= 1, each a list of (p, n_p, d_p) with
+        M_p = n_p / d_p.  A point j between i and k is dropped only when it
+        lies above their chord, M_j^(k-i) > M_i^(k-j) M_k^(j-i), decided on
+        integers; collinear points stay.  +inf weights are left out."""
+        points = [(p, m.raw.numerator, m.raw.denominator)
+                  for p, m in enumerate(self.wvals) if m.is_exact and m.raw]
+        return _lower_hull(points), _lower_hull([u for u in points if u[0]])
+
+    def _hull_argmax(self, h: int, t: Fraction):
+        """The last argmax of t^p / M_p over hull h, as its (p, n_p, d_p).
+
+        The largest maximizer of p log t - log M_p never moves back as t
+        rises, and it is a hull vertex: a pointer kept per hull advances while
+        the next vertex's term is at least the current one (t^g M_j >= M_k for
+        vertices j, k = j + g), so ties go to the larger index.  It starts over
+        when t falls below the last t it served."""
+        hull = self.hulls[h]
+        if not hull:
+            return None
+        last, i = self._pointers[h]
+        if last is None or t < last:
+            i = 0
+        a, b = t.numerator, t.denominator
+        while i + 1 < len(hull):
+            (j, nj, dj), (k, nk, dk) = hull[i], hull[i + 1]
+            if a ** (k - j) * nj * dk < b ** (k - j) * nk * dj:
+                break
+            i += 1
+        self._pointers[h] = (t, i)
+        return hull[i]
+
     def _exact_argmax(self, t: ExtReal) -> list:
         """(p, log value) at the last argmax of t^p / M_p for the direct form
-        (times M_0), over p >= 1 and over p >= 0.  With t = a/b and
-        M_p = n_p/d_p, term p is a^p b^(L-p) d_p / n_p over the common b^L:
-        terms compare by cross-multiplying integers, and each value is one
-        Fraction.  +inf weights are skipped."""
-        a, b, L = t.raw.numerator, t.raw.denominator, self.base_end - 1
-        terms = [(p, a ** p * b ** (L - p) * m.raw.denominator, m.raw.numerator)
-                 for p, m in enumerate(self.wvals) if m.is_exact and m.raw]
-        order = cmp_to_key(lambda u, v: u[1] * v[2] - v[1] * u[2] or u[0] - v[0])
-        best = max((u for u in terms if u[0]), key=order, default=None)
-        top = max(terms, key=order, default=None)
+        (times M_0), over p >= 1 and over p >= 0, read off the hull pointers.
+        With t = a/b and M_p = n_p/d_p, each value is the log of the one
+        Fraction a^p d_p / (b^p n_p), times M_0 for the direct form."""
+        t, m0 = t.raw, self.wvals[0]
+        a, b = t.numerator, t.denominator
 
-        def log_of(u, coeff=Fraction(1)):
-            if u is not None:
-                return u[0], ext(Fraction(coeff.numerator * u[1], coeff.denominator * b ** L * u[2])).log()
+        def log_of(vertex, n0=1, d0=1):
+            if vertex is not None:
+                p, n, d = vertex
+                return p, ext(Fraction(n0 * a ** p * d, d0 * b ** p * n)).log()
 
-        m0 = self.wvals[0]
-        return [log_of(top, m0.raw) if m0.is_exact else None, log_of(best), log_of(top)]
+        best, top = self._hull_argmax(1, t), self._hull_argmax(0, t)
+        shifted = log_of(top)
+        return [log_of(top, m0.raw.numerator, m0.raw.denominator) if m0.is_exact else None,
+                shifted if best == top else log_of(best), shifted]
+
+    @_once
+    def float_logs(self) -> list[tuple[int, float]]:
+        """(p, float log M_p) over the examined range, +inf weights left out."""
+        return [(p, float(a)) for p, a in enumerate(self.avals) if not a.is_pos_inf]
 
     def _float_argmax(self, t: ExtReal) -> list:
         """The same three from float terms; the direct form's carry log M_0, so
         its argmax is taken on them.  A (term, p) pair puts ties on the larger p."""
-        log_t, coeff = float(t.log()), self.log_coeff
-        logs = [(p, float(a)) for p, a in enumerate(self.avals) if not a.is_pos_inf]
+        log_t, coeff, logs = float(t.log()), self.log_coeff, self.float_logs
         terms = [(0.0 + p * log_t - a, p) for p, a in logs]
         best = max((u for u in terms if u[1]), default=None)
         top = None if coeff is None else max((coeff + p * log_t - a, p) for p, a in logs)
@@ -282,8 +343,10 @@ class OmegaTable:
         if isinstance(tail, FactorialPower):
             # terms rise until M_p / M_{p-1} > t; only the last two can tie.  On the
             # exact path with an integer s the quotients p^s compare with t exactly,
-            # so the tail's terms rise to end - 1, its one candidate; below the power
-            # cap it meets best as the exact term t^p / M_p, whose log is the value
+            # so the tail's terms rise to end - 1, its one candidate, which meets
+            # best by the exact sign of T_p - T_best; an exact tie keeps best's
+            # value, the same number.  A winner's value is the log of its exact
+            # term below the power cap, and a float term from there up
             a, whole = self.log_view, exact and tail.s.denominator == 1
             rises = (lambda p: tail.quotient(p) > t) if whole else (
                 lambda p: float(a.value(p) - a.value(p - 1)) > log_t)
@@ -291,16 +354,19 @@ class OmegaTable:
                 end = tail.search(rises, base_end)
             except WindowTooShort:
                 end, boundary = base_end + TAIL_SEARCH_CAP, True  # terms could still rise
-            terms = whole and end <= _EXACT_POWER_CAP
-            top = terms and t.raw ** best_p / wvals[best_p].raw
             for p in range(max(base_end, end - 2 + whole), end):
-                if not terms:
+                sign = self._tail_sign(t.raw, best_p, p) if whole else None
+                if sign is None:
                     term = off + p * log_t - float(a.value(p))
                     if term >= float(best_val):
                         best_val, best_p = ext(term), p
-                elif (term := t.raw ** p / self._weight(p).raw) >= top:
-                    top, best_p = term, p
-                    best_val = ext(term * (wvals[0].raw if with_coeff else 1)).log()
+                elif sign >= 0:
+                    if sign and end <= _EXACT_POWER_CAP:
+                        coeff = wvals[0].raw if with_coeff else 1
+                        best_val = ext(t.raw ** p / self._weight(p).raw * coeff).log()
+                    elif sign:
+                        best_val = ext(off + p * log_t - float(a.value(p)))
+                    best_p = p
         elif isinstance(tail, (Geometric, AffineLog)):
             if root is not None and t == root:
                 # beyond the prefix the terms are constant: log coeff exactly
@@ -310,6 +376,22 @@ class OmegaTable:
         else:
             boundary = best_p == base_end - 1
         return OmegaValue(best_val, best_p, boundary)
+
+    def _tail_sign(self, t: Fraction, best: int, p: int) -> Optional[int]:
+        """The sign of T_p - T_best, T_q = t^q / M_q, for best in the examined
+        range and p past it on an integer-s factorial tail; None where its
+        integers could pass _EXACT_BITS.  From L = base_end - 1 on, the tail's
+        weights are M_L times its exact quotients q^s, so
+        T_p / T_best = t^(p - best) M_best / (M_L (p! / L!)^s)."""
+        L, k = self.base_end - 1, p - best
+        a, b = t.numerator, t.denominator
+        if k * (a.bit_length() + b.bit_length()) > _EXACT_BITS:
+            return None
+        mb, mL = self.wvals[best].raw, self.wvals[L].raw
+        lhs = a ** k * mb.numerator * mL.denominator
+        rhs = (b ** k * mb.denominator * mL.numerator
+               * (math.factorial(p) // math.factorial(L)) ** int(self.M.tail.s))
+        return (lhs > rhs) - (lhs < rhs)
 
     def direct(self, t) -> OmegaValue:
         """omega_direct at t."""
@@ -333,6 +415,23 @@ class OmegaTable:
         if t <= ZERO:
             raise OutOfDomain("sup over p >= 1 needs t > 0 (the limit at 0 is -inf)")
         return self._sup_scan(t, include_zero=False, with_coeff=False).value
+
+    def rows(self, ts) -> list[list[Optional[ExtReal]]]:
+        """[t, direct, piecewise, integral, tilde, double_tilde] at each t of
+        ts, in order: each route's value, or None where it raised a package
+        error.  A rising grid moves the hull pointers forward only."""
+        routes = (lambda t: self.direct(t).value, self.piecewise, self.integral,
+                  self.tilde, self.double_tilde)
+        out = []
+        for t in ts:
+            row: list[Optional[ExtReal]] = [ext(t)]
+            for route in routes:
+                try:
+                    row.append(route(row[0]))
+                except SeqRegError:
+                    row.append(None)
+            out.append(row)
+        return out
 
     # -- piecewise / integral forms (log-convex inputs) ---------------------------
 
@@ -415,7 +514,7 @@ class OmegaTable:
         p = self._segment_index(t)
         if p == 0:
             return ZERO
-        if t.is_exact and all(m.is_exact for m in self.wvals[:p + 1]) and (
+        if t.is_exact and self.exact_end > min(p, self.base_end - 1) and (
                 p < self.base_end or self.M.tail.s.denominator == 1):
             self._weight(p)  # a tail weight too large to build exactly raises here too
             mu_p = self.quotients[p] if p < self.base_end else self.M.tail.quotient(p)

@@ -757,8 +757,8 @@ def test_tol_env_var(runner, rough_file):
 
 
 def test_verification_failure_exits_three(runner, factorial_file, monkeypatch):
-    monkeypatch.setattr(cli_mod, "brute_omega",
-                        lambda M, t, p_max: ext(12345))
+    monkeypatch.setattr(cli_mod, "brute_omega_grid",
+                        lambda M, ts, p_max: [ext(12345)] * len(ts))
     res = runner.invoke(main, ["assoc", factorial_file, "--verify",
                                "--grid", "1:3:1"])
     assert res.exit_code == 3
@@ -796,7 +796,7 @@ def _shifted(values, failing):
 SHIFTED_ORACLES = {
     "brute_minorant": lambda fn: lambda a, *rest: _shifted(fn(a, *rest), len(a) == 8),
     "brute_trace": lambda fn: lambda vals, *rest: _shifted(fn(vals, *rest), len(vals) == 8),
-    "brute_omega": lambda fn: lambda M, t, p_max: _shifted([fn(M, t, p_max)], len(M) == 6)[0],
+    "brute_omega_grid": lambda fn: lambda M, ts, p_max: _shifted(fn(M, ts, p_max), len(M) == 6),
     "brute_phi_sweep": lambda fn: lambda vals, *rest, **kw: dataclasses.replace(
         sweep := fn(vals, *rest, **kw), regularized=_shifted(sweep.regularized, len(vals) == 8)),
 }
@@ -805,8 +805,8 @@ SHIFTED_ORACLES = {
 @pytest.mark.parametrize("args, oracle, csv, deviation", [
     (["minorant"], "brute_minorant", False, "tolerance 1e-09"),
     (["trace"], "brute_trace", False, "tolerance 1e-09"),
-    (["assoc", "--grid", "1:3:1"], "brute_omega", True, "tolerance 1e-09"),
-    (["assoc", "--grid", "1:3:1", "--emit", "json"], "brute_omega", False, "tolerance 1e-09"),
+    (["assoc", "--grid", "1:3:1"], "brute_omega_grid", True, "tolerance 1e-09"),
+    (["assoc", "--grid", "1:3:1", "--emit", "json"], "brute_omega_grid", False, "tolerance 1e-09"),
     (["phireg"], "brute_phi_sweep", False, "the sweep resolution bound"),
     (["phireg", "--emit", "csv"], "brute_phi_sweep", True, "the sweep resolution bound"),
 ], ids=["minorant", "trace", "assoc-csv", "assoc-json", "phireg-json", "phireg-csv"])

@@ -1,9 +1,10 @@
 """The omega routes against `brute_omega` and the paper's identities.
 
-`OmegaTable` finds the argmax of t^p / M_p once per t, on integers for exact
-t, and `direct`, `tilde` and `double_tilde` all read it; the piecewise and
-integral routes find their segment by bisection, and the integral route reads
-a prefix product kept by the table.  The checks share no code with them:
+`OmegaTable` finds the argmax of t^p / M_p once per t, for exact t by a
+pointer along the lower hulls of its weights, and `direct`, `tilde` and
+`double_tilde` all read it; the piecewise and integral routes find their
+segment by bisection, and the integral route reads a prefix product kept by
+the table.  The checks share no code with them:
 
 - `direct` is `brute_omega` over the weights listed up to where the terms stop
   rising: the window for explicit tails, two indices past the examined range
@@ -21,7 +22,9 @@ a prefix product kept by the table.  The checks share no code with them:
   direct = piecewise on those inputs.
 
 Each table serves its routes in a drawn order over several t, so the argmax
-kept from one t must not leak into the next.
+kept from one t must not leak into the next; and `OmegaTable.rows` over a
+grid that repeats, mixes exact and float t of one value and falls back down
+must give, row by row, what a fresh table gives at each t alone.
 """
 
 import math
@@ -44,6 +47,7 @@ from seqreg import (
     to_weight_scale,
 )
 from seqreg.extreal import POS_INF, ZERO
+from seqreg.oracles import brute_omega_grid
 from seqreg.weights import OmegaTable, OmegaValue
 
 # stands in for a +inf weight: its term lies far below the p = 0 term, log 1
@@ -232,7 +236,7 @@ TAILS = st.one_of(
 
 
 @st.composite
-def omega_cases(draw):
+def omega_cases(draw, max_ts=4):
     convex = draw(st.booleans())
     prefix = draw(weight_prefixes(convex))
     tail = draw(TAILS)
@@ -266,9 +270,28 @@ def omega_cases(draw):
     t = st.one_of(exact_t, exact_t.map(float), st.floats(1e-3, 60.0))
     if isinstance(tail, AffineLog):
         t = st.one_of(t, st.just(math.exp(tail.c)))
-    ts = draw(st.lists(t, min_size=1, max_size=4))
+    ts = draw(st.lists(t, min_size=1, max_size=max_ts))
     order = draw(st.permutations(list(ROUTES)))
     return M, window, ts, order
+
+
+@st.composite
+def omega_grids(draw):
+    """A case and a grid over its t and its exact quotients (where two terms
+    tie), the exact ones also as floats of one value, repeated: in the drawn
+    order, which falls back down, sorted as the CLI's grids are, or reversed."""
+    M, window, ts, _ = draw(omega_cases(max_ts=8))
+    try:
+        knots = [mu.raw for mu in OmegaTable(M, window).quotients[1:] if mu.is_exact]
+    except SeqRegError:
+        knots = []
+    exact = [t for t in ts if isinstance(t, Fraction)] + knots
+    pool = ts + knots + [float(t) for t in exact]
+    grid = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+    order = draw(st.sampled_from(["drawn", "sorted", "reversed"]))
+    if order != "drawn":
+        grid.sort(reverse=order == "reversed")
+    return M, window, grid
 
 
 # -- the tests -----------------------------------------------------------------
@@ -309,6 +332,18 @@ def test_factorial_tie_goes_to_the_larger_index(s, window, t, argmax):
         exact = Fraction(t ** argmax, math.factorial(argmax) ** s)
         assert num(r.value) == num(ext(exact).log())
     assert num(OmegaTable(M, window).tilde(Fraction(t))) == num(r.value)  # M_0 = 1
+
+
+@pytest.mark.parametrize("t", [600, 1000, 2000])
+def test_factorial_tail_ties_the_window_past_the_power_cap(t):
+    # c = t^t / t! makes T_t = t^t / M_t = 1 = T_0 exactly, with t past index
+    # 512: the tie goes to the larger index, and the value is best's own log 1
+    M = SequenceSpec(kind="weight", prefix=(Fraction(1), Fraction(10 ** 9)),
+                     tail=FactorialPower(s=Fraction(1), c=Fraction(t ** t, math.factorial(t))))
+    table = OmegaTable(M, 2)
+    r = table.direct(Fraction(t))
+    assert (r.argmax_index, num(r.value)) == (t, num(ext(Fraction(1)).log()))
+    assert num(table.tilde(Fraction(t))) == num(r.value)  # M_0 = 1
 
 
 def test_collinear_run_goes_to_the_larger_index():
@@ -384,6 +419,33 @@ def test_one_table_over_a_grid_matches_fresh_tables():
                 assert num(got) == num(fresh), (name, t)
 
 
+def fresh_row(M, window, t):
+    """The row of OmegaTable.rows at t, from the per-t methods of a fresh table."""
+    table, te = OmegaTable(M, window), ext(t)
+    row = [te]
+    for route in (lambda t: table.direct(t).value, table.piecewise, table.integral,
+                  table.tilde, table.double_tilde):
+        try:
+            row.append(route(te))
+        except SeqRegError:
+            row.append(None)
+    return row
+
+
+@given(omega_grids())
+@settings(max_examples=500, deadline=None)
+def test_rows_over_a_grid_match_fresh_tables(case):
+    # the hull pointers walk forward along a rising grid and start over where
+    # it falls; every row must be what a fresh table gives at its t alone
+    M, window, grid = case
+    rows = OmegaTable(M, window).rows(grid)
+    assert len(rows) == len(grid)
+    for t, row in zip(grid, rows):
+        want = fresh_row(M, window, t)
+        assert [v if v is None else num(v) for v in row] == \
+            [v if v is None else num(v) for v in want], t
+
+
 @given(st.lists(st.one_of(st.fractions(min_value=Fraction(1, 20), max_value=50, max_denominator=20),
                           st.integers(1, 400).map(lambda k: k / 8),
                           st.sampled_from([Fraction(0), float("inf"), 1e300, 1e-300])),
@@ -413,3 +475,24 @@ def test_brute_omega_matches_the_former_loop(weights, t, p_max):
         assert not exact and any(h > big or h / Fraction(w.raw) > big for h, w in zip(heads, ws))
         return
     assert same(got, want, exact)
+
+
+@given(st.lists(st.one_of(st.fractions(min_value=Fraction(1, 20), max_value=50, max_denominator=20),
+                          st.integers(1, 400).map(lambda k: k / 8),
+                          st.sampled_from([Fraction(0), float("inf"), 1e300, 1e-300])),
+                min_size=0, max_size=12),
+       st.lists(st.one_of(st.fractions(min_value=0, max_value=30, max_denominator=12),
+                          st.floats(0, 30), st.just(Fraction(-1)), st.just(1e200)), max_size=8),
+       st.integers(0, 14))
+@settings(max_examples=400, deadline=None)
+def test_grid_oracle_matches_brute_omega(weights, ts, p_max):
+    # the weights are checked once for the grid; each t is brute_omega's own
+    # value, or None where brute_omega raises
+    def one(t):
+        try:
+            return num(brute_omega(weights, t, p_max))
+        except ValueError:
+            return None
+
+    got = brute_omega_grid(weights, ts, p_max)
+    assert [v if v is None else num(v) for v in got] == [one(t) for t in ts]

@@ -92,7 +92,8 @@ def ref_sup_scan(self, t: ExtReal, include_zero: bool, with_coeff: bool) -> Omeg
     if isinstance(tail, FactorialPower) and exact_ok and tail.s.denominator == 1:
         # exact weights past the window: the tail's terms rise while the exact
         # quotient is at most t; they are exact terms up to the power cap, and
-        # past it only the last, the largest, is taken, as a float term
+        # past it only the last, the largest, meets best as an exact term, its
+        # value a float term unless it ties best
         end = base_end
         while tail.quotient(end) <= t:
             end += 1
@@ -103,10 +104,12 @@ def ref_sup_scan(self, t: ExtReal, include_zero: bool, with_coeff: bool) -> Omeg
                     best_r, best_p = r, p
             best_val = ext(best_r).log()
         elif end > base_end:
-            off = float(avals[0]) if with_coeff else 0.0
-            term = off + (end - 1) * float(t.log()) - float(self.log_view.value(end - 1))
-            if term >= float(best_val):
-                best_val, best_p = ext(term), end - 1
+            r = coeff * t.raw ** (end - 1) / self._weight(end - 1).raw
+            if r > best_r:
+                off = float(avals[0]) if with_coeff else 0.0
+                best_val = ext(off + (end - 1) * float(t.log()) - float(self.log_view.value(end - 1)))
+            if r >= best_r:
+                best_p = end - 1
     elif isinstance(tail, FactorialPower):
         a = self.log_view
         off = float(avals[0]) if with_coeff else 0.0
